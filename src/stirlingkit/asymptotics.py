@@ -34,8 +34,9 @@ from functools import cache
 from typing import Sequence
 
 from .exact import Rational, falling_factorial
-from .partial import _mixed_block_series, partial_deg
-from .series import TruncatedSeries, exp_series
+from .oracle import partial_degenerate_scheme
+from .partial import partial_deg
+from .series import TruncatedSeries
 
 __all__ = [
     "integer_partitions",
@@ -149,7 +150,8 @@ def shifted_mixed_series(
     The product vanishes at t = 0 with unit linear coefficient, so psi
     is a valid a_0 = 1 input for the expansion machinery.
     """
-    phi = exp_series(gamma, order + 1) * _mixed_block_series(alpha, beta, ell, order + 1)
+    scheme = partial_degenerate_scheme(gamma, alpha, beta, ell)
+    phi = scheme.special_series(order + 1) * scheme.block_series(order + 1)
     assert phi.coefficient(0) == 0 and phi.coefficient(1) == 1
     return TruncatedSeries(phi.coeffs[1:], order)
 
@@ -192,8 +194,6 @@ def asymptotic_partial(
     g, a, b = Fraction(gamma), Fraction(alpha), Fraction(beta)
     if n < 0 or k < 0 or ell < 0 or m < 0:
         raise ValueError("arguments must be non-negative")
-    if b == 0:
-        raise ValueError("beta = 0 is rejected")
     if mode == "normalized":
         n_total = n if n >= k else n + k
         d = n_total - k

@@ -16,7 +16,6 @@ Suites group related identities; `run_all` runs every suite.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -51,7 +50,7 @@ from .partial import (
     partial_deg_multinomial,
     partial_deg_recursion,
 )
-from .series import TruncatedSeries, exp_series, incomplete_exp
+from .series import TruncatedSeries
 
 __all__ = [
     "AuditFinding",
@@ -514,17 +513,21 @@ def _suite_thm20(nmax: int) -> list:
         for k in range(0, 6)
     ]
 
+    def _parts(ell, a, b):
+        # free blocks above ell and degenerate-weighted blocks up to ell
+        big = _oracle.free_atleast_scheme(0, ell).block_series(order)
+        smallp = _oracle.gen_restricted_scheme(a, b, 0, ell).block_series(order)
+        return big, smallp
+
     def _lhs(k, ell, a, b):
-        big = exp_series(1, order) - incomplete_exp(ell, order)
-        smallp = _weighted_poly(a, b, ell, order)
+        big, smallp = _parts(ell, a, b)
         total = TruncatedSeries.zero(order)
         for j in range(k + 1):
             total = total + binomial(k, j) * (big ** j) * (smallp ** (k - j))
         return total
 
     def _rhs(k, ell, a, b):
-        big = exp_series(1, order) - incomplete_exp(ell, order)
-        smallp = _weighted_poly(a, b, ell, order)
+        big, smallp = _parts(ell, a, b)
         return (big + smallp) ** k
 
     findings.append(
@@ -540,13 +543,6 @@ def _suite_thm20(nmax: int) -> list:
     )
     findings.append(_colored_report(min(nmax, 7)))
     return findings
-
-
-def _weighted_poly(alpha, beta, ell, order) -> TruncatedSeries:
-    cs = [Fraction(0)] * (order + 1)
-    for i in range(1, min(ell, order) + 1):
-        cs[i] = Fraction(falling_factorial_deg(Fraction(beta) - alpha, i - 1, alpha)) / math.factorial(i)
-    return TruncatedSeries(cs, order)
 
 
 def _colored_report(nmax: int) -> AuditFinding:

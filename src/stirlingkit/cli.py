@@ -24,24 +24,14 @@ import sys
 from .asymptotics import asymptotic_partial, decimal_str
 from .audit import SUITE_NAMES, audit_ok, report_json, report_text, run_suite
 from .exact import format_rational, parse_rational
-from .families import FamilySpec, ValueTable, family_egf, family_value
+from .families import FAMILY_TAGS, METHODS, FamilySpec, ValueTable, family_egf, family_value
 from .oracle import ENUMERATION_CAP
 from .series import egf_coeff
 
 __all__ = ["main", "entry"]
 
-_FAMILY_CHOICES = (
-    "classic",
-    "restricted",
-    "associated",
-    "degenerate",
-    "generalized",
-    "gen_restricted",
-    "free_atleast",
-    "partial",
-    "partial_degenerate",
-    "colored_singleton",
-)
+# --family accepts these short names too, listed just before their target
+_ALIASES = {"partial": "partial_degenerate"}
 
 
 class UsageError(Exception):
@@ -49,7 +39,12 @@ class UsageError(Exception):
 
 
 def _add_family_options(p: argparse.ArgumentParser, required: bool = True) -> None:
-    p.add_argument("--family", choices=_FAMILY_CHOICES, required=required)
+    choices = [
+        name
+        for tag in FAMILY_TAGS
+        for name in [a for a, target in _ALIASES.items() if target == tag] + [tag]
+    ]
+    p.add_argument("--family", choices=choices, required=required)
     p.add_argument("--alpha", type=str)
     p.add_argument("--beta", type=str)
     p.add_argument("--gamma", type=str)
@@ -60,9 +55,7 @@ def _add_family_options(p: argparse.ArgumentParser, required: bool = True) -> No
 
 
 def _family_spec(args) -> FamilySpec:
-    tag = args.family
-    if tag == "partial":
-        tag = "partial_degenerate"
+    tag = _ALIASES.get(args.family, args.family)
     params = {}
     for name in ("alpha", "beta", "gamma", "lam"):
         raw = getattr(args, name, None)
@@ -89,37 +82,35 @@ def _write_out(text: str, out: str | None) -> None:
         print(text)
 
 
+def _check_oracle_cap(method: str, n: int) -> None:
+    if method == "oracle" and n > ENUMERATION_CAP:
+        raise UsageError(
+            "method=oracle is capped at n=%d (asked for n=%d)" % (ENUMERATION_CAP, n)
+        )
+
+
 def _cmd_value(args) -> int:
     spec = _family_spec(args)
     if args.n is None or args.k is None:
         raise UsageError("value needs --n and --k")
     n, k = args.n, args.k
-    if args.method == "oracle" and n > ENUMERATION_CAP:
-        raise UsageError(
-            "method=oracle is capped at n=%d (asked for n=%d)" % (ENUMERATION_CAP, n)
-        )
+    _check_oracle_cap(args.method, n)
     try:
         canonical = family_value(spec, n, k, args.method)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if args.check:
         results = {args.method: canonical}
-        for method in ("egf", "recurrence", "explicit", "oracle"):
+        for method in METHODS:
             if method in results:
                 continue
             if method == "oracle" and n > ENUMERATION_CAP:
                 continue
-            if method == "explicit" and spec.tag not in (
-                "classic",
-                "degenerate",
-                "generalized",
-            ):
-                continue
-            if method == "explicit" and spec.tag == "generalized" and spec.beta == 0:
-                continue
             try:
                 results[method] = family_value(spec, n, k, method)
             except ValueError as exc:
+                if method == "explicit":
+                    continue  # the family has no explicit sum, or none at beta = 0
                 raise UsageError(str(exc)) from None
         values = set(results.values())
         if len(values) > 1:
@@ -135,6 +126,7 @@ def _cmd_table(args) -> int:
     spec = _family_spec(args)
     if args.nmax is None or args.nmax < 0:
         raise UsageError("table needs --nmax >= 0")
+    _check_oracle_cap(args.method, args.nmax)
     table = ValueTable(spec, args.method)
     try:
         rows = [(n, k, format_rational(v)) for n, k, v in table.rows(args.nmax)]
@@ -259,9 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_family_options(p_value)
     p_value.add_argument("--n", type=int)
     p_value.add_argument("--k", type=int)
-    p_value.add_argument(
-        "--method", choices=("egf", "recurrence", "explicit", "oracle"), default="egf"
-    )
+    p_value.add_argument("--method", choices=METHODS, default="egf")
     p_value.add_argument("--check", action="store_true",
                          help="compute via every applicable method; exit 1 on disagreement")
     p_value.set_defaults(func=_cmd_value)
@@ -269,9 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="triangle of values up to --nmax")
     _add_family_options(p_table)
     p_table.add_argument("--nmax", type=int)
-    p_table.add_argument(
-        "--method", choices=("egf", "recurrence", "explicit", "oracle"), default="egf"
-    )
+    p_table.add_argument("--method", choices=METHODS, default="egf")
     p_table.add_argument("--format", choices=("csv", "json", "text"), default="csv")
     p_table.add_argument("--out")
     p_table.set_defaults(func=_cmd_table)

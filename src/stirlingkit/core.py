@@ -7,7 +7,8 @@ exponential generating functions
     restricted:  (e_{<=ell}(x) - 1)^k / k!      blocks of size at most ell
     associated:  (e^x - e_{<ell}(x))^k / k!     blocks of size at least ell
 
-with e_{<=ell} and e_{<ell} the truncated exponentials.  The classical
+with e_{<=ell} and e_{<ell} the truncated exponentials; each is the EGF
+of the family's weight scheme in the oracle module.  The classical
 recurrences are provided separately as verification targets; the audit
 module compares them (including a commonly printed but wrong variant of
 the basic recursion) against these reference values.
@@ -15,12 +16,11 @@ the basic recursion) against these reference values.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from functools import cache
 
 from .exact import as_integer, binomial
-from .series import TruncatedSeries, egf_coeff, exp_series, incomplete_exp
+from .oracle import associated_scheme, classic_scheme, restricted_scheme
+from .series import egf_coeff
 
 __all__ = [
     "stirling2",
@@ -38,34 +38,12 @@ def _check_nk(n: int, k: int) -> None:
         raise ValueError("indices must be non-negative, got n=%r k=%r" % (n, k))
 
 
-def _inv_factorial(k: int) -> Fraction:
-    return Fraction(1, math.factorial(k))
-
-
-@cache
-def _classic_egf(k: int, order: int) -> TruncatedSeries:
-    base = exp_series(1, order) - TruncatedSeries.one(order)
-    return (base ** k) * _inv_factorial(k)
-
-
-@cache
-def _restricted_egf(k: int, ell: int, order: int) -> TruncatedSeries:
-    base = incomplete_exp(ell, order) - TruncatedSeries.one(order)
-    return (base ** k) * _inv_factorial(k)
-
-
-@cache
-def _associated_egf(k: int, ell: int, order: int) -> TruncatedSeries:
-    base = exp_series(1, order) - incomplete_exp(ell, order, strict=True)
-    return (base ** k) * _inv_factorial(k)
-
-
 def stirling2(n: int, k: int) -> int:
     """Partitions of an n-set into k non-empty blocks."""
     _check_nk(n, k)
     if k > n:
         return 0
-    return as_integer(egf_coeff(_classic_egf(k, n), n))
+    return as_integer(egf_coeff(classic_scheme().egf(k, n), n))
 
 
 def stirling2_restricted(n: int, k: int, ell: int) -> int:
@@ -75,7 +53,7 @@ def stirling2_restricted(n: int, k: int, ell: int) -> int:
         raise ValueError("restricted numbers need ell >= 1 (no non-empty block fits)")
     if k > n or n > k * ell:
         return 0
-    return as_integer(egf_coeff(_restricted_egf(k, ell, n), n))
+    return as_integer(egf_coeff(restricted_scheme(ell).egf(k, n), n))
 
 
 def stirling2_associated(n: int, k: int, ell: int) -> int:
@@ -85,7 +63,7 @@ def stirling2_associated(n: int, k: int, ell: int) -> int:
         raise ValueError("associated numbers need ell >= 1")
     if n < k * ell:
         return 0
-    return as_integer(egf_coeff(_associated_egf(k, ell, n), n))
+    return as_integer(egf_coeff(associated_scheme(ell).egf(k, n), n))
 
 
 # -- recurrence evaluators (verification targets) ---------------------------

@@ -1,12 +1,13 @@
-"""Family descriptors and uniform value dispatch.
+"""Family registry and uniform value dispatch.
 
-A FamilySpec names one of the nine number families together with
-exactly the parameters that family takes.  Values can be computed by
-several methods:
+Each of the nine number families is defined once, in FAMILIES: its
+parameters, its weight scheme (which fixes the generating function, see
+the oracle module) and its independent routes.  A FamilySpec names one
+family together with exactly the parameters that family takes.  Values
+can be computed by several methods:
 
-    egf         coefficient extraction from the generating function
-                (the canonical path; beta = 0 cases transparently use
-                the recursion instead)
+    egf         coefficient extraction from the generating function of
+                the family's weight scheme (the canonical path)
     recurrence  self-contained recursion, no series involved
     explicit    alternating-sum formula (classic, degenerate and
                 generalized families only, beta != 0)
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import oracle as _oracle
 from .core import (
@@ -30,44 +32,110 @@ from .core import (
     stirling2_restricted,
     stirling2_restricted_rec,
 )
+from .exact import Rational
 from .generalized import degenerate_stirling, gen_stirling, gen_stirling_explicit, gen_stirling_rec
 from .incomplete import free_atleast, free_atleast_rec, gen_restricted, gen_restricted_rec
 from .partial import colored_singleton, colored_singleton_rec, partial_deg, partial_deg_rec
 
 __all__ = [
+    "FAMILIES",
     "FAMILY_TAGS",
+    "METHODS",
     "REQUIRED_PARAMS",
+    "Family",
     "FamilySpec",
     "ValueTable",
     "family_value",
     "family_egf",
 ]
 
-FAMILY_TAGS = (
-    "classic",
-    "restricted",
-    "associated",
-    "degenerate",
-    "generalized",
-    "gen_restricted",
-    "free_atleast",
-    "partial_degenerate",
-    "colored_singleton",
-)
+METHODS = ("egf", "recurrence", "explicit", "oracle")
 
-REQUIRED_PARAMS = {
-    "classic": (),
-    "restricted": ("ell",),
-    "associated": ("ell",),
-    "degenerate": ("lam",),
-    "generalized": ("alpha", "beta", "gamma"),
-    "gen_restricted": ("alpha", "beta", "gamma", "ell"),
-    "free_atleast": ("gamma", "ell"),
-    "partial_degenerate": ("gamma", "alpha", "beta", "ell"),
-    "colored_singleton": ("r", "s"),
+# A route takes (spec, n, k).  Routes are lambdas, so each call looks its
+# function up by name in this module and a rebound name takes effect.
+_Route = Callable[["FamilySpec", int, int], Rational]
+
+
+@dataclass(frozen=True)
+class Family:
+    """One family: its parameters, weight scheme and routes to its values.
+
+    value is the canonical route through the scheme's generating
+    function, with the family's own validation and shortcuts; recurrence
+    and explicit (None where the family has no explicit sum) are
+    independent of it.
+    """
+
+    params: tuple
+    scheme: Callable[["FamilySpec"], _oracle.WeightScheme]
+    value: _Route
+    recurrence: _Route
+    explicit: _Route | None = None
+
+
+FAMILIES = {
+    "classic": Family(
+        params=(),
+        scheme=lambda s: _oracle.classic_scheme(),
+        value=lambda s, n, k: stirling2(n, k),
+        recurrence=lambda s, n, k: stirling2_rec(n, k),
+        explicit=lambda s, n, k: gen_stirling_explicit(n, k, 0, 1, 0),
+    ),
+    "restricted": Family(
+        params=("ell",),
+        scheme=lambda s: _oracle.restricted_scheme(s.ell),
+        value=lambda s, n, k: stirling2_restricted(n, k, s.ell),
+        recurrence=lambda s, n, k: stirling2_restricted_rec(n, k, s.ell),
+    ),
+    "associated": Family(
+        params=("ell",),
+        scheme=lambda s: _oracle.associated_scheme(s.ell),
+        value=lambda s, n, k: stirling2_associated(n, k, s.ell),
+        recurrence=lambda s, n, k: stirling2_associated_rec(n, k, s.ell),
+    ),
+    "degenerate": Family(
+        params=("lam",),
+        scheme=lambda s: _oracle.generalized_scheme(s.lam, 1, 0),
+        value=lambda s, n, k: degenerate_stirling(n, k, s.lam),
+        recurrence=lambda s, n, k: gen_stirling_rec(n, k, s.lam, 1, 0),
+        explicit=lambda s, n, k: gen_stirling_explicit(n, k, s.lam, 1, 0),
+    ),
+    "generalized": Family(
+        params=("alpha", "beta", "gamma"),
+        scheme=lambda s: _oracle.generalized_scheme(s.alpha, s.beta, s.gamma),
+        value=lambda s, n, k: gen_stirling(n, k, s.alpha, s.beta, s.gamma),
+        recurrence=lambda s, n, k: gen_stirling_rec(n, k, s.alpha, s.beta, s.gamma),
+        explicit=lambda s, n, k: gen_stirling_explicit(n, k, s.alpha, s.beta, s.gamma),
+    ),
+    "gen_restricted": Family(
+        params=("alpha", "beta", "gamma", "ell"),
+        scheme=lambda s: _oracle.gen_restricted_scheme(s.alpha, s.beta, s.gamma, s.ell),
+        value=lambda s, n, k: gen_restricted(n, k, s.alpha, s.beta, s.gamma, s.ell),
+        recurrence=lambda s, n, k: gen_restricted_rec(n, k, s.alpha, s.beta, s.gamma, s.ell),
+    ),
+    "free_atleast": Family(
+        params=("gamma", "ell"),
+        scheme=lambda s: _oracle.free_atleast_scheme(s.gamma, s.ell),
+        value=lambda s, n, k: free_atleast(n, k, s.gamma, s.ell),
+        recurrence=lambda s, n, k: free_atleast_rec(n, k, s.gamma, s.ell),
+    ),
+    "partial_degenerate": Family(
+        params=("gamma", "alpha", "beta", "ell"),
+        scheme=lambda s: _oracle.partial_degenerate_scheme(s.gamma, s.alpha, s.beta, s.ell),
+        value=lambda s, n, k: partial_deg(n, k, s.ell, s.gamma, s.alpha, s.beta),
+        recurrence=lambda s, n, k: partial_deg_rec(n, k, s.ell, s.gamma, s.alpha, s.beta),
+    ),
+    "colored_singleton": Family(
+        params=("r", "s"),
+        scheme=lambda s: _oracle.colored_singleton_scheme(s.r, s.s),
+        value=lambda s, n, k: colored_singleton(n, k, s.r, s.s),
+        recurrence=lambda s, n, k: colored_singleton_rec(n, k, s.r, s.s),
+    ),
 }
 
-METHODS = ("egf", "recurrence", "explicit", "oracle")
+FAMILY_TAGS = tuple(FAMILIES)
+
+REQUIRED_PARAMS = {tag: family.params for tag, family in FAMILIES.items()}
 
 
 @dataclass(frozen=True)
@@ -124,131 +192,27 @@ class FamilySpec:
         return " ".join(parts)
 
 
-def _oracle_scheme(spec: FamilySpec) -> _oracle.WeightScheme:
-    t = spec.tag
-    if t == "classic":
-        return _oracle.classic_scheme()
-    if t == "restricted":
-        return _oracle.restricted_scheme(spec.ell)
-    if t == "associated":
-        return _oracle.associated_scheme(spec.ell)
-    if t == "degenerate":
-        return _oracle.generalized_scheme(spec.lam, 1, 0)
-    if t == "generalized":
-        return _oracle.generalized_scheme(spec.alpha, spec.beta, spec.gamma)
-    if t == "gen_restricted":
-        return _oracle.gen_restricted_scheme(spec.alpha, spec.beta, spec.gamma, spec.ell)
-    if t == "free_atleast":
-        return _oracle.free_atleast_scheme(spec.gamma, spec.ell)
-    if t == "partial_degenerate":
-        return _oracle.partial_degenerate_scheme(spec.gamma, spec.alpha, spec.beta, spec.ell)
-    if t == "colored_singleton":
-        return _oracle.colored_singleton_scheme(spec.r, spec.s)
-    raise AssertionError(t)
-
-
 def family_value(spec: FamilySpec, n: int, k: int, method: str = "egf") -> Fraction:
     """Value of the family member at (n, k) by the chosen method."""
     if method not in METHODS:
         raise ValueError("unknown method %r (one of %s)" % (method, ", ".join(METHODS)))
-    t = spec.tag
+    family = FAMILIES[spec.tag]
     if method == "oracle":
-        return _oracle.oracle_sum(n, k, _oracle_scheme(spec))
+        return _oracle.oracle_sum(n, k, family.scheme(spec))
     if method == "explicit":
-        if t == "classic":
-            return gen_stirling_explicit(n, k, 0, 1, 0)
-        if t == "degenerate":
-            if spec.lam == 0:
-                return gen_stirling_explicit(n, k, 0, 1, 0)
-            return gen_stirling_explicit(n, k, spec.lam, 1, 0)
-        if t == "generalized":
-            return gen_stirling_explicit(n, k, spec.alpha, spec.beta, spec.gamma)
-        raise ValueError("no explicit-sum formula for family %r" % t)
+        if family.explicit is None:
+            raise ValueError("no explicit-sum formula for family %r" % spec.tag)
+        return Fraction(family.explicit(spec, n, k))
     if method == "recurrence":
-        if t == "classic":
-            return Fraction(stirling2_rec(n, k))
-        if t == "restricted":
-            return Fraction(stirling2_restricted_rec(n, k, spec.ell))
-        if t == "associated":
-            return Fraction(stirling2_associated_rec(n, k, spec.ell))
-        if t == "degenerate":
-            if spec.lam == 0:
-                return Fraction(stirling2_rec(n, k))
-            return gen_stirling_rec(n, k, spec.lam, 1, 0)
-        if t == "generalized":
-            return gen_stirling_rec(n, k, spec.alpha, spec.beta, spec.gamma)
-        if t == "gen_restricted":
-            return gen_restricted_rec(n, k, spec.alpha, spec.beta, spec.gamma, spec.ell)
-        if t == "free_atleast":
-            return free_atleast_rec(n, k, spec.gamma, spec.ell)
-        if t == "partial_degenerate":
-            return partial_deg_rec(n, k, spec.ell, spec.gamma, spec.alpha, spec.beta)
-        if t == "colored_singleton":
-            return Fraction(colored_singleton_rec(n, k, spec.r, spec.s))
-        raise AssertionError(t)
-    # canonical generating-function path
-    if t == "classic":
-        return Fraction(stirling2(n, k))
-    if t == "restricted":
-        return Fraction(stirling2_restricted(n, k, spec.ell))
-    if t == "associated":
-        return Fraction(stirling2_associated(n, k, spec.ell))
-    if t == "degenerate":
-        return degenerate_stirling(n, k, spec.lam)
-    if t == "generalized":
-        return gen_stirling(n, k, spec.alpha, spec.beta, spec.gamma)
-    if t == "gen_restricted":
-        return gen_restricted(n, k, spec.alpha, spec.beta, spec.gamma, spec.ell)
-    if t == "free_atleast":
-        return free_atleast(n, k, spec.gamma, spec.ell)
-    if t == "partial_degenerate":
-        return partial_deg(n, k, spec.ell, spec.gamma, spec.alpha, spec.beta)
-    if t == "colored_singleton":
-        return Fraction(colored_singleton(n, k, spec.r, spec.s))
-    raise AssertionError(t)
+        return Fraction(family.recurrence(spec, n, k))
+    return Fraction(family.value(spec, n, k))
 
 
 def family_egf(spec: FamilySpec, k: int, order: int):
-    """The family's generating function at block count k, truncated.
-
-    Families whose generating function divides by beta refuse beta = 0
-    here (their values fall back to the recursion instead).
-    """
-    from .core import _associated_egf, _classic_egf, _restricted_egf
-    from .generalized import _gen_egf
-    from .incomplete import _free_atleast_egf, _gen_restricted_egf
-    from .partial import _colored_egf, _partial_egf
-
-    t = spec.tag
+    """The family's generating function at block count k, truncated."""
     if k < 0 or order < 0:
         raise ValueError("k and order must be non-negative")
-    if t == "classic":
-        return _classic_egf(k, order)
-    if t == "restricted":
-        return _restricted_egf(k, spec.ell, order)
-    if t == "associated":
-        return _associated_egf(k, spec.ell, order)
-    if t == "degenerate":
-        if spec.lam == 0:
-            return _classic_egf(k, order)
-        return _gen_egf(k, spec.lam, Fraction(1), Fraction(0), order)
-    if t == "generalized":
-        if spec.beta == 0:
-            raise ValueError("the generating function divides by beta; beta = 0 has none")
-        return _gen_egf(k, spec.alpha, spec.beta, spec.gamma, order)
-    if t == "gen_restricted":
-        if spec.beta == 0:
-            raise ValueError("the generating function divides by beta; beta = 0 has none")
-        return _gen_restricted_egf(k, spec.alpha, spec.beta, spec.gamma, spec.ell, order)
-    if t == "free_atleast":
-        return _free_atleast_egf(k, spec.gamma, spec.ell, order)
-    if t == "partial_degenerate":
-        if spec.beta == 0:
-            raise ValueError("the generating function divides by beta; beta = 0 has none")
-        return _partial_egf(k, spec.ell, spec.gamma, spec.alpha, spec.beta, order)
-    if t == "colored_singleton":
-        return _colored_egf(k, spec.r, spec.s, order)
-    raise AssertionError(t)
+    return FAMILIES[spec.tag].scheme(spec).egf(k, order)
 
 
 class ValueTable:

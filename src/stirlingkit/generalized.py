@@ -2,23 +2,23 @@
 
 S(n,k) for parameters (alpha, beta, gamma) is defined as the connection
 coefficient between the degenerate falling factorials (t)_{n,alpha} and
-(t-gamma)_{k,beta}.  Its exponential generating function in our exact
-truncated-series form is
+(t-gamma)_{k,beta}.  Combinatorially the numbers are weighted sums over
+mixed partitions (a possibly-empty special set G plus k non-empty
+blocks): G carries weight (gamma)_{|G|,alpha} and a block B carries
+(beta-alpha)_{|B|-1,alpha}.  That weight scheme (oracle module) fixes the
+exponential generating function
 
-    e_alpha^gamma(t) * (e_alpha^beta(t) - 1)^k / (beta^k * k!),
+    e_alpha^gamma(t) * (sum_{m>=1} (beta-alpha)_{m-1,alpha} t^m/m!)^k / k!,
 
-which requires beta != 0; that is the canonical computation path here.
-For beta = 0 the triangular recursion
+which is e_alpha^gamma(t) * (e_alpha^beta(t) - 1)^k / (beta^k * k!) when
+beta != 0 and needs no division by beta in general; coefficient
+extraction from it is the canonical computation path for every beta.
+The triangular recursion
 
     S(n+1,k) = S(n,k-1) + (k*beta - n*alpha + gamma) * S(n,k)
 
-is the sole path.  An explicit alternating sum (finite-difference style)
-is provided as an independent third route when beta != 0.
-
-Combinatorially the numbers are weighted sums over mixed partitions
-(a possibly-empty special set G plus k non-empty blocks): G carries
-weight (gamma)_{|G|,alpha} and a block B carries (beta-alpha)_{|B|-1,alpha}.
-The brute-force enumeration of that model lives in the oracle module.
+and an explicit alternating sum (finite-difference style, beta != 0 only)
+are independent routes to the same values.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from functools import cache
 
 from .core import stirling2
 from .exact import Rational, binomial, falling_factorial_deg
-from .series import TruncatedSeries, degenerate_exp, egf_coeff
+from .oracle import generalized_scheme
+from .series import egf_coeff
 
 __all__ = [
     "gen_stirling",
@@ -46,22 +47,13 @@ def _validate(n: int, k: int, alpha: Fraction, beta: Fraction, gamma: Fraction) 
         raise ValueError("parameter triple (0, 0, 0) is excluded")
 
 
-@cache
-def _gen_egf(k: int, alpha: Fraction, beta: Fraction, gamma: Fraction, order: int) -> TruncatedSeries:
-    base = degenerate_exp(beta, alpha, order) - TruncatedSeries.one(order)
-    scale = Fraction(1, math.factorial(k)) / beta ** k
-    return degenerate_exp(gamma, alpha, order) * (base ** k) * scale
-
-
 def gen_stirling(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational) -> Fraction:
     """Generalized Stirling number for the parameter triple (alpha, beta, gamma)."""
     a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
     _validate(n, k, a, b, g)
     if k > n:
         return Fraction(0)
-    if b == 0:
-        return gen_stirling_rec(n, k, a, b, g)
-    return egf_coeff(_gen_egf(k, a, b, g, n), n)
+    return egf_coeff(generalized_scheme(a, b, g).egf(k, n), n)
 
 
 def gen_stirling_rec(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational) -> Fraction:

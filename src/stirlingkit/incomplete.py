@@ -4,12 +4,17 @@ Two families live here:
 
 * gen_restricted: generalized numbers whose k ordinary blocks hold at
   most ell elements each.  Reference path is the generating function
-  e_alpha^gamma(x) * (e_{alpha;<=ell}^beta(x) - 1)^k / (beta^k k!);
-  for beta = 0 a self-contained recursion takes over.
+  of that weight scheme,
+  e_alpha^gamma(x) * (sum_{m=1..ell} (beta-alpha)_{m-1,alpha} x^m/m!)^k / k!,
+  which is e_alpha^gamma(x) * (e_{alpha;<=ell}^beta(x) - 1)^k / (beta^k k!)
+  when beta != 0 and is defined for every beta.
 
 * free_atleast: a free (unweighted) special set with weight gamma^|G|
   and k blocks forced to exceed ell elements; generating function
   e^(gamma*x) * (e^x - e_{<=ell}(x))^k / k!.
+
+Both generating functions come from the weight schemes in the oracle
+module; self-contained recursions re-derive the values independently.
 
 The free-cell numbers resemble r-Stirling-style counts (distinguished
 elements pinned to distinct blocks, the rest size-floored) but do not
@@ -23,20 +28,13 @@ ones; see the audit module for the scoreboard.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import cache
 
 from .core import stirling2_associated, stirling2_associated_rec
 from .exact import Rational, binomial, falling_factorial_deg
-from .series import (
-    TruncatedSeries,
-    degenerate_exp,
-    egf_coeff,
-    exp_series,
-    incomplete_degenerate_exp,
-    incomplete_exp,
-)
+from .oracle import degenerate_block_weight, free_atleast_scheme, gen_restricted_scheme
+from .series import egf_coeff
 
 __all__ = [
     "gen_restricted",
@@ -58,19 +56,10 @@ def _validate(n: int, k: int, ell: int) -> None:
 
 
 @cache
-def _gen_restricted_egf(
-    k: int, alpha: Fraction, beta: Fraction, gamma: Fraction, ell: int, order: int
-) -> TruncatedSeries:
-    base = incomplete_degenerate_exp(beta, alpha, ell, order) - TruncatedSeries.one(order)
-    scale = Fraction(1, math.factorial(k)) / beta ** k
-    return degenerate_exp(gamma, alpha, order) * (base ** k) * scale
-
-
-@cache
 def _gen_restricted_rec(
     n: int, k: int, alpha: Fraction, beta: Fraction, gamma: Fraction, ell: int
 ) -> Fraction:
-    # corrected one-step rule applied recursively; works for any beta
+    # corrected one-step rule applied recursively
     if k < 0:
         return Fraction(0)
     if n == 0:
@@ -83,7 +72,7 @@ def _gen_restricted_rec(
         for i in range(max(k - 1, m + 1 - ell), m + 1):
             total += (
                 binomial(m, i)
-                * Fraction(falling_factorial_deg(beta - alpha, m - i, alpha))
+                * degenerate_block_weight(m - i + 1, alpha, beta)
                 * _gen_restricted_rec(i, k - 1, alpha, beta, gamma, ell)
             )
     return total
@@ -97,9 +86,7 @@ def gen_restricted(
     a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
     if k > n:
         return Fraction(0)
-    if b == 0:
-        return _gen_restricted_rec(n, k, a, b, g, ell)
-    return egf_coeff(_gen_restricted_egf(k, a, b, g, ell, n), n)
+    return egf_coeff(gen_restricted_scheme(a, b, g, ell).egf(k, n), n)
 
 
 def gen_restricted_rec(
@@ -140,7 +127,7 @@ def gen_restricted_recursion(
         for i in range(max(lo, 0), hi + 1):
             total += (
                 binomial(n, i)
-                * Fraction(falling_factorial_deg(b - a, n - i, a))
+                * degenerate_block_weight(n - i + 1, a, b)
                 * gen_restricted(i, k - 1, a, b, g, ell)
             )
     return total
@@ -191,7 +178,7 @@ def gen_restricted_three_term(
     total = g * gen_restricted(n, k, a, b, g - a, ell)
     if k >= 1:
         for i in range(max(k - 1, n + 1 - ell, 0), n + 1):
-            w = binomial(n, i) * Fraction(falling_factorial_deg(b - a, n - i, a))
+            w = binomial(n, i) * degenerate_block_weight(n - i + 1, a, b)
             if i == 0:
                 total += w * gen_restricted(0, k - 1, a, b, g, ell)
                 continue
@@ -199,7 +186,7 @@ def gen_restricted_three_term(
             for j in range(max(k - 2, i - ell, 0), i):
                 inner += (
                     binomial(i - 1, j)
-                    * Fraction(falling_factorial_deg(b - a, i - 1 - j, a))
+                    * degenerate_block_weight(i - j, a, b)
                     * _safe_gen_restricted(j, k - 2, a, b, g, ell)
                 )
             total += w * inner
@@ -215,20 +202,13 @@ def _safe_gen_restricted(
 # -- free special set, size-floored blocks -----------------------------------
 
 
-@cache
-def _free_atleast_egf(k: int, gamma: Fraction, ell: int, order: int) -> TruncatedSeries:
-    base = exp_series(1, order) - incomplete_exp(ell, order)
-    return exp_series(gamma, order) * (base ** k) * Fraction(1, math.factorial(k))
-
-
 def free_atleast(n: int, k: int, gamma: Rational, ell: int) -> Fraction:
     """Pairs (G, P_k) weighted gamma^|G| with every block larger than ell."""
     if n < 0 or k < 0 or ell < 0:
         raise ValueError("indices must be non-negative")
-    g = Fraction(gamma)
     if k > n:
         return Fraction(0)
-    return egf_coeff(_free_atleast_egf(k, g, ell, n), n)
+    return egf_coeff(free_atleast_scheme(Fraction(gamma), ell).egf(k, n), n)
 
 
 @cache

@@ -15,21 +15,33 @@ deterministic so failures reproduce.
 Weights depend only on |G| and the block sizes, so the summation helper
 groups the enumeration by size profile; the grouping is built by running
 the same generator, not by any closed-form shortcut.
+
+The same weight scheme also fixes each family's generating function.  By
+the exponential formula (Flajolet-Sedgewick, Analytic Combinatorics,
+section II.2) the weighted pairs with k blocks have the EGF
+
+    sum_g sw(g) t^g/g!  *  (sum_{ok(m)} bw(m) t^m/m!)^k / k!,
+
+which WeightScheme.egf builds; it is the canonical value path of every
+family in the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterator
 
 from .exact import Rational, falling_factorial_deg
+from .series import TruncatedSeries
 
 __all__ = [
     "ENUMERATION_CAP",
     "MixedPartition",
     "WeightScheme",
+    "degenerate_block_weight",
     "enumerate_mixed",
     "oracle_sum",
     "oracle_sum_blocksum",
@@ -77,6 +89,37 @@ class WeightScheme:
     special_weight: Callable[[int], Rational]
     block_weight: Callable[[int], Rational]
     block_size_ok: Callable[[int], bool] = staticmethod(lambda size: True)
+
+    def block_series(self, order: int) -> TruncatedSeries:
+        """sum over admissible sizes m >= 1 of bw(m) t^m / m!."""
+        cs = [Fraction(0)] * (order + 1)
+        for m in range(1, order + 1):
+            if self.block_size_ok(m):
+                cs[m] = Fraction(self.block_weight(m)) / math.factorial(m)
+        return TruncatedSeries(cs, order)
+
+    def special_series(self, order: int) -> TruncatedSeries:
+        """sum over g >= 0 of sw(g) t^g / g!."""
+        return TruncatedSeries(
+            [Fraction(self.special_weight(g)) / math.factorial(g) for g in range(order + 1)],
+            order,
+        )
+
+    def egf(self, k: int, order: int) -> TruncatedSeries:
+        """EGF of the pairs with k blocks: special * block^k / k!, mod t^(order+1)."""
+        return _exponential_formula(self, k, order)
+
+
+@cache
+def _exponential_formula(scheme: WeightScheme, k: int, order: int) -> TruncatedSeries:
+    block = scheme.block_series(order) ** k
+    return scheme.special_series(order) * block * Fraction(1, math.factorial(k))
+
+
+def degenerate_block_weight(size: int, alpha: Rational, beta: Rational) -> Fraction:
+    """(beta-alpha)_{size-1,alpha}: the weight of one block of the given size
+    in the generalized model."""
+    return Fraction(falling_factorial_deg(Fraction(beta) - alpha, size - 1, alpha))
 
 
 def enumerate_mixed(
@@ -179,39 +222,39 @@ def oracle_sum_blocksum(
 # -- built-in weight schemes -------------------------------------------------
 
 
+@cache
 def generalized_scheme(alpha: Rational, beta: Rational, gamma: Rational) -> WeightScheme:
     a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
     return WeightScheme(
         name="generalized(%s,%s,%s)" % (a, b, g),
         special_weight=lambda size: falling_factorial_deg(g, size, a),
-        block_weight=lambda size: falling_factorial_deg(b - a, size - 1, a),
+        block_weight=lambda size: degenerate_block_weight(size, a, b),
     )
 
 
+@cache
 def gen_restricted_scheme(
     alpha: Rational, beta: Rational, gamma: Rational, ell: int
 ) -> WeightScheme:
-    base = generalized_scheme(alpha, beta, gamma)
-    return WeightScheme(
+    return replace(
+        generalized_scheme(alpha, beta, gamma),
         name="gen_restricted(%s,%s,%s,ell=%d)" % (alpha, beta, gamma, ell),
-        special_weight=base.special_weight,
-        block_weight=base.block_weight,
         block_size_ok=lambda size: size <= ell,
     )
 
 
+@cache
 def gen_associated_scheme(
     alpha: Rational, beta: Rational, gamma: Rational, ell: int
 ) -> WeightScheme:
-    base = generalized_scheme(alpha, beta, gamma)
-    return WeightScheme(
+    return replace(
+        generalized_scheme(alpha, beta, gamma),
         name="gen_associated(%s,%s,%s,ell=%d)" % (alpha, beta, gamma, ell),
-        special_weight=base.special_weight,
-        block_weight=base.block_weight,
         block_size_ok=lambda size: size >= ell,
     )
 
 
+@cache
 def free_atleast_scheme(gamma: Rational, ell: int) -> WeightScheme:
     g = Fraction(gamma)
     return WeightScheme(
@@ -222,6 +265,7 @@ def free_atleast_scheme(gamma: Rational, ell: int) -> WeightScheme:
     )
 
 
+@cache
 def partial_degenerate_scheme(
     gamma: Rational, alpha: Rational, beta: Rational, ell: int
 ) -> WeightScheme:
@@ -232,11 +276,12 @@ def partial_degenerate_scheme(
         name="partial_degenerate(%s,%s,%s,ell=%d)" % (g, a, b, ell),
         special_weight=lambda size: g ** size,
         block_weight=lambda size: (
-            falling_factorial_deg(b - a, size - 1, a) if size <= ell else Fraction(1)
+            degenerate_block_weight(size, a, b) if size <= ell else Fraction(1)
         ),
     )
 
 
+@cache
 def partial_degenerate_swapped_scheme(
     gamma: Rational, alpha: Rational, beta: Rational, ell: int
 ) -> WeightScheme:
@@ -246,11 +291,12 @@ def partial_degenerate_swapped_scheme(
         name="partial_degenerate_swapped(%s,%s,%s,ell=%d)" % (g, a, b, ell),
         special_weight=lambda size: g ** size,
         block_weight=lambda size: (
-            Fraction(1) if size <= ell else falling_factorial_deg(b - a, size - 1, a)
+            Fraction(1) if size <= ell else degenerate_block_weight(size, a, b)
         ),
     )
 
 
+@cache
 def classic_scheme() -> WeightScheme:
     return WeightScheme(
         name="classic",
@@ -259,26 +305,21 @@ def classic_scheme() -> WeightScheme:
     )
 
 
+@cache
 def restricted_scheme(ell: int) -> WeightScheme:
-    base = classic_scheme()
-    return WeightScheme(
-        name="restricted(ell=%d)" % ell,
-        special_weight=base.special_weight,
-        block_weight=base.block_weight,
-        block_size_ok=lambda size: size <= ell,
+    return replace(
+        classic_scheme(), name="restricted(ell=%d)" % ell, block_size_ok=lambda size: size <= ell
     )
 
 
+@cache
 def associated_scheme(ell: int) -> WeightScheme:
-    base = classic_scheme()
-    return WeightScheme(
-        name="associated(ell=%d)" % ell,
-        special_weight=base.special_weight,
-        block_weight=base.block_weight,
-        block_size_ok=lambda size: size >= ell,
+    return replace(
+        classic_scheme(), name="associated(ell=%d)" % ell, block_size_ok=lambda size: size >= ell
     )
 
 
+@cache
 def colored_singleton_scheme(r: int, s: int) -> WeightScheme:
     """Special set r^|G|; singleton blocks may take one of s colors."""
     return WeightScheme(

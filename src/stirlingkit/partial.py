@@ -4,16 +4,18 @@ The model: a free special set G of weight gamma^|G| plus k non-empty
 blocks, where a block of size at most ell carries the degenerate weight
 (beta-alpha)_{size-1,alpha} and a larger block is free (weight 1).
 
-Reference path is coefficient extraction from
+Reference path is coefficient extraction from the generating function
+of that weight scheme (oracle module),
 
     e^(gamma*x) / k! * (e^x + sum_{i=1..ell} (beta-alpha)_{i-1,alpha} x^i/i!
-                            - e_{<=ell}(x))^k
+                            - e_{<=ell}(x))^k,
 
-and four independent routes re-derive the same value: a binomial
-convolution splitting free from weighted cells, an element-shift
-recursion, a multinomial block decomposition, and a derivative-style
-recursion.  The multinomial and derivative routes exist in a literal
-and a corrected reading; the audit compares both.
+which is defined for every beta.  Four independent routes re-derive
+the same value: a binomial convolution splitting free from weighted
+cells, an element-shift recursion, a multinomial block decomposition,
+and a derivative-style recursion.  The multinomial and derivative
+routes exist in a literal and a corrected reading; the audit compares
+both.
 
 Colored-singleton numbers (special set weight r^|G|, singleton blocks
 in one of s colors) share the machinery and close the module.
@@ -26,9 +28,10 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterator
 
-from .exact import Rational, as_integer, binomial, falling_factorial_deg, multinomial
+from .exact import Rational, as_integer, binomial, multinomial
 from .incomplete import free_atleast, gen_restricted
-from .series import TruncatedSeries, egf_coeff, exp_series, incomplete_exp
+from .oracle import colored_singleton_scheme, partial_degenerate_scheme
+from .series import egf_coeff
 
 __all__ = [
     "partial_deg",
@@ -42,31 +45,9 @@ __all__ = [
 ]
 
 
-def _validate(n: int, k: int, ell: int, beta: Fraction) -> None:
+def _validate(n: int, k: int, ell: int) -> None:
     if n < 0 or k < 0 or ell < 0:
         raise ValueError("indices must be non-negative, got n=%r k=%r ell=%r" % (n, k, ell))
-    if beta == 0:
-        raise ValueError("beta = 0 is rejected: block weights divide by beta")
-
-
-@cache
-def _mixed_block_series(
-    alpha: Fraction, beta: Fraction, ell: int, order: int
-) -> TruncatedSeries:
-    """e^x + sum_{i<=ell} (beta-alpha)_{i-1,alpha} x^i/i! - e_{<=ell}(x)."""
-    cs = list(exp_series(1, order).coeffs)
-    for i in range(1, min(ell, order) + 1):
-        cs[i] += Fraction(falling_factorial_deg(beta - alpha, i - 1, alpha)) / math.factorial(i)
-    cut = incomplete_exp(ell, order)
-    return TruncatedSeries([c - d for c, d in zip(cs, cut.coeffs)], order)
-
-
-@cache
-def _partial_egf(
-    k: int, ell: int, gamma: Fraction, alpha: Fraction, beta: Fraction, order: int
-) -> TruncatedSeries:
-    inner = _mixed_block_series(alpha, beta, ell, order)
-    return exp_series(gamma, order) * (inner ** k) * Fraction(1, math.factorial(k))
 
 
 def partial_deg(
@@ -74,10 +55,10 @@ def partial_deg(
 ) -> Fraction:
     """Weighted count of mixed free/degenerate-cell partitions."""
     g, a, b = Fraction(gamma), Fraction(alpha), Fraction(beta)
-    _validate(n, k, ell, b)
+    _validate(n, k, ell)
     if k > n:
         return Fraction(0)
-    return egf_coeff(_partial_egf(k, ell, g, a, b, n), n)
+    return egf_coeff(partial_degenerate_scheme(g, a, b, ell).egf(k, n), n)
 
 
 def _restricted_factor(
@@ -98,7 +79,7 @@ def partial_deg_convolution(
     """Split by the element set living in free cells: a binomial convolution
     of the free-cell numbers with the size-capped weighted numbers."""
     g, a, b = Fraction(gamma), Fraction(alpha), Fraction(beta)
-    _validate(n, k, ell, b)
+    _validate(n, k, ell)
     total = Fraction(0)
     for i in range(0, n + 1):
         c = binomial(n, i)
@@ -116,7 +97,7 @@ def partial_deg_recursion(
     """Recursion on the newest element's position: it joins either a free
     cell or a weighted cell, shifting one factor of the convolution."""
     g, a, b = Fraction(gamma), Fraction(alpha), Fraction(beta)
-    _validate(n_plus_1, k, ell, b)
+    _validate(n_plus_1, k, ell)
     if n_plus_1 == 0:
         return Fraction(1 if k == 0 else 0)
     n = n_plus_1 - 1
@@ -128,15 +109,6 @@ def partial_deg_recursion(
             right = free_atleast(i, j, g, ell) * _restricted_factor(n - i + 1, k - j, a, b, ell)
             total += c * (left + right)
     return total
-
-
-def _single_block(m: int, ell: int, alpha: Fraction, beta: Fraction) -> Fraction:
-    """Weight of one block of size m: degenerate up to ell, free beyond."""
-    if m <= 0:
-        return Fraction(0)
-    if m <= ell:
-        return Fraction(falling_factorial_deg(beta - alpha, m - 1, alpha))
-    return Fraction(1)
 
 
 def partial_deg_multinomial(
@@ -157,12 +129,13 @@ def partial_deg_multinomial(
     the 1/k!; the audit scores it.
     """
     g, a, b = Fraction(gamma), Fraction(alpha), Fraction(beta)
-    _validate(n, k, ell, b)
+    _validate(n, k, ell)
+    block_weight = partial_degenerate_scheme(g, a, b, ell).block_weight
     total = Fraction(0)
     if literal:
         fixed = Fraction(1)
         for i in range(1, k + 1):
-            fixed *= _single_block(i, ell, a, b)
+            fixed *= block_weight(i)
         for head in _iter_head_compositions(n, k, ell):
             remainder = n - sum(head)
             total += multinomial(n, list(head) + [remainder]) * g ** remainder * fixed
@@ -171,7 +144,7 @@ def partial_deg_multinomial(
         remainder = n - sum(head)
         w = Fraction(multinomial(n, list(head) + [remainder])) * g ** remainder
         for size in head:
-            w *= _single_block(size, ell, a, b)
+            w *= block_weight(size)
         total += w
     return total / math.factorial(k)
 
@@ -202,17 +175,18 @@ def partial_deg_derivative_recursion(
     variant keeps the inner index at k; the audit scores it.
     """
     g, a, b = Fraction(gamma), Fraction(alpha), Fraction(beta)
-    _validate(n_plus_1, k, ell, b)
+    _validate(n_plus_1, k, ell)
     if k < 1:
         raise ValueError("derivative recursion needs k >= 1")
     n = n_plus_1 - 1
+    block_weight = partial_degenerate_scheme(g, a, b, ell).block_weight
     total = g * partial_deg(n, k, ell, g, a, b)
     inner_k = k if literal else k - 1
     for i in range(0, n + 1):
         total += (
             binomial(n, i)
             * partial_deg(i, inner_k, ell, g, a, b)
-            * _single_block(n - i + 1, ell, a, b)
+            * block_weight(n - i + 1)
         )
     return total
 
@@ -228,12 +202,13 @@ def _partial_rec(
     if k == 0:
         return gamma ** n
     m = n - 1
+    block_weight = partial_degenerate_scheme(gamma, alpha, beta, ell).block_weight
     total = gamma * _partial_rec(m, k, ell, gamma, alpha, beta)
     for i in range(0, m + 1):
         total += (
             binomial(m, i)
             * _partial_rec(i, k - 1, ell, gamma, alpha, beta)
-            * _single_block(m - i + 1, ell, alpha, beta)
+            * block_weight(m - i + 1)
         )
     return total
 
@@ -243,7 +218,7 @@ def partial_deg_rec(
 ) -> Fraction:
     """Full recursion path (derivative-style rule applied recursively)."""
     g, a, b = Fraction(gamma), Fraction(alpha), Fraction(beta)
-    _validate(n, k, ell, b)
+    _validate(n, k, ell)
     return _partial_rec(n, k, ell, g, a, b)
 
 
@@ -270,16 +245,6 @@ def colored_singleton_rec(n: int, k: int, r: int, s: int) -> int:
     return _colored_rec(n, k, r, s)
 
 
-@cache
-def _colored_egf(k: int, r: int, s: int, order: int) -> TruncatedSeries:
-    inner_cs = list(exp_series(1, order).coeffs)
-    inner_cs[0] -= 1
-    if order >= 1:
-        inner_cs[1] += s - 1
-    inner = TruncatedSeries(inner_cs, order)
-    return exp_series(r, order) * (inner ** k) * Fraction(1, math.factorial(k))
-
-
 def colored_singleton(n: int, k: int, r: int, s: int) -> int:
     """Partition count with an r-compartment free special set and singleton
     blocks colored one of s ways."""
@@ -287,4 +252,4 @@ def colored_singleton(n: int, k: int, r: int, s: int) -> int:
         raise ValueError("all arguments must be non-negative")
     if k > n:
         return 0
-    return as_integer(egf_coeff(_colored_egf(k, r, s, n), n))
+    return as_integer(egf_coeff(colored_singleton_scheme(r, s).egf(k, n), n))

@@ -14,7 +14,7 @@ from stirlingkit.asymptotics import (
     shifted_mixed_series,
 )
 from stirlingkit.exact import falling_factorial
-from stirlingkit.partial import partial_deg
+from stirlingkit.partial import partial_deg, partial_deg_rec
 
 from conftest import random_rational
 
@@ -191,8 +191,17 @@ def test_literal_mode_flags():
 def test_mode_validation():
     with pytest.raises(ValueError):
         asymptotic_partial(4, 4, 1, 1, 2, 2, 3, mode="bogus")
-    with pytest.raises(ValueError):
-        asymptotic_partial(4, 4, 1, 1, 0, 2, 3)
+
+
+def test_beta_zero_row():
+    # the full expansion (m = d) reproduces the exact value, here at beta = 0
+    for k in (5, 12):
+        row = asymptotic_partial(3, k, 1, 1, 0, 2, 3)
+        expected = partial_deg_rec(k + 3, k, 2, k, 1, 0) * Fraction(
+            math.factorial(k), math.factorial(k + 3)
+        )
+        assert row.exact == expected
+        assert row.estimate == expected and row.rel_error == 0
 
 
 def test_decimal_str():

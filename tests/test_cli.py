@@ -77,6 +77,9 @@ def test_oracle_cap_usage_error(capsys):
         capsys, *"value --family classic --n 20 --k 2 --method oracle".split()
     )
     assert code == 2 and "capped" in err
+    # refused before any row is computed
+    code, out, err = run(capsys, *"table --family classic --nmax 12 --method oracle".split())
+    assert code == 2 and "capped" in err and out == ""
 
 
 def test_table_csv(capsys):
@@ -128,12 +131,22 @@ def test_series_output(capsys):
     assert lines[4] == "4 7/24 7"
 
 
-def test_series_beta_zero_rejected(capsys):
-    code, _, err = run(
-        capsys,
-        *"series --family generalized --alpha 1 --beta 0 --gamma 2 --k 2 --order 4".split(),
-    )
-    assert code == 2 and "beta" in err
+def test_series_beta_zero_matches_recurrence_and_oracle(capsys):
+    for spec in (
+        FamilySpec("generalized", alpha=1, beta=0, gamma=2),
+        FamilySpec("gen_restricted", alpha=Fraction(-1, 2), beta=0, gamma=3, ell=2),
+        FamilySpec("partial_degenerate", gamma=2, alpha=1, beta=0, ell=2),
+    ):
+        family = ["--family", spec.tag]
+        for name in ("alpha", "beta", "gamma", "ell"):
+            if getattr(spec, name) is not None:
+                family.append("--%s=%s" % (name, getattr(spec, name)))
+        code, out, _ = run(capsys, "series", *family, "--k", "2", "--order", "7")
+        assert code == 0
+        for n, line in enumerate(out.strip().splitlines()):
+            value = Fraction(line.split()[2])
+            assert value == family_value(spec, n, 2, "recurrence")
+            assert value == family_value(spec, n, 2, "oracle")
 
 
 def test_verify_thm3(capsys):

@@ -34,9 +34,18 @@ def test_examples():
             )
 
 
-def test_beta_zero_rejected():
-    with pytest.raises(ValueError):
-        partial_deg(3, 1, 1, 1, 1, 0)
+def test_beta_zero_matches_recurrence_and_oracle():
+    # a block of size m <= ell weighs (-alpha)_{m-1,alpha}; nothing divides by beta
+    for gamma, alpha in ((2, 1), (0, Fraction(-1, 2)), (Fraction(1, 3), 0)):
+        for ell in (0, 1, 2, 3):
+            scheme = partial_degenerate_scheme(gamma, alpha, 0, ell)
+            for n in range(0, 7):
+                for k in range(0, n + 1):
+                    value = partial_deg(n, k, ell, gamma, alpha, 0)
+                    assert value == partial_deg_rec(n, k, ell, gamma, alpha, 0)
+                    assert value == oracle_sum(n, k, scheme)
+                    assert value == partial_deg_convolution(n, k, ell, gamma, alpha, 0)
+                    assert value == partial_deg_multinomial(n, k, ell, gamma, alpha, 0)
 
 
 def test_large_threshold_reduces_to_weighted_cells_only():
