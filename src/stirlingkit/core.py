@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .exact import as_integer, binomial
+from .exact import as_integer, binomial, cells_below, check_indices
 from .oracle import associated_scheme, classic_scheme, restricted_scheme
 from .series import egf_coeff
 
@@ -33,14 +33,9 @@ __all__ = [
 ]
 
 
-def _check_nk(n: int, k: int) -> None:
-    if n < 0 or k < 0:
-        raise ValueError("indices must be non-negative, got n=%r k=%r" % (n, k))
-
-
 def stirling2(n: int, k: int) -> int:
     """Partitions of an n-set into k non-empty blocks."""
-    _check_nk(n, k)
+    check_indices(n, k)
     if k > n:
         return 0
     return as_integer(egf_coeff(classic_scheme().egf(k, n), n))
@@ -48,9 +43,7 @@ def stirling2(n: int, k: int) -> int:
 
 def stirling2_restricted(n: int, k: int, ell: int) -> int:
     """Partitions of an n-set into k blocks, each of size at most ell."""
-    _check_nk(n, k)
-    if ell < 1:
-        raise ValueError("restricted numbers need ell >= 1 (no non-empty block fits)")
+    check_indices(n, k, ell)
     if k > n or n > k * ell:
         return 0
     return as_integer(egf_coeff(restricted_scheme(ell).egf(k, n), n))
@@ -58,9 +51,7 @@ def stirling2_restricted(n: int, k: int, ell: int) -> int:
 
 def stirling2_associated(n: int, k: int, ell: int) -> int:
     """Partitions of an n-set into k blocks, each of size at least ell."""
-    _check_nk(n, k)
-    if ell < 1:
-        raise ValueError("associated numbers need ell >= 1")
+    check_indices(n, k, ell)
     if n < k * ell:
         return 0
     return as_integer(egf_coeff(associated_scheme(ell).egf(k, n), n))
@@ -69,15 +60,22 @@ def stirling2_associated(n: int, k: int, ell: int) -> int:
 # -- recurrence evaluators (verification targets) ---------------------------
 
 
-@cache
 def stirling2_rec(n: int, k: int) -> int:
-    """Standard recursion S(n,k) = k*S(n-1,k) + S(n-1,k-1)."""
-    _check_nk(n, k)
+    """Standard recursion S(n,k) = k*S(n-1,k) + S(n-1,k-1), its rows
+    filled bottom-up so n has no depth limit."""
+    check_indices(n, k)
+    for m, j in cells_below(n, k):
+        _stirling2_rec(m, j)
+    return _stirling2_rec(n, k)
+
+
+@cache
+def _stirling2_rec(n: int, k: int) -> int:
     if n == 0:
         return 1 if k == 0 else 0
     if k == 0 or k > n:
         return 0
-    return k * stirling2_rec(n - 1, k) + stirling2_rec(n - 1, k - 1)
+    return k * _stirling2_rec(n - 1, k) + _stirling2_rec(n - 1, k - 1)
 
 
 @cache
@@ -88,7 +86,7 @@ def stirling2_rec_literal(n: int, k: int) -> int:
     alongside it; entries the rule cannot reach stay 0.  Kept for the
     identity audit, where it fails (first counterexample S(2,1)).
     """
-    _check_nk(n, k)
+    check_indices(n, k)
     if n == 0:
         return 1 if k == 0 else 0
     if k == 0:
@@ -101,9 +99,7 @@ def stirling2_rec_literal(n: int, k: int) -> int:
 def stirling2_restricted_rec(n: int, k: int, ell: int) -> int:
     """Size-limited recursion: the new element's block takes i more members,
     i <= ell-1, and the rest form k-1 blocks."""
-    _check_nk(n, k)
-    if ell < 1:
-        raise ValueError("restricted numbers need ell >= 1")
+    check_indices(n, k, ell)
     if n == 0:
         return 1 if k == 0 else 0
     if k == 0:
@@ -119,9 +115,7 @@ def stirling2_restricted_rec(n: int, k: int, ell: int) -> int:
 def stirling2_associated_rec(n: int, k: int, ell: int) -> int:
     """Size-floored recursion: the new element's block takes i >= ell-1 more
     members."""
-    _check_nk(n, k)
-    if ell < 1:
-        raise ValueError("associated numbers need ell >= 1")
+    check_indices(n, k, ell)
     if n == 0:
         return 1 if k == 0 else 0
     if k == 0:
@@ -129,5 +123,5 @@ def stirling2_associated_rec(n: int, k: int, ell: int) -> int:
     m = n - 1
     return sum(
         binomial(m, i) * stirling2_associated_rec(m - i, k - 1, ell)
-        for i in range(ell - 1, m + 1)
+        for i in range(max(ell - 1, 0), m + 1)
     )

@@ -1,4 +1,4 @@
-"""Exact rational arithmetic and factorial-type primitives.
+"""Exact rational arithmetic, factorial-type primitives, index helpers.
 
 Every quantity in this package is an exact rational.  We use
 :class:`fractions.Fraction`, which keeps values in canonical form
@@ -12,11 +12,17 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 Rational = Union[int, Fraction]
 
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
+
+
+def check_indices(n: int, k: int, ell: int = 0) -> None:
+    """Refuse a negative n, k or ell."""
+    if n < 0 or k < 0 or ell < 0:
+        raise ValueError("n, k and ell must be non-negative, got %r, %r, %r" % (n, k, ell))
 
 
 def falling_factorial_deg(t: Rational, n: int, lam: Rational) -> Rational:
@@ -90,3 +96,20 @@ def as_integer(value: Rational) -> int:
     if f.denominator != 1:
         raise ValueError("expected an integer value, got %s" % (f,))
     return f.numerator
+
+
+# Rows a memoised recursion may descend before it meets filled rows.  At
+# up to three interpreter levels a row this stays well inside Python's
+# default recursion limit of 1000, and calls with n up to it fill nothing.
+UNFILLED_ROWS = 150
+
+
+def cells_below(n: int, k: int) -> Iterator[tuple[int, int]]:
+    """Cells (m, j) of the rows m < n - UNFILLED_ROWS, row by row from
+    m = 0, that a triangular recursion from (n, k) reaches when each step
+    drops at least one element and at most one block:
+    k-(n-m) <= j <= min(m, k).  A memoised recursion evaluated on them
+    first never nests calls more than UNFILLED_ROWS rows deep."""
+    for m in range(n - UNFILLED_ROWS):
+        for j in range(max(0, k - (n - m)), min(m, k) + 1):
+            yield m, j

@@ -192,10 +192,17 @@ class FamilySpec:
         return " ".join(parts)
 
 
+def _check_defined(spec: FamilySpec) -> None:
+    """Every method refuses the excluded generalized triple (0, 0, 0)."""
+    if spec.tag == "generalized" and spec.alpha == spec.beta == spec.gamma == 0:
+        raise ValueError("parameter triple (0, 0, 0) is excluded")
+
+
 def family_value(spec: FamilySpec, n: int, k: int, method: str = "egf") -> Fraction:
     """Value of the family member at (n, k) by the chosen method."""
     if method not in METHODS:
         raise ValueError("unknown method %r (one of %s)" % (method, ", ".join(METHODS)))
+    _check_defined(spec)
     family = FAMILIES[spec.tag]
     if method == "oracle":
         return _oracle.oracle_sum(n, k, family.scheme(spec))
@@ -212,6 +219,7 @@ def family_egf(spec: FamilySpec, k: int, order: int):
     """The family's generating function at block count k, truncated."""
     if k < 0 or order < 0:
         raise ValueError("k and order must be non-negative")
+    _check_defined(spec)
     return FAMILIES[spec.tag].scheme(spec).egf(k, order)
 
 

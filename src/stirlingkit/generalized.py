@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cache
 
 from .core import stirling2
-from .exact import Rational, binomial, falling_factorial_deg
+from .exact import Rational, binomial, cells_below, falling_factorial_deg
 from .oracle import generalized_scheme
 from .series import egf_coeff
 
@@ -57,9 +57,12 @@ def gen_stirling(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rationa
 
 
 def gen_stirling_rec(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational) -> Fraction:
-    """Same value through the triangular recursion (works for any beta)."""
+    """Same value through the triangular recursion (works for any beta),
+    its rows filled bottom-up so n has no depth limit."""
     a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
     _validate(n, k, a, b, g)
+    for m, j in cells_below(n, k):
+        _gen_rec_full(m, j, a, b, g)
     return _gen_rec_full(n, k, a, b, g)
 
 

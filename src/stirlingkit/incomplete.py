@@ -14,7 +14,8 @@ Two families live here:
   e^(gamma*x) * (e^x - e_{<=ell}(x))^k / k!.
 
 Both generating functions come from the weight schemes in the oracle
-module; self-contained recursions re-derive the values independently.
+module.  The recurrence routes re-derive the values independently by
+applying the audited corrected one-step rules to their own rows.
 
 The free-cell numbers resemble r-Stirling-style counts (distinguished
 elements pinned to distinct blocks, the rest size-floored) but do not
@@ -23,7 +24,8 @@ Those counts are out of scope; only this comparison note is kept.
 
 The one-step recursion evaluators accept a literal flag so the audit
 can score the commonly printed index variants against the corrected
-ones; see the audit module for the scoreboard.
+ones (see the audit module for the scoreboard), and a lower function
+for the rows they build on.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .core import stirling2_associated, stirling2_associated_rec
-from .exact import Rational, binomial, falling_factorial_deg
+from .core import stirling2_associated_rec
+from .exact import UNFILLED_ROWS, Rational, binomial, cells_below, check_indices, falling_factorial_deg
 from .oracle import degenerate_block_weight, free_atleast_scheme, gen_restricted_scheme
 from .series import egf_coeff
 
@@ -48,41 +50,11 @@ __all__ = [
 ]
 
 
-def _validate(n: int, k: int, ell: int) -> None:
-    if n < 0 or k < 0:
-        raise ValueError("indices must be non-negative, got n=%r k=%r" % (n, k))
-    if ell < 1:
-        raise ValueError("size-restricted families need ell >= 1")
-
-
-@cache
-def _gen_restricted_rec(
-    n: int, k: int, alpha: Fraction, beta: Fraction, gamma: Fraction, ell: int
-) -> Fraction:
-    # corrected one-step rule applied recursively
-    if k < 0:
-        return Fraction(0)
-    if n == 0:
-        return Fraction(1 if k == 0 else 0)
-    if k > n:
-        return Fraction(0)
-    m = n - 1
-    total = gamma * _gen_restricted_rec(m, k, alpha, beta, gamma - alpha, ell)
-    if k >= 1:
-        for i in range(max(k - 1, m + 1 - ell), m + 1):
-            total += (
-                binomial(m, i)
-                * degenerate_block_weight(m - i + 1, alpha, beta)
-                * _gen_restricted_rec(i, k - 1, alpha, beta, gamma, ell)
-            )
-    return total
-
-
 def gen_restricted(
     n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational, ell: int
 ) -> Fraction:
     """Generalized numbers with every ordinary block of size at most ell."""
-    _validate(n, k, ell)
+    check_indices(n, k, ell)
     a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
     if k > n:
         return Fraction(0)
@@ -92,9 +64,26 @@ def gen_restricted(
 def gen_restricted_rec(
     n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational, ell: int
 ) -> Fraction:
-    """Full recursion path (no generating function); any beta."""
-    _validate(n, k, ell)
-    return _gen_restricted_rec(n, k, Fraction(alpha), Fraction(beta), Fraction(gamma), ell)
+    """Full recursion path (no generating function); any beta.  The memo
+    is filled bottom-up over the states the recursion reaches, so n has
+    no depth limit."""
+    check_indices(n, k, ell)
+    a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
+    for m, j in cells_below(n, k):
+        # (m, j) at gamma - t*alpha: t removed elements joined the special
+        # set, the other n-m-t formed k-j blocks of 1..ell elements
+        for t in range(max(0, n - m - ell * (k - j)), n - m - (k - j) + 1):
+            _gen_restricted_rec(m, j, a, b, g - t * a, ell)
+    return _gen_restricted_rec(n, k, a, b, g, ell)
+
+
+@cache
+def _gen_restricted_rec(
+    n: int, k: int, alpha: Fraction, beta: Fraction, gamma: Fraction, ell: int
+) -> Fraction:
+    if k > n:
+        return Fraction(0)
+    return gen_restricted_recursion(n, k, alpha, beta, gamma, ell, lower=_gen_restricted_rec)
 
 
 def gen_restricted_recursion(
@@ -105,20 +94,27 @@ def gen_restricted_recursion(
     gamma: Rational,
     ell: int,
     literal: bool = False,
+    lower=None,
 ) -> Fraction:
-    """One step of the basic recursion, evaluated on reference values.
+    """One step of the basic recursion: S(n+1, k) from the rows below.
+
+    lower(m, j, alpha, beta, gamma, ell) evaluates those rows, on the
+    parameters as given; None means the reference values, gen_restricted
+    as looked up at call time.  The recurrence route passes its own
+    memoised rows instead.
 
     Corrected summation bounds run max(k-1, n+1-ell) <= i <= n so the
     new element's block keeps size n-i+1 <= ell.  The literal variant
     uses the widely printed bounds k-1 <= i <= n-ell-1, which the audit
     shows to be wrong.
     """
-    _validate(n_plus_1, k, ell)
+    check_indices(n_plus_1, k, ell)
     if n_plus_1 == 0:
         return Fraction(1 if k == 0 else 0)
-    a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
+    if lower is None:
+        lower = gen_restricted
     n = n_plus_1 - 1
-    total = g * gen_restricted(n, k, a, b, g - a, ell)
+    total = gamma * lower(n, k, alpha, beta, gamma - alpha, ell)
     if k >= 1:
         if literal:
             lo, hi = k - 1, n - ell - 1
@@ -127,8 +123,8 @@ def gen_restricted_recursion(
         for i in range(max(lo, 0), hi + 1):
             total += (
                 binomial(n, i)
-                * degenerate_block_weight(n - i + 1, a, b)
-                * gen_restricted(i, k - 1, a, b, g, ell)
+                * degenerate_block_weight(n - i + 1, alpha, beta)
+                * lower(i, k - 1, alpha, beta, gamma, ell)
             )
     return total
 
@@ -145,51 +141,34 @@ def gen_restricted_three_term(
     """Right-hand side of the three-term recurrence, two readings.
 
     form="literal" evaluates the printed expression, whose left side is
-    indexed S(n,k); form="derived" re-derives the expansion by applying
-    the corrected one-step rule twice, giving a value for S(n+1,k).
-    The audit compares each against the matching reference value.
+    indexed S(n,k); form="derived" applies the corrected one-step rule
+    twice (the step, evaluated on rows that are themselves one step from
+    the reference values), giving a value for S(n+1,k).  The audit
+    compares each against the matching reference value.
     """
-    _validate(n, k, ell)
+    check_indices(n, k, ell)
     a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
 
-    if form == "literal":
-        total = g * gen_restricted(n, k, a, b, g - a, ell)
-        for i in range(max(k - 1, 0), ell + 1):
-            if i > n:
-                break
-            w = binomial(n, i) * Fraction(falling_factorial_deg(b - a, n - i + 1, a))
-            if i >= 1:
-                total += g * w * _safe_gen_restricted(i - 1, k - 1, a, b, g - a, ell)
-            inner = Fraction(0)
-            for j in range(0, i):
-                inner += (
-                    binomial(i - 1, j)
-                    * Fraction(falling_factorial_deg(b - a, i - j, a))
-                    * _safe_gen_restricted(j, k - 2, a, b, g, ell)
-                )
-            total += w * inner
-        return total
-
-    if form != "derived":
+    if form == "derived":
+        return gen_restricted_recursion(n + 1, k, a, b, g, ell, lower=gen_restricted_recursion)
+    if form != "literal":
         raise ValueError("form must be 'literal' or 'derived', got %r" % (form,))
 
-    if n + 1 == 0:
-        return Fraction(1 if k == 0 else 0)
     total = g * gen_restricted(n, k, a, b, g - a, ell)
-    if k >= 1:
-        for i in range(max(k - 1, n + 1 - ell, 0), n + 1):
-            w = binomial(n, i) * degenerate_block_weight(n - i + 1, a, b)
-            if i == 0:
-                total += w * gen_restricted(0, k - 1, a, b, g, ell)
-                continue
-            inner = g * gen_restricted(i - 1, k - 1, a, b, g - a, ell)
-            for j in range(max(k - 2, i - ell, 0), i):
-                inner += (
-                    binomial(i - 1, j)
-                    * degenerate_block_weight(i - j, a, b)
-                    * _safe_gen_restricted(j, k - 2, a, b, g, ell)
-                )
-            total += w * inner
+    for i in range(max(k - 1, 0), ell + 1):
+        if i > n:
+            break
+        w = binomial(n, i) * Fraction(falling_factorial_deg(b - a, n - i + 1, a))
+        if i >= 1:
+            total += g * w * _safe_gen_restricted(i - 1, k - 1, a, b, g - a, ell)
+        inner = Fraction(0)
+        for j in range(0, i):
+            inner += (
+                binomial(i - 1, j)
+                * Fraction(falling_factorial_deg(b - a, i - j, a))
+                * _safe_gen_restricted(j, k - 2, a, b, g, ell)
+            )
+        total += w * inner
     return total
 
 
@@ -204,48 +183,53 @@ def _safe_gen_restricted(
 
 def free_atleast(n: int, k: int, gamma: Rational, ell: int) -> Fraction:
     """Pairs (G, P_k) weighted gamma^|G| with every block larger than ell."""
-    if n < 0 or k < 0 or ell < 0:
-        raise ValueError("indices must be non-negative")
+    check_indices(n, k, ell)
     if k > n:
         return Fraction(0)
     return egf_coeff(free_atleast_scheme(Fraction(gamma), ell).egf(k, n), n)
+
+
+def free_atleast_rec(n: int, k: int, gamma: Rational, ell: int) -> Fraction:
+    """Full recursion path built on the size-floored recursion only; the
+    rows below n are filled bottom-up first, so n has no depth limit."""
+    check_indices(n, k, ell)
+    g = Fraction(gamma)
+    for m in range(n - UNFILLED_ROWS):
+        _free_atleast_rec(m, k, g, ell)
+    return _free_atleast_rec(n, k, g, ell)
 
 
 @cache
 def _free_atleast_rec(n: int, k: int, gamma: Fraction, ell: int) -> Fraction:
     if n == 0:
         return Fraction(1 if k == 0 else 0)
-    m = n - 1
-    total = gamma * _free_atleast_rec(m, k, gamma, ell)
-    for i in range(0, m + 1):
-        total += gamma ** i * binomial(m, i) * stirling2_associated_rec(m + 1 - i, k, ell + 1)
-    return total
-
-
-def free_atleast_rec(n: int, k: int, gamma: Rational, ell: int) -> Fraction:
-    """Full recursion path built on the size-floored recursion only."""
-    if n < 0 or k < 0 or ell < 0:
-        raise ValueError("indices must be non-negative")
-    return _free_atleast_rec(n, k, Fraction(gamma), ell)
+    return free_atleast_recursion(n, k, gamma, ell, lower=_free_atleast_rec)
 
 
 def free_atleast_recursion(
-    n_plus_1: int, k: int, gamma: Rational, ell: int, literal: bool = False
+    n_plus_1: int, k: int, gamma: Rational, ell: int, literal: bool = False, lower=None
 ) -> Fraction:
     """One recursion step by the position of the newest element.
 
     Corrected form: gamma * F(n,k) + sum_i gamma^i C(n,i) A(n+1-i, k)
-    with A the size-floored partition count at floor ell+1.  The literal
-    variant uses A(n-i, k), off by the element that joined the blocks.
+    with A the size-floored partition count at floor ell+1, taken from
+    its own recursion.  lower(n, k, gamma, ell) evaluates F, on the
+    parameters as given; None means the reference values, free_atleast
+    as looked up at call time.  The recurrence route passes its own
+    memoised rows instead.  The literal variant uses A(n-i, k), off by
+    the element that joined the blocks.
     """
     if n_plus_1 < 1 or k < 0 or ell < 0:
         raise ValueError("need n_plus_1 >= 1 and non-negative k, ell")
-    g = Fraction(gamma)
+    if lower is None:
+        lower = free_atleast
     n = n_plus_1 - 1
     shift = 0 if literal else 1
-    total = g * free_atleast(n, k, g, ell)
+    total = gamma * lower(n, k, gamma, ell)
     for i in range(0, n + 1):
-        total += g ** i * binomial(n, i) * stirling2_associated(n + shift - i, k, ell + 1)
+        term = gamma ** i * stirling2_associated_rec(n + shift - i, k, ell + 1)
+        if term:
+            total += binomial(n, i) * term
     return total
 
 
@@ -257,8 +241,7 @@ def associated_from_free(n: int, k: int, gamma: Rational, ell: int) -> Fraction:
     """
     if ell < 1:
         raise ValueError("associated numbers need ell >= 1")
-    if n < 0 or k < 0:
-        raise ValueError("indices must be non-negative")
+    check_indices(n, k)
     g = Fraction(gamma)
     total = Fraction(0)
     for i in range(0, n + 1):

@@ -15,7 +15,8 @@ the same value: a binomial convolution splitting free from weighted
 cells, an element-shift recursion, a multinomial block decomposition,
 and a derivative-style recursion.  The multinomial and derivative
 routes exist in a literal and a corrected reading; the audit compares
-both.
+both.  The recurrence route (partial_deg_rec) applies the audited
+corrected derivative rule to its own memoised rows, filled bottom-up.
 
 Colored-singleton numbers (special set weight r^|G|, singleton blocks
 in one of s colors) share the machinery and close the module.
@@ -28,7 +29,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterator
 
-from .exact import Rational, as_integer, binomial, multinomial
+from .exact import Rational, as_integer, binomial, cells_below, check_indices, multinomial
 from .incomplete import free_atleast, gen_restricted
 from .oracle import colored_singleton_scheme, partial_degenerate_scheme
 from .series import egf_coeff
@@ -45,41 +46,25 @@ __all__ = [
 ]
 
 
-def _validate(n: int, k: int, ell: int) -> None:
-    if n < 0 or k < 0 or ell < 0:
-        raise ValueError("indices must be non-negative, got n=%r k=%r ell=%r" % (n, k, ell))
-
-
 def partial_deg(
     n: int, k: int, ell: int, gamma: Rational, alpha: Rational, beta: Rational
 ) -> Fraction:
     """Weighted count of mixed free/degenerate-cell partitions."""
     g, a, b = Fraction(gamma), Fraction(alpha), Fraction(beta)
-    _validate(n, k, ell)
+    check_indices(n, k, ell)
     if k > n:
         return Fraction(0)
     return egf_coeff(partial_degenerate_scheme(g, a, b, ell).egf(k, n), n)
-
-
-def _restricted_factor(
-    m: int, j: int, alpha: Fraction, beta: Fraction, ell: int
-) -> Fraction:
-    """Size-capped weighted blocks with empty special set; ell = 0 leaves
-    room only for the empty configuration."""
-    if j < 0 or m < 0:
-        return Fraction(0)
-    if ell == 0 or j == 0:
-        return Fraction(1 if (m == 0 and j == 0) else 0)
-    return gen_restricted(m, j, alpha, beta, 0, ell)
 
 
 def partial_deg_convolution(
     n: int, k: int, ell: int, gamma: Rational, alpha: Rational, beta: Rational
 ) -> Fraction:
     """Split by the element set living in free cells: a binomial convolution
-    of the free-cell numbers with the size-capped weighted numbers."""
+    of the free-cell numbers with the size-capped weighted numbers (the
+    gen_restricted numbers with an empty special set, gamma = 0)."""
     g, a, b = Fraction(gamma), Fraction(alpha), Fraction(beta)
-    _validate(n, k, ell)
+    check_indices(n, k, ell)
     total = Fraction(0)
     for i in range(0, n + 1):
         c = binomial(n, i)
@@ -87,7 +72,7 @@ def partial_deg_convolution(
             fa = free_atleast(i, j, g, ell)
             if not fa:
                 continue
-            total += c * fa * _restricted_factor(n - i, k - j, a, b, ell)
+            total += c * fa * gen_restricted(n - i, k - j, a, b, 0, ell)
     return total
 
 
@@ -97,7 +82,7 @@ def partial_deg_recursion(
     """Recursion on the newest element's position: it joins either a free
     cell or a weighted cell, shifting one factor of the convolution."""
     g, a, b = Fraction(gamma), Fraction(alpha), Fraction(beta)
-    _validate(n_plus_1, k, ell)
+    check_indices(n_plus_1, k, ell)
     if n_plus_1 == 0:
         return Fraction(1 if k == 0 else 0)
     n = n_plus_1 - 1
@@ -105,8 +90,8 @@ def partial_deg_recursion(
     for i in range(0, n + 1):
         c = binomial(n, i)
         for j in range(0, k + 1):
-            left = free_atleast(i + 1, j, g, ell) * _restricted_factor(n - i, k - j, a, b, ell)
-            right = free_atleast(i, j, g, ell) * _restricted_factor(n - i + 1, k - j, a, b, ell)
+            left = free_atleast(i + 1, j, g, ell) * gen_restricted(n - i, k - j, a, b, 0, ell)
+            right = free_atleast(i, j, g, ell) * gen_restricted(n - i + 1, k - j, a, b, 0, ell)
             total += c * (left + right)
     return total
 
@@ -129,7 +114,7 @@ def partial_deg_multinomial(
     the 1/k!; the audit scores it.
     """
     g, a, b = Fraction(gamma), Fraction(alpha), Fraction(beta)
-    _validate(n, k, ell)
+    check_indices(n, k, ell)
     block_weight = partial_degenerate_scheme(g, a, b, ell).block_weight
     total = Fraction(0)
     if literal:
@@ -167,59 +152,55 @@ def partial_deg_derivative_recursion(
     alpha: Rational,
     beta: Rational,
     literal: bool = False,
+    lower=None,
 ) -> Fraction:
     """Recursion from differentiating the generating function.
 
     Corrected inner index k-1: the newest element either joins the
     special set or completes one distinguished block.  The literal
     variant keeps the inner index at k; the audit scores it.
+    lower(m, j, ell, gamma, alpha, beta) evaluates the rows below n+1,
+    on the parameters as given; None means the reference values,
+    partial_deg as looked up at call time.  The recurrence route passes
+    its own memoised rows instead.
     """
-    g, a, b = Fraction(gamma), Fraction(alpha), Fraction(beta)
-    _validate(n_plus_1, k, ell)
+    check_indices(n_plus_1, k, ell)
     if k < 1:
         raise ValueError("derivative recursion needs k >= 1")
+    if lower is None:
+        lower = partial_deg
     n = n_plus_1 - 1
-    block_weight = partial_degenerate_scheme(g, a, b, ell).block_weight
-    total = g * partial_deg(n, k, ell, g, a, b)
+    block_weight = partial_degenerate_scheme(gamma, alpha, beta, ell).block_weight
+    total = gamma * lower(n, k, ell, gamma, alpha, beta)
     inner_k = k if literal else k - 1
     for i in range(0, n + 1):
-        total += (
-            binomial(n, i)
-            * partial_deg(i, inner_k, ell, g, a, b)
-            * block_weight(n - i + 1)
-        )
-    return total
-
-
-@cache
-def _partial_rec(
-    n: int, k: int, ell: int, gamma: Fraction, alpha: Fraction, beta: Fraction
-) -> Fraction:
-    if n == 0:
-        return Fraction(1 if k == 0 else 0)
-    if k > n:
-        return Fraction(0)
-    if k == 0:
-        return gamma ** n
-    m = n - 1
-    block_weight = partial_degenerate_scheme(gamma, alpha, beta, ell).block_weight
-    total = gamma * _partial_rec(m, k, ell, gamma, alpha, beta)
-    for i in range(0, m + 1):
-        total += (
-            binomial(m, i)
-            * _partial_rec(i, k - 1, ell, gamma, alpha, beta)
-            * block_weight(m - i + 1)
-        )
+        row = lower(i, inner_k, ell, gamma, alpha, beta)
+        if row:
+            total += binomial(n, i) * row * block_weight(n - i + 1)
     return total
 
 
 def partial_deg_rec(
     n: int, k: int, ell: int, gamma: Rational, alpha: Rational, beta: Rational
 ) -> Fraction:
-    """Full recursion path (derivative-style rule applied recursively)."""
+    """Full recursion path: the corrected derivative-style rule applied to
+    its own rows, filled bottom-up so n has no depth limit."""
     g, a, b = Fraction(gamma), Fraction(alpha), Fraction(beta)
-    _validate(n, k, ell)
+    check_indices(n, k, ell)
+    for m, j in cells_below(n, k):
+        _partial_rec(m, j, ell, g, a, b)
     return _partial_rec(n, k, ell, g, a, b)
+
+
+@cache
+def _partial_rec(
+    n: int, k: int, ell: int, gamma: Fraction, alpha: Fraction, beta: Fraction
+) -> Fraction:
+    if k > n:
+        return Fraction(0)
+    if k == 0:
+        return gamma ** n
+    return partial_deg_derivative_recursion(n, k, ell, gamma, alpha, beta, lower=_partial_rec)
 
 
 @cache
@@ -233,15 +214,19 @@ def _colored_rec(n: int, k: int, r: int, s: int) -> int:
     m = n - 1
     total = r * _colored_rec(m, k, r, s)
     for i in range(0, m + 1):
-        block = s if m - i + 1 == 1 else 1
-        total += binomial(m, i) * _colored_rec(i, k - 1, r, s) * block
+        row = _colored_rec(i, k - 1, r, s)
+        if row:
+            total += binomial(m, i) * row * (s if m - i + 1 == 1 else 1)
     return total
 
 
 def colored_singleton_rec(n: int, k: int, r: int, s: int) -> int:
-    """Full recursion path for the colored-singleton numbers."""
+    """Full recursion path for the colored-singleton numbers, its rows
+    filled bottom-up so n has no depth limit."""
     if n < 0 or k < 0 or r < 0 or s < 0:
         raise ValueError("all arguments must be non-negative")
+    for m, j in cells_below(n, k):
+        _colored_rec(m, j, r, s)
     return _colored_rec(n, k, r, s)
 
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 import stirlingkit.cli as cli
-from stirlingkit.families import FamilySpec, family_value
+from stirlingkit.exact import format_rational
+from stirlingkit.families import FAMILIES, FAMILY_TAGS, FamilySpec, family_value
 
 
 def run(capsys, *argv):
@@ -70,6 +71,29 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["value", "--family", "not-a-family", "--n", "1", "--k", "1"])
     assert exc.value.code == 2
+
+
+def test_generalized_zero_triple_refused_by_every_route(capsys):
+    family = "--family generalized --alpha 0 --beta 0 --gamma 0".split()
+    for method in ("egf", "recurrence", "explicit", "oracle"):
+        code, out, err = run(capsys, "value", *family, "--n", "3", "--k", "1", "--method", method)
+        assert code == 2 and out == "" and "(0, 0, 0)" in err
+    code, out, err = run(capsys, "series", *family, "--k", "1", "--order", "4")
+    assert code == 2 and out == "" and "(0, 0, 0)" in err
+
+
+def test_recurrence_has_no_depth_limit(capsys):
+    # 520 rows nest too deep for Python's default recursion limit unless
+    # the routes fill bottom-up; gamma = r = 0 keeps the values cheap
+    values = dict(alpha=-1, beta=1, gamma=0, lam=-1, ell=2, r=0, s=3)
+    for tag in FAMILY_TAGS:
+        params = {name: values[name] for name in FAMILIES[tag].params}
+        options = ["--%s=%s" % ("lambda" if name == "lam" else name, value)
+                   for name, value in params.items()]
+        code, out, _ = run(capsys, "value", "--family", tag, *options,
+                           "--n", "520", "--k", "1", "--method", "recurrence")
+        assert code == 0
+        assert out == format_rational(family_value(FamilySpec(tag, **params), 520, 1)) + "\n"
 
 
 def test_oracle_cap_usage_error(capsys):

@@ -9,6 +9,7 @@ from stirlingkit.core import (
     stirling2_restricted,
     stirling2_restricted_rec,
 )
+from stirlingkit.oracle import associated_scheme, oracle_sum, restricted_scheme
 
 from conftest import brute_stirling2
 
@@ -37,11 +38,18 @@ def test_restricted_examples():
             assert stirling2_restricted(n, k, max(n, 1)) == stirling2(n, k)
 
 
-def test_restricted_rejects_ell_zero():
-    with pytest.raises(ValueError):
-        stirling2_restricted(3, 1, 0)
-    with pytest.raises(ValueError):
-        stirling2_associated(3, 1, 0)
+def test_ell_zero_matches_recurrence_and_oracle():
+    # blocks of size <= 0 leave only the empty partition; blocks of size
+    # >= 0 are unrestricted, so the associated numbers are the classic ones
+    restricted, associated = restricted_scheme(0), associated_scheme(0)
+    for n in range(0, 8):
+        for k in range(0, n + 1):
+            value = stirling2_restricted(n, k, 0)
+            assert value == (1 if n == 0 else 0)
+            assert value == stirling2_restricted_rec(n, k, 0) == oracle_sum(n, k, restricted)
+            value = stirling2_associated(n, k, 0)
+            assert value == stirling2(n, k)
+            assert value == stirling2_associated_rec(n, k, 0) == oracle_sum(n, k, associated)
 
 
 def test_associated_examples():

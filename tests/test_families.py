@@ -2,8 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from stirlingkit.families import FamilySpec, ValueTable, family_egf, family_value
-from stirlingkit.series import egf_coeff
+from stirlingkit import oracle
+from stirlingkit.families import (
+    FAMILIES,
+    FAMILY_TAGS,
+    FamilySpec,
+    ValueTable,
+    family_egf,
+    family_value,
+)
+from stirlingkit.series import TruncatedSeries, egf_coeff
 
 
 def test_spec_validation():
@@ -52,6 +60,28 @@ def test_methods_agree(spec):
             assert family_value(spec, n, k, "oracle") == canonical
             if spec.tag in ("classic", "degenerate", "generalized"):
                 assert family_value(spec, n, k, "explicit") == canonical
+
+
+def test_recurrence_routes_multiply_no_series(monkeypatch):
+    # the step functions default to the series-based reference values, so
+    # a route that forgot to pass its own rows would fail here
+    def refuse(*args):
+        raise AssertionError("the recurrence route multiplied series")
+
+    for name in ("__mul__", "__rmul__", "__pow__"):
+        monkeypatch.setattr(TruncatedSeries, name, refuse)
+    oracle._exponential_formula.cache_clear()
+    params = dict(
+        alpha=Fraction(5, 7), beta=Fraction(-2, 9), gamma=Fraction(4, 11),
+        lam=Fraction(-3, 13), ell=2, r=3, s=2,
+    )
+    for tag in FAMILY_TAGS:
+        spec = FamilySpec(tag, **{name: params[name] for name in FAMILIES[tag].params})
+        for n in range(0, 9):
+            for k in range(0, n + 1):
+                family_value(spec, n, k, "recurrence")
+    with pytest.raises(AssertionError):
+        family_value(FamilySpec("classic"), 9, 4, "egf")
 
 
 def test_unknown_method():

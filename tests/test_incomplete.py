@@ -33,9 +33,16 @@ def test_gen_restricted_examples():
         assert gen_restricted(n, 0, 1, 2, 2, 2) == falling_factorial_deg(2, n, 1)
 
 
-def test_gen_restricted_rejects_ell_zero():
-    with pytest.raises(ValueError):
-        gen_restricted(3, 1, 1, 2, 0, 0)
+def test_gen_restricted_ell_zero_matches_recurrence_and_oracle():
+    # no block fits, so only k = 0 survives: the special set's weight
+    for a, b, g in TRIPLES + [(0, 0, 0), (Fraction(-1, 2), 0, Fraction(3, 2))]:
+        scheme = gen_restricted_scheme(a, b, g, 0)
+        for n in range(0, 8):
+            for k in range(0, n + 1):
+                value = gen_restricted(n, k, a, b, g, 0)
+                assert value == (falling_factorial_deg(g, n, a) if k == 0 else 0)
+                assert value == gen_restricted_rec(n, k, a, b, g, 0)
+                assert value == oracle_sum(n, k, scheme)
 
 
 def test_gen_restricted_beta_zero_falls_back():
