@@ -7,11 +7,21 @@ correcting silently, this module evaluates each identity in both its
 literal (as circulated) form and its corrected form over exact grids
 and reports a verdict per form.
 
+Each identity is written once per case grid and reference: one
+`_score` call names it, its grid and its reference, and lists its forms
+as (form, function, note) entries, a literal form next to its corrected
+one.  Every form is scored on the same cases against the same
+reference, in the order listed, and the first failing case is its
+counterexample.  (The three-term recurrence takes two calls: its
+literal and corrected forms have different left sides.)
+
 Verdicts: a "literal" form may PASS or FAIL freely; every "as printed"
 or "corrected" form must PASS for the audit to succeed (that is the
 CLI exit-code condition).  "report" entries are informational only.
 
-Suites group related identities; `run_all` runs every suite.
+Suites group related identities and build their identity lists when
+they run, so a name rebound in this module takes effect; `run_suite`
+runs one suite, or every suite in order for "all".
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from . import oracle as _oracle
@@ -81,41 +92,60 @@ class AuditFinding:
     note: str | None = None
 
 
-def _check(
-    suite: str,
-    identity: str,
-    form: str,
-    cases: Iterable,
-    lhs: Callable,
-    rhs: Callable,
-    note: str | None = None,
-) -> AuditFinding:
-    checked = failed = 0
-    first = None
-    for case in cases:
-        left = lhs(*case)
-        right = rhs(*case)
-        checked += 1
-        if left != right:
-            failed += 1
-            if first is None:
-                first = "at %s: %s != %s" % (case, left, right)
-    verdict = "FAIL" if failed else "PASS"
-    return AuditFinding(suite, identity, form, verdict, checked, failed, first, note)
+def _score(suite: str, identity: str, cases: list, reference: Callable, *forms: tuple) -> list:
+    """Score every form of one identity against one reference on one case
+    list.  Each form is a (form, function, note) entry; the findings keep
+    the order of the entries, and a counterexample is the first failing
+    case in the order of the list."""
+    findings = []
+    for form, function, note in forms:
+        checked = failed = 0
+        first = None
+        for case in cases:
+            left = function(*case)
+            right = reference(*case)
+            checked += 1
+            if left != right:
+                failed += 1
+                if first is None:
+                    first = "at %s: %s != %s" % (case, left, right)
+        verdict = "FAIL" if failed else "PASS"
+        findings.append(
+            AuditFinding(suite, identity, form, verdict, checked, failed, first, note)
+        )
+    return findings
 
 
-def _rational_triples(count: int = 6, nonzero_beta: bool = True) -> list:
+def _cells(
+    params: Iterable, nmax: int, first: int = 0, kmin: int = 0, kmax: int | None = None
+) -> list:
+    """Cases (n, k, *p): each parameter tuple p in turn, then n from first
+    to nmax, then k from kmin to min(n, kmax)."""
+    return [
+        (n, k) + p
+        for p in params
+        for n in range(first, nmax + 1)
+        for k in range(kmin, (n if kmax is None else min(n, kmax)) + 1)
+    ]
+
+
+def _mixed_cells(nmax: int, first: int = 0, kmin: int = 0, kmax: int | None = None) -> list:
+    """The mixed-cell grid (n, k, ell, gamma, alpha, beta) over the integer
+    triples and ell = 0..3."""
+    params = [(ell, g, a, b) for (a, b, g) in INTEGER_TRIPLES for ell in (0, 1, 2, 3)]
+    return _cells(params, nmax, first, kmin, kmax)
+
+
+def _rational_triples() -> list:
+    """Six seeded rational (alpha, beta, gamma) with beta != 0."""
     rng = random.Random(_SEED)
     out = []
-    while len(out) < count:
+    while len(out) < 6:
         trip = tuple(
             Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3)
         )
-        if trip == (0, 0, 0):
-            continue
-        if nonzero_beta and trip[1] == 0:
-            continue
-        out.append(trip)
+        if trip[1] != 0:
+            out.append(trip)
     return out
 
 
@@ -123,394 +153,195 @@ def _rational_triples(count: int = 6, nonzero_beta: bool = True) -> list:
 
 
 def _suite_thm21(nmax: int) -> list:
-    findings = []
-    nk = [(n, k) for n in range(nmax + 1) for k in range(n + 1)]
-    findings.append(
-        _check(
-            "thm21",
-            "classic-recursion",
-            "literal",
-            nk,
-            lambda n, k: stirling2_rec_literal(n, k),
-            lambda n, k: stirling2(n, k),
-            note="second term read as S(n-1,k) of the previous row pair",
-        )
-    )
-    findings.append(
-        _check(
-            "thm21",
-            "classic-recursion",
-            "corrected",
-            nk,
-            lambda n, k: stirling2_rec(n, k),
-            lambda n, k: stirling2(n, k),
-            note="second term S(n,k-1)",
-        )
-    )
+    nk = _cells([()], nmax)
     nkl = [(n, k, ell) for n, k in nk for ell in (1, 2, 3)]
-    findings.append(
-        _check(
+    capped = _cells(
+        [(a, b, g, ell) for (a, b, g) in INTEGER_TRIPLES for ell in (1, 2, 3)], nmax, first=1
+    )
+    return [
+        *_score(
+            "thm21",
+            "classic-recursion",
+            nk,
+            stirling2,
+            ("literal", stirling2_rec_literal,
+             "second term read as S(n-1,k) of the previous row pair"),
+            ("corrected", stirling2_rec, "second term S(n,k-1)"),
+        ),
+        *_score(
             "thm21",
             "restricted-recursion",
-            "as printed",
             nkl,
-            lambda n, k, ell: stirling2_restricted_rec(n, k, ell),
-            lambda n, k, ell: stirling2_restricted(n, k, ell),
-        )
-    )
-    findings.append(
-        _check(
+            stirling2_restricted,
+            ("as printed", stirling2_restricted_rec, None),
+        ),
+        *_score(
             "thm21",
             "associated-recursion",
-            "as printed",
             nkl,
-            lambda n, k, ell: stirling2_associated_rec(n, k, ell),
-            lambda n, k, ell: stirling2_associated(n, k, ell),
-        )
-    )
-    cases = [
-        (n1, k, a, b, g, ell)
-        for (a, b, g) in INTEGER_TRIPLES
-        for ell in (1, 2, 3)
-        for n1 in range(1, nmax + 1)
-        for k in range(n1 + 1)
+            stirling2_associated,
+            ("as printed", stirling2_associated_rec, None),
+        ),
+        *_score(
+            "thm21",
+            "size-capped-recursion-bounds",
+            capped,
+            gen_restricted,
+            ("literal", partial(gen_restricted_recursion, literal=True),
+             "summation bounds k-1 <= i <= n-ell-1 as printed"),
+            ("corrected", gen_restricted_recursion, "bounds max(k-1, n+1-ell) <= i <= n"),
+        ),
     ]
-    findings.append(
-        _check(
-            "thm21",
-            "size-capped-recursion-bounds",
-            "literal",
-            cases,
-            lambda n1, k, a, b, g, ell: gen_restricted_recursion(n1, k, a, b, g, ell, literal=True),
-            lambda n1, k, a, b, g, ell: gen_restricted(n1, k, a, b, g, ell),
-            note="summation bounds k-1 <= i <= n-ell-1 as printed",
-        )
-    )
-    findings.append(
-        _check(
-            "thm21",
-            "size-capped-recursion-bounds",
-            "corrected",
-            cases,
-            lambda n1, k, a, b, g, ell: gen_restricted_recursion(n1, k, a, b, g, ell),
-            lambda n1, k, a, b, g, ell: gen_restricted(n1, k, a, b, g, ell),
-            note="bounds max(k-1, n+1-ell) <= i <= n",
-        )
-    )
-    return findings
 
 
 def _suite_threeterm(nmax: int) -> list:
-    findings = []
-    params = ((1, 2, 2), (2, 4, 2))
-    lit_cases = [
-        (n, k, a, b, g, ell)
-        for (a, b, g) in params
-        for ell in (1, 2, 3)
-        for n in range(nmax + 1)
-        for k in range(n + 1)
-    ]
-    findings.append(
-        _check(
+    params = [(a, b, g, ell) for (a, b, g) in ((1, 2, 2), (2, 4, 2)) for ell in (1, 2, 3)]
+    derived_cases = [(n, k) + p for p in params for n in range(nmax) for k in range(n + 2)]
+    return [
+        *_score(
             "threeterm",
             "three-term-recurrence",
-            "literal",
-            lit_cases,
-            lambda n, k, a, b, g, ell: gen_restricted_three_term(n, k, a, b, g, ell, form="literal"),
-            lambda n, k, a, b, g, ell: gen_restricted(n, k, a, b, g, ell),
-            note="upper limit ell and exponents n-i+1, i-j as printed; left side S(n,k)",
-        )
-    )
-    der_cases = [
-        (n, k, a, b, g, ell)
-        for (a, b, g) in params
-        for ell in (1, 2, 3)
-        for n in range(nmax)
-        for k in range(n + 2)
-    ]
-    findings.append(
-        _check(
+            _cells(params, nmax),
+            gen_restricted,
+            ("literal", partial(gen_restricted_three_term, form="literal"),
+             "upper limit ell and exponents n-i+1, i-j as printed; left side S(n,k)"),
+        ),
+        *_score(
             "threeterm",
             "three-term-recurrence",
-            "corrected",
-            der_cases,
-            lambda n, k, a, b, g, ell: gen_restricted_three_term(n, k, a, b, g, ell, form="derived"),
+            derived_cases,
             lambda n, k, a, b, g, ell: gen_restricted(n + 1, k, a, b, g, ell),
-            note="re-derived by applying the one-step rule twice; left side S(n+1,k)",
-        )
-    )
-    return findings
+            ("corrected", gen_restricted_three_term,
+             "re-derived by applying the one-step rule twice; left side S(n+1,k)"),
+        ),
+    ]
 
 
 def _suite_bullets24(nmax: int) -> list:
-    findings = []
     triples = _rational_triples()
-    boundary = [
-        (n, k, a, b, g)
-        for (a, b, g) in triples
-        for n in range(nmax + 1)
-        for k in (n, n + 1, n + 2)
-    ]
-    findings.append(
-        _check(
+    scales = (Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(5, 3))
+    return [
+        *_score(
             "bullets24",
             "boundary-values",
-            "as printed",
-            boundary,
-            lambda n, k, a, b, g: gen_stirling(n, k, a, b, g),
+            [(n, k) + t for t in triples for n in range(nmax + 1) for k in (n, n + 1, n + 2)],
             lambda n, k, a, b, g: Fraction(1 if n == k else 0),
-            note="zero above the diagonal, one on it",
-        )
-    )
-    findings.append(
-        _check(
+            ("as printed", gen_stirling, "zero above the diagonal, one on it"),
+        ),
+        *_score(
             "bullets24",
             "all-in-special-set",
-            "as printed",
-            [(n, a, b, g) for (a, b, g) in triples for n in range(nmax + 1)],
-            lambda n, a, b, g: gen_stirling(n, 0, a, b, g),
+            [(n,) + t for t in triples for n in range(nmax + 1)],
             lambda n, a, b, g: Fraction(falling_factorial_deg(g, n, a)),
-            note="k = 0 forces every element into the special set",
-        )
-    )
-    findings.append(
-        _check(
+            ("as printed", lambda n, a, b, g: gen_stirling(n, 0, a, b, g),
+             "k = 0 forces every element into the special set"),
+        ),
+        *_score(
             "bullets24",
             "single-block",
-            "as printed",
             [(n, a, b) for (a, b, _) in triples for n in range(1, nmax + 1)],
-            lambda n, a, b: gen_stirling(n, 1, a, b, 0),
             lambda n, a, b: Fraction(falling_factorial_deg(b - a, n - 1, a)),
-        )
-    )
-    findings.append(
-        _check(
+            ("as printed", lambda n, a, b: gen_stirling(n, 1, a, b, 0), None),
+        ),
+        *_score(
             "bullets24",
             "shift-to-special",
-            "as printed",
-            [
-                (n, k, a, b)
-                for (a, b, _) in triples
-                for n in range(nmax)
-                for k in range(1, n + 2)
-            ],
-            lambda n, k, a, b: gen_stirling(n + 1, k, a, b, 0),
+            [(n, k, a, b) for (a, b, _) in triples for n in range(nmax) for k in range(1, n + 2)],
             lambda n, k, a, b: gen_stirling(n, k - 1, a, b, b - a),
-            note="delete the block of the first element",
-        )
-    )
-    findings.append(
-        _check(
+            ("as printed", lambda n, k, a, b: gen_stirling(n + 1, k, a, b, 0),
+             "delete the block of the first element"),
+        ),
+        *_score(
             "bullets24",
             "one-merged-pair",
-            "as printed",
-            [(n, a, b, g) for (a, b, g) in triples for n in range(1, nmax + 1)],
-            lambda n, a, b, g: gen_stirling(n, n - 1, a, b, g),
+            [(n,) + t for t in triples for n in range(1, nmax + 1)],
             lambda n, a, b, g: n * g + binomial(n, 2) * (b - a),
-        )
-    )
-    scales = (Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(5, 3))
-    findings.append(
-        _check(
+            ("as printed", lambda n, a, b, g: gen_stirling(n, n - 1, a, b, g), None),
+        ),
+        *_score(
             "bullets24",
             "parameter-scaling",
-            "as printed",
-            [
-                (n, k, a, b, g, c)
-                for (a, b, g) in triples
-                for c in scales
-                for n in range(nmax + 1)
-                for k in range(n + 1)
-            ],
-            lambda n, k, a, b, g, c: gen_stirling(n, k, c * a, c * b, c * g),
+            _cells([t + (c,) for t in triples for c in scales], nmax),
             lambda n, k, a, b, g, c: c ** (n - k) * gen_stirling(n, k, a, b, g),
-        )
-    )
-    small = min(nmax, 7)
-    fold_cases = [
-        (n, k, a, b, g)
-        for (a, b, g) in INTEGER_TRIPLES
-        for n in range(small + 1)
-        for k in range(n + 1)
+            ("as printed",
+             lambda n, k, a, b, g, c: gen_stirling(n, k, c * a, c * b, c * g),
+             None),
+        ),
+        *_score(
+            "bullets24",
+            "block-weight-fold",
+            _cells(INTEGER_TRIPLES, min(nmax, 7)),
+            gen_stirling,
+            ("literal",
+             lambda n, k, a, b, g: _oracle.oracle_sum_blocksum(
+                 n, k, _oracle.generalized_scheme(a, b, g)),
+             "partition weight read as the sum of block weights"),
+            ("corrected",
+             lambda n, k, a, b, g: _oracle.oracle_sum(n, k, _oracle.generalized_scheme(a, b, g)),
+             "partition weight is the product of block weights"),
+        ),
     ]
-    findings.append(
-        _check(
-            "bullets24",
-            "block-weight-fold",
-            "literal",
-            fold_cases,
-            lambda n, k, a, b, g: _oracle.oracle_sum_blocksum(
-                n, k, _oracle.generalized_scheme(a, b, g)
-            ),
-            lambda n, k, a, b, g: gen_stirling(n, k, a, b, g),
-            note="partition weight read as the sum of block weights",
-        )
-    )
-    findings.append(
-        _check(
-            "bullets24",
-            "block-weight-fold",
-            "corrected",
-            fold_cases,
-            lambda n, k, a, b, g: _oracle.oracle_sum(
-                n, k, _oracle.generalized_scheme(a, b, g)
-            ),
-            lambda n, k, a, b, g: gen_stirling(n, k, a, b, g),
-            note="partition weight is the product of block weights",
-        )
-    )
-    return findings
 
 
 def _suite_thm3(nmax: int) -> list:
     gammas = (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-3, 2), Fraction(5))
-    cases = [
-        (n, k, g, ell)
-        for ell in (1, 2, 3)
-        for n in range(nmax + 1)
-        for k in range(n + 1)
-        for g in gammas
-    ]
-    findings = [
-        _check(
+    cases = [(n, k, g, ell) for ell in (1, 2, 3) for n, k in _cells([()], nmax) for g in gammas]
+    return [
+        *_score(
             "thm3",
             "alternating-special-set-removal",
-            "as printed",
             cases,
-            lambda n, k, g, ell: associated_from_free(n, k, g, ell),
             lambda n, k, g, ell: Fraction(stirling2_associated(n, k, ell)),
-            note="inclusion-exclusion over the special set",
-        )
-    ]
-    findings.append(
-        _check(
+            ("as printed", associated_from_free, "inclusion-exclusion over the special set"),
+        ),
+        *_score(
             "thm3",
             "gamma-independence",
-            "as printed",
             cases,
-            lambda n, k, g, ell: associated_from_free(n, k, g, ell),
             lambda n, k, g, ell: associated_from_free(n, k, 0, ell),
-            note="the alternating sum does not depend on gamma",
-        )
-    )
-    return findings
+            ("as printed", associated_from_free, "the alternating sum does not depend on gamma"),
+        ),
+    ]
 
 
 def _suite_s_gt_recursion(nmax: int) -> list:
     gammas = (Fraction(1), Fraction(2), Fraction(1, 2))
-    cases = [
-        (n1, k, g, ell)
-        for g in gammas
-        for ell in (0, 1, 2, 3)
-        for n1 in range(1, nmax + 1)
-        for k in range(n1 + 1)
-    ]
-    return [
-        _check(
-            "s-gt-recursion",
-            "free-cell-recursion",
-            "literal",
-            cases,
-            lambda n1, k, g, ell: free_atleast_recursion(n1, k, g, ell, literal=True),
-            lambda n1, k, g, ell: free_atleast(n1, k, g, ell),
-            note="inner term with index n-i as printed",
-        ),
-        _check(
-            "s-gt-recursion",
-            "free-cell-recursion",
-            "corrected",
-            cases,
-            lambda n1, k, g, ell: free_atleast_recursion(n1, k, g, ell),
-            lambda n1, k, g, ell: free_atleast(n1, k, g, ell),
-            note="inner index n+1-i: the new element joins the blocks",
-        ),
-    ]
-
-
-def _partial_triples():
-    return tuple((g, a, b) for (a, b, g) in INTEGER_TRIPLES)
+    return _score(
+        "s-gt-recursion",
+        "free-cell-recursion",
+        _cells([(g, ell) for g in gammas for ell in (0, 1, 2, 3)], nmax, first=1),
+        free_atleast,
+        ("literal", partial(free_atleast_recursion, literal=True),
+         "inner term with index n-i as printed"),
+        ("corrected", free_atleast_recursion,
+         "inner index n+1-i: the new element joins the blocks"),
+    )
 
 
 def _suite_thm13(nmax: int) -> list:
-    cases = [
-        (n, k, ell, g, a, b)
-        for (g, a, b) in _partial_triples()
-        for ell in (0, 1, 2, 3)
-        for n in range(nmax + 1)
-        for k in range(n + 1)
-    ]
-    findings = [
-        _check(
+    return [
+        *_score(
             "thm13",
             "free-weighted-convolution",
-            "as printed",
-            cases,
-            lambda n, k, ell, g, a, b: partial_deg_convolution(n, k, ell, g, a, b),
-            lambda n, k, ell, g, a, b: partial_deg(n, k, ell, g, a, b),
-        )
-    ]
-    rec_cases = [
-        (n1, k, ell, g, a, b)
-        for (g, a, b) in _partial_triples()
-        for ell in (0, 1, 2, 3)
-        for n1 in range(1, nmax + 1)
-        for k in range(n1 + 1)
-    ]
-    findings.append(
-        _check(
+            _mixed_cells(nmax),
+            partial_deg,
+            ("as printed", partial_deg_convolution, None),
+        ),
+        *_score(
             "thm13",
             "element-shift-recursion",
-            "as printed",
-            rec_cases,
-            lambda n1, k, ell, g, a, b: partial_deg_recursion(n1, k, ell, g, a, b),
-            lambda n1, k, ell, g, a, b: partial_deg(n1, k, ell, g, a, b),
-        )
-    )
-    return findings
+            _mixed_cells(nmax, first=1),
+            partial_deg,
+            ("as printed", partial_deg_recursion, None),
+        ),
+    ]
 
 
 def _suite_thm20(nmax: int) -> list:
-    findings = []
-    small = min(nmax, 8)
-    cases = [
-        (n, k, ell, g, a, b)
-        for (g, a, b) in _partial_triples()
-        for ell in (0, 1, 2, 3)
-        for n in range(small + 1)
-        for k in range(n + 1)
-    ]
-    findings.append(
-        _check(
-            "thm20",
-            "mixed-cell-egf",
-            "as printed",
-            cases,
-            lambda n, k, ell, g, a, b: partial_deg(n, k, ell, g, a, b),
-            lambda n, k, ell, g, a, b: _oracle.oracle_sum(
-                n, k, _oracle.partial_degenerate_scheme(g, a, b, ell)
-            ),
-            note="degenerate weight on blocks of size <= ell, free above",
-        )
-    )
-    findings.append(
-        _check(
-            "thm20",
-            "swapped-weight-orientation",
-            "literal",
-            cases,
-            lambda n, k, ell, g, a, b: _oracle.oracle_sum(
-                n, k, _oracle.partial_degenerate_swapped_scheme(g, a, b, ell)
-            ),
-            lambda n, k, ell, g, a, b: partial_deg(n, k, ell, g, a, b),
-            note="weight-1 blocks below the threshold, degenerate above",
-        )
-    )
+    cases = _mixed_cells(min(nmax, 8))
     order = 10
     series_cases = [
-        (k, ell, a, b)
-        for (_, a, b) in _partial_triples()
-        for ell in (0, 1, 2, 3)
-        for k in range(0, 6)
+        (k, ell, a, b) for (a, b, _) in INTEGER_TRIPLES for ell in (0, 1, 2, 3) for k in range(6)
     ]
 
     def _parts(ell, a, b):
@@ -530,19 +361,35 @@ def _suite_thm20(nmax: int) -> list:
         big, smallp = _parts(ell, a, b)
         return (big + smallp) ** k
 
-    findings.append(
-        _check(
+    return [
+        *_score(
+            "thm20",
+            "mixed-cell-egf",
+            cases,
+            lambda n, k, ell, g, a, b: _oracle.oracle_sum(
+                n, k, _oracle.partial_degenerate_scheme(g, a, b, ell)
+            ),
+            ("as printed", partial_deg, "degenerate weight on blocks of size <= ell, free above"),
+        ),
+        *_score(
+            "thm20",
+            "swapped-weight-orientation",
+            cases,
+            partial_deg,
+            ("literal",
+             lambda n, k, ell, g, a, b: _oracle.oracle_sum(
+                 n, k, _oracle.partial_degenerate_swapped_scheme(g, a, b, ell)),
+             "weight-1 blocks below the threshold, degenerate above"),
+        ),
+        *_score(
             "thm20",
             "binomial-rearrangement",
-            "as printed",
             series_cases,
-            _lhs,
             _rhs,
-            note="series identity mod t^%d" % (order + 1),
-        )
-    )
-    findings.append(_colored_report(min(nmax, 7)))
-    return findings
+            ("as printed", _lhs, "series identity mod t^%d" % (order + 1)),
+        ),
+        _colored_report(min(nmax, 7)),
+    ]
 
 
 def _colored_report(nmax: int) -> AuditFinding:
@@ -573,65 +420,27 @@ def _colored_report(nmax: int) -> AuditFinding:
 
 
 def _suite_multinomial(nmax: int) -> list:
-    cases = [
-        (n, k, ell, g, a, b)
-        for (g, a, b) in _partial_triples()
-        for ell in (0, 1, 2, 3)
-        for n in range(nmax + 1)
-        for k in range(min(n, 4) + 1)
-    ]
-    return [
-        _check(
-            "multinomial",
-            "multinomial-decomposition",
-            "literal",
-            cases,
-            lambda n, k, ell, g, a, b: partial_deg_multinomial(n, k, ell, g, a, b, literal=True),
-            lambda n, k, ell, g, a, b: partial_deg(n, k, ell, g, a, b),
-            note="block product subscripted 1..k and no 1/k!, as printed",
-        ),
-        _check(
-            "multinomial",
-            "multinomial-decomposition",
-            "corrected",
-            cases,
-            lambda n, k, ell, g, a, b: partial_deg_multinomial(n, k, ell, g, a, b),
-            lambda n, k, ell, g, a, b: partial_deg(n, k, ell, g, a, b),
-            note="per-part subscripts and a 1/k! symmetry factor",
-        ),
-    ]
+    return _score(
+        "multinomial",
+        "multinomial-decomposition",
+        _mixed_cells(nmax, kmax=4),
+        partial_deg,
+        ("literal", partial(partial_deg_multinomial, literal=True),
+         "block product subscripted 1..k and no 1/k!, as printed"),
+        ("corrected", partial_deg_multinomial, "per-part subscripts and a 1/k! symmetry factor"),
+    )
 
 
 def _suite_derivative(nmax: int) -> list:
-    cases = [
-        (n1, k, ell, g, a, b)
-        for (g, a, b) in _partial_triples()
-        for ell in (0, 1, 2, 3)
-        for n1 in range(1, nmax + 1)
-        for k in range(1, n1 + 1)
-    ]
-    return [
-        _check(
-            "derivative",
-            "derivative-recursion",
-            "literal",
-            cases,
-            lambda n1, k, ell, g, a, b: partial_deg_derivative_recursion(
-                n1, k, ell, g, a, b, literal=True
-            ),
-            lambda n1, k, ell, g, a, b: partial_deg(n1, k, ell, g, a, b),
-            note="inner index k as printed",
-        ),
-        _check(
-            "derivative",
-            "derivative-recursion",
-            "corrected",
-            cases,
-            lambda n1, k, ell, g, a, b: partial_deg_derivative_recursion(n1, k, ell, g, a, b),
-            lambda n1, k, ell, g, a, b: partial_deg(n1, k, ell, g, a, b),
-            note="inner index k-1",
-        ),
-    ]
+    return _score(
+        "derivative",
+        "derivative-recursion",
+        _mixed_cells(nmax, first=1, kmin=1),
+        partial_deg,
+        ("literal", partial(partial_deg_derivative_recursion, literal=True),
+         "inner index k as printed"),
+        ("corrected", partial_deg_derivative_recursion, "inner index k-1"),
+    )
 
 
 def _closed_form_bell(n: int, j: int, a: Sequence[Fraction]) -> Fraction:
@@ -673,20 +482,13 @@ def _suite_bell_closed_forms(nmax: int) -> list:
             Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(top)
         ]
         sequences.append(tuple(seq))
-    cases = [
-        (n, j, seq) for seq in sequences for n in range(top + 1) for j in range(min(3, n) + 1)
-    ]
-    return [
-        _check(
-            "bell-closed-forms",
-            "partition-coefficient-closed-forms",
-            "as printed",
-            cases,
-            lambda n, j, seq: partial_bell(n, j, seq),
-            lambda n, j, seq: _closed_form_bell(n, j, seq),
-            note="displayed values for j = 0..3, generic coefficients",
-        )
-    ]
+    return _score(
+        "bell-closed-forms",
+        "partition-coefficient-closed-forms",
+        _cells([(seq,) for seq in sequences], top, kmax=3),
+        _closed_form_bell,
+        ("as printed", partial_bell, "displayed values for j = 0..3, generic coefficients"),
+    )
 
 
 SUITES = {
@@ -706,22 +508,17 @@ SUITE_NAMES = tuple(SUITES) + ("all",)
 
 
 def run_suite(name: str, nmax: int = 8) -> list:
+    """Findings of one suite, or of every suite in order for "all"."""
     if nmax < 0:
         raise ValueError("nmax must be non-negative")
-    if name == "all":
-        return run_all(nmax)
-    if name not in SUITES:
+    if name not in SUITE_NAMES:
         raise ValueError("unknown suite %r (one of %s)" % (name, ", ".join(SUITE_NAMES)))
-    return SUITES[name](nmax)
+    names = SUITES if name == "all" else [name]
+    return [finding for suite in names for finding in SUITES[suite](nmax)]
 
 
 def run_all(nmax: int = 8) -> list:
-    if nmax < 0:
-        raise ValueError("nmax must be non-negative")
-    findings = []
-    for name in SUITES:
-        findings.extend(SUITES[name](nmax))
-    return findings
+    return run_suite("all", nmax)
 
 
 def audit_ok(findings: Iterable[AuditFinding]) -> bool:

@@ -76,8 +76,11 @@ def _family_spec(args) -> FamilySpec:
 
 def _write_out(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out, "w") as handle:
+                handle.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise UsageError("cannot write %s: %s" % (out, exc.strerror or exc)) from None
     else:
         print(text)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .exact import as_integer, binomial, cells_below, check_indices
+from .exact import UNFILLED_ROWS, as_integer, binomial, cells_below, check_indices
 from .oracle import associated_scheme, classic_scheme, restricted_scheme
 from .series import egf_coeff
 
@@ -95,33 +95,49 @@ def stirling2_rec_literal(n: int, k: int) -> int:
     return k * stirling2_rec_literal(n - 1, k) + prev2
 
 
-@cache
 def stirling2_restricted_rec(n: int, k: int, ell: int) -> int:
     """Size-limited recursion: the new element's block takes i more members,
-    i <= ell-1, and the rest form k-1 blocks."""
+    i <= ell-1, and the rest form k-1 blocks.  Each level drops one block,
+    so the memo is filled bottom-up, column by column, over the cells the
+    recursion reaches and k has no depth limit."""
     check_indices(n, k, ell)
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0:
-        return 0
+    for j in range(k - UNFILLED_ROWS):
+        # k-j blocks of 1..ell elements were removed, j blocks remain
+        for m in range(max(j, n - (k - j) * ell), min(j * ell, n - (k - j)) + 1):
+            _restricted_rec(m, j, ell)
+    return _restricted_rec(n, k, ell)
+
+
+@cache
+def _restricted_rec(n: int, k: int, ell: int) -> int:
+    if k == 0 or not k <= n <= k * ell:
+        return 1 if n == k == 0 else 0
     m = n - 1
     return sum(
-        binomial(m, i) * stirling2_restricted_rec(m - i, k - 1, ell)
+        binomial(m, i) * _restricted_rec(m - i, k - 1, ell)
         for i in range(0, min(ell - 1, m) + 1)
     )
 
 
-@cache
 def stirling2_associated_rec(n: int, k: int, ell: int) -> int:
     """Size-floored recursion: the new element's block takes i >= ell-1 more
-    members."""
+    members.  Filled bottom-up like the size-limited one, so k has no
+    depth limit."""
     check_indices(n, k, ell)
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0:
-        return 0
+    low = max(ell, 1)
+    for j in range(k - UNFILLED_ROWS):
+        # k-j blocks of at least `low` elements were removed, j blocks remain
+        for m in range(j * low, n - (k - j) * low + 1):
+            _associated_rec(m, j, ell)
+    return _associated_rec(n, k, ell)
+
+
+@cache
+def _associated_rec(n: int, k: int, ell: int) -> int:
+    if k == 0 or n < k * max(ell, 1):
+        return 1 if n == k == 0 else 0
     m = n - 1
     return sum(
-        binomial(m, i) * stirling2_associated_rec(m - i, k - 1, ell)
+        binomial(m, i) * _associated_rec(m - i, k - 1, ell)
         for i in range(max(ell - 1, 0), m + 1)
     )

@@ -98,9 +98,11 @@ def as_integer(value: Rational) -> int:
     return f.numerator
 
 
-# Rows a memoised recursion may descend before it meets filled rows.  At
-# up to three interpreter levels a row this stays well inside Python's
-# default recursion limit of 1000, and calls with n up to it fill nothing.
+# Rows a memoised recursion may descend before it meets filled rows (or
+# columns, for the size-limited and size-floored recursions, which drop
+# one block per level).  At up to three interpreter levels a row this
+# stays well inside Python's default recursion limit of 1000, and calls
+# with n (or k) up to it fill nothing.
 UNFILLED_ROWS = 150
 
 

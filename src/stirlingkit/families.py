@@ -170,21 +170,6 @@ class FamilySpec:
             if value is not None and (not isinstance(value, int) or value < 0):
                 raise ValueError("parameter %s must be a non-negative integer" % name)
 
-    @property
-    def is_combinatorial(self) -> bool:
-        """True when the parameters make the family a plain partition count:
-        non-negative integers with alpha dividing beta and gamma."""
-        a, b, g = self.alpha, self.beta, self.gamma
-        vals = [v for v in (a, b, g, self.lam) if v is not None]
-        if any(v.denominator != 1 or v < 0 for v in vals):
-            return False
-        if a is not None and a != 0:
-            if b is not None and b % a != 0:
-                return False
-            if g is not None and g % a != 0:
-                return False
-        return True
-
     def describe(self) -> str:
         parts = [self.tag]
         for name in REQUIRED_PARAMS[self.tag]:

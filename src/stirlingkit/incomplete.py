@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .core import stirling2_associated_rec
+from .core import _associated_rec, stirling2_associated_rec
 from .exact import UNFILLED_ROWS, Rational, binomial, cells_below, check_indices, falling_factorial_deg
 from .oracle import degenerate_block_weight, free_atleast_scheme, gen_restricted_scheme
 from .series import egf_coeff
@@ -226,8 +226,10 @@ def free_atleast_recursion(
     n = n_plus_1 - 1
     shift = 0 if literal else 1
     total = gamma * lower(n, k, gamma, ell)
+    # one bottom-up fill for the largest count covers every smaller one
+    stirling2_associated_rec(n + shift, k, ell + 1)
     for i in range(0, n + 1):
-        term = gamma ** i * stirling2_associated_rec(n + shift - i, k, ell + 1)
+        term = gamma ** i * _associated_rec(n + shift - i, k, ell + 1)
         if term:
             total += binomial(n, i) * term
     return total

@@ -50,7 +50,6 @@ __all__ = [
     "associated_scheme",
     "generalized_scheme",
     "gen_restricted_scheme",
-    "gen_associated_scheme",
     "free_atleast_scheme",
     "partial_degenerate_scheme",
     "partial_degenerate_swapped_scheme",
@@ -240,17 +239,6 @@ def gen_restricted_scheme(
         generalized_scheme(alpha, beta, gamma),
         name="gen_restricted(%s,%s,%s,ell=%d)" % (alpha, beta, gamma, ell),
         block_size_ok=lambda size: size <= ell,
-    )
-
-
-@cache
-def gen_associated_scheme(
-    alpha: Rational, beta: Rational, gamma: Rational, ell: int
-) -> WeightScheme:
-    return replace(
-        generalized_scheme(alpha, beta, gamma),
-        name="gen_associated(%s,%s,%s,ell=%d)" % (alpha, beta, gamma, ell),
-        block_size_ok=lambda size: size >= ell,
     )
 
 

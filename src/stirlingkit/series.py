@@ -52,13 +52,6 @@ class TruncatedSeries:
     def one(cls, order: int) -> "TruncatedSeries":
         return cls([1], order)
 
-    @classmethod
-    def monomial(cls, degree: int, order: int, coeff: Rational = 1) -> "TruncatedSeries":
-        cs = [Fraction(0)] * (order + 1)
-        if 0 <= degree <= order:
-            cs[degree] = Fraction(coeff)
-        return cls(cs, order)
-
     def coefficient(self, n: int) -> Fraction:
         if not 0 <= n <= self.order:
             raise IndexError("coefficient %d beyond truncation order %d" % (n, self.order))

@@ -5,6 +5,7 @@ lines.  Every check is exact rational equality unless the criterion
 itself states a bound.
 """
 
+import hashlib
 import json
 import math
 import subprocess
@@ -168,6 +169,9 @@ def test_criterion_5_identity_audit_pattern():
             text=True,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
+        # the report bytes, pinned: every verdict, count and counterexample
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        assert digest == "e5ade9b8243bad924bef1b5f51c279efb400358ccd6f5224822919040cead907"
 
 
 def test_criterion_6_bell_closed_forms():

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,24 @@ def test_recurrence_has_no_depth_limit(capsys):
         assert out == format_rational(family_value(FamilySpec(tag, **params), 520, 1)) + "\n"
 
 
+def test_restricted_recurrence_has_no_block_depth_limit(capsys):
+    # 340 blocks nest one call each unless the memo is filled bottom-up;
+    # 600 elements in blocks of at most 2: 260 pairs and 80 singletons
+    code, out, _ = run(
+        capsys, *"value --family restricted --ell 2 --n 600 --k 340 --method recurrence".split()
+    )
+    pairs = math.factorial(600) // (math.factorial(260) * 2 ** 260 * math.factorial(80))
+    assert code == 0 and out == "%d\n" % pairs
+
+
+def test_associated_recurrence_has_no_block_depth_limit(capsys):
+    # 341 elements in 340 non-empty blocks: one pair, C(341, 2) ways
+    code, out, _ = run(
+        capsys, *"value --family associated --ell 1 --n 341 --k 340 --method recurrence".split()
+    )
+    assert code == 0 and out == "%d\n" % math.comb(341, 2)
+
+
 def test_oracle_cap_usage_error(capsys):
     code, _, err = run(
         capsys, *"value --family classic --n 20 --k 2 --method oracle".split()
@@ -144,6 +163,19 @@ def test_table_out_file(capsys, tmp_path):
     )
     assert code == 0 and out == ""
     assert target.read_text().startswith("n,k,value")
+
+
+def test_unwritable_out_is_usage_error(capsys, tmp_path):
+    target = str(tmp_path / "missing" / "x.csv")
+    for argv in (
+        "table --family classic --nmax 3",
+        "series --family classic --k 1 --order 3",
+        "verify --suite thm3 --nmax 2",
+        "asympt --n 3 --k 10 --gamma 1 --alpha 1 --beta 2 --ell 2",
+    ):
+        code, out, err = run(capsys, *argv.split(), "--out", target)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: cannot write") and "Traceback" not in err, argv
 
 
 def test_series_output(capsys):

@@ -29,15 +29,6 @@ def test_spec_validation():
         FamilySpec("colored_singleton", r=1, s=-2)
 
 
-def test_combinatorial_flag():
-    assert FamilySpec("generalized", alpha=1, beta=2, gamma=0).is_combinatorial
-    assert FamilySpec("generalized", alpha=2, beta=4, gamma=2).is_combinatorial
-    assert not FamilySpec("generalized", alpha=2, beta=3, gamma=2).is_combinatorial
-    assert not FamilySpec("generalized", alpha=1, beta=Fraction(1, 2), gamma=0).is_combinatorial
-    assert not FamilySpec("generalized", alpha=1, beta=2, gamma=-1).is_combinatorial
-    assert FamilySpec("classic").is_combinatorial
-
-
 ALL_SPECS = [
     FamilySpec("classic"),
     FamilySpec("restricted", ell=2),

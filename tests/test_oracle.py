@@ -9,7 +9,6 @@ from stirlingkit.oracle import (
     colored_singleton_scheme,
     enumerate_mixed,
     free_atleast_scheme,
-    gen_associated_scheme,
     gen_restricted_scheme,
     generalized_scheme,
     oracle_sum,
@@ -97,30 +96,12 @@ def test_schemes_have_unit_empty_special_weight():
         generalized_scheme(1, 2, 0),
         generalized_scheme(2, 4, 2),
         gen_restricted_scheme(1, 3, 2, 2),
-        gen_associated_scheme(1, 3, 2, 2),
         free_atleast_scheme(Fraction(5, 3), 1),
         partial_degenerate_scheme(2, 1, 3, 2),
         colored_singleton_scheme(3, 2),
     ]
     for scheme in schemes:
         assert Fraction(scheme.special_weight(0)) == 1
-
-
-def test_gen_associated_scheme_specializations():
-    # this family exists as a weight scheme only; pin it down through the
-    # cases where a closed counterpart does exist
-    from stirlingkit.core import stirling2_associated
-    from stirlingkit.generalized import gen_stirling
-
-    for ell in (1, 2, 3):
-        for n in range(0, 8):
-            for k in range(0, n + 1):
-                plain = oracle_sum(n, k, gen_associated_scheme(0, 1, 0, ell))
-                assert plain == stirling2_associated(n, k, ell)
-    for n in range(0, 8):
-        for k in range(0, n + 1):
-            vacuous = oracle_sum(n, k, gen_associated_scheme(1, 3, 2, 1))
-            assert vacuous == gen_stirling(n, k, 1, 3, 2)
 
 
 def test_blocksum_variant_differs():
