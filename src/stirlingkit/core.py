@@ -137,7 +137,9 @@ def _associated_rec(n: int, k: int, ell: int) -> int:
     if k == 0 or n < k * max(ell, 1):
         return 1 if n == k == 0 else 0
     m = n - 1
+    # the printed sum runs to i = m; past m - (k-1)*max(ell, 1) the k-1
+    # remaining blocks no longer fit, so every later term is zero
     return sum(
         binomial(m, i) * _associated_rec(m - i, k - 1, ell)
-        for i in range(max(ell - 1, 0), m + 1)
+        for i in range(max(ell - 1, 0), m - (k - 1) * max(ell, 1) + 1)
     )

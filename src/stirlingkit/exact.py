@@ -39,6 +39,29 @@ def falling_factorial_deg(t: Rational, n: int, lam: Rational) -> Rational:
     return out
 
 
+class FallingFactorials:
+    """size -> (t)_{size,lam} as a Fraction, for one (t, lam).
+
+    Each value extends the one for the previous size by a single product
+    and is kept, so the sizes 0..n cost n products in all, in whatever
+    order they are asked for.  A weight scheme holds one per falling
+    factorial it weighs by, so building its series costs O(order)
+    products, not the O(order^2) of a falling_factorial_deg per size.
+    """
+
+    def __init__(self, t: Rational, lam: Rational):
+        self.t, self.lam = Fraction(t), Fraction(lam)
+        self.values = [Fraction(1)]
+
+    def __call__(self, size: int) -> Fraction:
+        if size < 0:
+            raise ValueError("falling factorial needs a size >= 0, got %r" % (size,))
+        values = self.values
+        while len(values) <= size:
+            values.append(values[-1] * (self.t - (len(values) - 1) * self.lam))
+        return values[size]
+
+
 def falling_factorial(t: Rational, n: int) -> Rational:
     """Ordinary falling factorial t(t-1)...(t-n+1)."""
     return falling_factorial_deg(t, n, 1)

@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterator
 
-from .exact import Rational, falling_factorial_deg
+from .exact import FallingFactorials, Rational
 from .series import TruncatedSeries
 
 __all__ = [
@@ -115,10 +115,17 @@ def _exponential_formula(scheme: WeightScheme, k: int, order: int) -> TruncatedS
     return scheme.special_series(order) * block * Fraction(1, math.factorial(k))
 
 
+def _degenerate_blocks(alpha: Rational, beta: Rational) -> Callable[[int], Fraction]:
+    """size -> (beta-alpha)_{size-1,alpha}, the block weight of the generalized
+    model, each size extending the product for the size before."""
+    factorials = FallingFactorials(Fraction(beta) - alpha, alpha)
+    return lambda size: factorials(size - 1)
+
+
 def degenerate_block_weight(size: int, alpha: Rational, beta: Rational) -> Fraction:
     """(beta-alpha)_{size-1,alpha}: the weight of one block of the given size
     in the generalized model."""
-    return Fraction(falling_factorial_deg(Fraction(beta) - alpha, size - 1, alpha))
+    return _degenerate_blocks(alpha, beta)(size)
 
 
 def enumerate_mixed(
@@ -226,8 +233,8 @@ def generalized_scheme(alpha: Rational, beta: Rational, gamma: Rational) -> Weig
     a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
     return WeightScheme(
         name="generalized(%s,%s,%s)" % (a, b, g),
-        special_weight=lambda size: falling_factorial_deg(g, size, a),
-        block_weight=lambda size: degenerate_block_weight(size, a, b),
+        special_weight=FallingFactorials(g, a),
+        block_weight=_degenerate_blocks(a, b),
     )
 
 
@@ -260,12 +267,11 @@ def partial_degenerate_scheme(
     """Free special set gamma^|G|; blocks of size <= ell carry the degenerate
     weight, larger blocks are free (weight 1)."""
     a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
+    blocks = _degenerate_blocks(a, b)
     return WeightScheme(
         name="partial_degenerate(%s,%s,%s,ell=%d)" % (g, a, b, ell),
         special_weight=lambda size: g ** size,
-        block_weight=lambda size: (
-            degenerate_block_weight(size, a, b) if size <= ell else Fraction(1)
-        ),
+        block_weight=lambda size: blocks(size) if size <= ell else Fraction(1),
     )
 
 
@@ -275,12 +281,11 @@ def partial_degenerate_swapped_scheme(
 ) -> WeightScheme:
     """Orientation with the weights on the wrong side of ell (audit target)."""
     a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
+    blocks = _degenerate_blocks(a, b)
     return WeightScheme(
         name="partial_degenerate_swapped(%s,%s,%s,ell=%d)" % (g, a, b, ell),
         special_weight=lambda size: g ** size,
-        block_weight=lambda size: (
-            Fraction(1) if size <= ell else degenerate_block_weight(size, a, b)
-        ),
+        block_weight=lambda size: Fraction(1) if size <= ell else blocks(size),
     )
 
 

@@ -8,6 +8,13 @@ identity checked through this module is verified exactly mod t^(N+1).
 Coefficient extraction in exponential-generating-function form
 (n! * c_n) is the reference computation path for every number family
 in this package.
+
+Every family's generating function is P(t) * B(t)^k / k! with B(0) = 0,
+so powers are taken with their valuation shifted out: B = t^v * U with
+U(0) != 0 gives B^k = t^(vk) * U^k, and U^k is needed only mod
+t^(N-vk+1).  J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, section
+4.7) yields those coefficients one by one, so a power costs
+O((N-vk)^2) products whatever k is, and none when vk > N.
 """
 
 from __future__ import annotations
@@ -85,16 +92,23 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check_order(other)
-            n = self.order
-            out = [Fraction(0)] * (n + 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-            return TruncatedSeries(out, n)
+            # run over the non-zero terms of the sparser factor
+            if sum(map(bool, other.coeffs)) < sum(map(bool, self.coeffs)):
+                self, other = other, self
+            left = [(i, c.numerator, c.denominator) for i, c in enumerate(self.coeffs) if c]
+            right = [(c.numerator, c.denominator) for c in other.coeffs]
+            out = []
+            for n in range(self.order + 1):
+                nums, dens = [], []
+                for i, a_num, a_den in left:
+                    if i > n:
+                        break
+                    b_num, b_den = right[n - i]
+                    if b_num:
+                        nums.append(a_num * b_num)
+                        dens.append(a_den * b_den)
+                out.append(_fraction_sum(nums, dens))
+            return TruncatedSeries(out, self.order)
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries([a * other for a in self.coeffs], self.order)
         return NotImplemented
@@ -102,17 +116,44 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "TruncatedSeries":
+        """self^k mod t^(order+1), at a cost that does not grow with k.
+
+        With self = t^v * U and u_0 = U(0) != 0, self^k = t^(vk) * U^k, so
+        the power is zero once vk > order and otherwise needs U^k only mod
+        t^(N+1), N = order - vk.  Its coefficients w_n follow from
+        W' * U = k * U' * W (J.C.P. Miller's recurrence; Knuth, TAOCP
+        vol. 2, section 4.7):
+
+            w_0 = u_0^k,   w_n = sum_{i=1..n} ((k+1)i - n) u_i w_{n-i} / (n u_0),
+
+        O(N^2) products in all.
+        """
         if not isinstance(k, int) or k < 0:
             raise ValueError("series power needs an integer exponent >= 0")
-        result = TruncatedSeries.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        if k == 0:
+            return TruncatedSeries.one(self.order)
+        if k == 1:
+            return self
+        v = next((i for i, c in enumerate(self.coeffs) if c), None)
+        if v is None or v * k > self.order:
+            return TruncatedSeries.zero(self.order)
+        top = self.order - v * k
+        u0 = self.coeffs[v]
+        terms = [(i, c.numerator, c.denominator)
+                 for i, c in enumerate(self.coeffs[v + 1 : v + top + 1], 1) if c]
+        w = [u0 ** k]
+        w_num, w_den = [w[0].numerator], [w[0].denominator]
+        for n in range(1, top + 1):
+            nums, dens = [], []
+            for i, num, den in terms:
+                if i > n:
+                    break
+                nums.append(((k + 1) * i - n) * num * w_num[n - i])
+                dens.append(den * w_den[n - i])
+            w.append(_fraction_sum(nums, dens) / (n * u0))
+            w_num.append(w[n].numerator)
+            w_den.append(w[n].denominator)
+        return TruncatedSeries([0] * (v * k) + w, self.order)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -126,6 +167,15 @@ class TruncatedSeries:
         head = ", ".join(str(c) for c in self.coeffs[:6])
         tail = ", ..." if self.order > 5 else ""
         return "TruncatedSeries([%s%s], order=%d)" % (head, tail, self.order)
+
+
+def _fraction_sum(nums: list[int], dens: list[int]) -> Fraction:
+    """sum of nums[i] / dens[i], formed over the least common denominator
+    and reduced once: the series products sum many terms whose
+    denominators share most of their factors, and a Fraction sum would
+    reduce after every term."""
+    common = math.lcm(*dens)
+    return Fraction(sum(a * (common // d) for a, d in zip(nums, dens)), common)
 
 
 def exp_series(gamma: Rational, order: int) -> TruncatedSeries:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from stirlingkit.asymptotics import (
+    LITERAL_MODE_N_CAP,
     VanishingPochhammer,
     asymptotic_partial,
     decimal_str,
@@ -54,6 +55,28 @@ def test_partial_bell_examples(rng):
     for n in range(1, 9):
         seq = [Fraction(1)] + [random_rational(rng) for _ in range(n)]
         assert partial_bell(n, 0, seq) == seq[1] ** n / math.factorial(n)
+
+
+def _partition_walk(n, j, a):
+    total = Fraction(0)
+    for mult in integer_partitions(n, n - j):
+        term = Fraction(1)
+        for size_minus_1, count in enumerate(mult):
+            term *= Fraction(a[size_minus_1 + 1]) ** count / math.factorial(count)
+        total += term
+    return total
+
+
+def test_partial_bell_matches_partition_walk(rng):
+    # the series power against the sum over integer partitions, also with
+    # a_1 = 0 (the power then starts beyond t^(n-j)) and a_1 = a_2 = 0
+    sequences = [[Fraction(1)] + [random_rational(rng) for _ in range(14)] for _ in range(2)]
+    sequences.append([Fraction(1), Fraction(0)] + [random_rational(rng) for _ in range(13)])
+    sequences.append([Fraction(1), Fraction(0), Fraction(0)] + [Fraction(i, 3) for i in range(12)])
+    for a in sequences:
+        for n in range(0, 15):
+            for j in range(0, n + 1):
+                assert partial_bell(n, j, a) == _partition_walk(n, j, a)
 
 
 def test_partial_bell_validation():
@@ -186,6 +209,13 @@ def test_literal_mode_flags():
     assert row.exact == Fraction(1, 576)
     row = asymptotic_partial(6, 4, 1, 1, 2, 2, 2, mode="literal")
     assert row.estimate is None and "vanishes" in row.note
+
+
+def test_literal_mode_cap():
+    row = asymptotic_partial(LITERAL_MODE_N_CAP, 1, 1, 1, 2, 2, 3, mode="literal")
+    assert row.n_total == LITERAL_MODE_N_CAP and row.estimate is not None
+    with pytest.raises(ValueError, match="partial Bell"):
+        asymptotic_partial(LITERAL_MODE_N_CAP + 1, 1, 1, 1, 2, 2, 3, mode="literal")
 
 
 def test_mode_validation():

@@ -156,6 +156,34 @@ def test_table_json_round_trip(capsys):
         assert Fraction(row["value"]) == family_value(spec, row["n"], row["k"])
 
 
+def test_table_columns_match_per_cell_values(capsys):
+    # the egf table reads each column k from one series; every cell must
+    # equal the per-cell value, whatever the output format
+    values = dict(alpha=Fraction(1, 2), beta=Fraction(-1, 3), gamma=Fraction(3, 2),
+                  lam=Fraction(-2, 3), ell=2, r=2, s=3)
+    for tag in FAMILY_TAGS:
+        params = {name: values[name] for name in FAMILIES[tag].params}
+        spec = FamilySpec(tag, **params)
+        options = ["--%s=%s" % ("lambda" if name == "lam" else name, value)
+                   for name, value in params.items()]
+        cells = [(n, k, format_rational(family_value(spec, n, k)))
+                 for n in range(11) for k in range(n + 1)]
+        width = max(len(v) for _, _, v in cells)
+        expected = {
+            "csv": "n,k,value\n" + "".join("%d,%d,%s\n" % cell for cell in cells),
+            "json": json.dumps([{"n": n, "k": k, "value": v} for n, k, v in cells], indent=2)
+            + "\n",
+            "text": "".join("%4d %4d  %*s\n" % (n, k, width, v) for n, k, v in cells),
+        }
+        for fmt, text in expected.items():
+            code, out, _ = run(capsys, "table", "--family", tag, *options,
+                               "--nmax", "10", "--format", fmt)
+            assert code == 0 and out == text, (tag, fmt)
+    code, out, err = run(capsys, *"table --family generalized --alpha 0 --beta 0 --gamma 0 "
+                         "--nmax 3".split())
+    assert code == 2 and out == "" and "(0, 0, 0)" in err
+
+
 def test_table_out_file(capsys, tmp_path):
     target = tmp_path / "triangle.csv"
     code, out, _ = run(

@@ -82,6 +82,15 @@ def test_recursions_match_generating_functions():
                 assert stirling2_associated_rec(n, k, ell) == stirling2_associated(n, k, ell)
 
 
+def test_associated_recurrence_matches_generating_function():
+    # the recurrence stops its printed sum where the remaining blocks no
+    # longer fit; every dropped term is zero, so values stay the egf's
+    for ell in range(0, 5):
+        for n in range(0, 30):
+            for k in range(0, n + 1):
+                assert stirling2_associated_rec(n, k, ell) == stirling2_associated(n, k, ell)
+
+
 def test_literal_recursion_breaks():
     # the as-printed second term cannot reach the k=1 column at all
     assert stirling2_rec_literal(2, 1) == 0

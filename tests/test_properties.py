@@ -5,7 +5,9 @@ beta = 0 included; integer ell (0 included), r, s), and each drawn
 member must give the same value through the generating function, the
 recursion, the enumeration oracle and, where the family has one and
 beta != 0, the explicit sum.  The generalized numbers must obey the
-scaling identity, and truncated series the commutative-ring axioms.
+scaling identity, truncated series the commutative-ring axioms, and a
+series power must equal the repeated product at a cost, counted in
+series products, that does not grow with the exponent.
 Runs are derandomized and bounded, so the suite stays deterministic and
 fast.
 """
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from stirlingkit import oracle
 from stirlingkit.families import FAMILIES, FAMILY_TAGS, FamilySpec, family_egf, family_value
 from stirlingkit.generalized import gen_stirling, gen_stirling_rec
 from stirlingkit.series import TruncatedSeries, egf_coeff
@@ -79,15 +82,52 @@ def series_triples(draw):
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
-@given(abc=series_triples(), m=st.integers(0, 6))
-def test_series_ring_axioms(abc, m):
+@given(abc=series_triples())
+def test_series_ring_axioms(abc):
     a, b, c = abc
     one = TruncatedSeries.one(a.order)
     assert (a * b) * c == a * (b * c)
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
     assert a * one == a == one * a
-    power = one
-    for _ in range(m):
-        power = power * a
-    assert a ** m == power
+
+
+@st.composite
+def shifted_series(draw):
+    # t^v * U with U(0) != 0, v = 0..3, or the zero series
+    order = draw(st.integers(0, 9))
+    if draw(st.integers(0, 9)) == 0:
+        return TruncatedSeries.zero(order)
+    v = draw(st.integers(0, 3))
+    head = draw(RATIONALS.filter(bool))
+    tail = draw(st.lists(RATIONALS, min_size=order, max_size=order))
+    return TruncatedSeries([0] * v + [head] + tail, order)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(s=shifted_series(), k=st.integers(0, 12))
+def test_power_equals_repeated_product(s, k):
+    # covers k = 0, the zero series and v*k > order (a zero power)
+    power = TruncatedSeries.one(s.order)
+    for _ in range(k):
+        power = power * s
+    assert s ** k == power
+
+
+def test_family_series_products_do_not_depend_on_k(monkeypatch):
+    # the power runs Miller's recurrence, so building block^k makes no
+    # series products at all: k = 2 and k = 640 cost the same product count
+    counts = []
+    real = TruncatedSeries.__mul__
+
+    def counting(self, other):
+        counts[-1] += 1
+        return real(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+    oracle._exponential_formula.cache_clear()
+    spec = FamilySpec("generalized", alpha=Fraction(1, 2), beta=Fraction(-1, 3), gamma=2)
+    for k in (2, 640):
+        counts.append(0)
+        family_egf(spec, k, k + 10)
+    assert counts[0] == counts[1] > 0
