@@ -57,9 +57,11 @@ __all__ = [
     "decimal_str",
 ]
 
-# literal mode forms up to n+1 partial Bell numbers of n, the j-th a series
-# power costing O(j^2) products, so a row costs O(n^3); the worst rows
-# (k = 1, m = n) take 1.1 to 2.1 s at n = 140 on 2 shared vCPUs
+# a row forms up to d+1 partial Bell numbers of d (literal mode: d = n;
+# normalized mode: the offset d), the j-th a series power costing O(j^2)
+# products, so a row costs O(d^3) and both modes cap d here.  On 2 shared
+# vCPUs the worst literal rows (k = 1, m = n) take 1.1 to 2.1 s at n = 140,
+# and the worst normalized row measured (d = m = 140, k = 280) 1.3 to 1.5 s
 LITERAL_MODE_N_CAP = 140
 
 
@@ -207,6 +209,12 @@ def asymptotic_partial(
     if mode == "normalized":
         n_total = n if n >= k else n + k
         d = n_total - k
+        if d > LITERAL_MODE_N_CAP:
+            raise ValueError(
+                "normalized mode sums up to d+1 partial Bell numbers of the offset "
+                "d = %d, each a series power of order d; capped at d=%d"
+                % (d, LITERAL_MODE_N_CAP)
+            )
         psi = shifted_mixed_series(g, a, b, ell, max(d, 0))
         exact = partial_deg(n_total, k, ell, g * k, a, b) * Fraction(
             math.factorial(k), math.factorial(n_total)

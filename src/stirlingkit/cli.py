@@ -16,6 +16,7 @@ ever emitted except the convenience decimal column of `asympt`.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -297,14 +298,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _int_digits_unlimited():
+    """Lift Python's 4300-digit cap on int <-> str conversion, then restore
+    it: exact values have no size limit.  Older 3.10 releases have no cap."""
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is None:
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    set_digits(0)
+    try:
+        yield
+    finally:
+        set_digits(previous)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    with _int_digits_unlimited():
+        try:
+            return args.func(args)
+        except UsageError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
 
 
 def entry() -> None:

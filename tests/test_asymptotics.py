@@ -218,6 +218,15 @@ def test_literal_mode_cap():
         asymptotic_partial(LITERAL_MODE_N_CAP + 1, 1, 1, 1, 2, 2, 3, mode="literal")
 
 
+def test_normalized_offset_cap():
+    # the offset d is n itself when n < k, else n - k; both forms share the cap
+    row = asymptotic_partial(LITERAL_MODE_N_CAP, LITERAL_MODE_N_CAP + 1, 1, 1, 2, 2, 3)
+    assert row.n_total == 2 * LITERAL_MODE_N_CAP + 1 and row.estimate is not None
+    for n, k in [(LITERAL_MODE_N_CAP + 1, LITERAL_MODE_N_CAP + 2), (LITERAL_MODE_N_CAP + 3, 2)]:
+        with pytest.raises(ValueError, match="partial Bell"):
+            asymptotic_partial(n, k, 1, 1, 2, 2, 3)
+
+
 def test_mode_validation():
     with pytest.raises(ValueError):
         asymptotic_partial(4, 4, 1, 1, 2, 2, 3, mode="bogus")

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -156,6 +157,24 @@ def test_table_json_round_trip(capsys):
         assert Fraction(row["value"]) == family_value(spec, row["n"], row["k"])
 
 
+def test_values_past_the_int_digit_limit(capsys):
+    # gamma has 4401 digits, past Python's default 4300-digit cap on
+    # int <-> str conversion; (n, k) = (1, 0) is the special set {1}, weight gamma
+    gamma = "1" + "0" * 4400
+    family = ["--family", "generalized", "--alpha", "0", "--beta", "1", "--gamma", gamma]
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = digit_limit()
+    code, text, _ = run(capsys, "value", *family, "--n", "1", "--k", "0")
+    assert code == 0 and text == gamma + "\n"
+    code, payload, _ = run(capsys, "table", *family, "--nmax", "1", "--format", "json")
+    assert code == 0
+    assert digit_limit() == limit  # the command restores the cap
+    with cli._int_digits_unlimited():
+        assert Fraction(text) == 10 ** 4400
+        cells = {(row["n"], row["k"]): Fraction(row["value"]) for row in json.loads(payload)}
+    assert cells == {(0, 0): 1, (1, 0): 10 ** 4400, (1, 1): 1}
+
+
 def test_table_columns_match_per_cell_values(capsys):
     # the egf table reads each column k from one series; every cell must
     # equal the per-cell value, whatever the output format
@@ -307,6 +326,11 @@ def test_asympt_usage(capsys):
         capsys, *"asympt --n 4 --k 1x --m 3 --gamma 1 --alpha 1 --beta 2 --ell 2".split()
     )
     assert code == 2
+    # offset d = 300 is past the cap: refused before any work
+    code, out, err = run(
+        capsys, *"asympt --n 300 --k 600 --m 300 --gamma 1 --alpha 1 --beta 2 --ell 2".split()
+    )
+    assert code == 2 and out == "" and "capped at d=140" in err
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from stirlingkit.exact import binomial
 from stirlingkit.oracle import (
     ENUMERATION_CAP,
+    _profile_counts,
     classic_scheme,
     colored_singleton_scheme,
     enumerate_mixed,
@@ -70,6 +72,27 @@ def test_cap_enforced():
     with pytest.raises(ValueError):
         list(enumerate_mixed(3, 1, cap=2))
     assert sum(1 for _ in enumerate_mixed(3, 1, cap=20)) == 7
+
+
+def test_profile_counts_match_enumeration():
+    # the size-only walk must count exactly the pairs enumerate_mixed yields
+    cells = [(n, k) for n in range(0, 9) for k in range(0, n + 2)] + [(9, 4)]
+    for n, k in cells:
+        expected = Counter(
+            (len(p.special_set), tuple(sorted(len(b) for b in p.blocks)))
+            for p in enumerate_mixed(n, k)
+        )
+        assert _profile_counts(n, k) == dict(expected), (n, k)
+
+
+def test_profile_counts_at_the_cap():
+    # S(m, 2) = 2^(m-1) - 1 for m >= 1 and S(0, 2) = 0
+    n = ENUMERATION_CAP
+    total = sum(_profile_counts(n, 2).values())
+    assert total == sum(binomial(n, g) * (2 ** (n - g - 1) - 1) for g in range(n))
+    for n, k in [(ENUMERATION_CAP + 1, 2), (-1, 0), (3, -1)]:
+        with pytest.raises(ValueError):
+            oracle_sum(n, k, classic_scheme())
 
 
 def test_oracle_sum_examples():
