@@ -28,7 +28,10 @@ and [t^1] phi = 1, so phi = t * psi with psi(0) = 1 and
 
     [t^d] psi^k = k! * S(k+d, k) / (k+d)!        (d = n - k).
 
-The normalized mode estimates exactly that; beyond it, a literal mode
+The normalized mode estimates exactly that.  Its exact side is read
+from column k of the weight scheme (oracle module), which computes only
+the d + 1 coefficients of U^k it needs and no factorial of k, so a row
+costs the same at k = 10^5 as at k = 100.  Beyond it, a literal mode
 evaluates the uncorrected published-style normalization for the audit.
 """
 
@@ -153,19 +156,21 @@ def hsu_expansion(a: Sequence[Rational], n: int, lam: Rational, m: int) -> Fract
     return total
 
 
-@cache
 def shifted_mixed_series(
     gamma: Fraction, alpha: Fraction, beta: Fraction, ell: int, order: int
 ) -> TruncatedSeries:
     """psi with psi_j = [t^(j+1)] of e^(gamma*t) * mixed block series.
 
-    The product vanishes at t = 0 with unit linear coefficient, so psi
+    The product P * B is column k = 1 of the scheme, read coefficient by
+    coefficient.  It vanishes at t = 0 with unit linear coefficient, so psi
     is a valid a_0 = 1 input for the expansion machinery.
     """
     scheme = partial_degenerate_scheme(gamma, alpha, beta, ell)
-    phi = scheme.special_series(order + 1) * scheme.block_series(order + 1)
-    assert phi.coefficient(0) == 0 and phi.coefficient(1) == 1
-    return TruncatedSeries(phi.coeffs[1:], order)
+    psi = TruncatedSeries(
+        [scheme.product_coefficient(1, j + 1) for j in range(order + 1)], order
+    )
+    assert psi.coefficient(0) == 1
+    return psi
 
 
 @dataclass(frozen=True)
@@ -216,9 +221,9 @@ def asymptotic_partial(
                 % (d, LITERAL_MODE_N_CAP)
             )
         psi = shifted_mixed_series(g, a, b, ell, max(d, 0))
-        exact = partial_deg(n_total, k, ell, g * k, a, b) * Fraction(
-            math.factorial(k), math.factorial(n_total)
-        )
+        # k! S(n_total, k) / n_total! is k! [t^n_total] of the EGF: column k
+        # of the scaled scheme at t^d, with no factorial of k formed
+        exact = partial_degenerate_scheme(g * k, a, b, ell).product_coefficient(k, n_total)
         try:
             est = falling_factorial(Fraction(k), d) * hsu_expansion(
                 psi.coeffs, d, k, min(m, d)
@@ -238,8 +243,8 @@ def asymptotic_partial(
         )
     # coefficient sequence as printed: k! * S(i,k)/i! with the unscaled gamma,
     # i.e. k! times the coefficients of one generating function
-    series = partial_degenerate_scheme(g, a, b, ell).egf(k, n)
-    coeffs = [Fraction(1)] + [math.factorial(k) * c for c in series.coeffs[1:]]
+    scheme = partial_degenerate_scheme(g, a, b, ell)
+    coeffs = [Fraction(1)] + [scheme.product_coefficient(k, i) for i in range(1, n + 1)]
     try:
         est = hsu_expansion(coeffs, n, k, min(m, n))
     except VanishingPochhammer as exc:

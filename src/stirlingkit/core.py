@@ -20,7 +20,6 @@ from functools import cache
 
 from .exact import UNFILLED_ROWS, as_integer, binomial, cells_below, check_indices
 from .oracle import associated_scheme, classic_scheme, restricted_scheme
-from .series import egf_coeff
 
 __all__ = [
     "stirling2",
@@ -38,7 +37,7 @@ def stirling2(n: int, k: int) -> int:
     check_indices(n, k)
     if k > n:
         return 0
-    return as_integer(egf_coeff(classic_scheme().egf(k, n), n))
+    return as_integer(classic_scheme().value(k, n))
 
 
 def stirling2_restricted(n: int, k: int, ell: int) -> int:
@@ -46,7 +45,7 @@ def stirling2_restricted(n: int, k: int, ell: int) -> int:
     check_indices(n, k, ell)
     if k > n or n > k * ell:
         return 0
-    return as_integer(egf_coeff(restricted_scheme(ell).egf(k, n), n))
+    return as_integer(restricted_scheme(ell).value(k, n))
 
 
 def stirling2_associated(n: int, k: int, ell: int) -> int:
@@ -54,7 +53,7 @@ def stirling2_associated(n: int, k: int, ell: int) -> int:
     check_indices(n, k, ell)
     if n < k * ell:
         return 0
-    return as_integer(egf_coeff(associated_scheme(ell).egf(k, n), n))
+    return as_integer(associated_scheme(ell).value(k, n))
 
 
 # -- recurrence evaluators (verification targets) ---------------------------

@@ -36,7 +36,6 @@ from .exact import Rational
 from .generalized import degenerate_stirling, gen_stirling, gen_stirling_explicit, gen_stirling_rec
 from .incomplete import free_atleast, free_atleast_rec, gen_restricted, gen_restricted_rec
 from .partial import colored_singleton, colored_singleton_rec, partial_deg, partial_deg_rec
-from .series import egf_coeff
 
 __all__ = [
     "FAMILIES",
@@ -212,38 +211,26 @@ def family_egf(spec: FamilySpec, k: int, order: int):
 class ValueTable:
     """Triangle of values for one family, filled on demand.
 
-    On the egf method every n of a column k is read from one series,
-    family_egf(spec, k, order), with order the largest nmax that rows()
-    was asked for (or n itself, if larger); the other methods compute
-    each cell by family_value.
+    Every cell is family_value by the table's method; on the egf method
+    that reads the lazy column k of the family's weight scheme, which
+    computes each coefficient once however the cells are visited.
     """
 
     def __init__(self, family: FamilySpec, method: str = "egf"):
         self.family = family
         self.method = method
         self.entries: dict = {}
-        self.order = 0
-        self.columns: dict = {}
 
     def value(self, n: int, k: int) -> Fraction:
         key = (n, k)
         if key not in self.entries:
             if k > n:
                 self.entries[key] = Fraction(0)
-            elif self.method == "egf":
-                self.entries[key] = egf_coeff(self._column(k, n), n)
             else:
                 self.entries[key] = family_value(self.family, n, k, self.method)
         return self.entries[key]
 
-    def _column(self, k: int, n: int):
-        series = self.columns.get(k)
-        if series is None or series.order < n:
-            series = self.columns[k] = family_egf(self.family, k, max(n, self.order))
-        return series
-
     def rows(self, nmax: int):
-        self.order = max(self.order, nmax)
         for n in range(nmax + 1):
             for k in range(n + 1):
                 yield n, k, self.value(n, k)

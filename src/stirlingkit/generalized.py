@@ -30,7 +30,6 @@ from functools import cache
 from .core import stirling2
 from .exact import Rational, binomial, cells_below, falling_factorial_deg
 from .oracle import generalized_scheme
-from .series import egf_coeff
 
 __all__ = [
     "gen_stirling",
@@ -53,7 +52,7 @@ def gen_stirling(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rationa
     _validate(n, k, a, b, g)
     if k > n:
         return Fraction(0)
-    return egf_coeff(generalized_scheme(a, b, g).egf(k, n), n)
+    return generalized_scheme(a, b, g).value(k, n)
 
 
 def gen_stirling_rec(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational) -> Fraction:

@@ -36,7 +36,6 @@ from functools import cache
 from .core import _associated_rec, stirling2_associated_rec
 from .exact import UNFILLED_ROWS, Rational, binomial, cells_below, check_indices, falling_factorial_deg
 from .oracle import degenerate_block_weight, free_atleast_scheme, gen_restricted_scheme
-from .series import egf_coeff
 
 __all__ = [
     "gen_restricted",
@@ -58,7 +57,7 @@ def gen_restricted(
     a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
     if k > n:
         return Fraction(0)
-    return egf_coeff(gen_restricted_scheme(a, b, g, ell).egf(k, n), n)
+    return gen_restricted_scheme(a, b, g, ell).value(k, n)
 
 
 def gen_restricted_rec(
@@ -186,7 +185,7 @@ def free_atleast(n: int, k: int, gamma: Rational, ell: int) -> Fraction:
     check_indices(n, k, ell)
     if k > n:
         return Fraction(0)
-    return egf_coeff(free_atleast_scheme(Fraction(gamma), ell).egf(k, n), n)
+    return free_atleast_scheme(Fraction(gamma), ell).value(k, n)
 
 
 def free_atleast_rec(n: int, k: int, gamma: Rational, ell: int) -> Fraction:

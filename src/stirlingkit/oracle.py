@@ -24,18 +24,29 @@ section II.2) the weighted pairs with k blocks have the EGF
 
     sum_g sw(g) t^g/g!  *  (sum_{ok(m)} bw(m) t^m/m!)^k / k!,
 
-which WeightScheme.egf builds; it is the canonical value path of every
-family in the package.
+P(t) * B(t)^k / k!, the canonical value path of every family in the
+package.  With B = t^v * U and U(0) != 0 the value at n is
+
+    n!/k! * [t^(n - vk)] P * U^k,
+
+zero when vk > n.  A scheme keeps one lazy column per k: the coefficients
+of U^k (Miller's recurrence, which is online) and of P * U^k, computed
+once each and only as far as a read needs, so a value at n costs
+coefficients up to n - vk whatever k is, and n!/k! is a falling
+factorial.  WeightScheme.value reads a value, product_coefficient the
+column itself, and egf views the column as a truncated series.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterator
 
+from . import series
 from .exact import FallingFactorials, Rational
 from .series import TruncatedSeries
 
@@ -79,43 +90,156 @@ class MixedPartition:
         return seen == set(range(1, n + 1))
 
 
+class _Columns:
+    """The coefficients a weight scheme has computed, extended as values are
+    read.  With B = t^v * U and u_0 = U(0) != 0, P and U are shared by every
+    k: their non-zero coefficients are kept as (index, numerator,
+    denominator), U indexed from u_0.  Column k keeps the coefficients w_j of
+    U^k (numerators and denominators, which Miller's recurrence reads) and
+    c_j of P * U^k, each computed once, and the values already read are
+    kept by (k, n).  One lock guards the lists, so concurrent readers never
+    extend one twice.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.block_top = 0  # b_1..b_block_top scanned
+        self.v: int | None = None
+        self.u0: Fraction | None = None
+        self.unit: list = []  # non-zero u_i = b_(v+i), i >= 1
+        self.special: list = []  # non-zero p_j
+        self.special_top = -1
+        self.by_k: dict = {}
+        self.values: dict = {}
+
+
+class _Column:
+    """Block count k: w_j of U^k as numerators and denominators, c_j of P * U^k."""
+
+    __slots__ = ("k", "w_num", "w_den", "coeffs")
+
+    def __init__(self, k: int, w0: Fraction):
+        self.k = k
+        self.w_num, self.w_den = [w0.numerator], [w0.denominator]
+        self.coeffs: list = []
+
+
 @dataclass(frozen=True)
 class WeightScheme:
     """Multiplicative weights by size: w(G,P) = sw(|G|) * prod bw(|B_i|).
 
     block_size_ok filters which block sizes are admissible at all;
     sw(0) must be 1 (the empty special set always carries weight one).
+
+    Values are read from one lazy column per k (see _Columns), kept on the
+    instance: a scheme derived by replace() starts with an empty store, and
+    no read hashes the scheme.
     """
 
     name: str
     special_weight: Callable[[int], Rational]
     block_weight: Callable[[int], Rational]
     block_size_ok: Callable[[int], bool] = staticmethod(lambda size: True)
+    _columns: _Columns = field(
+        default_factory=_Columns, init=False, compare=False, hash=False, repr=False
+    )
+
+    def block_coefficient(self, m: int) -> Fraction:
+        """[t^m] of the block series: bw(m)/m! for an admissible size m >= 1."""
+        if m >= 1 and self.block_size_ok(m):
+            return Fraction(self.block_weight(m)) / math.factorial(m)
+        return Fraction(0)
+
+    def special_coefficient(self, g: int) -> Fraction:
+        """[t^g] of the special series: sw(g)/g!."""
+        return Fraction(self.special_weight(g)) / math.factorial(g)
 
     def block_series(self, order: int) -> TruncatedSeries:
         """sum over admissible sizes m >= 1 of bw(m) t^m / m!."""
-        cs = [Fraction(0)] * (order + 1)
-        for m in range(1, order + 1):
-            if self.block_size_ok(m):
-                cs[m] = Fraction(self.block_weight(m)) / math.factorial(m)
-        return TruncatedSeries(cs, order)
+        return TruncatedSeries([self.block_coefficient(m) for m in range(order + 1)], order)
 
     def special_series(self, order: int) -> TruncatedSeries:
         """sum over g >= 0 of sw(g) t^g / g!."""
-        return TruncatedSeries(
-            [Fraction(self.special_weight(g)) / math.factorial(g) for g in range(order + 1)],
-            order,
-        )
+        return TruncatedSeries([self.special_coefficient(g) for g in range(order + 1)], order)
+
+    def value(self, k: int, n: int) -> Fraction:
+        """n! [t^n] of the EGF with k blocks: the weighted count of the pairs
+        (G, P_k) over {1..n}.  n!/k! is formed as a falling factorial."""
+        values = self._columns.values
+        value = values.get((k, n))
+        if value is None:
+            c = self.product_coefficient(k, n)
+            value = values[k, n] = c * math.perm(n, n - k) if c else c
+        return value
+
+    def product_coefficient(self, k: int, n: int) -> Fraction:
+        """k! [t^n] of the EGF with k blocks, that is [t^n] P * B^k, read from
+        column k; it extends the column only up to t^(n - vk)."""
+        store = self._columns
+        with store.lock:
+            if k == 0:
+                shift = 0
+            else:
+                v = self._valuation(n // k)
+                if v is None or v * k > n:
+                    return Fraction(0)
+                shift = v * k
+            column = store.by_k.get(k)
+            if column is None:
+                column = store.by_k[k] = _Column(k, Fraction(1) if k == 0 else store.u0 ** k)
+            return self._extend(column, n - shift)
 
     def egf(self, k: int, order: int) -> TruncatedSeries:
         """EGF of the pairs with k blocks: special * block^k / k!, mod t^(order+1)."""
-        return _exponential_formula(self, k, order)
+        scale = Fraction(1, math.factorial(k))
+        return TruncatedSeries(
+            [self.product_coefficient(k, n) * scale for n in range(order + 1)], order
+        )
 
+    # -- the store; callers hold its lock --------------------------------------
 
-@cache
-def _exponential_formula(scheme: WeightScheme, k: int, order: int) -> TruncatedSeries:
-    block = scheme.block_series(order) ** k
-    return scheme.special_series(order) * block * Fraction(1, math.factorial(k))
+    def _valuation(self, limit: int) -> int | None:
+        """v, the first size with a non-zero block coefficient, looked for up
+        to `limit`; None while no size up to there has one."""
+        store = self._columns
+        while store.v is None and store.block_top < limit:
+            m = store.block_top + 1
+            b = self.block_coefficient(m)
+            if b:
+                store.v, store.u0 = m, b
+            store.block_top = m
+        return store.v
+
+    def _extend(self, column: _Column, top: int) -> Fraction:
+        """c_top of P * U^k, computing w_j and c_j for every j up to top that
+        the column does not hold yet."""
+        store, k = self._columns, column.k
+        w_num, w_den, coeffs = column.w_num, column.w_den, column.coeffs
+        # each list grows only by a finished entry, so a read that raises
+        # leaves the store consistent
+        for j in range(store.special_top + 1, top + 1):
+            p = self.special_coefficient(j)
+            if p:
+                store.special.append((j, p.numerator, p.denominator))
+            store.special_top = j
+        if k >= 2:
+            for m in range(store.block_top + 1, store.v + top + 1):
+                u = self.block_coefficient(m)
+                if u:
+                    store.unit.append((m - store.v, u.numerator, u.denominator))
+                store.block_top = m
+        for j in range(len(coeffs), top + 1):
+            if len(w_num) == j:
+                if k == 0:
+                    w = Fraction(0)
+                elif k == 1:
+                    w = self.block_coefficient(store.v + j)
+                else:
+                    w = series._miller_term(j, k, store.u0, store.unit, w_num, w_den)
+                w_num.append(w.numerator)
+                w_den.append(w.denominator)
+            coeffs.append(series._product_term(j, store.special, w_num, w_den))
+        return coeffs[top]
 
 
 def _degenerate_blocks(alpha: Rational, beta: Rational) -> Callable[[int], Fraction]:

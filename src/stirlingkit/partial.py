@@ -32,7 +32,6 @@ from typing import Iterator
 from .exact import Rational, as_integer, binomial, cells_below, check_indices, multinomial
 from .incomplete import free_atleast, gen_restricted
 from .oracle import colored_singleton_scheme, partial_degenerate_scheme
-from .series import egf_coeff
 
 __all__ = [
     "partial_deg",
@@ -54,7 +53,7 @@ def partial_deg(
     check_indices(n, k, ell)
     if k > n:
         return Fraction(0)
-    return egf_coeff(partial_degenerate_scheme(g, a, b, ell).egf(k, n), n)
+    return partial_degenerate_scheme(g, a, b, ell).value(k, n)
 
 
 def partial_deg_convolution(
@@ -237,4 +236,4 @@ def colored_singleton(n: int, k: int, r: int, s: int) -> int:
         raise ValueError("all arguments must be non-negative")
     if k > n:
         return 0
-    return as_integer(egf_coeff(colored_singleton_scheme(r, s).egf(k, n), n))
+    return as_integer(colored_singleton_scheme(r, s).value(k, n))

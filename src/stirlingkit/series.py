@@ -15,6 +15,13 @@ U(0) != 0 gives B^k = t^(vk) * U^k, and U^k is needed only mod
 t^(N-vk+1).  J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, section
 4.7) yields those coefficients one by one, so a power costs
 O((N-vk)^2) products whatever k is, and none when vk > N.
+
+The recurrence is online: w_n needs only u_0..u_n and w_0..w_(n-1)
+(J. van der Hoeven, "Relax, but don't be too lazy", J. Symbolic
+Computation 34, 2002).  _miller_term computes one w_n and _product_term
+one coefficient of a product, so the weight schemes of the oracle module
+extend each column P * U^k one coefficient at a time, as values are read,
+with the same arithmetic as the whole-series operations here.
 """
 
 from __future__ import annotations
@@ -96,19 +103,12 @@ class TruncatedSeries:
             if sum(map(bool, other.coeffs)) < sum(map(bool, self.coeffs)):
                 self, other = other, self
             left = [(i, c.numerator, c.denominator) for i, c in enumerate(self.coeffs) if c]
-            right = [(c.numerator, c.denominator) for c in other.coeffs]
-            out = []
-            for n in range(self.order + 1):
-                nums, dens = [], []
-                for i, a_num, a_den in left:
-                    if i > n:
-                        break
-                    b_num, b_den = right[n - i]
-                    if b_num:
-                        nums.append(a_num * b_num)
-                        dens.append(a_den * b_den)
-                out.append(_fraction_sum(nums, dens))
-            return TruncatedSeries(out, self.order)
+            right_num = [c.numerator for c in other.coeffs]
+            right_den = [c.denominator for c in other.coeffs]
+            return TruncatedSeries(
+                [_product_term(n, left, right_num, right_den) for n in range(self.order + 1)],
+                self.order,
+            )
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries([a * other for a in self.coeffs], self.order)
         return NotImplemented
@@ -126,7 +126,7 @@ class TruncatedSeries:
 
             w_0 = u_0^k,   w_n = sum_{i=1..n} ((k+1)i - n) u_i w_{n-i} / (n u_0),
 
-        O(N^2) products in all.
+        O(N^2) products in all (_miller_term).
         """
         if not isinstance(k, int) or k < 0:
             raise ValueError("series power needs an integer exponent >= 0")
@@ -144,13 +144,7 @@ class TruncatedSeries:
         w = [u0 ** k]
         w_num, w_den = [w[0].numerator], [w[0].denominator]
         for n in range(1, top + 1):
-            nums, dens = [], []
-            for i, num, den in terms:
-                if i > n:
-                    break
-                nums.append(((k + 1) * i - n) * num * w_num[n - i])
-                dens.append(den * w_den[n - i])
-            w.append(_fraction_sum(nums, dens) / (n * u0))
+            w.append(_miller_term(n, k, u0, terms, w_num, w_den))
             w_num.append(w[n].numerator)
             w_den.append(w[n].denominator)
         return TruncatedSeries([0] * (v * k) + w, self.order)
@@ -167,6 +161,36 @@ class TruncatedSeries:
         head = ", ".join(str(c) for c in self.coeffs[:6])
         tail = ", ..." if self.order > 5 else ""
         return "TruncatedSeries([%s%s], order=%d)" % (head, tail, self.order)
+
+
+def _product_term(n: int, left: list, right_num: list[int], right_den: list[int]) -> Fraction:
+    """[t^n] of L * R from the non-zero terms (i, numerator, denominator) of
+    L, in rising i, and the numerators and denominators of R up to t^n."""
+    nums, dens = [], []
+    for i, a_num, a_den in left:
+        if i > n:
+            break
+        b_num = right_num[n - i]
+        if b_num:
+            nums.append(a_num * b_num)
+            dens.append(a_den * right_den[n - i])
+    return _fraction_sum(nums, dens)
+
+
+def _miller_term(
+    n: int, k: int, u0: Fraction, terms: list, w_num: list[int], w_den: list[int]
+) -> Fraction:
+    """w_n of U^k, n >= 1, by Miller's recurrence: terms are the non-zero
+    (i, numerator, denominator) of U with i >= 1, in rising i, and w_num,
+    w_den hold w_0..w_(n-1).  Needs only u_0..u_n, so U^k can be extended
+    one coefficient at a time."""
+    nums, dens = [], []
+    for i, num, den in terms:
+        if i > n:
+            break
+        nums.append(((k + 1) * i - n) * num * w_num[n - i])
+        dens.append(den * w_den[n - i])
+    return _fraction_sum(nums, dens) / (n * u0)
 
 
 def _fraction_sum(nums: list[int], dens: list[int]) -> Fraction:

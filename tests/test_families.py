@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from stirlingkit import oracle
+from stirlingkit import oracle, series
 from stirlingkit.families import (
     FAMILIES,
     FAMILY_TAGS,
@@ -55,13 +55,15 @@ def test_methods_agree(spec):
 
 def test_recurrence_routes_multiply_no_series(monkeypatch):
     # the step functions default to the series-based reference values, so
-    # a route that forgot to pass its own rows would fail here
+    # a route that forgot to pass its own rows would fail here; the lazy
+    # columns form their coefficients through series._fraction_sum
     def refuse(*args):
         raise AssertionError("the recurrence route multiplied series")
 
     for name in ("__mul__", "__rmul__", "__pow__"):
         monkeypatch.setattr(TruncatedSeries, name, refuse)
-    oracle._exponential_formula.cache_clear()
+    monkeypatch.setattr(series, "_fraction_sum", refuse)
+    oracle.classic_scheme.cache_clear()  # a fresh scheme has read no column yet
     params = dict(
         alpha=Fraction(5, 7), beta=Fraction(-2, 9), gamma=Fraction(4, 11),
         lam=Fraction(-3, 13), ell=2, r=3, s=2,

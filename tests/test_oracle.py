@@ -1,12 +1,17 @@
+import math
+import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from stirlingkit.exact import binomial
+from stirlingkit.families import FAMILIES, FamilySpec
 from stirlingkit.oracle import (
     ENUMERATION_CAP,
     _profile_counts,
+    associated_scheme,
     classic_scheme,
     colored_singleton_scheme,
     enumerate_mixed,
@@ -16,7 +21,10 @@ from stirlingkit.oracle import (
     oracle_sum,
     oracle_sum_blocksum,
     partial_degenerate_scheme,
+    partial_degenerate_swapped_scheme,
+    restricted_scheme,
 )
+from stirlingkit.series import egf_coeff
 
 from conftest import brute_stirling2
 
@@ -136,3 +144,55 @@ def test_blocksum_variant_differs():
     assert oracle_sum(3, 1, generalized_scheme(1, 2, 0)) == oracle_sum_blocksum(
         3, 1, generalized_scheme(1, 2, 0)
     )
+
+
+def _dense_egf(scheme, k, order):
+    """The exponential formula on whole truncated series, special *
+    block^k / k!: the reference the lazy columns are held to."""
+    return (
+        scheme.special_series(order)
+        * scheme.block_series(order) ** k
+        * Fraction(1, math.factorial(k))
+    )
+
+
+_HALF, _THIRD = Fraction(1, 2), Fraction(-1, 3)
+_SPECS = [
+    FamilySpec("classic"),
+    FamilySpec("restricted", ell=2),
+    FamilySpec("associated", ell=2),
+    FamilySpec("degenerate", lam=_THIRD),
+    FamilySpec("generalized", alpha=_HALF, beta=_THIRD, gamma=_HALF),
+    FamilySpec("gen_restricted", alpha=_HALF, beta=_THIRD, gamma=_HALF, ell=2),
+    FamilySpec("free_atleast", gamma=_HALF, ell=1),
+    FamilySpec("partial_degenerate", gamma=_HALF, alpha=_HALF, beta=_THIRD, ell=2),
+    FamilySpec("colored_singleton", r=2, s=3),
+]
+COLUMN_SCHEMES = [FAMILIES[spec.tag].scheme(spec) for spec in _SPECS] + [
+    partial_degenerate_swapped_scheme(_HALF, _HALF, _THIRD, 2),
+    restricted_scheme(0),  # ell = 0: the block series is zero
+    gen_restricted_scheme(_HALF, _THIRD, _HALF, 0),
+    free_atleast_scheme(_HALF, 0),
+    partial_degenerate_scheme(_HALF, _HALF, _THIRD, 0),
+    associated_scheme(3),  # v = 3, so vk > n from k = 5 on
+    colored_singleton_scheme(2, 0),  # no singletons: v = 2
+    generalized_scheme(_HALF, 0, _HALF),  # beta = 0
+    gen_restricted_scheme(1, 0, 2, 3),
+]
+
+
+@pytest.mark.parametrize("scheme", COLUMN_SCHEMES, ids=lambda scheme: scheme.name)
+def test_columns_match_the_dense_formula(scheme):
+    # reads in a random order, each column extended out of order and
+    # across k, equal the whole-series product at every (k, n)
+    order, ks = 12, range(8)
+    fresh = replace(scheme)  # a derived scheme starts with an empty store
+    dense = {k: _dense_egf(scheme, k, order) for k in ks}
+    cells = [(k, n) for k in ks for n in range(order + 1)]
+    random.Random(scheme.name).shuffle(cells)
+    for k, n in cells:
+        assert fresh.value(k, n) == egf_coeff(dense[k], n)
+        assert fresh.product_coefficient(k, n) == dense[k].coefficient(n) * math.factorial(k)
+    for k in ks:
+        assert fresh.egf(k, order) == dense[k]
+    assert fresh._columns is not scheme._columns

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stirlingkit import oracle
+from stirlingkit import oracle, series
 from stirlingkit.families import FAMILIES, FAMILY_TAGS, FamilySpec, family_egf, family_value
 from stirlingkit.generalized import gen_stirling, gen_stirling_rec
 from stirlingkit.series import TruncatedSeries, egf_coeff
@@ -115,17 +115,18 @@ def test_power_equals_repeated_product(s, k):
 
 
 def test_family_series_products_do_not_depend_on_k(monkeypatch):
-    # the power runs Miller's recurrence, so building block^k makes no
-    # series products at all: k = 2 and k = 640 cost the same product count
+    # the column runs Miller's recurrence on U = B / t, so the coefficient
+    # products it sums for block^k, and for the special series times it,
+    # do not grow with k: k = 2 and k = 640 form the same number
     counts = []
-    real = TruncatedSeries.__mul__
+    real = series._fraction_sum
 
-    def counting(self, other):
-        counts[-1] += 1
-        return real(self, other)
+    def counting(nums, dens):
+        counts[-1] += len(nums)
+        return real(nums, dens)
 
-    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
-    oracle._exponential_formula.cache_clear()
+    monkeypatch.setattr(series, "_fraction_sum", counting)
+    oracle.generalized_scheme.cache_clear()  # a fresh scheme has read no column yet
     spec = FamilySpec("generalized", alpha=Fraction(1, 2), beta=Fraction(-1, 3), gamma=2)
     for k in (2, 640):
         counts.append(0)
