@@ -15,7 +15,6 @@ from .asymptotics import (
     hsu_expansion,
     integer_partitions,
     partial_bell,
-    partition_count,
 )
 from .audit import AuditFinding, audit_ok, run_all, run_suite
 from .core import stirling2, stirling2_associated, stirling2_restricted

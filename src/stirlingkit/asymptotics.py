@@ -28,11 +28,14 @@ and [t^1] phi = 1, so phi = t * psi with psi(0) = 1 and
 
     [t^d] psi^k = k! * S(k+d, k) / (k+d)!        (d = n - k).
 
-The normalized mode estimates exactly that.  Its exact side is read
-from column k of the weight scheme (oracle module), which computes only
-the d + 1 coefficients of U^k it needs and no factorial of k, so a row
-costs the same at k = 10^5 as at k = 100.  Beyond it, a literal mode
-evaluates the uncorrected published-style normalization for the audit.
+The normalized mode estimates exactly that.  Every exact value here,
+the psi_j and the exact sides of both modes, comes from partial_deg,
+divided by a falling factorial rather than a ratio of factorials:
+k! S(k+d, k) / (k+d)! = S(k+d, k) / (k+d)_d.  partial_deg reads column
+k of the weight scheme (oracle module), which computes only the d + 1
+coefficients of U^k it needs and no factorial of k, so a row costs the
+same at k = 10^5 as at k = 100.  Beyond it, a literal mode evaluates the
+uncorrected published-style normalization for the audit.
 """
 
 from __future__ import annotations
@@ -40,17 +43,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Sequence
 
 from .exact import Rational, falling_factorial
-from .oracle import partial_degenerate_scheme
 from .partial import partial_deg
 from .series import TruncatedSeries
 
 __all__ = [
     "integer_partitions",
-    "partition_count",
     "partial_bell",
     "VanishingPochhammer",
     "hsu_expansion",
@@ -93,18 +93,6 @@ def integer_partitions(n: int, parts: int) -> list[tuple[int, ...]]:
 
     rec(n, parts, n if n else 0, [])
     return out
-
-
-@cache
-def partition_count(n: int, parts: int) -> int:
-    """p(n, parts) by the direct two-term recurrence (no enumeration)."""
-    if n < 0 or parts < 0:
-        return 0
-    if n == 0:
-        return 1 if parts == 0 else 0
-    if parts == 0:
-        return 0
-    return partition_count(n - 1, parts - 1) + partition_count(n - parts, parts)
 
 
 def partial_bell(n: int, j: int, a: Sequence[Rational]) -> Fraction:
@@ -159,15 +147,18 @@ def hsu_expansion(a: Sequence[Rational], n: int, lam: Rational, m: int) -> Fract
 def shifted_mixed_series(
     gamma: Fraction, alpha: Fraction, beta: Fraction, ell: int, order: int
 ) -> TruncatedSeries:
-    """psi with psi_j = [t^(j+1)] of e^(gamma*t) * mixed block series.
+    """psi with psi_j = [t^(j+1)] of e^(gamma*t) * mixed block series,
+    that is S(j+1, 1) / (j+1)!.
 
-    The product P * B is column k = 1 of the scheme, read coefficient by
-    coefficient.  It vanishes at t = 0 with unit linear coefficient, so psi
+    The product vanishes at t = 0 with unit linear coefficient, so psi
     is a valid a_0 = 1 input for the expansion machinery.
     """
-    scheme = partial_degenerate_scheme(gamma, alpha, beta, ell)
     psi = TruncatedSeries(
-        [scheme.product_coefficient(1, j + 1) for j in range(order + 1)], order
+        [
+            partial_deg(j + 1, 1, ell, gamma, alpha, beta) / math.factorial(j + 1)
+            for j in range(order + 1)
+        ],
+        order,
     )
     assert psi.coefficient(0) == 1
     return psi
@@ -221,9 +212,7 @@ def asymptotic_partial(
                 % (d, LITERAL_MODE_N_CAP)
             )
         psi = shifted_mixed_series(g, a, b, ell, max(d, 0))
-        # k! S(n_total, k) / n_total! is k! [t^n_total] of the EGF: column k
-        # of the scaled scheme at t^d, with no factorial of k formed
-        exact = partial_degenerate_scheme(g * k, a, b, ell).product_coefficient(k, n_total)
+        exact = partial_deg(n_total, k, ell, g * k, a, b) / math.perm(n_total, d)
         try:
             est = falling_factorial(Fraction(k), d) * hsu_expansion(
                 psi.coeffs, d, k, min(m, d)
@@ -243,8 +232,10 @@ def asymptotic_partial(
         )
     # coefficient sequence as printed: k! * S(i,k)/i! with the unscaled gamma,
     # i.e. k! times the coefficients of one generating function
-    scheme = partial_degenerate_scheme(g, a, b, ell)
-    coeffs = [Fraction(1)] + [scheme.product_coefficient(k, i) for i in range(1, n + 1)]
+    coeffs = [Fraction(1)] + [
+        partial_deg(i, k, ell, g, a, b) / math.perm(i, i - k) if i >= k else Fraction(0)
+        for i in range(1, n + 1)
+    ]
     try:
         est = hsu_expansion(coeffs, n, k, min(m, n))
     except VanishingPochhammer as exc:

@@ -8,9 +8,12 @@ Subcommands:
     verify   the identity audit (literal vs corrected verdicts)
     asympt   large-parameter estimates vs exact values
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  All
-values are printed as exact rationals ('p' or 'p/q'); no floats are
-ever emitted except the convenience decimal column of `asympt`.
+Exit codes: 0 success, 1 verification failure, 2 refused input.  The
+library refuses an input by raising ValueError, and so do the commands
+here; main is the one place that turns any such refusal into
+`error: ...` on stderr and exit 2.  All values are printed as exact
+rationals ('p' or 'p/q'); no floats are ever emitted except the
+convenience decimal column of `asympt`.
 """
 
 from __future__ import annotations
@@ -25,7 +28,15 @@ import sys
 from .asymptotics import asymptotic_partial, decimal_str
 from .audit import SUITE_NAMES, audit_ok, report_json, report_text, run_suite
 from .exact import format_rational, parse_rational
-from .families import FAMILY_TAGS, METHODS, FamilySpec, ValueTable, family_egf, family_value
+from .families import (
+    FAMILY_TAGS,
+    METHODS,
+    PARAMETERS,
+    FamilySpec,
+    ValueTable,
+    family_egf,
+    family_value,
+)
 from .oracle import ENUMERATION_CAP
 from .series import egf_coeff
 
@@ -33,46 +44,30 @@ __all__ = ["main", "entry"]
 
 # --family accepts these short names too, listed just before their target
 _ALIASES = {"partial": "partial_degenerate"}
+# the option of a family parameter is --<name>, except for these
+_FLAGS = {"lam": "lambda"}
 
 
-class UsageError(Exception):
-    pass
-
-
-def _add_family_options(p: argparse.ArgumentParser, required: bool = True) -> None:
+def _add_family_options(p: argparse.ArgumentParser) -> None:
     choices = [
         name
         for tag in FAMILY_TAGS
         for name in [a for a, target in _ALIASES.items() if target == tag] + [tag]
     ]
-    p.add_argument("--family", choices=choices, required=required)
-    p.add_argument("--alpha", type=str)
-    p.add_argument("--beta", type=str)
-    p.add_argument("--gamma", type=str)
-    p.add_argument("--lambda", dest="lam", type=str)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--s", type=int)
+    p.add_argument("--family", choices=choices, required=True)
+    for name, kind in PARAMETERS.items():
+        # rationals stay text here: _family_spec parses them
+        p.add_argument("--" + _FLAGS.get(name, name), dest=name,
+                       type=str if kind == "rational" else int)
 
 
 def _family_spec(args) -> FamilySpec:
-    tag = _ALIASES.get(args.family, args.family)
     params = {}
-    for name in ("alpha", "beta", "gamma", "lam"):
-        raw = getattr(args, name, None)
-        if raw is not None:
-            try:
-                params[name] = parse_rational(raw)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
-    for name in ("ell", "r", "s"):
-        value = getattr(args, name, None)
+    for name, kind in PARAMETERS.items():
+        value = getattr(args, name)
         if value is not None:
-            params[name] = value
-    try:
-        return FamilySpec(tag, **params)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from None
+            params[name] = parse_rational(value) if kind == "rational" else value
+    return FamilySpec(_ALIASES.get(args.family, args.family), **params)
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -81,14 +76,14 @@ def _write_out(text: str, out: str | None) -> None:
             with open(out, "w") as handle:
                 handle.write(text if text.endswith("\n") else text + "\n")
         except OSError as exc:
-            raise UsageError("cannot write %s: %s" % (out, exc.strerror or exc)) from None
+            raise ValueError("cannot write %s: %s" % (out, exc.strerror or exc)) from None
     else:
         print(text)
 
 
 def _check_oracle_cap(method: str, n: int) -> None:
     if method == "oracle" and n > ENUMERATION_CAP:
-        raise UsageError(
+        raise ValueError(
             "method=oracle is capped at n=%d (asked for n=%d)" % (ENUMERATION_CAP, n)
         )
 
@@ -96,13 +91,10 @@ def _check_oracle_cap(method: str, n: int) -> None:
 def _cmd_value(args) -> int:
     spec = _family_spec(args)
     if args.n is None or args.k is None:
-        raise UsageError("value needs --n and --k")
+        raise ValueError("value needs --n and --k")
     n, k = args.n, args.k
     _check_oracle_cap(args.method, n)
-    try:
-        canonical = family_value(spec, n, k, args.method)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    canonical = family_value(spec, n, k, args.method)
     if args.check:
         results = {args.method: canonical}
         for method in METHODS:
@@ -112,10 +104,10 @@ def _cmd_value(args) -> int:
                 continue
             try:
                 results[method] = family_value(spec, n, k, method)
-            except ValueError as exc:
-                if method == "explicit":
-                    continue  # the family has no explicit sum, or none at beta = 0
-                raise UsageError(str(exc)) from None
+            except ValueError:
+                # the family has no explicit sum, or none at beta = 0
+                if method != "explicit":
+                    raise
         values = set(results.values())
         if len(values) > 1:
             print("method disagreement at n=%d k=%d:" % (n, k), file=sys.stderr)
@@ -129,13 +121,10 @@ def _cmd_value(args) -> int:
 def _cmd_table(args) -> int:
     spec = _family_spec(args)
     if args.nmax is None or args.nmax < 0:
-        raise UsageError("table needs --nmax >= 0")
+        raise ValueError("table needs --nmax >= 0")
     _check_oracle_cap(args.method, args.nmax)
     table = ValueTable(spec, args.method)
-    try:
-        rows = [(n, k, format_rational(v)) for n, k, v in table.rows(args.nmax)]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    rows = [(n, k, format_rational(v)) for n, k, v in table.rows(args.nmax)]
     if args.format == "json":
         payload = [{"n": n, "k": k, "value": v} for n, k, v in rows]
         _write_out(json.dumps(payload, indent=2), args.out)
@@ -155,11 +144,8 @@ def _cmd_table(args) -> int:
 def _cmd_series(args) -> int:
     spec = _family_spec(args)
     if args.k is None or args.order is None:
-        raise UsageError("series needs --k and --order")
-    try:
-        series = family_egf(spec, args.k, args.order)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise ValueError("series needs --k and --order")
+    series = family_egf(spec, args.k, args.order)
     lines = []
     for n in range(args.order + 1):
         c = series.coefficient(n)
@@ -171,10 +157,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        findings = run_suite(args.suite, args.nmax)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    findings = run_suite(args.suite, args.nmax)
     if args.format == "json":
         _write_out(json.dumps(report_json(findings, args.nmax), indent=2), args.out)
     else:
@@ -185,26 +168,19 @@ def _cmd_verify(args) -> int:
 def _cmd_asympt(args) -> int:
     for name in ("gamma", "alpha", "beta"):
         if getattr(args, name) is None:
-            raise UsageError("asympt needs --gamma, --alpha, --beta and --ell")
+            raise ValueError("asympt needs --gamma, --alpha, --beta and --ell")
     if args.ell is None or args.n is None or args.k is None:
-        raise UsageError("asympt needs --n, --k and --ell")
-    try:
-        gamma = parse_rational(args.gamma)
-        alpha = parse_rational(args.alpha)
-        beta = parse_rational(args.beta)
-        k_list = [int(part) for part in args.k.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise ValueError("asympt needs --n, --k and --ell")
+    gamma = parse_rational(args.gamma)
+    alpha = parse_rational(args.alpha)
+    beta = parse_rational(args.beta)
+    k_list = [int(part) for part in args.k.split(",") if part.strip() != ""]
     if not k_list:
-        raise UsageError("empty --k list")
-    rows = []
-    for k in k_list:
-        try:
-            rows.append(
-                asymptotic_partial(args.n, k, gamma, alpha, beta, args.ell, args.m, args.mode)
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        raise ValueError("empty --k list")
+    rows = [
+        asymptotic_partial(args.n, k, gamma, alpha, beta, args.ell, args.m, args.mode)
+        for k in k_list
+    ]
     if args.format == "json":
         payload = []
         for row in rows:
@@ -320,7 +296,7 @@ def main(argv=None) -> int:
     with _int_digits_unlimited():
         try:
             return args.func(args)
-        except UsageError as exc:
+        except ValueError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2
 

@@ -20,9 +20,11 @@ _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
 
 
 def check_indices(n: int, k: int, ell: int = 0) -> None:
-    """Refuse a negative n, k or ell."""
-    if n < 0 or k < 0 or ell < 0:
-        raise ValueError("n, k and ell must be non-negative, got %r, %r, %r" % (n, k, ell))
+    """Refuse a negative n or k, and a negative ell where one is given."""
+    if n < 0 or k < 0:
+        raise ValueError("indices must be non-negative, got n=%r k=%r" % (n, k))
+    if ell < 0:
+        raise ValueError("ell must be non-negative, got %r" % (ell,))
 
 
 def falling_factorial_deg(t: Rational, n: int, lam: Rational) -> Rational:

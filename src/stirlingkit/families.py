@@ -2,12 +2,14 @@
 
 Each of the nine number families is defined once, in FAMILIES: its
 parameters, its weight scheme (which fixes the generating function, see
-the oracle module) and its independent routes.  A FamilySpec names one
-family together with exactly the parameters that family takes.  Values
-can be computed by several methods:
+the oracle module) and its independent routes.  PARAMETERS states the
+kind of every parameter once, and a FamilySpec names one family together
+with exactly the parameters that family takes.  Values can be computed
+by several methods:
 
     egf         coefficient extraction from the generating function of
-                the family's weight scheme (the canonical path)
+                the family's weight scheme (the canonical path, one
+                generic read of WeightScheme.value for every family)
     recurrence  self-contained recursion, no series involved
     explicit    alternating-sum formula (classic, degenerate and
                 generalized families only, beta != 0)
@@ -24,23 +26,17 @@ from fractions import Fraction
 from typing import Callable
 
 from . import oracle as _oracle
-from .core import (
-    stirling2,
-    stirling2_associated,
-    stirling2_associated_rec,
-    stirling2_rec,
-    stirling2_restricted,
-    stirling2_restricted_rec,
-)
-from .exact import Rational
-from .generalized import degenerate_stirling, gen_stirling, gen_stirling_explicit, gen_stirling_rec
-from .incomplete import free_atleast, free_atleast_rec, gen_restricted, gen_restricted_rec
-from .partial import colored_singleton, colored_singleton_rec, partial_deg, partial_deg_rec
+from .core import stirling2_associated_rec, stirling2_rec, stirling2_restricted_rec
+from .exact import Rational, check_indices
+from .generalized import gen_stirling_explicit, gen_stirling_rec
+from .incomplete import free_atleast_rec, gen_restricted_rec
+from .partial import colored_singleton_rec, partial_deg_rec
 
 __all__ = [
     "FAMILIES",
     "FAMILY_TAGS",
     "METHODS",
+    "PARAMETERS",
     "REQUIRED_PARAMS",
     "Family",
     "FamilySpec",
@@ -51,6 +47,17 @@ __all__ = [
 
 METHODS = ("egf", "recurrence", "explicit", "oracle")
 
+# every family parameter and its kind, in FamilySpec field order
+PARAMETERS = {
+    "alpha": "rational",
+    "beta": "rational",
+    "gamma": "rational",
+    "lam": "rational",
+    "ell": "non-negative integer",
+    "r": "non-negative integer",
+    "s": "non-negative integer",
+}
+
 # A route takes (spec, n, k).  Routes are lambdas, so each call looks its
 # function up by name in this module and a rebound name takes effect.
 _Route = Callable[["FamilySpec", int, int], Rational]
@@ -60,15 +67,13 @@ _Route = Callable[["FamilySpec", int, int], Rational]
 class Family:
     """One family: its parameters, weight scheme and routes to its values.
 
-    value is the canonical route through the scheme's generating
-    function, with the family's own validation and shortcuts; recurrence
-    and explicit (None where the family has no explicit sum) are
-    independent of it.
+    The scheme alone fixes the canonical egf values, so a family has no
+    value route of its own; recurrence and explicit (None where the
+    family has no explicit sum) are independent of the scheme.
     """
 
     params: tuple
     scheme: Callable[["FamilySpec"], _oracle.WeightScheme]
-    value: _Route
     recurrence: _Route
     explicit: _Route | None = None
 
@@ -77,58 +82,49 @@ FAMILIES = {
     "classic": Family(
         params=(),
         scheme=lambda s: _oracle.classic_scheme(),
-        value=lambda s, n, k: stirling2(n, k),
         recurrence=lambda s, n, k: stirling2_rec(n, k),
         explicit=lambda s, n, k: gen_stirling_explicit(n, k, 0, 1, 0),
     ),
     "restricted": Family(
         params=("ell",),
         scheme=lambda s: _oracle.restricted_scheme(s.ell),
-        value=lambda s, n, k: stirling2_restricted(n, k, s.ell),
         recurrence=lambda s, n, k: stirling2_restricted_rec(n, k, s.ell),
     ),
     "associated": Family(
         params=("ell",),
         scheme=lambda s: _oracle.associated_scheme(s.ell),
-        value=lambda s, n, k: stirling2_associated(n, k, s.ell),
         recurrence=lambda s, n, k: stirling2_associated_rec(n, k, s.ell),
     ),
     "degenerate": Family(
         params=("lam",),
         scheme=lambda s: _oracle.generalized_scheme(s.lam, 1, 0),
-        value=lambda s, n, k: degenerate_stirling(n, k, s.lam),
         recurrence=lambda s, n, k: gen_stirling_rec(n, k, s.lam, 1, 0),
         explicit=lambda s, n, k: gen_stirling_explicit(n, k, s.lam, 1, 0),
     ),
     "generalized": Family(
         params=("alpha", "beta", "gamma"),
         scheme=lambda s: _oracle.generalized_scheme(s.alpha, s.beta, s.gamma),
-        value=lambda s, n, k: gen_stirling(n, k, s.alpha, s.beta, s.gamma),
         recurrence=lambda s, n, k: gen_stirling_rec(n, k, s.alpha, s.beta, s.gamma),
         explicit=lambda s, n, k: gen_stirling_explicit(n, k, s.alpha, s.beta, s.gamma),
     ),
     "gen_restricted": Family(
         params=("alpha", "beta", "gamma", "ell"),
         scheme=lambda s: _oracle.gen_restricted_scheme(s.alpha, s.beta, s.gamma, s.ell),
-        value=lambda s, n, k: gen_restricted(n, k, s.alpha, s.beta, s.gamma, s.ell),
         recurrence=lambda s, n, k: gen_restricted_rec(n, k, s.alpha, s.beta, s.gamma, s.ell),
     ),
     "free_atleast": Family(
         params=("gamma", "ell"),
         scheme=lambda s: _oracle.free_atleast_scheme(s.gamma, s.ell),
-        value=lambda s, n, k: free_atleast(n, k, s.gamma, s.ell),
         recurrence=lambda s, n, k: free_atleast_rec(n, k, s.gamma, s.ell),
     ),
     "partial_degenerate": Family(
         params=("gamma", "alpha", "beta", "ell"),
         scheme=lambda s: _oracle.partial_degenerate_scheme(s.gamma, s.alpha, s.beta, s.ell),
-        value=lambda s, n, k: partial_deg(n, k, s.ell, s.gamma, s.alpha, s.beta),
         recurrence=lambda s, n, k: partial_deg_rec(n, k, s.ell, s.gamma, s.alpha, s.beta),
     ),
     "colored_singleton": Family(
         params=("r", "s"),
         scheme=lambda s: _oracle.colored_singleton_scheme(s.r, s.s),
-        value=lambda s, n, k: colored_singleton(n, k, s.r, s.s),
         recurrence=lambda s, n, k: colored_singleton_rec(n, k, s.r, s.s),
     ),
 }
@@ -155,20 +151,20 @@ class FamilySpec:
         if self.tag not in FAMILY_TAGS:
             raise ValueError("unknown family tag %r (one of %s)" % (self.tag, ", ".join(FAMILY_TAGS)))
         required = set(REQUIRED_PARAMS[self.tag])
-        for name in ("alpha", "beta", "gamma", "lam", "ell", "r", "s"):
+        for name in PARAMETERS:
             value = getattr(self, name)
             if name in required and value is None:
                 raise ValueError("family %r requires parameter %s" % (self.tag, name))
             if name not in required and value is not None:
                 raise ValueError("family %r does not take parameter %s" % (self.tag, name))
-        for name in ("alpha", "beta", "gamma", "lam"):
+        for name, kind in PARAMETERS.items():
             value = getattr(self, name)
-            if value is not None:
+            if value is None:
+                continue
+            if kind == "rational":
                 object.__setattr__(self, name, Fraction(value))
-        for name in ("ell", "r", "s"):
-            value = getattr(self, name)
-            if value is not None and (not isinstance(value, int) or value < 0):
-                raise ValueError("parameter %s must be a non-negative integer" % name)
+            elif not isinstance(value, int) or value < 0:
+                raise ValueError("parameter %s must be a %s" % (name, kind))
 
     def describe(self) -> str:
         parts = [self.tag]
@@ -197,7 +193,8 @@ def family_value(spec: FamilySpec, n: int, k: int, method: str = "egf") -> Fract
         return Fraction(family.explicit(spec, n, k))
     if method == "recurrence":
         return Fraction(family.recurrence(spec, n, k))
-    return Fraction(family.value(spec, n, k))
+    check_indices(n, k)
+    return family.scheme(spec).value(k, n)
 
 
 def family_egf(spec: FamilySpec, k: int, order: int):

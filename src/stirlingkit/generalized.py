@@ -27,8 +27,7 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .core import stirling2
-from .exact import Rational, binomial, cells_below, falling_factorial_deg
+from .exact import Rational, binomial, cells_below, check_indices, falling_factorial_deg
 from .oracle import generalized_scheme
 
 __all__ = [
@@ -40,8 +39,7 @@ __all__ = [
 
 
 def _validate(n: int, k: int, alpha: Fraction, beta: Fraction, gamma: Fraction) -> None:
-    if n < 0 or k < 0:
-        raise ValueError("indices must be non-negative, got n=%r k=%r" % (n, k))
+    check_indices(n, k)
     if alpha == 0 and beta == 0 and gamma == 0:
         raise ValueError("parameter triple (0, 0, 0) is excluded")
 
@@ -95,11 +93,7 @@ def gen_stirling_explicit(n: int, k: int, alpha: Rational, beta: Rational, gamma
 def degenerate_stirling(n: int, k: int, lam: Rational) -> Fraction:
     """Degenerate Stirling numbers: the (lam, 1, 0) parameter specialization.
 
-    lam = 0 is accepted as the limit case and returns the classic numbers.
+    lam = 0 is the limit case: its weights are the classic ones, so it
+    gives the classic numbers.
     """
-    if n < 0 or k < 0:
-        raise ValueError("indices must be non-negative, got n=%r k=%r" % (n, k))
-    lam_f = Fraction(lam)
-    if lam_f == 0:
-        return Fraction(stirling2(n, k))
-    return gen_stirling(n, k, lam_f, 1, 0)
+    return gen_stirling(n, k, lam, 1, 0)

@@ -47,7 +47,7 @@ from functools import cache
 from typing import Callable, Iterator
 
 from . import series
-from .exact import FallingFactorials, Rational
+from .exact import FallingFactorials, Rational, check_indices
 from .series import TruncatedSeries
 
 __all__ = [
@@ -190,8 +190,9 @@ class WeightScheme:
             return self._extend(column, n - shift)
 
     def egf(self, k: int, order: int) -> TruncatedSeries:
-        """EGF of the pairs with k blocks: special * block^k / k!, mod t^(order+1)."""
-        scale = Fraction(1, math.factorial(k))
+        """EGF of the pairs with k blocks: special * block^k / k!, mod t^(order+1).
+        Blocks are non-empty, so it is zero when k > order and 1/k! is not formed."""
+        scale = Fraction(1, math.factorial(k)) if k <= order else 0
         return TruncatedSeries(
             [self.product_coefficient(k, n) * scale for n in range(order + 1)], order
         )
@@ -255,38 +256,25 @@ def degenerate_block_weight(size: int, alpha: Rational, beta: Rational) -> Fract
     return _degenerate_blocks(alpha, beta)(size)
 
 
-def _check_indices(n: int, k: int, cap: int) -> None:
-    if n < 0 or k < 0:
-        raise ValueError("indices must be non-negative, got n=%r k=%r" % (n, k))
-    if n > cap:
+def _check_indices(n: int, k: int) -> None:
+    check_indices(n, k)
+    if n > ENUMERATION_CAP:
         raise ValueError(
-            "enumeration of mixed partitions is capped at n=%d (asked for n=%d); "
-            "raise the cap explicitly if you really want this" % (cap, n)
+            "enumeration of mixed partitions is capped at n=%d (asked for n=%d)"
+            % (ENUMERATION_CAP, n)
         )
 
 
-def enumerate_mixed(
-    n: int,
-    k: int,
-    block_size_ok: Callable[[int], bool] | None = None,
-    cap: int = ENUMERATION_CAP,
-) -> Iterator[MixedPartition]:
-    """Yield every (G, P_k) pair over {1..n} exactly once.
-
-    block_size_ok, when given, drops pairs containing a block of an
-    inadmissible size.  n beyond the enumeration cap is refused.
-    """
-    _check_indices(n, k, cap)
+def enumerate_mixed(n: int, k: int) -> Iterator[MixedPartition]:
+    """Yield every (G, P_k) pair over {1..n} exactly once; n beyond the
+    enumeration cap is refused."""
+    _check_indices(n, k)
     special: list[int] = []
     blocks: list[list[int]] = []
 
     def rec(element: int) -> Iterator[MixedPartition]:
         if element > n:
             if len(blocks) == k:
-                if block_size_ok is not None and not all(
-                    block_size_ok(len(b)) for b in blocks
-                ):
-                    return
                 yield MixedPartition(
                     frozenset(special), tuple(frozenset(b) for b in blocks)
                 )
@@ -310,7 +298,7 @@ def enumerate_mixed(
 
 
 @cache
-def _profile_counts(n: int, k: int, cap: int = ENUMERATION_CAP) -> dict:
+def _profile_counts(n: int, k: int) -> dict:
     """Count pairs by (|G|, sorted block sizes).
 
     Walks the tree of enumerate_mixed (the same choices in the same order,
@@ -318,7 +306,7 @@ def _profile_counts(n: int, k: int, cap: int = ENUMERATION_CAP) -> dict:
     and counts each pair one by one under its vector; the vectors are folded
     into profiles once, at the end.
     """
-    _check_indices(n, k, cap)
+    _check_indices(n, k)
     if n == 0:
         return {(0, ()): 1} if k == 0 else {}
     sizes = [0] * (k + 1)  # sizes[0] is |G|, sizes[i] is |B_i|
@@ -354,12 +342,10 @@ def _profile_counts(n: int, k: int, cap: int = ENUMERATION_CAP) -> dict:
     return counts
 
 
-def oracle_sum(
-    n: int, k: int, scheme: WeightScheme, cap: int = ENUMERATION_CAP
-) -> Fraction:
+def oracle_sum(n: int, k: int, scheme: WeightScheme) -> Fraction:
     """Sum of w(G, P) over all admissible pairs under the scheme."""
     total = Fraction(0)
-    for (g, sizes), count in _profile_counts(n, k, cap).items():
+    for (g, sizes), count in _profile_counts(n, k).items():
         if not all(scheme.block_size_ok(s) for s in sizes):
             continue
         w = Fraction(scheme.special_weight(g))
@@ -369,9 +355,7 @@ def oracle_sum(
     return total
 
 
-def oracle_sum_blocksum(
-    n: int, k: int, scheme: WeightScheme, cap: int = ENUMERATION_CAP
-) -> Fraction:
+def oracle_sum_blocksum(n: int, k: int, scheme: WeightScheme) -> Fraction:
     """Variant folding block weights by sum instead of product.
 
     The notation w(P_k) = sum_i w(B_i) circulates alongside the product
@@ -379,7 +363,7 @@ def oracle_sum_blocksum(
     values.  The empty partition keeps weight 1.
     """
     total = Fraction(0)
-    for (g, sizes), count in _profile_counts(n, k, cap).items():
+    for (g, sizes), count in _profile_counts(n, k).items():
         if not all(scheme.block_size_ok(s) for s in sizes):
             continue
         if sizes:

@@ -172,7 +172,9 @@ def partial_deg_derivative_recursion(
     block_weight = partial_degenerate_scheme(gamma, alpha, beta, ell).block_weight
     total = gamma * lower(n, k, ell, gamma, alpha, beta)
     inner_k = k if literal else k - 1
-    for i in range(0, n + 1):
+    # rows with fewer elements than blocks are zero, so the memoised rows
+    # of the recurrence route stay within the band m - j <= n - k
+    for i in range(inner_k, n + 1):
         row = lower(i, inner_k, ell, gamma, alpha, beta)
         if row:
             total += binomial(n, i) * row * block_weight(n - i + 1)

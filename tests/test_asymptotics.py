@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -12,7 +13,6 @@ from stirlingkit.asymptotics import (
     hsu_expansion,
     integer_partitions,
     partial_bell,
-    partition_count,
     shifted_mixed_series,
 )
 from stirlingkit.exact import falling_factorial
@@ -36,6 +36,18 @@ def test_integer_partitions_invariants():
             for mult in integer_partitions(n, parts):
                 assert sum((i + 1) * m for i, m in enumerate(mult)) == n
                 assert sum(mult) == parts
+
+
+@cache
+def partition_count(n: int, parts: int) -> int:
+    """p(n, parts) by the direct two-term recurrence (no enumeration)."""
+    if n < 0 or parts < 0:
+        return 0
+    if n == 0:
+        return 1 if parts == 0 else 0
+    if parts == 0:
+        return 0
+    return partition_count(n - 1, parts - 1) + partition_count(n - parts, parts)
 
 
 def test_partition_counts_match_direct_recurrence():

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ import pytest
 
 import stirlingkit.cli as cli
 from stirlingkit.exact import format_rational
-from stirlingkit.families import FAMILIES, FAMILY_TAGS, FamilySpec, family_value
+from stirlingkit.families import FAMILIES, FAMILY_TAGS, PARAMETERS, FamilySpec, family_value
 
 
 def run(capsys, *argv):
@@ -62,17 +64,46 @@ def test_value_check_disagreement(capsys, monkeypatch):
 
 
 def test_usage_errors(capsys):
-    code, _, err = run(capsys, *"value --family classic --n 4".split())
-    assert code == 2 and "error" in err
-    code, _, err = run(capsys, *"value --family classic --n 4 --k 2 --ell 3".split())
-    assert code == 2  # classic takes no ell
-    code, _, err = run(
-        capsys, *"value --family generalized --n 1 --k 1 --alpha x --beta 1 --gamma 0".split()
-    )
-    assert code == 2
+    # every refused input, whichever layer refuses it, exits 2 with one
+    # error line and nothing on stdout
+    refused = [
+        "value --family classic --n 4",
+        "value --family classic --n 4 --k 2 --ell 3",  # classic takes no ell
+        "value --family generalized --n 1 --k 1 --alpha x --beta 1 --gamma 0",
+        "value --family generalized --n 1 --k 1 --alpha 1/0 --beta 1 --gamma 0",
+        "value --family restricted --n 1 --k 1 --ell -1",
+        "value --family classic --n -1 --k 2",
+        "value --family classic --n -1 --k 2 --check",
+        "value --family colored_singleton --r 1 --s 2 --n 3 --k -1 --method recurrence",
+        "table --family classic --nmax -1",
+        "table --family classic --nmax 12 --method oracle",
+        "series --family classic --k -1 --order 3",
+        "series --family degenerate --lambda 1/0 --k 1 --order 3",
+        "verify --suite all --nmax -1",
+        "asympt --n 4 --k 1,x --gamma 1 --alpha 1 --beta 2 --ell 2",
+        "asympt --n 4 --k , --gamma 1 --alpha 1 --beta 2 --ell 2",
+        "asympt --n 4 --k 5 --gamma 1/0 --alpha 1 --beta 2 --ell 2",
+        "asympt --n 141 --k 1 --mode literal --gamma 1 --alpha 1 --beta 2 --ell 2",
+    ]
+    for argv in refused:
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and "Traceback" not in err, argv
     with pytest.raises(SystemExit) as exc:
         cli.main(["value", "--family", "not-a-family", "--n", "1", "--k", "1"])
     assert exc.value.code == 2
+
+
+def test_family_options_follow_the_parameter_table(capsys):
+    fields = [f.name for f in dataclasses.fields(FamilySpec)]
+    assert fields[0] == "tag" and list(PARAMETERS) == fields[1:]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["value", "--help"])
+    assert exc.value.code == 0
+    flags = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
+    own = {"--help", "--family", "--n", "--k", "--method", "--check"}
+    expected = {"--lambda" if name == "lam" else "--" + name for name in PARAMETERS}
+    assert flags - own == expected
 
 
 def test_generalized_zero_triple_refused_by_every_route(capsys):

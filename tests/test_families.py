@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,20 @@ def test_family_egf_matches_values(spec):
         series = family_egf(spec, k, 7)
         for n in range(0, 8):
             assert egf_coeff(series, n) == family_value(spec, n, k)
+
+
+def test_huge_block_count_series_forms_no_factorial(monkeypatch):
+    # blocks are non-empty, so every coefficient is zero when k > order
+    # and 1/k! must never be formed: 10^6! alone takes seconds
+    order, factorial = 1, math.factorial
+
+    def bounded(m):
+        assert m <= order, "factorial of %d formed" % m
+        return factorial(m)
+
+    monkeypatch.setattr(math, "factorial", bounded)
+    series = family_egf(FamilySpec("classic"), 10 ** 6, order)
+    assert series == TruncatedSeries.zero(order)
 
 
 def test_value_table():

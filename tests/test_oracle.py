@@ -47,12 +47,6 @@ def test_enumerate_k_zero():
     assert pairs[0].blocks == ()
 
 
-def test_enumerate_with_filter():
-    pairs = list(enumerate_mixed(2, 1, block_size_ok=lambda s: s >= 2))
-    assert len(pairs) == 1
-    assert pairs[0].special_set == frozenset()
-
-
 def test_enumeration_complete_and_duplicate_free():
     for n in range(0, 8):
         for k in range(0, n + 1):
@@ -76,10 +70,6 @@ def test_enumeration_deterministic():
 def test_cap_enforced():
     with pytest.raises(ValueError):
         list(enumerate_mixed(ENUMERATION_CAP + 1, 1))
-    # the cap is a knob, not a constant
-    with pytest.raises(ValueError):
-        list(enumerate_mixed(3, 1, cap=2))
-    assert sum(1 for _ in enumerate_mixed(3, 1, cap=20)) == 7
 
 
 def test_profile_counts_match_enumeration():

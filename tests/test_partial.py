@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from stirlingkit import partial
 from stirlingkit.core import stirling2
 from stirlingkit.incomplete import free_atleast, gen_restricted
 from stirlingkit.oracle import colored_singleton_scheme, oracle_sum, partial_degenerate_scheme
@@ -116,6 +117,13 @@ def test_pure_recursion_path():
                     assert partial_deg_rec(n, k, ell, gamma, alpha, beta) == partial_deg(
                         n, k, ell, gamma, alpha, beta
                     )
+    # rows with fewer elements than blocks are zero and not summed: a
+    # near-diagonal value memoises only the band -1 <= m - j <= 3
+    memo = partial._partial_rec.cache_info
+    before = memo().currsize
+    gamma = Fraction(5, 17)
+    assert partial_deg_rec(60, 57, 2, gamma, 1, 2) == partial_deg(60, 57, 2, gamma, 1, 2)
+    assert memo().currsize - before <= 5 * 58
 
 
 def test_integrality():
