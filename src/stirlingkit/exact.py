@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+import threading
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
@@ -49,18 +50,23 @@ class FallingFactorials:
     order they are asked for.  A weight scheme holds one per falling
     factorial it weighs by, so building its series costs O(order)
     products, not the O(order^2) of a falling_factorial_deg per size.
+    Schemes and recursions share one instance, so the list grows under a
+    lock: two callers extending it at once would append one size twice.
     """
 
     def __init__(self, t: Rational, lam: Rational):
         self.t, self.lam = Fraction(t), Fraction(lam)
         self.values = [Fraction(1)]
+        self.lock = threading.Lock()
 
     def __call__(self, size: int) -> Fraction:
         if size < 0:
             raise ValueError("falling factorial needs a size >= 0, got %r" % (size,))
         values = self.values
-        while len(values) <= size:
-            values.append(values[-1] * (self.t - (len(values) - 1) * self.lam))
+        if size >= len(values):
+            with self.lock:
+                while len(values) <= size:
+                    values.append(values[-1] * (self.t - (len(values) - 1) * self.lam))
         return values[size]
 
 

@@ -206,26 +206,20 @@ def family_egf(spec: FamilySpec, k: int, order: int):
 
 
 class ValueTable:
-    """Triangle of values for one family, filled on demand.
+    """Triangle of values for one family, read on demand.
 
     Every cell is family_value by the table's method; on the egf method
     that reads the lazy column k of the family's weight scheme, which
-    computes each coefficient once however the cells are visited.
+    computes each coefficient once however the cells are visited and
+    keeps the values read, as the recurrences' memos keep theirs.
     """
 
     def __init__(self, family: FamilySpec, method: str = "egf"):
         self.family = family
         self.method = method
-        self.entries: dict = {}
 
     def value(self, n: int, k: int) -> Fraction:
-        key = (n, k)
-        if key not in self.entries:
-            if k > n:
-                self.entries[key] = Fraction(0)
-            else:
-                self.entries[key] = family_value(self.family, n, k, self.method)
-        return self.entries[key]
+        return family_value(self.family, n, k, self.method)
 
     def rows(self, nmax: int):
         for n in range(nmax + 1):

@@ -48,8 +48,6 @@ def gen_stirling(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rationa
     """Generalized Stirling number for the parameter triple (alpha, beta, gamma)."""
     a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
     _validate(n, k, a, b, g)
-    if k > n:
-        return Fraction(0)
     return generalized_scheme(a, b, g).value(k, n)
 
 

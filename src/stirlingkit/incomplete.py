@@ -35,7 +35,7 @@ from functools import cache
 
 from .core import _associated_rec, stirling2_associated_rec
 from .exact import UNFILLED_ROWS, Rational, binomial, cells_below, check_indices, falling_factorial_deg
-from .oracle import degenerate_block_weight, free_atleast_scheme, gen_restricted_scheme
+from .oracle import free_atleast_scheme, gen_restricted_scheme, generalized_scheme
 
 __all__ = [
     "gen_restricted",
@@ -55,8 +55,6 @@ def gen_restricted(
     """Generalized numbers with every ordinary block of size at most ell."""
     check_indices(n, k, ell)
     a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
-    if k > n:
-        return Fraction(0)
     return gen_restricted_scheme(a, b, g, ell).value(k, n)
 
 
@@ -105,7 +103,8 @@ def gen_restricted_recursion(
     Corrected summation bounds run max(k-1, n+1-ell) <= i <= n so the
     new element's block keeps size n-i+1 <= ell.  The literal variant
     uses the widely printed bounds k-1 <= i <= n-ell-1, which the audit
-    shows to be wrong.
+    shows to be wrong.  Those bounds reach blocks larger than ell, so the
+    block weight is the generalized one, which excludes no size.
     """
     check_indices(n_plus_1, k, ell)
     if n_plus_1 == 0:
@@ -119,10 +118,11 @@ def gen_restricted_recursion(
             lo, hi = k - 1, n - ell - 1
         else:
             lo, hi = max(k - 1, n + 1 - ell), n
+        block_weight = generalized_scheme(alpha, beta, 0).block_weight
         for i in range(max(lo, 0), hi + 1):
             total += (
                 binomial(n, i)
-                * degenerate_block_weight(n - i + 1, alpha, beta)
+                * block_weight(n - i + 1)
                 * lower(i, k - 1, alpha, beta, gamma, ell)
             )
     return total
@@ -183,8 +183,6 @@ def _safe_gen_restricted(
 def free_atleast(n: int, k: int, gamma: Rational, ell: int) -> Fraction:
     """Pairs (G, P_k) weighted gamma^|G| with every block larger than ell."""
     check_indices(n, k, ell)
-    if k > n:
-        return Fraction(0)
     return free_atleast_scheme(Fraction(gamma), ell).value(k, n)
 
 

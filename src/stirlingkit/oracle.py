@@ -12,17 +12,19 @@ already started, or a fresh block.  Each pair is produced exactly once,
 blocks canonically ordered by first element, and the stream order is
 deterministic so failures reproduce.
 
-Weights depend only on |G| and the block sizes, so the summation helper
-counts the pairs by size profile.  The counter walks the same tree as
-enumerate_mixed but carries only the sizes, building no pair object; it
-still counts every pair one by one, with no closed-form shortcut, and the
-tests check it against enumerate_mixed.
+A weight scheme is two weights, sw by |G| and bw by block size; a
+family that excludes some block sizes gives them weight 0, so it needs
+no filter of its own.  Weights depend only on |G| and the block sizes,
+so the summation helper counts the pairs by size profile.  The counter
+walks the same tree as enumerate_mixed but carries only the sizes,
+building no pair object; it still counts every pair one by one, with no
+closed-form shortcut, and the tests check it against enumerate_mixed.
 
 The same weight scheme also fixes each family's generating function.  By
 the exponential formula (Flajolet-Sedgewick, Analytic Combinatorics,
 section II.2) the weighted pairs with k blocks have the EGF
 
-    sum_g sw(g) t^g/g!  *  (sum_{ok(m)} bw(m) t^m/m!)^k / k!,
+    sum_g sw(g) t^g/g!  *  (sum_{m>=1} bw(m) t^m/m!)^k / k!,
 
 P(t) * B(t)^k / k!, the canonical value path of every family in the
 package.  With B = t^v * U and U(0) != 0 the value at n is
@@ -54,7 +56,6 @@ __all__ = [
     "ENUMERATION_CAP",
     "MixedPartition",
     "WeightScheme",
-    "degenerate_block_weight",
     "enumerate_mixed",
     "oracle_sum",
     "oracle_sum_blocksum",
@@ -128,8 +129,9 @@ class _Column:
 class WeightScheme:
     """Multiplicative weights by size: w(G,P) = sw(|G|) * prod bw(|B_i|).
 
-    block_size_ok filters which block sizes are admissible at all;
-    sw(0) must be 1 (the empty special set always carries weight one).
+    A scheme is its two weights: a block size the family excludes weighs
+    0, and so does every pair with a block of that size.  sw(0) must be 1
+    (the empty special set always carries weight one).
 
     Values are read from one lazy column per k (see _Columns), kept on the
     instance: a scheme derived by replace() starts with an empty store, and
@@ -139,23 +141,23 @@ class WeightScheme:
     name: str
     special_weight: Callable[[int], Rational]
     block_weight: Callable[[int], Rational]
-    block_size_ok: Callable[[int], bool] = staticmethod(lambda size: True)
     _columns: _Columns = field(
         default_factory=_Columns, init=False, compare=False, hash=False, repr=False
     )
 
     def block_coefficient(self, m: int) -> Fraction:
-        """[t^m] of the block series: bw(m)/m! for an admissible size m >= 1."""
-        if m >= 1 and self.block_size_ok(m):
-            return Fraction(self.block_weight(m)) / math.factorial(m)
-        return Fraction(0)
+        """[t^m] of the block series: bw(m)/m! for a size m >= 1; a zero
+        weight costs no m!."""
+        w = Fraction(self.block_weight(m)) if m >= 1 else Fraction(0)
+        return w / math.factorial(m) if w else w
 
     def special_coefficient(self, g: int) -> Fraction:
-        """[t^g] of the special series: sw(g)/g!."""
-        return Fraction(self.special_weight(g)) / math.factorial(g)
+        """[t^g] of the special series: sw(g)/g!; a zero weight costs no g!."""
+        w = Fraction(self.special_weight(g))
+        return w / math.factorial(g) if w else w
 
     def block_series(self, order: int) -> TruncatedSeries:
-        """sum over admissible sizes m >= 1 of bw(m) t^m / m!."""
+        """sum over sizes m >= 1 of bw(m) t^m / m!."""
         return TruncatedSeries([self.block_coefficient(m) for m in range(order + 1)], order)
 
     def special_series(self, order: int) -> TruncatedSeries:
@@ -250,12 +252,6 @@ def _degenerate_blocks(alpha: Rational, beta: Rational) -> Callable[[int], Fract
     return lambda size: factorials(size - 1)
 
 
-def degenerate_block_weight(size: int, alpha: Rational, beta: Rational) -> Fraction:
-    """(beta-alpha)_{size-1,alpha}: the weight of one block of the given size
-    in the generalized model."""
-    return _degenerate_blocks(alpha, beta)(size)
-
-
 def _check_indices(n: int, k: int) -> None:
     check_indices(n, k)
     if n > ENUMERATION_CAP:
@@ -343,11 +339,9 @@ def _profile_counts(n: int, k: int) -> dict:
 
 
 def oracle_sum(n: int, k: int, scheme: WeightScheme) -> Fraction:
-    """Sum of w(G, P) over all admissible pairs under the scheme."""
+    """Sum of w(G, P) over all pairs (G, P_k) under the scheme."""
     total = Fraction(0)
     for (g, sizes), count in _profile_counts(n, k).items():
-        if not all(scheme.block_size_ok(s) for s in sizes):
-            continue
         w = Fraction(scheme.special_weight(g))
         for s in sizes:
             w *= scheme.block_weight(s)
@@ -360,12 +354,12 @@ def oracle_sum_blocksum(n: int, k: int, scheme: WeightScheme) -> Fraction:
 
     The notation w(P_k) = sum_i w(B_i) circulates alongside the product
     form; the audit evaluates this variant to show it breaks the special
-    values.  The empty partition keeps weight 1.
+    values.  The empty partition keeps weight 1.  A zero block weight does
+    not zero the sum, so a pair with an excluded block size still counts
+    here; the audit reads the variant on the generalized scheme only.
     """
     total = Fraction(0)
     for (g, sizes), count in _profile_counts(n, k).items():
-        if not all(scheme.block_size_ok(s) for s in sizes):
-            continue
         if sizes:
             w_blocks = sum(Fraction(scheme.block_weight(s)) for s in sizes)
         else:
@@ -391,10 +385,12 @@ def generalized_scheme(alpha: Rational, beta: Rational, gamma: Rational) -> Weig
 def gen_restricted_scheme(
     alpha: Rational, beta: Rational, gamma: Rational, ell: int
 ) -> WeightScheme:
+    base = generalized_scheme(alpha, beta, gamma)
+    blocks = base.block_weight
     return replace(
-        generalized_scheme(alpha, beta, gamma),
+        base,
         name="gen_restricted(%s,%s,%s,ell=%d)" % (alpha, beta, gamma, ell),
-        block_size_ok=lambda size: size <= ell,
+        block_weight=lambda size: blocks(size) if size <= ell else Fraction(0),
     )
 
 
@@ -404,8 +400,7 @@ def free_atleast_scheme(gamma: Rational, ell: int) -> WeightScheme:
     return WeightScheme(
         name="free_atleast(%s,ell=%d)" % (g, ell),
         special_weight=lambda size: g ** size,
-        block_weight=lambda size: Fraction(1),
-        block_size_ok=lambda size: size >= ell + 1,
+        block_weight=lambda size: Fraction(1 if size > ell else 0),
     )
 
 
@@ -450,14 +445,18 @@ def classic_scheme() -> WeightScheme:
 @cache
 def restricted_scheme(ell: int) -> WeightScheme:
     return replace(
-        classic_scheme(), name="restricted(ell=%d)" % ell, block_size_ok=lambda size: size <= ell
+        classic_scheme(),
+        name="restricted(ell=%d)" % ell,
+        block_weight=lambda size: Fraction(1 if size <= ell else 0),
     )
 
 
 @cache
 def associated_scheme(ell: int) -> WeightScheme:
     return replace(
-        classic_scheme(), name="associated(ell=%d)" % ell, block_size_ok=lambda size: size >= ell
+        classic_scheme(),
+        name="associated(ell=%d)" % ell,
+        block_weight=lambda size: Fraction(1 if size >= ell else 0),
     )
 
 

@@ -51,8 +51,6 @@ def partial_deg(
     """Weighted count of mixed free/degenerate-cell partitions."""
     g, a, b = Fraction(gamma), Fraction(alpha), Fraction(beta)
     check_indices(n, k, ell)
-    if k > n:
-        return Fraction(0)
     return partial_degenerate_scheme(g, a, b, ell).value(k, n)
 
 
@@ -236,6 +234,4 @@ def colored_singleton(n: int, k: int, r: int, s: int) -> int:
     blocks colored one of s ways."""
     if n < 0 or k < 0 or r < 0 or s < 0:
         raise ValueError("all arguments must be non-negative")
-    if k > n:
-        return 0
     return as_integer(colored_singleton_scheme(r, s).value(k, n))

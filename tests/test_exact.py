@@ -1,8 +1,11 @@
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 from stirlingkit.exact import (
+    FallingFactorials,
     as_integer,
     binomial,
     falling_factorial,
@@ -51,6 +54,35 @@ def test_falling_factorial_homogeneity(rng):
 def test_falling_factorial_plain():
     assert falling_factorial(5, 3) == 60
     assert falling_factorial(Fraction(17, 2), 0) == 1
+
+
+def test_shared_falling_factorials_extend_once():
+    # one instance serves a scheme's column and the recursions that read
+    # its weights, so threads may extend it at once; a switch between
+    # reading the last size and appending the next would append a size twice
+    top, t, lam = 500, Fraction(7, 3), Fraction(1, 2)
+    expected = [falling_factorial_deg(t, size, lam) for size in range(top + 1)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            shared = FallingFactorials(t, lam)
+            start = threading.Barrier(8, timeout=30)
+
+            def extend():
+                start.wait()
+                for size in range(top + 1):
+                    shared(size)
+
+            threads = [threading.Thread(target=extend) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert shared.values == expected
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_binomial_examples():

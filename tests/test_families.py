@@ -3,7 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from stirlingkit import oracle, series
+from stirlingkit import (
+    colored_singleton,
+    degenerate_stirling,
+    free_atleast,
+    gen_restricted,
+    gen_stirling,
+    oracle,
+    partial_deg,
+    series,
+    stirling2,
+    stirling2_associated,
+    stirling2_restricted,
+)
 from stirlingkit.families import (
     FAMILIES,
     FAMILY_TAGS,
@@ -43,11 +55,28 @@ ALL_SPECS = [
 ]
 
 
+# each family's public value function, called on a spec's parameters
+PUBLIC_VALUE = {
+    "classic": lambda s, n, k: stirling2(n, k),
+    "restricted": lambda s, n, k: stirling2_restricted(n, k, s.ell),
+    "associated": lambda s, n, k: stirling2_associated(n, k, s.ell),
+    "degenerate": lambda s, n, k: degenerate_stirling(n, k, s.lam),
+    "generalized": lambda s, n, k: gen_stirling(n, k, s.alpha, s.beta, s.gamma),
+    "gen_restricted": lambda s, n, k: gen_restricted(n, k, s.alpha, s.beta, s.gamma, s.ell),
+    "free_atleast": lambda s, n, k: free_atleast(n, k, s.gamma, s.ell),
+    "partial_degenerate": lambda s, n, k: partial_deg(n, k, s.ell, s.gamma, s.alpha, s.beta),
+    "colored_singleton": lambda s, n, k: colored_singleton(n, k, s.r, s.s),
+}
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.tag)
 def test_methods_agree(spec):
+    # k runs past n, and the grid holds the restricted cells n > k*ell and
+    # the associated cells n < k*ell, where every value is zero
     for n in range(0, 8):
-        for k in range(0, n + 1):
+        for k in range(0, n + 3):
             canonical = family_value(spec, n, k)
+            assert PUBLIC_VALUE[spec.tag](spec, n, k) == canonical
             assert family_value(spec, n, k, "recurrence") == canonical
             assert family_value(spec, n, k, "oracle") == canonical
             if spec.tag in ("classic", "degenerate", "generalized"):
@@ -105,6 +134,24 @@ def test_huge_block_count_series_forms_no_factorial(monkeypatch):
     monkeypatch.setattr(math, "factorial", bounded)
     series = family_egf(FamilySpec("classic"), 10 ** 6, order)
     assert series == TruncatedSeries.zero(order)
+
+
+def test_excluded_block_sizes_form_no_factorial(monkeypatch):
+    # a restricted scheme weighs every block size above ell and every
+    # non-empty special set zero, and a zero weight costs no factorial:
+    # the egf route reads n = 400 with factorials of 2 at most
+    ell, factorial = 2, math.factorial
+
+    def bounded(m):
+        assert m <= ell, "factorial of %d formed" % m
+        return factorial(m)
+
+    monkeypatch.setattr(math, "factorial", bounded)
+    oracle.classic_scheme.cache_clear()
+    oracle.restricted_scheme.cache_clear()  # a fresh scheme has read no column yet
+    spec = FamilySpec("restricted", ell=ell)
+    assert family_value(spec, 400, 2) == 0
+    assert family_value(spec, 6, 3) == 15
 
 
 def test_value_table():
