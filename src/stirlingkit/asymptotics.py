@@ -202,6 +202,8 @@ def asymptotic_partial(
     g, a, b = Fraction(gamma), Fraction(alpha), Fraction(beta)
     if n < 0 or k < 0 or ell < 0 or m < 0:
         raise ValueError("arguments must be non-negative")
+    # each mode fixes n_total, the coefficients, the expansion length d, the
+    # scale on the estimate and the exact value (None where it is undefined)
     if mode == "normalized":
         n_total = n if n >= k else n + k
         d = n_total - k
@@ -211,44 +213,36 @@ def asymptotic_partial(
                 "d = %d, each a series power of order d; capped at d=%d"
                 % (d, LITERAL_MODE_N_CAP)
             )
-        psi = shifted_mixed_series(g, a, b, ell, max(d, 0))
+        coeffs = shifted_mixed_series(g, a, b, ell, d).coeffs
+        scale = falling_factorial(Fraction(k), d)
         exact = partial_deg(n_total, k, ell, g * k, a, b) / math.perm(n_total, d)
-        try:
-            est = falling_factorial(Fraction(k), d) * hsu_expansion(
-                psi.coeffs, d, k, min(m, d)
+    elif mode == "literal":
+        if n > LITERAL_MODE_N_CAP:
+            raise ValueError(
+                "literal mode sums up to n+1 partial Bell numbers of n, each a series "
+                "power of order n; capped at n=%d" % LITERAL_MODE_N_CAP
             )
-        except VanishingPochhammer as exc:
-            return AsymptoticRow(k, n_total, mode, None, exact, None, str(exc))
-        if exact == 0:
-            return AsymptoticRow(k, n_total, mode, est, exact, None, "exact value is zero")
-        return AsymptoticRow(k, n_total, mode, est, exact, abs(est - exact) / abs(exact))
-    if mode != "literal":
+        n_total = d = n
+        # coefficient sequence as printed: k! * S(i,k)/i! with the unscaled
+        # gamma, i.e. k! times the coefficients of one generating function
+        coeffs = [Fraction(1)] + [
+            partial_deg(i, k, ell, g, a, b) / math.perm(i, i - k) if i >= k else Fraction(0)
+            for i in range(1, n + 1)
+        ]
+        scale = 1
+        kn = falling_factorial(Fraction(k), n)
+        exact = partial_deg(n, k, ell, g * k, a, b) / (kn * math.factorial(n)) if kn else None
+    else:
         raise ValueError("mode must be 'normalized' or 'literal', got %r" % (mode,))
 
-    if n > LITERAL_MODE_N_CAP:
-        raise ValueError(
-            "literal mode sums up to n+1 partial Bell numbers of n, each a series "
-            "power of order n; capped at n=%d" % LITERAL_MODE_N_CAP
-        )
-    # coefficient sequence as printed: k! * S(i,k)/i! with the unscaled gamma,
-    # i.e. k! times the coefficients of one generating function
-    coeffs = [Fraction(1)] + [
-        partial_deg(i, k, ell, g, a, b) / math.perm(i, i - k) if i >= k else Fraction(0)
-        for i in range(1, n + 1)
-    ]
     try:
-        est = hsu_expansion(coeffs, n, k, min(m, n))
+        estimate = scale * hsu_expansion(coeffs, d, k, min(m, d))
     except VanishingPochhammer as exc:
-        return AsymptoticRow(k, n, mode, None, None, None, str(exc))
-    kn = falling_factorial(Fraction(k), n)
-    if kn == 0:
-        return AsymptoticRow(
-            k, n, mode, est, None, None, "(k)_n vanishes; left side undefined"
-        )
-    exact = partial_deg(n, k, ell, g * k, a, b) / (kn * math.factorial(n))
-    if exact == 0:
-        return AsymptoticRow(k, n, mode, est, exact, None, "exact value is zero")
-    return AsymptoticRow(k, n, mode, est, exact, abs(est - exact) / abs(exact))
+        return AsymptoticRow(k, n_total, mode, None, exact, None, str(exc))
+    if not exact:
+        note = "exact value is zero" if exact == 0 else "(k)_n vanishes; left side undefined"
+        return AsymptoticRow(k, n_total, mode, estimate, exact, None, note)
+    return AsymptoticRow(k, n_total, mode, estimate, exact, abs(estimate - exact) / abs(exact))
 
 
 def decimal_str(value: Fraction, digits: int = 6) -> str:

@@ -203,7 +203,7 @@ def _suite_threeterm(nmax: int) -> list:
             "three-term-recurrence",
             _cells(params, nmax),
             gen_restricted,
-            ("literal", partial(gen_restricted_three_term, form="literal"),
+            ("literal", partial(gen_restricted_three_term, literal=True),
              "upper limit ell and exponents n-i+1, i-j as printed; left side S(n,k)"),
         ),
         *_score(

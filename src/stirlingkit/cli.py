@@ -25,7 +25,7 @@ import io
 import json
 import sys
 
-from .asymptotics import asymptotic_partial, decimal_str
+from .asymptotics import AsymptoticRow, asymptotic_partial, decimal_str
 from .audit import SUITE_NAMES, audit_ok, report_json, report_text, run_suite
 from .exact import format_rational, parse_rational
 from .families import (
@@ -165,56 +165,45 @@ def _cmd_verify(args) -> int:
     return 0 if audit_ok(findings) else 1
 
 
+# asympt text: one column per field, '-' where it is null, then the note
+_ASYMPT_LINE = "%6s %8s %-26s %-26s %-20s %-12s %s"
+_ASYMPT_COLUMNS = ("k", "n_total", "estimate", "exact", "rel_error", "rel_error_decimal")
+
+
+def _asympt_fields(row: AsymptoticRow) -> dict:
+    """One asympt row as its printed fields, None where a field is
+    undefined: the JSON object, and the cells of the text line."""
+    fields = {"k": row.k, "n_total": row.n_total, "mode": row.mode}
+    for name in ("estimate", "exact", "rel_error"):
+        value = getattr(row, name)
+        fields[name] = None if value is None else format_rational(value)
+    fields["rel_error_decimal"] = None if row.rel_error is None else decimal_str(row.rel_error, 8)
+    fields["note"] = row.note
+    return fields
+
+
 def _cmd_asympt(args) -> int:
-    for name in ("gamma", "alpha", "beta"):
-        if getattr(args, name) is None:
-            raise ValueError("asympt needs --gamma, --alpha, --beta and --ell")
-    if args.ell is None or args.n is None or args.k is None:
+    if None in (args.gamma, args.alpha, args.beta):
+        raise ValueError("asympt needs --gamma, --alpha, --beta and --ell")
+    if None in (args.ell, args.n, args.k):
         raise ValueError("asympt needs --n, --k and --ell")
-    gamma = parse_rational(args.gamma)
-    alpha = parse_rational(args.alpha)
-    beta = parse_rational(args.beta)
+    gamma, alpha, beta = (parse_rational(text) for text in (args.gamma, args.alpha, args.beta))
     k_list = [int(part) for part in args.k.split(",") if part.strip() != ""]
     if not k_list:
         raise ValueError("empty --k list")
     rows = [
-        asymptotic_partial(args.n, k, gamma, alpha, beta, args.ell, args.m, args.mode)
+        _asympt_fields(
+            asymptotic_partial(args.n, k, gamma, alpha, beta, args.ell, args.m, args.mode)
+        )
         for k in k_list
     ]
     if args.format == "json":
-        payload = []
-        for row in rows:
-            payload.append(
-                {
-                    "k": row.k,
-                    "n_total": row.n_total,
-                    "mode": row.mode,
-                    "estimate": None if row.estimate is None else format_rational(row.estimate),
-                    "exact": None if row.exact is None else format_rational(row.exact),
-                    "rel_error": None if row.rel_error is None else format_rational(row.rel_error),
-                    "rel_error_decimal": None
-                    if row.rel_error is None
-                    else decimal_str(row.rel_error, 8),
-                    "note": row.note,
-                }
-            )
-        _write_out(json.dumps(payload, indent=2), args.out)
+        _write_out(json.dumps(rows, indent=2), args.out)
         return 0
-    lines = ["%6s %8s %-26s %-26s %-20s %-12s %s" % (
-        "k", "n_total", "estimate", "exact", "rel_error", "(decimal)", "note")]
-    for row in rows:
-        lines.append(
-            "%6d %8d %-26s %-26s %-20s %-12s %s"
-            % (
-                row.k,
-                row.n_total,
-                "-" if row.estimate is None else format_rational(row.estimate),
-                "-" if row.exact is None else format_rational(row.exact),
-                "-" if row.rel_error is None else format_rational(row.rel_error),
-                "-" if row.rel_error is None else decimal_str(row.rel_error, 8),
-                row.note or "",
-            )
-        )
+    lines = [_ASYMPT_LINE % ("k", "n_total", "estimate", "exact", "rel_error", "(decimal)", "note")]
+    for fields in rows:
+        cells = ["-" if fields[name] is None else fields[name] for name in _ASYMPT_COLUMNS]
+        lines.append(_ASYMPT_LINE % (*cells, fields["note"] or ""))
     _write_out("\n".join(lines), args.out)
     return 0
 

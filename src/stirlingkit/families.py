@@ -28,7 +28,7 @@ from typing import Callable
 from . import oracle as _oracle
 from .core import stirling2_associated_rec, stirling2_rec, stirling2_restricted_rec
 from .exact import Rational, check_indices
-from .generalized import gen_stirling_explicit, gen_stirling_rec
+from .generalized import check_triple, gen_stirling_explicit, gen_stirling_rec
 from .incomplete import free_atleast_rec, gen_restricted_rec
 from .partial import colored_singleton_rec, partial_deg_rec
 
@@ -174,9 +174,8 @@ class FamilySpec:
 
 
 def _check_defined(spec: FamilySpec) -> None:
-    """Every method refuses the excluded generalized triple (0, 0, 0)."""
-    if spec.tag == "generalized" and spec.alpha == spec.beta == spec.gamma == 0:
-        raise ValueError("parameter triple (0, 0, 0) is excluded")
+    if spec.tag == "generalized":
+        check_triple(spec.alpha, spec.beta, spec.gamma)
 
 
 def family_value(spec: FamilySpec, n: int, k: int, method: str = "egf") -> Fraction:

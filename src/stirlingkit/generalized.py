@@ -38,10 +38,15 @@ __all__ = [
 ]
 
 
-def _validate(n: int, k: int, alpha: Fraction, beta: Fraction, gamma: Fraction) -> None:
-    check_indices(n, k)
+def check_triple(alpha: Rational, beta: Rational, gamma: Rational) -> None:
+    """Every route refuses the excluded generalized triple (0, 0, 0)."""
     if alpha == 0 and beta == 0 and gamma == 0:
         raise ValueError("parameter triple (0, 0, 0) is excluded")
+
+
+def _validate(n: int, k: int, alpha: Fraction, beta: Fraction, gamma: Fraction) -> None:
+    check_indices(n, k)
+    check_triple(alpha, beta, gamma)
 
 
 def gen_stirling(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational) -> Fraction:

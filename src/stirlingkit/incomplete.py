@@ -135,23 +135,21 @@ def gen_restricted_three_term(
     beta: Rational,
     gamma: Rational,
     ell: int,
-    form: str = "derived",
+    literal: bool = False,
 ) -> Fraction:
     """Right-hand side of the three-term recurrence, two readings.
 
-    form="literal" evaluates the printed expression, whose left side is
-    indexed S(n,k); form="derived" applies the corrected one-step rule
-    twice (the step, evaluated on rows that are themselves one step from
-    the reference values), giving a value for S(n+1,k).  The audit
-    compares each against the matching reference value.
+    The literal reading evaluates the printed expression, whose left side
+    is indexed S(n,k); the derived one (the default) applies the corrected
+    one-step rule twice (the step, evaluated on rows that are themselves
+    one step from the reference values), giving a value for S(n+1,k).
+    The audit compares each against the matching reference value.
     """
     check_indices(n, k, ell)
     a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
 
-    if form == "derived":
+    if not literal:
         return gen_restricted_recursion(n + 1, k, a, b, g, ell, lower=gen_restricted_recursion)
-    if form != "literal":
-        raise ValueError("form must be 'literal' or 'derived', got %r" % (form,))
 
     total = g * gen_restricted(n, k, a, b, g - a, ell)
     for i in range(max(k - 1, 0), ell + 1):
@@ -236,14 +234,15 @@ def associated_from_free(n: int, k: int, gamma: Rational, ell: int) -> Fraction:
     """Inclusion-exclusion over the special set size.
 
     sum_{i=0..n} (-1)^i gamma^i C(n,i) F(n-i, k; gamma, ell-1) recovers
-    the size-floored partition count, independently of gamma.
+    the size-floored partition count, independently of gamma.  F(n-i, k)
+    is zero for i > n-k (blocks are non-empty), so the sum stops there.
     """
     if ell < 1:
         raise ValueError("associated numbers need ell >= 1")
     check_indices(n, k)
     g = Fraction(gamma)
     total = Fraction(0)
-    for i in range(0, n + 1):
+    for i in range(0, n - k + 1):
         sign = -1 if i % 2 else 1
         total += sign * g ** i * binomial(n, i) * free_atleast(n - i, k, g, ell - 1)
     return total

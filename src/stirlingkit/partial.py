@@ -64,12 +64,22 @@ def partial_deg_convolution(
     check_indices(n, k, ell)
     total = Fraction(0)
     for i in range(0, n + 1):
-        c = binomial(n, i)
-        for j in range(0, k + 1):
-            fa = free_atleast(i, j, g, ell)
-            if not fa:
-                continue
-            total += c * fa * gen_restricted(n - i, k - j, a, b, 0, ell)
+        total += binomial(n, i) * _split(i, n - i, k, ell, g, a, b)
+    return total
+
+
+def _split(
+    free: int, weighted: int, k: int, ell: int, g: Fraction, a: Fraction, b: Fraction
+) -> Fraction:
+    """sum_j free_atleast(free, j) * gen_restricted(weighted, k - j) at
+    gamma = 0: j of the k blocks hold the `free` elements of free cells,
+    the rest the `weighted` ones.  Blocks are non-empty, so j runs only
+    where neither factor has more blocks than elements."""
+    total = Fraction(0)
+    for j in range(max(0, k - weighted), min(free, k) + 1):
+        fa = free_atleast(free, j, g, ell)
+        if fa:
+            total += fa * gen_restricted(weighted, k - j, a, b, 0, ell)
     return total
 
 
@@ -85,11 +95,9 @@ def partial_deg_recursion(
     n = n_plus_1 - 1
     total = Fraction(0)
     for i in range(0, n + 1):
-        c = binomial(n, i)
-        for j in range(0, k + 1):
-            left = free_atleast(i + 1, j, g, ell) * gen_restricted(n - i, k - j, a, b, 0, ell)
-            right = free_atleast(i, j, g, ell) * gen_restricted(n - i + 1, k - j, a, b, 0, ell)
-            total += c * (left + right)
+        total += binomial(n, i) * (
+            _split(i + 1, n - i, k, ell, g, a, b) + _split(i, n - i + 1, k, ell, g, a, b)
+        )
     return total
 
 

@@ -350,6 +350,41 @@ def test_asympt_json(capsys):
     assert all(row["rel_error"] == "0" for row in payload)
 
 
+def test_asympt_text_columns_equal_json_fields(capsys):
+    names = ("k", "n_total", "estimate", "exact", "rel_error", "rel_error_decimal", "note")
+    notes = set()
+    for argv in (
+        "--n 10 --k 3,10,20 --m 5",
+        "--n 10 --k 3,20 --m 5 --mode literal",
+        "--n 6 --k 4,6,30 --m 2 --mode literal",
+    ):
+        args = ["asympt", *argv.split(), *"--gamma 1 --alpha 1 --beta 2 --ell 2".split()]
+        code, text, _ = run(capsys, *args)
+        assert code == 0
+        code, out, _ = run(capsys, *args, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        lines = text.rstrip("\n").split("\n")
+        assert len(lines) == 1 + len(payload)
+        for line, fields in zip(lines[1:], payload):
+            # values hold no spaces; the note, the last column, may
+            cells = line.split(None, len(names) - 1)
+            cells += [""] * (len(names) - len(cells))
+            for name, cell in zip(names, cells):
+                value = fields[name]
+                if name == "note":
+                    assert cell == (value or "")
+                else:
+                    assert cell == ("-" if value is None else str(value))
+            notes.add(re.sub(r" at j=.*", "", fields["note"] or "plain"))
+    assert notes == {
+        "plain",
+        "(lam-n+j)_j vanishes",
+        "(k)_n vanishes; left side undefined",
+        "exact value is zero",
+    }
+
+
 def test_asympt_usage(capsys):
     code, _, err = run(capsys, *"asympt --n 4 --m 3".split())
     assert code == 2

@@ -1,7 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
 from stirlingkit.core import stirling2, stirling2_associated, stirling2_restricted
 from stirlingkit.exact import binomial, falling_factorial_deg
 from stirlingkit.generalized import gen_stirling
@@ -94,19 +92,17 @@ def test_three_term_forms():
         for ell in (1, 2, 3):
             for n in range(0, 8):
                 for k in range(0, n + 2):
-                    derived = gen_restricted_three_term(n, k, a, b, g, ell, form="derived")
+                    derived = gen_restricted_three_term(n, k, a, b, g, ell)
                     assert derived == gen_restricted(n + 1, k, a, b, g, ell)
     # the printed reading disagrees with its own left side somewhere
     bad = [
         (n, k)
         for n in range(0, 8)
         for k in range(0, n + 1)
-        if gen_restricted_three_term(n, k, 1, 2, 2, 2, form="literal")
+        if gen_restricted_three_term(n, k, 1, 2, 2, 2, literal=True)
         != gen_restricted(n, k, 1, 2, 2, 2)
     ]
     assert bad
-    with pytest.raises(ValueError):
-        gen_restricted_three_term(3, 2, 1, 2, 2, 2, form="nonsense")
 
 
 def test_free_atleast_examples():

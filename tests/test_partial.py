@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from stirlingkit import partial
-from stirlingkit.core import stirling2
+from stirlingkit.core import stirling2, stirling2_associated
 from stirlingkit.incomplete import free_atleast, gen_restricted
 from stirlingkit.oracle import colored_singleton_scheme, oracle_sum, partial_degenerate_scheme
 from stirlingkit.partial import (
@@ -187,3 +187,35 @@ def test_colored_singleton_oracle_and_recursion():
                     value = colored_singleton(n, k, r, s)
                     assert value == oracle_sum(n, k, colored_singleton_scheme(r, s))
                     assert value == colored_singleton_rec(n, k, r, s)
+
+
+def test_reference_routes_ask_only_for_cells_that_exist(monkeypatch):
+    # a cell with more blocks than elements is zero; the convolution, its
+    # recursion and associated_from_free must not spend a column read on it
+    from stirlingkit import incomplete
+
+    asked = []
+
+    def watched(module, name):
+        real = getattr(module, name)
+
+        def wrapper(n, k, *rest):
+            if k > n:
+                asked.append((module.__name__, name, n, k))
+            return real(n, k, *rest)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    watched(partial, "free_atleast")
+    watched(partial, "gen_restricted")
+    watched(incomplete, "free_atleast")
+    for ell in (1, 2):
+        for n in range(0, 6):
+            for k in range(0, n + 2):
+                expected = partial_deg(n, k, ell, 2, 1, 3)
+                assert partial_deg_convolution(n, k, ell, 2, 1, 3) == expected
+                assert partial_deg_recursion(n, k, ell, 2, 1, 3) == expected
+                assert incomplete.associated_from_free(n, k, 2, ell) == stirling2_associated(
+                    n, k, ell
+                )
+    assert asked == []
