@@ -7,51 +7,49 @@ are pinned to a brute-force weighted-partition enumeration at small n.
 An identity audit scores literal vs corrected forms of the classical
 recurrences, and an asymptotics layer provides large-parameter
 expansions with exact error reporting.
+
+`import stirlingkit` loads no submodule: each public name below is
+imported from its submodule on first use (PEP 562), so a caller pays
+only for the layers it touches.
 """
 
-from .asymptotics import (
-    AsymptoticRow,
-    asymptotic_partial,
-    hsu_expansion,
-    integer_partitions,
-    partial_bell,
-)
-from .audit import AuditFinding, audit_ok, run_all, run_suite
-from .core import stirling2, stirling2_associated, stirling2_restricted
-from .exact import (
-    binomial,
-    falling_factorial,
-    falling_factorial_deg,
-    format_rational,
-    multinomial,
-    parse_rational,
-)
-from .families import FamilySpec, ValueTable, family_egf, family_value
-from .generalized import degenerate_stirling, gen_stirling, gen_stirling_explicit
-from .incomplete import (
-    associated_from_free,
-    free_atleast,
-    free_atleast_recursion,
-    gen_restricted,
-    gen_restricted_recursion,
-    gen_restricted_three_term,
-)
-from .oracle import MixedPartition, WeightScheme, enumerate_mixed, oracle_sum
-from .partial import (
-    colored_singleton,
-    partial_deg,
-    partial_deg_convolution,
-    partial_deg_derivative_recursion,
-    partial_deg_multinomial,
-    partial_deg_recursion,
-)
-from .series import (
-    TruncatedSeries,
-    degenerate_exp,
-    egf_coeff,
-    exp_series,
-    incomplete_degenerate_exp,
-    incomplete_exp,
-)
+from importlib import import_module
+
+# each submodule and the public names it provides
+_EXPORTS = {
+    "asymptotics": ("AsymptoticRow", "asymptotic_partial", "hsu_expansion",
+                    "integer_partitions", "partial_bell"),
+    "audit": ("AuditFinding", "audit_ok", "run_all", "run_suite"),
+    "core": ("stirling2", "stirling2_associated", "stirling2_restricted"),
+    "exact": ("binomial", "falling_factorial", "falling_factorial_deg", "format_rational",
+              "multinomial", "parse_rational"),
+    "families": ("FamilySpec", "ValueTable", "family_egf", "family_value"),
+    "generalized": ("degenerate_stirling", "gen_stirling", "gen_stirling_explicit"),
+    "incomplete": ("associated_from_free", "free_atleast", "free_atleast_recursion",
+                   "gen_restricted", "gen_restricted_recursion", "gen_restricted_three_term"),
+    "oracle": ("MixedPartition", "WeightScheme", "enumerate_mixed", "oracle_sum"),
+    "partial": ("colored_singleton", "partial_deg", "partial_deg_convolution",
+                "partial_deg_derivative_recursion", "partial_deg_multinomial",
+                "partial_deg_recursion"),
+    "series": ("TruncatedSeries", "degenerate_exp", "egf_coeff", "exp_series",
+               "incomplete_degenerate_exp", "incomplete_exp"),
+}
+# public name -> the submodule that provides it
+_SUBMODULES = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_SUBMODULES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    submodule = _SUBMODULES.get(name)
+    if submodule is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(import_module("." + submodule, __name__), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__})

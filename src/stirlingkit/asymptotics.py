@@ -41,9 +41,8 @@ uncorrected published-style normalization for the audit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exact import Rational, falling_factorial
 from .partial import partial_deg
@@ -164,8 +163,7 @@ def shifted_mixed_series(
     return psi
 
 
-@dataclass(frozen=True)
-class AsymptoticRow:
+class AsymptoticRow(NamedTuple):
     """One estimate/exact comparison; note explains any undefined field."""
 
     k: int

@@ -21,7 +21,8 @@ CLI exit-code condition).  "report" entries are informational only.
 
 Suites group related identities and build their identity lists when
 they run, so a name rebound in this module takes effect; `run_suite`
-runs one suite, or every suite in order for "all".
+runs one suite, or every suite in order for "all".  The suites module
+names them, so the command line lists them without importing this one.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from .partial import (
     partial_deg_recursion,
 )
 from .series import TruncatedSeries
+from .suites import SUITE_NAMES, SUITES as _SUITE_ORDER
 
 __all__ = [
     "AuditFinding",
@@ -491,20 +493,8 @@ def _suite_bell_closed_forms(nmax: int) -> list:
     )
 
 
-SUITES = {
-    "bullets24": _suite_bullets24,
-    "thm21": _suite_thm21,
-    "threeterm": _suite_threeterm,
-    "thm3": _suite_thm3,
-    "s-gt-recursion": _suite_s_gt_recursion,
-    "thm13": _suite_thm13,
-    "thm20": _suite_thm20,
-    "multinomial": _suite_multinomial,
-    "derivative": _suite_derivative,
-    "bell-closed-forms": _suite_bell_closed_forms,
-}
-
-SUITE_NAMES = tuple(SUITES) + ("all",)
+# suite name -> its function, _suite_<name> with "-" read as "_"
+SUITES = {name: globals()["_suite_" + name.replace("-", "_")] for name in _SUITE_ORDER}
 
 
 def run_suite(name: str, nmax: int = 8) -> list:

@@ -13,20 +13,17 @@ library refuses an input by raising ValueError, and so do the commands
 here; main is the one place that turns any such refusal into
 `error: ...` on stderr and exit 2.  All values are printed as exact
 rationals ('p' or 'p/q'); no floats are ever emitted except the
-convenience decimal column of `asympt`.
+convenience decimal column of `asympt`.  The audit, the asymptotics and
+json are imported by the commands that use them, so a `value`, `table`
+or `series` call loads none of them.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
-import json
 import sys
 
-from .asymptotics import AsymptoticRow, asymptotic_partial, decimal_str
-from .audit import SUITE_NAMES, audit_ok, report_json, report_text, run_suite
 from .exact import format_rational, parse_rational
 from .families import (
     FAMILY_TAGS,
@@ -39,6 +36,7 @@ from .families import (
 )
 from .oracle import ENUMERATION_CAP
 from .series import egf_coeff
+from .suites import SUITE_NAMES
 
 __all__ = ["main", "entry"]
 
@@ -79,6 +77,12 @@ def _write_out(text: str, out: str | None) -> None:
             raise ValueError("cannot write %s: %s" % (out, exc.strerror or exc)) from None
     else:
         print(text)
+
+
+def _write_json(payload, out: str | None) -> None:
+    import json  # only the JSON formats load it
+
+    _write_out(json.dumps(payload, indent=2), out)
 
 
 def _check_oracle_cap(method: str, n: int) -> None:
@@ -126,18 +130,15 @@ def _cmd_table(args) -> int:
     table = ValueTable(spec, args.method)
     rows = [(n, k, format_rational(v)) for n, k, v in table.rows(args.nmax)]
     if args.format == "json":
-        payload = [{"n": n, "k": k, "value": v} for n, k, v in rows]
-        _write_out(json.dumps(payload, indent=2), args.out)
+        _write_json([{"n": n, "k": k, "value": v} for n, k, v in rows], args.out)
     elif args.format == "text":
         width = max(len(v) for _, _, v in rows)
         lines = ["%4d %4d  %*s" % (n, k, width, v) for n, k, v in rows]
         _write_out("\n".join(lines), args.out)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "k", "value"])
-        writer.writerows(rows)
-        _write_out(buf.getvalue().rstrip("\n"), args.out)
+        # no field holds a comma, quote or line break, so CSV needs no quoting
+        lines = ["n,k,value"] + ["%d,%d,%s" % row for row in rows]
+        _write_out("\n".join(lines), args.out)
     return 0
 
 
@@ -157,9 +158,11 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .audit import audit_ok, report_json, report_text, run_suite
+
     findings = run_suite(args.suite, args.nmax)
     if args.format == "json":
-        _write_out(json.dumps(report_json(findings, args.nmax), indent=2), args.out)
+        _write_json(report_json(findings, args.nmax), args.out)
     else:
         _write_out(report_text(findings), args.out)
     return 0 if audit_ok(findings) else 1
@@ -170,9 +173,11 @@ _ASYMPT_LINE = "%6s %8s %-26s %-26s %-20s %-12s %s"
 _ASYMPT_COLUMNS = ("k", "n_total", "estimate", "exact", "rel_error", "rel_error_decimal")
 
 
-def _asympt_fields(row: AsymptoticRow) -> dict:
-    """One asympt row as its printed fields, None where a field is
-    undefined: the JSON object, and the cells of the text line."""
+def _asympt_fields(row) -> dict:
+    """One asympt row (an AsymptoticRow) as its printed fields, None where a
+    field is undefined: the JSON object, and the cells of the text line."""
+    from .asymptotics import decimal_str
+
     fields = {"k": row.k, "n_total": row.n_total, "mode": row.mode}
     for name in ("estimate", "exact", "rel_error"):
         value = getattr(row, name)
@@ -183,6 +188,8 @@ def _asympt_fields(row: AsymptoticRow) -> dict:
 
 
 def _cmd_asympt(args) -> int:
+    from .asymptotics import asymptotic_partial
+
     if None in (args.gamma, args.alpha, args.beta):
         raise ValueError("asympt needs --gamma, --alpha, --beta and --ell")
     if None in (args.ell, args.n, args.k):
@@ -198,7 +205,7 @@ def _cmd_asympt(args) -> int:
         for k in k_list
     ]
     if args.format == "json":
-        _write_out(json.dumps(rows, indent=2), args.out)
+        _write_json(rows, args.out)
         return 0
     lines = [_ASYMPT_LINE % ("k", "n_total", "estimate", "exact", "rel_error", "(decimal)", "note")]
     for fields in rows:

@@ -21,9 +21,9 @@ Cross-method agreement is part of the test suite and of the CLI
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import oracle as _oracle
 from .core import stirling2_associated_rec, stirling2_rec, stirling2_restricted_rec
@@ -47,7 +47,7 @@ __all__ = [
 
 METHODS = ("egf", "recurrence", "explicit", "oracle")
 
-# every family parameter and its kind, in FamilySpec field order
+# every family parameter and its kind; FamilySpec has these fields, in order
 PARAMETERS = {
     "alpha": "rational",
     "beta": "rational",
@@ -63,8 +63,7 @@ PARAMETERS = {
 _Route = Callable[["FamilySpec", int, int], Rational]
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One family: its parameters, weight scheme and routes to its values.
 
     The scheme alone fixes the canonical egf values, so a family has no
@@ -134,37 +133,40 @@ FAMILY_TAGS = tuple(FAMILIES)
 REQUIRED_PARAMS = {tag: family.params for tag, family in FAMILIES.items()}
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """One family tag plus exactly the parameters the tag requires."""
+_SpecFields = namedtuple("FamilySpec", ("tag", *PARAMETERS), defaults=(None,) * len(PARAMETERS))
 
-    tag: str
-    alpha: Fraction | None = None
-    beta: Fraction | None = None
-    gamma: Fraction | None = None
-    lam: Fraction | None = None
-    ell: int | None = None
-    r: int | None = None
-    s: int | None = None
 
-    def __post_init__(self):
-        if self.tag not in FAMILY_TAGS:
-            raise ValueError("unknown family tag %r (one of %s)" % (self.tag, ", ".join(FAMILY_TAGS)))
-        required = set(REQUIRED_PARAMS[self.tag])
+class FamilySpec(_SpecFields):
+    """One family tag plus exactly the parameters the tag requires.
+
+    A tuple of the tag and every parameter of PARAMETERS (None where the
+    family does not take it), so it is equal by value, hashable and
+    read-only.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        spec = super().__new__(cls, *args, **kwargs)
+        if spec.tag not in FAMILY_TAGS:
+            raise ValueError("unknown family tag %r (one of %s)" % (spec.tag, ", ".join(FAMILY_TAGS)))
+        required = set(REQUIRED_PARAMS[spec.tag])
         for name in PARAMETERS:
-            value = getattr(self, name)
+            value = getattr(spec, name)
             if name in required and value is None:
-                raise ValueError("family %r requires parameter %s" % (self.tag, name))
+                raise ValueError("family %r requires parameter %s" % (spec.tag, name))
             if name not in required and value is not None:
-                raise ValueError("family %r does not take parameter %s" % (self.tag, name))
+                raise ValueError("family %r does not take parameter %s" % (spec.tag, name))
+        rationals = {}
         for name, kind in PARAMETERS.items():
-            value = getattr(self, name)
+            value = getattr(spec, name)
             if value is None:
                 continue
             if kind == "rational":
-                object.__setattr__(self, name, Fraction(value))
+                rationals[name] = Fraction(value)
             elif not isinstance(value, int) or value < 0:
                 raise ValueError("parameter %s must be a %s" % (name, kind))
+        return spec._replace(**rationals)
 
     def describe(self) -> str:
         parts = [self.tag]

@@ -43,10 +43,9 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache
-from typing import Callable, Iterator
+from functools import lru_cache
+from typing import Callable, Iterator, NamedTuple
 
 from . import series
 from .exact import FallingFactorials, Rational, check_indices
@@ -74,9 +73,14 @@ __all__ = [
 # which the profile counter walks in about 3.5 s (2 shared vCPUs).
 ENUMERATION_CAP = 11
 
+# Entries kept by each cache in this module: the size profiles and the
+# scheme factories.  After `verify --suite all --nmax 8` the largest,
+# generalized_scheme, holds 52 schemes; a long-lived caller asking for ever
+# new parameters keeps at most this many schemes and their columns alive.
+CACHE_SIZE = 256
 
-@dataclass(frozen=True)
-class MixedPartition:
+
+class MixedPartition(NamedTuple):
     special_set: frozenset
     blocks: tuple
 
@@ -125,7 +129,6 @@ class _Column:
         self.coeffs: list = []
 
 
-@dataclass(frozen=True)
 class WeightScheme:
     """Multiplicative weights by size: w(G,P) = sw(|G|) * prod bw(|B_i|).
 
@@ -134,16 +137,22 @@ class WeightScheme:
     (the empty special set always carries weight one).
 
     Values are read from one lazy column per k (see _Columns), kept on the
-    instance: a scheme derived by replace() starts with an empty store, and
-    no read hashes the scheme.
+    instance: every new scheme starts with an empty store, and no read
+    hashes the scheme.
     """
 
-    name: str
-    special_weight: Callable[[int], Rational]
-    block_weight: Callable[[int], Rational]
-    _columns: _Columns = field(
-        default_factory=_Columns, init=False, compare=False, hash=False, repr=False
-    )
+    __slots__ = ("name", "special_weight", "block_weight", "_columns")
+
+    def __init__(
+        self,
+        name: str,
+        special_weight: Callable[[int], Rational],
+        block_weight: Callable[[int], Rational],
+    ):
+        self.name = name
+        self.special_weight = special_weight
+        self.block_weight = block_weight
+        self._columns = _Columns()
 
     def block_coefficient(self, m: int) -> Fraction:
         """[t^m] of the block series: bw(m)/m! for a size m >= 1; a zero
@@ -293,7 +302,7 @@ def enumerate_mixed(n: int, k: int) -> Iterator[MixedPartition]:
     return rec(1)
 
 
-@cache
+@lru_cache(maxsize=CACHE_SIZE)
 def _profile_counts(n: int, k: int) -> dict:
     """Count pairs by (|G|, sorted block sizes).
 
@@ -371,7 +380,7 @@ def oracle_sum_blocksum(n: int, k: int, scheme: WeightScheme) -> Fraction:
 # -- built-in weight schemes -------------------------------------------------
 
 
-@cache
+@lru_cache(maxsize=CACHE_SIZE)
 def generalized_scheme(alpha: Rational, beta: Rational, gamma: Rational) -> WeightScheme:
     a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
     return WeightScheme(
@@ -381,20 +390,20 @@ def generalized_scheme(alpha: Rational, beta: Rational, gamma: Rational) -> Weig
     )
 
 
-@cache
+@lru_cache(maxsize=CACHE_SIZE)
 def gen_restricted_scheme(
     alpha: Rational, beta: Rational, gamma: Rational, ell: int
 ) -> WeightScheme:
     base = generalized_scheme(alpha, beta, gamma)
     blocks = base.block_weight
-    return replace(
-        base,
+    return WeightScheme(
         name="gen_restricted(%s,%s,%s,ell=%d)" % (alpha, beta, gamma, ell),
+        special_weight=base.special_weight,
         block_weight=lambda size: blocks(size) if size <= ell else Fraction(0),
     )
 
 
-@cache
+@lru_cache(maxsize=CACHE_SIZE)
 def free_atleast_scheme(gamma: Rational, ell: int) -> WeightScheme:
     g = Fraction(gamma)
     return WeightScheme(
@@ -404,7 +413,7 @@ def free_atleast_scheme(gamma: Rational, ell: int) -> WeightScheme:
     )
 
 
-@cache
+@lru_cache(maxsize=CACHE_SIZE)
 def partial_degenerate_scheme(
     gamma: Rational, alpha: Rational, beta: Rational, ell: int
 ) -> WeightScheme:
@@ -419,7 +428,7 @@ def partial_degenerate_scheme(
     )
 
 
-@cache
+@lru_cache(maxsize=CACHE_SIZE)
 def partial_degenerate_swapped_scheme(
     gamma: Rational, alpha: Rational, beta: Rational, ell: int
 ) -> WeightScheme:
@@ -433,7 +442,7 @@ def partial_degenerate_swapped_scheme(
     )
 
 
-@cache
+@lru_cache(maxsize=CACHE_SIZE)
 def classic_scheme() -> WeightScheme:
     return WeightScheme(
         name="classic",
@@ -442,25 +451,25 @@ def classic_scheme() -> WeightScheme:
     )
 
 
-@cache
+@lru_cache(maxsize=CACHE_SIZE)
 def restricted_scheme(ell: int) -> WeightScheme:
-    return replace(
-        classic_scheme(),
+    return WeightScheme(
         name="restricted(ell=%d)" % ell,
+        special_weight=classic_scheme().special_weight,
         block_weight=lambda size: Fraction(1 if size <= ell else 0),
     )
 
 
-@cache
+@lru_cache(maxsize=CACHE_SIZE)
 def associated_scheme(ell: int) -> WeightScheme:
-    return replace(
-        classic_scheme(),
+    return WeightScheme(
         name="associated(ell=%d)" % ell,
+        special_weight=classic_scheme().special_weight,
         block_weight=lambda size: Fraction(1 if size >= ell else 0),
     )
 
 
-@cache
+@lru_cache(maxsize=CACHE_SIZE)
 def colored_singleton_scheme(r: int, s: int) -> WeightScheme:
     """Special set r^|G|; singleton blocks may take one of s colors."""
     return WeightScheme(

@@ -42,6 +42,17 @@ def test_spec_validation():
         FamilySpec("colored_singleton", r=1, s=-2)
 
 
+def test_spec_is_a_read_only_value():
+    spec = FamilySpec("generalized", alpha=1, beta=Fraction(3), gamma=Fraction(2, 4))
+    same = FamilySpec("generalized", alpha=Fraction(1), beta=3, gamma=Fraction(1, 2))
+    assert spec == same and hash(spec) == hash(same) and len({spec, same}) == 1
+    assert spec != FamilySpec("generalized", alpha=1, beta=3, gamma=1)
+    assert isinstance(spec.alpha, Fraction)
+    with pytest.raises(AttributeError):
+        spec.alpha = Fraction(2)
+    assert spec.alpha == 1
+
+
 ALL_SPECS = [
     FamilySpec("classic"),
     FamilySpec("restricted", ell=2),

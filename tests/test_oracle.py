@@ -1,7 +1,6 @@
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,9 @@ import pytest
 from stirlingkit.exact import binomial
 from stirlingkit.families import FAMILIES, FamilySpec
 from stirlingkit.oracle import (
+    CACHE_SIZE,
     ENUMERATION_CAP,
+    WeightScheme,
     _profile_counts,
     associated_scheme,
     classic_scheme,
@@ -176,7 +177,8 @@ def test_columns_match_the_dense_formula(scheme):
     # reads in a random order, each column extended out of order and
     # across k, equal the whole-series product at every (k, n)
     order, ks = 12, range(8)
-    fresh = replace(scheme)  # a derived scheme starts with an empty store
+    # a new scheme on the same weights starts with an empty store
+    fresh = WeightScheme(scheme.name, scheme.special_weight, scheme.block_weight)
     dense = {k: _dense_egf(scheme, k, order) for k in ks}
     cells = [(k, n) for k in ks for n in range(order + 1)]
     random.Random(scheme.name).shuffle(cells)
@@ -186,3 +188,17 @@ def test_columns_match_the_dense_formula(scheme):
     for k in ks:
         assert fresh.egf(k, order) == dense[k]
     assert fresh._columns is not scheme._columns
+
+
+def test_scheme_factory_cache_is_bounded():
+    # more distinct schemes than the bound: the oldest is dropped, and the
+    # scheme built again in its place reads the same values
+    partial_degenerate_scheme.cache_clear()
+    first = partial_degenerate_scheme(_HALF, _HALF, _THIRD, 2)
+    expected = [first.value(k, 7) for k in range(8)]
+    for ell in range(3, CACHE_SIZE + 13):
+        partial_degenerate_scheme(_HALF, _HALF, _THIRD, ell)
+        assert partial_degenerate_scheme.cache_info().currsize <= CACHE_SIZE
+    again = partial_degenerate_scheme(_HALF, _HALF, _THIRD, 2)
+    assert again is not first
+    assert [again.value(k, 7) for k in range(8)] == expected
