@@ -8,9 +8,9 @@ An identity audit scores literal vs corrected forms of the classical
 recurrences, and an asymptotics layer provides large-parameter
 expansions with exact error reporting.
 
-`import stirlingkit` loads no submodule: each public name below is
-imported from its submodule on first use (PEP 562), so a caller pays
-only for the layers it touches.
+`import stirlingkit` loads no submodule: each public name below, and
+each submodule named in the map, is imported on first use (PEP 562), so
+a caller pays only for the layers it touches.
 """
 
 from importlib import import_module
@@ -43,6 +43,8 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module("." + name, __name__)
     submodule = _SUBMODULES.get(name)
     if submodule is None:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
@@ -52,4 +54,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list:
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -141,7 +141,8 @@ class FamilySpec(_SpecFields):
 
     A tuple of the tag and every parameter of PARAMETERS (None where the
     family does not take it), so it is equal by value, hashable and
-    read-only.
+    read-only. `_replace` and `_make` build through the constructor, so a
+    copy is checked and coerced like any other spec.
     """
 
     __slots__ = ()
@@ -166,7 +167,14 @@ class FamilySpec(_SpecFields):
                 rationals[name] = Fraction(value)
             elif not isinstance(value, int) or value < 0:
                 raise ValueError("parameter %s must be a %s" % (name, kind))
-        return spec._replace(**rationals)
+        return super().__new__(cls, **{**spec._asdict(), **rationals})
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
 
     def describe(self) -> str:
         parts = [self.tag]

@@ -53,6 +53,20 @@ def test_spec_is_a_read_only_value():
     assert spec.alpha == 1
 
 
+def test_spec_copies_are_checked_like_new_specs():
+    spec = FamilySpec("partial_degenerate", gamma=2, alpha=1, beta=3, ell=2)
+    copy = spec._replace(alpha=2)
+    assert type(copy) is FamilySpec and isinstance(copy.alpha, Fraction)
+    assert copy == FamilySpec("partial_degenerate", gamma=2, alpha=2, beta=3, ell=2)
+    assert FamilySpec._make(spec) == spec
+    with pytest.raises(ValueError, match="ell must be"):
+        spec._replace(ell=-1)
+    with pytest.raises(ValueError, match="unknown family tag"):
+        spec._replace(tag="bogus")
+    with pytest.raises(ValueError, match="requires parameter ell"):
+        FamilySpec._make(("partial_degenerate", 2, 1, 3))
+
+
 ALL_SPECS = [
     FamilySpec("classic"),
     FamilySpec("restricted", ell=2),

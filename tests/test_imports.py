@@ -85,3 +85,10 @@ def test_star_and_submodule_imports():
         assert namespace[name] is getattr(stirlingkit, name)
     exec("from stirlingkit import asymptotics", namespace)
     assert namespace["asymptotics"].partial_bell is stirlingkit.partial_bell
+    assert "audit" in dir(stirlingkit)
+
+
+def test_a_submodule_is_an_attribute_after_import_stirlingkit():
+    loaded = _loaded("import stirlingkit\nstirlingkit.audit.run_suite")
+    assert "stirlingkit.audit" in loaded
+    assert "stirlingkit.cli" not in loaded
