@@ -10,7 +10,7 @@ Run top to bottom:  python demos/weighted_partition_oracle.py
 """
 
 from stirlingkit import enumerate_mixed, format_rational, gen_stirling, oracle_sum, partial_deg
-from stirlingkit.oracle import generalized_scheme, partial_degenerate_scheme
+from stirlingkit.schemes import generalized_scheme, partial_degenerate_scheme
 
 
 def fmt_pair(pair):

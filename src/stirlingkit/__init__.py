@@ -27,10 +27,11 @@ _EXPORTS = {
     "generalized": ("degenerate_stirling", "gen_stirling", "gen_stirling_explicit"),
     "incomplete": ("associated_from_free", "free_atleast", "free_atleast_recursion",
                    "gen_restricted", "gen_restricted_recursion", "gen_restricted_three_term"),
-    "oracle": ("MixedPartition", "WeightScheme", "enumerate_mixed", "oracle_sum"),
+    "oracle": ("MixedPartition", "enumerate_mixed", "oracle_sum"),
     "partial": ("colored_singleton", "partial_deg", "partial_deg_convolution",
                 "partial_deg_derivative_recursion", "partial_deg_multinomial",
                 "partial_deg_recursion"),
+    "schemes": ("WeightScheme",),
     "series": ("TruncatedSeries", "degenerate_exp", "egf_coeff", "exp_series",
                "incomplete_degenerate_exp", "incomplete_exp"),
 }

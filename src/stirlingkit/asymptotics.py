@@ -32,7 +32,7 @@ The normalized mode estimates exactly that.  Every exact value here,
 the psi_j and the exact sides of both modes, comes from partial_deg,
 divided by a falling factorial rather than a ratio of factorials:
 k! S(k+d, k) / (k+d)! = S(k+d, k) / (k+d)_d.  partial_deg reads column
-k of the weight scheme (oracle module), which computes only the d + 1
+k of the weight scheme (schemes module), which computes only the d + 1
 coefficients of U^k it needs and no factorial of k, so a row costs the
 same at k = 10^5 as at k = 100.  Beyond it, a literal mode evaluates the
 uncorrected published-style normalization for the audit.

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
-from . import oracle as _oracle
+from . import oracle as _oracle, schemes as _schemes
 from .core import (
     stirling2,
     stirling2_associated,
@@ -276,10 +276,10 @@ def _suite_bullets24(nmax: int) -> list:
             gen_stirling,
             ("literal",
              lambda n, k, a, b, g: _oracle.oracle_sum_blocksum(
-                 n, k, _oracle.generalized_scheme(a, b, g)),
+                 n, k, _schemes.generalized_scheme(a, b, g)),
              "partition weight read as the sum of block weights"),
             ("corrected",
-             lambda n, k, a, b, g: _oracle.oracle_sum(n, k, _oracle.generalized_scheme(a, b, g)),
+             lambda n, k, a, b, g: _oracle.oracle_sum(n, k, _schemes.generalized_scheme(a, b, g)),
              "partition weight is the product of block weights"),
         ),
     ]
@@ -348,8 +348,8 @@ def _suite_thm20(nmax: int) -> list:
 
     def _parts(ell, a, b):
         # free blocks above ell and degenerate-weighted blocks up to ell
-        big = _oracle.free_atleast_scheme(0, ell).block_series(order)
-        smallp = _oracle.gen_restricted_scheme(a, b, 0, ell).block_series(order)
+        big = _schemes.free_atleast_scheme(0, ell).block_series(order)
+        smallp = _schemes.gen_restricted_scheme(a, b, 0, ell).block_series(order)
         return big, smallp
 
     def _lhs(k, ell, a, b):
@@ -369,7 +369,7 @@ def _suite_thm20(nmax: int) -> list:
             "mixed-cell-egf",
             cases,
             lambda n, k, ell, g, a, b: _oracle.oracle_sum(
-                n, k, _oracle.partial_degenerate_scheme(g, a, b, ell)
+                n, k, _schemes.partial_degenerate_scheme(g, a, b, ell)
             ),
             ("as printed", partial_deg, "degenerate weight on blocks of size <= ell, free above"),
         ),
@@ -380,7 +380,7 @@ def _suite_thm20(nmax: int) -> list:
             partial_deg,
             ("literal",
              lambda n, k, ell, g, a, b: _oracle.oracle_sum(
-                 n, k, _oracle.partial_degenerate_swapped_scheme(g, a, b, ell)),
+                 n, k, _schemes.partial_degenerate_swapped_scheme(g, a, b, ell)),
              "weight-1 blocks below the threshold, degenerate above"),
         ),
         *_score(

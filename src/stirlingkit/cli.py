@@ -13,9 +13,9 @@ library refuses an input by raising ValueError, and so do the commands
 here; main is the one place that turns any such refusal into
 `error: ...` on stderr and exit 2.  All values are printed as exact
 rationals ('p' or 'p/q'); no floats are ever emitted except the
-convenience decimal column of `asympt`.  The audit, the asymptotics and
-json are imported by the commands that use them, so a `value`, `table`
-or `series` call loads none of them.
+convenience decimal column of `asympt`.  The audit, the asymptotics, the
+enumeration oracle and json are imported by the commands that use them,
+so a `value`, `table` or `series` call by egf loads none of them.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .families import (
     family_egf,
     family_value,
 )
-from .oracle import ENUMERATION_CAP
 from .series import egf_coeff
 from .suites import SUITE_NAMES
 
@@ -85,10 +84,16 @@ def _write_json(payload, out: str | None) -> None:
     _write_out(json.dumps(payload, indent=2), out)
 
 
+def _enumeration_cap() -> int:
+    from .oracle import ENUMERATION_CAP  # only the oracle method loads the enumeration
+
+    return ENUMERATION_CAP
+
+
 def _check_oracle_cap(method: str, n: int) -> None:
-    if method == "oracle" and n > ENUMERATION_CAP:
+    if method == "oracle" and n > _enumeration_cap():
         raise ValueError(
-            "method=oracle is capped at n=%d (asked for n=%d)" % (ENUMERATION_CAP, n)
+            "method=oracle is capped at n=%d (asked for n=%d)" % (_enumeration_cap(), n)
         )
 
 
@@ -104,7 +109,7 @@ def _cmd_value(args) -> int:
         for method in METHODS:
             if method in results:
                 continue
-            if method == "oracle" and n > ENUMERATION_CAP:
+            if method == "oracle" and n > _enumeration_cap():
                 continue
             try:
                 results[method] = family_value(spec, n, k, method)

@@ -8,7 +8,7 @@ exponential generating functions
     associated:  (e^x - e_{<ell}(x))^k / k!     blocks of size at least ell
 
 with e_{<=ell} and e_{<ell} the truncated exponentials; each is the EGF
-of the family's weight scheme in the oracle module.  The classical
+of the family's weight scheme in the schemes module.  The classical
 recurrences are provided separately as verification targets; the audit
 module compares them (including a commonly printed but wrong variant of
 the basic recursion) against these reference values.
@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import cache
 
 from .exact import UNFILLED_ROWS, as_integer, binomial, cells_below, check_indices
-from .oracle import associated_scheme, classic_scheme, restricted_scheme
+from .schemes import associated_scheme, classic_scheme, restricted_scheme
 
 __all__ = [
     "stirling2",

@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 import re
 import threading
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
 
@@ -135,6 +135,12 @@ def as_integer(value: Rational) -> int:
 # stays well inside Python's default recursion limit of 1000, and calls
 # with n (or k) up to it fill nothing.
 UNFILLED_ROWS = 150
+
+# Entries kept by each bounded cache: the scheme factories and the oracle's
+# size profiles.  After `verify --suite all --nmax 8` the largest,
+# generalized_scheme, holds 52 schemes; a long-lived caller asking for ever
+# new parameters keeps at most this many schemes and their columns alive.
+CACHE_SIZE = 256
 
 
 def cells_below(n: int, k: int) -> Iterator[tuple[int, int]]:

@@ -2,7 +2,7 @@
 
 Each of the nine number families is defined once, in FAMILIES: its
 parameters, its weight scheme (which fixes the generating function, see
-the oracle module) and its independent routes.  PARAMETERS states the
+the schemes module) and its independent routes.  PARAMETERS states the
 kind of every parameter once, and a FamilySpec names one family together
 with exactly the parameters that family takes.  Values can be computed
 by several methods:
@@ -23,11 +23,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
-from . import oracle as _oracle
+from . import schemes as _schemes
 from .core import stirling2_associated_rec, stirling2_rec, stirling2_restricted_rec
-from .exact import Rational, check_indices
+from .exact import check_indices
 from .generalized import check_triple, gen_stirling_explicit, gen_stirling_rec
 from .incomplete import free_atleast_rec, gen_restricted_rec
 from .partial import colored_singleton_rec, partial_deg_rec
@@ -58,72 +57,69 @@ PARAMETERS = {
     "s": "non-negative integer",
 }
 
-# A route takes (spec, n, k).  Routes are lambdas, so each call looks its
-# function up by name in this module and a rebound name takes effect.
-_Route = Callable[["FamilySpec", int, int], Rational]
 
-
-class Family(NamedTuple):
+class Family(namedtuple("Family", ("params", "scheme", "recurrence", "explicit"),
+                         defaults=(None,))):
     """One family: its parameters, weight scheme and routes to its values.
 
     The scheme alone fixes the canonical egf values, so a family has no
     value route of its own; recurrence and explicit (None where the
-    family has no explicit sum) are independent of the scheme.
+    family has no explicit sum) are independent of the scheme.  scheme
+    takes a FamilySpec, and a route takes (spec, n, k).  Routes are
+    lambdas, so each call looks its function up by name in this module
+    and a rebound name takes effect.
     """
 
-    params: tuple
-    scheme: Callable[["FamilySpec"], _oracle.WeightScheme]
-    recurrence: _Route
-    explicit: _Route | None = None
+    __slots__ = ()
 
 
 FAMILIES = {
     "classic": Family(
         params=(),
-        scheme=lambda s: _oracle.classic_scheme(),
+        scheme=lambda s: _schemes.classic_scheme(),
         recurrence=lambda s, n, k: stirling2_rec(n, k),
         explicit=lambda s, n, k: gen_stirling_explicit(n, k, 0, 1, 0),
     ),
     "restricted": Family(
         params=("ell",),
-        scheme=lambda s: _oracle.restricted_scheme(s.ell),
+        scheme=lambda s: _schemes.restricted_scheme(s.ell),
         recurrence=lambda s, n, k: stirling2_restricted_rec(n, k, s.ell),
     ),
     "associated": Family(
         params=("ell",),
-        scheme=lambda s: _oracle.associated_scheme(s.ell),
+        scheme=lambda s: _schemes.associated_scheme(s.ell),
         recurrence=lambda s, n, k: stirling2_associated_rec(n, k, s.ell),
     ),
     "degenerate": Family(
         params=("lam",),
-        scheme=lambda s: _oracle.generalized_scheme(s.lam, 1, 0),
+        scheme=lambda s: _schemes.generalized_scheme(s.lam, 1, 0),
         recurrence=lambda s, n, k: gen_stirling_rec(n, k, s.lam, 1, 0),
         explicit=lambda s, n, k: gen_stirling_explicit(n, k, s.lam, 1, 0),
     ),
     "generalized": Family(
         params=("alpha", "beta", "gamma"),
-        scheme=lambda s: _oracle.generalized_scheme(s.alpha, s.beta, s.gamma),
+        scheme=lambda s: _schemes.generalized_scheme(s.alpha, s.beta, s.gamma),
         recurrence=lambda s, n, k: gen_stirling_rec(n, k, s.alpha, s.beta, s.gamma),
         explicit=lambda s, n, k: gen_stirling_explicit(n, k, s.alpha, s.beta, s.gamma),
     ),
     "gen_restricted": Family(
         params=("alpha", "beta", "gamma", "ell"),
-        scheme=lambda s: _oracle.gen_restricted_scheme(s.alpha, s.beta, s.gamma, s.ell),
+        scheme=lambda s: _schemes.gen_restricted_scheme(s.alpha, s.beta, s.gamma, s.ell),
         recurrence=lambda s, n, k: gen_restricted_rec(n, k, s.alpha, s.beta, s.gamma, s.ell),
     ),
     "free_atleast": Family(
         params=("gamma", "ell"),
-        scheme=lambda s: _oracle.free_atleast_scheme(s.gamma, s.ell),
+        scheme=lambda s: _schemes.free_atleast_scheme(s.gamma, s.ell),
         recurrence=lambda s, n, k: free_atleast_rec(n, k, s.gamma, s.ell),
     ),
     "partial_degenerate": Family(
         params=("gamma", "alpha", "beta", "ell"),
-        scheme=lambda s: _oracle.partial_degenerate_scheme(s.gamma, s.alpha, s.beta, s.ell),
+        scheme=lambda s: _schemes.partial_degenerate_scheme(s.gamma, s.alpha, s.beta, s.ell),
         recurrence=lambda s, n, k: partial_deg_rec(n, k, s.ell, s.gamma, s.alpha, s.beta),
     ),
     "colored_singleton": Family(
         params=("r", "s"),
-        scheme=lambda s: _oracle.colored_singleton_scheme(s.r, s.s),
+        scheme=lambda s: _schemes.colored_singleton_scheme(s.r, s.s),
         recurrence=lambda s, n, k: colored_singleton_rec(n, k, s.r, s.s),
     ),
 }
@@ -195,7 +191,9 @@ def family_value(spec: FamilySpec, n: int, k: int, method: str = "egf") -> Fract
     _check_defined(spec)
     family = FAMILIES[spec.tag]
     if method == "oracle":
-        return _oracle.oracle_sum(n, k, family.scheme(spec))
+        from .oracle import oracle_sum  # only this method loads the enumeration
+
+        return oracle_sum(n, k, family.scheme(spec))
     if method == "explicit":
         if family.explicit is None:
             raise ValueError("no explicit-sum formula for family %r" % spec.tag)

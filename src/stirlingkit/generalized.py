@@ -5,7 +5,7 @@ coefficient between the degenerate falling factorials (t)_{n,alpha} and
 (t-gamma)_{k,beta}.  Combinatorially the numbers are weighted sums over
 mixed partitions (a possibly-empty special set G plus k non-empty
 blocks): G carries weight (gamma)_{|G|,alpha} and a block B carries
-(beta-alpha)_{|B|-1,alpha}.  That weight scheme (oracle module) fixes the
+(beta-alpha)_{|B|-1,alpha}.  That weight scheme (schemes module) fixes the
 exponential generating function
 
     e_alpha^gamma(t) * (sum_{m>=1} (beta-alpha)_{m-1,alpha} t^m/m!)^k / k!,
@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cache
 
 from .exact import Rational, binomial, cells_below, check_indices, falling_factorial_deg
-from .oracle import generalized_scheme
+from .schemes import generalized_scheme
 
 __all__ = [
     "gen_stirling",

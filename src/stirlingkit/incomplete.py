@@ -13,7 +13,7 @@ Two families live here:
   and k blocks forced to exceed ell elements; generating function
   e^(gamma*x) * (e^x - e_{<=ell}(x))^k / k!.
 
-Both generating functions come from the weight schemes in the oracle
+Both generating functions come from the weight schemes in the schemes
 module.  The recurrence routes re-derive the values independently by
 applying the audited corrected one-step rules to their own rows.
 
@@ -35,7 +35,7 @@ from functools import cache
 
 from .core import _associated_rec, stirling2_associated_rec
 from .exact import UNFILLED_ROWS, Rational, binomial, cells_below, check_indices, falling_factorial_deg
-from .oracle import free_atleast_scheme, gen_restricted_scheme, generalized_scheme
+from .schemes import free_atleast_scheme, gen_restricted_scheme, generalized_scheme
 
 __all__ = [
     "gen_restricted",

@@ -5,7 +5,7 @@ blocks, where a block of size at most ell carries the degenerate weight
 (beta-alpha)_{size-1,alpha} and a larger block is free (weight 1).
 
 Reference path is coefficient extraction from the generating function
-of that weight scheme (oracle module),
+of that weight scheme (schemes module),
 
     e^(gamma*x) / k! * (e^x + sum_{i=1..ell} (beta-alpha)_{i-1,alpha} x^i/i!
                             - e_{<=ell}(x))^k,
@@ -25,13 +25,13 @@ in one of s colors) share the machinery and close the module.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache
-from typing import Iterator
 
 from .exact import Rational, as_integer, binomial, cells_below, check_indices, multinomial
 from .incomplete import free_atleast, gen_restricted
-from .oracle import colored_singleton_scheme, partial_degenerate_scheme
+from .schemes import colored_singleton_scheme, partial_degenerate_scheme
 
 __all__ = [
     "partial_deg",

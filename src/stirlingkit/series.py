@@ -19,7 +19,7 @@ O((N-vk)^2) products whatever k is, and none when vk > N.
 The recurrence is online: w_n needs only u_0..u_n and w_0..w_(n-1)
 (J. van der Hoeven, "Relax, but don't be too lazy", J. Symbolic
 Computation 34, 2002).  _miller_term computes one w_n and _product_term
-one coefficient of a product, so the weight schemes of the oracle module
+one coefficient of a product, so the weight schemes of the schemes module
 extend each column P * U^k one coefficient at a time, as values are read,
 with the same arithmetic as the whole-series operations here.
 """
@@ -27,12 +27,10 @@ with the same arithmetic as the whole-series operations here.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Union
 
 from .exact import Rational, falling_factorial_deg
-
-_Scalar = Union[int, Fraction]
 
 
 class TruncatedSeries:

@@ -15,6 +15,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from stirlingkit import oracle as orc
+from stirlingkit import schemes
 from stirlingkit.asymptotics import asymptotic_partial, hsu_expansion
 from stirlingkit.audit import audit_ok, run_all, run_suite
 from stirlingkit.families import FamilySpec, family_value
@@ -37,44 +38,44 @@ TRIPLES = [(0, 1, 0), (0, 1, 2), (1, 2, 0), (1, 3, 2), (2, 4, 2)]
 def _oracle_specs():
     """Every family over the acceptance parameter grid, with its scheme."""
     pairs = []
-    pairs.append((FamilySpec("classic"), orc.classic_scheme()))
+    pairs.append((FamilySpec("classic"), schemes.classic_scheme()))
     for ell in (1, 2, 3):
-        pairs.append((FamilySpec("restricted", ell=ell), orc.restricted_scheme(ell)))
-        pairs.append((FamilySpec("associated", ell=ell), orc.associated_scheme(ell)))
+        pairs.append((FamilySpec("restricted", ell=ell), schemes.restricted_scheme(ell)))
+        pairs.append((FamilySpec("associated", ell=ell), schemes.associated_scheme(ell)))
     for lam in (0, 1, 2):
         pairs.append(
-            (FamilySpec("degenerate", lam=lam), orc.generalized_scheme(lam, 1, 0))
+            (FamilySpec("degenerate", lam=lam), schemes.generalized_scheme(lam, 1, 0))
         )
     for a, b, g in TRIPLES:
         pairs.append(
             (
                 FamilySpec("generalized", alpha=a, beta=b, gamma=g),
-                orc.generalized_scheme(a, b, g),
+                schemes.generalized_scheme(a, b, g),
             )
         )
         for ell in (1, 2, 3):
             pairs.append(
                 (
                     FamilySpec("gen_restricted", alpha=a, beta=b, gamma=g, ell=ell),
-                    orc.gen_restricted_scheme(a, b, g, ell),
+                    schemes.gen_restricted_scheme(a, b, g, ell),
                 )
             )
         for ell in (0, 1, 2, 3):
             pairs.append(
                 (
                     FamilySpec("partial_degenerate", gamma=g, alpha=a, beta=b, ell=ell),
-                    orc.partial_degenerate_scheme(g, a, b, ell),
+                    schemes.partial_degenerate_scheme(g, a, b, ell),
                 )
             )
     for g in (0, 1, 2):
         for ell in (0, 1, 2, 3):
             pairs.append(
-                (FamilySpec("free_atleast", gamma=g, ell=ell), orc.free_atleast_scheme(g, ell))
+                (FamilySpec("free_atleast", gamma=g, ell=ell), schemes.free_atleast_scheme(g, ell))
             )
     for r in (0, 1, 2):
         for s in (0, 1, 2, 3):
             pairs.append(
-                (FamilySpec("colored_singleton", r=r, s=s), orc.colored_singleton_scheme(r, s))
+                (FamilySpec("colored_singleton", r=r, s=s), schemes.colored_singleton_scheme(r, s))
             )
     return pairs
 

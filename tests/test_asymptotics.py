@@ -4,7 +4,7 @@ from functools import cache
 
 import pytest
 
-from stirlingkit import oracle
+from stirlingkit import schemes
 from stirlingkit.asymptotics import (
     LITERAL_MODE_N_CAP,
     VanishingPochhammer,
@@ -171,12 +171,12 @@ def test_large_k_row_reads_d_plus_one_coefficients():
     # the exact side of a normalized row is [t^d] P * U^k, read from column k
     # of the scheme with special parameter gamma*k: at k = 10^5 the column
     # computes w_0..w_d of U^k and nothing more
-    oracle.partial_degenerate_scheme.cache_clear()  # a fresh store
+    schemes.partial_degenerate_scheme.cache_clear()  # a fresh store
     gamma, alpha, beta, ell, d, k = Fraction(1), Fraction(1), Fraction(2), 2, 4, 10 ** 5
     row = asymptotic_partial(d, k, gamma, alpha, beta, ell, 3)
     assert row.n_total == k + d
-    column = oracle.partial_degenerate_scheme(gamma * k, alpha, beta, ell)._columns.by_k[k]
-    assert len(column.w_num) <= d + 1
+    w_num, _, _ = schemes.partial_degenerate_scheme(gamma * k, alpha, beta, ell)._by_k[k]
+    assert len(w_num) <= d + 1
     # [t^d] psi^k = k! S(k+d, k) / (k+d)! by a series power instead
     assert row.exact == (shifted_mixed_series(gamma, alpha, beta, ell, d) ** k).coefficient(d)
 

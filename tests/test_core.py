@@ -9,7 +9,8 @@ from stirlingkit.core import (
     stirling2_restricted,
     stirling2_restricted_rec,
 )
-from stirlingkit.oracle import associated_scheme, oracle_sum, restricted_scheme
+from stirlingkit.oracle import oracle_sum
+from stirlingkit.schemes import associated_scheme, restricted_scheme
 
 from conftest import brute_stirling2
 

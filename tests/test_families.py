@@ -9,8 +9,8 @@ from stirlingkit import (
     free_atleast,
     gen_restricted,
     gen_stirling,
-    oracle,
     partial_deg,
+    schemes,
     series,
     stirling2,
     stirling2_associated,
@@ -118,7 +118,7 @@ def test_recurrence_routes_multiply_no_series(monkeypatch):
     for name in ("__mul__", "__rmul__", "__pow__"):
         monkeypatch.setattr(TruncatedSeries, name, refuse)
     monkeypatch.setattr(series, "_fraction_sum", refuse)
-    oracle.classic_scheme.cache_clear()  # a fresh scheme has read no column yet
+    schemes.classic_scheme.cache_clear()  # a fresh scheme has read no column yet
     params = dict(
         alpha=Fraction(5, 7), beta=Fraction(-2, 9), gamma=Fraction(4, 11),
         lam=Fraction(-3, 13), ell=2, r=3, s=2,
@@ -130,6 +130,31 @@ def test_recurrence_routes_multiply_no_series(monkeypatch):
                 family_value(spec, n, k, "recurrence")
     with pytest.raises(AssertionError):
         family_value(FamilySpec("classic"), 9, 4, "egf")
+
+
+def test_independent_routes_never_read_a_column(monkeypatch):
+    # recurrence, explicit and oracle verify the egf path only while none
+    # of them reads a value or a coefficient from a scheme's column
+    def refuse(*args):
+        raise AssertionError("an independent route read a column")
+
+    monkeypatch.setattr(schemes.WeightScheme, "value", refuse)
+    monkeypatch.setattr(schemes.WeightScheme, "product_coefficient", refuse)
+    specs = ALL_SPECS + [
+        FamilySpec("generalized", alpha=1, beta=0, gamma=2),
+        FamilySpec("restricted", ell=0),
+    ]
+    for spec in specs:
+        for n in range(0, 8):
+            for k in range(0, n + 2):
+                for method in ("recurrence", "explicit", "oracle"):
+                    try:
+                        family_value(spec, n, k, method)
+                    except ValueError:
+                        # the family has no explicit sum, or none at beta = 0
+                        assert method == "explicit"
+    with pytest.raises(AssertionError):
+        family_value(FamilySpec("classic"), 3, 2, "egf")
 
 
 def test_unknown_method():
@@ -172,8 +197,8 @@ def test_excluded_block_sizes_form_no_factorial(monkeypatch):
         return factorial(m)
 
     monkeypatch.setattr(math, "factorial", bounded)
-    oracle.classic_scheme.cache_clear()
-    oracle.restricted_scheme.cache_clear()  # a fresh scheme has read no column yet
+    schemes.classic_scheme.cache_clear()
+    schemes.restricted_scheme.cache_clear()  # a fresh scheme has read no column yet
     spec = FamilySpec("restricted", ell=ell)
     assert family_value(spec, 400, 2) == 0
     assert family_value(spec, 6, 3) == 15

@@ -10,7 +10,8 @@ from stirlingkit.generalized import (
     gen_stirling_explicit,
     gen_stirling_rec,
 )
-from stirlingkit.oracle import generalized_scheme, oracle_sum
+from stirlingkit.oracle import oracle_sum
+from stirlingkit.schemes import generalized_scheme
 from stirlingkit.series import TruncatedSeries, degenerate_exp, egf_coeff
 
 from conftest import random_rational

@@ -27,7 +27,8 @@ code = cli.main(sys.argv[1:])
 """
 
 _GEN = ["--gamma", "1", "--alpha", "1", "--beta", "2", "--ell", "2"]
-_VALUE_PATH = {"stirlingkit.audit", "stirlingkit.asymptotics", "dataclasses", "json", "csv"}
+_VALUE_PATH = {"stirlingkit.audit", "stirlingkit.asymptotics", "stirlingkit.oracle",
+               "dataclasses", "json", "csv"}
 
 # command -> (argv, modules it loads, modules it must not load)
 _COMMANDS = {
@@ -39,12 +40,16 @@ _COMMANDS = {
                {"stirlingkit.families"}, _VALUE_PATH),
     "asympt-text": (["asympt", "--n", "4", "--k", "3,5", *_GEN],
                     {"stirlingkit.asymptotics"}, {"stirlingkit.audit", "dataclasses"}),
+    "value-oracle": (["value", "--family", "classic", "--n", "6", "--k", "3", "--method", "oracle"],
+                     {"stirlingkit.oracle"}, {"stirlingkit.audit"}),
+    "value-check": (["value", "--family", "classic", "--n", "6", "--k", "3", "--check"],
+                    {"stirlingkit.oracle"}, {"stirlingkit.audit"}),
 }
 
 
-def _loaded(body: str, *argv: str) -> set:
+def _loaded(body: str, *argv: str, flags: tuple = ()) -> set:
     done = subprocess.run(
-        [sys.executable, "-c", _CHILD.format(body=body), *argv],
+        [sys.executable, *flags, "-c", _CHILD.format(body=body), *argv],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": _SRC},
     )
     assert done.returncode == 0, done.stderr
@@ -63,6 +68,24 @@ def test_a_command_loads_only_what_it_runs(command):
     loaded = _loaded(_CLI, *argv)
     assert present <= loaded
     assert not loaded & absent
+
+
+@pytest.mark.parametrize("command", ["value", "table-csv", "series"])
+def test_the_value_path_imports_no_typing(command):
+    # -S: a site-packages .pth file may import typing before the package does
+    loaded = _loaded(_CLI, *_COMMANDS[command][0], flags=("-S",))
+    assert "stirlingkit.families" in loaded
+    assert "typing" not in loaded
+
+
+def test_the_oracle_and_the_schemes_import_apart():
+    # the enumeration checks the schemes, so neither is built on the other
+    oracle = _loaded("import stirlingkit.oracle")
+    assert "stirlingkit.oracle" in oracle
+    assert not oracle & {"stirlingkit.schemes", "stirlingkit.series"}
+    schemes = _loaded("import stirlingkit.schemes")
+    assert "stirlingkit.schemes" in schemes
+    assert "stirlingkit.oracle" not in schemes
 
 
 def test_every_public_name_resolves_to_its_submodule_object():

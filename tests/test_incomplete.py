@@ -13,11 +13,8 @@ from stirlingkit.incomplete import (
     gen_restricted_recursion,
     gen_restricted_three_term,
 )
-from stirlingkit.oracle import (
-    free_atleast_scheme,
-    gen_restricted_scheme,
-    oracle_sum,
-)
+from stirlingkit.oracle import oracle_sum
+from stirlingkit.schemes import free_atleast_scheme, gen_restricted_scheme
 
 TRIPLES = [(0, 1, 0), (0, 1, 2), (1, 2, 0), (1, 3, 2), (2, 4, 2)]
 

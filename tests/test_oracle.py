@@ -5,22 +5,23 @@ from fractions import Fraction
 
 import pytest
 
-from stirlingkit.exact import binomial
+from stirlingkit.exact import CACHE_SIZE, binomial
 from stirlingkit.families import FAMILIES, FamilySpec
 from stirlingkit.oracle import (
-    CACHE_SIZE,
     ENUMERATION_CAP,
-    WeightScheme,
     _profile_counts,
+    enumerate_mixed,
+    oracle_sum,
+    oracle_sum_blocksum,
+)
+from stirlingkit.schemes import (
+    WeightScheme,
     associated_scheme,
     classic_scheme,
     colored_singleton_scheme,
-    enumerate_mixed,
     free_atleast_scheme,
     gen_restricted_scheme,
     generalized_scheme,
-    oracle_sum,
-    oracle_sum_blocksum,
     partial_degenerate_scheme,
     partial_degenerate_swapped_scheme,
     restricted_scheme,
@@ -187,7 +188,7 @@ def test_columns_match_the_dense_formula(scheme):
         assert fresh.product_coefficient(k, n) == dense[k].coefficient(n) * math.factorial(k)
     for k in ks:
         assert fresh.egf(k, order) == dense[k]
-    assert fresh._columns is not scheme._columns
+    assert fresh._by_k is not scheme._by_k and fresh._values is not scheme._values
 
 
 def test_scheme_factory_cache_is_bounded():

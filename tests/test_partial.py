@@ -6,7 +6,7 @@ import pytest
 from stirlingkit import partial
 from stirlingkit.core import stirling2, stirling2_associated
 from stirlingkit.incomplete import free_atleast, gen_restricted
-from stirlingkit.oracle import colored_singleton_scheme, oracle_sum, partial_degenerate_scheme
+from stirlingkit.oracle import oracle_sum
 from stirlingkit.partial import (
     colored_singleton,
     colored_singleton_rec,
@@ -17,6 +17,7 @@ from stirlingkit.partial import (
     partial_deg_rec,
     partial_deg_recursion,
 )
+from stirlingkit.schemes import colored_singleton_scheme, partial_degenerate_scheme
 
 # (gamma, alpha, beta) triples with beta nonzero, alpha | beta, alpha | gamma
 PARTIAL_TRIPLES = [(0, 0, 1), (2, 0, 1), (0, 1, 2), (2, 1, 3), (2, 2, 4)]

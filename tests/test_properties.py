@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stirlingkit import oracle, series
+from stirlingkit import schemes, series
 from stirlingkit.families import FAMILIES, FAMILY_TAGS, FamilySpec, family_egf, family_value
 from stirlingkit.generalized import gen_stirling, gen_stirling_rec
 from stirlingkit.series import TruncatedSeries, egf_coeff
@@ -126,7 +126,7 @@ def test_family_series_products_do_not_depend_on_k(monkeypatch):
         return real(nums, dens)
 
     monkeypatch.setattr(series, "_fraction_sum", counting)
-    oracle.generalized_scheme.cache_clear()  # a fresh scheme has read no column yet
+    schemes.generalized_scheme.cache_clear()  # a fresh scheme has read no column yet
     spec = FamilySpec("generalized", alpha=Fraction(1, 2), beta=Fraction(-1, 3), gamma=2)
     for k in (2, 640):
         counts.append(0)
