@@ -98,14 +98,15 @@ def _score(suite: str, identity: str, cases: list, reference: Callable, *forms: 
     """Score every form of one identity against one reference on one case
     list.  Each form is a (form, function, note) entry; the findings keep
     the order of the entries, and a counterexample is the first failing
-    case in the order of the list."""
+    case in the order of the list.  The reference is evaluated once per
+    case, whatever the number of forms."""
+    rights = [reference(*case) for case in cases]
     findings = []
     for form, function, note in forms:
         checked = failed = 0
         first = None
-        for case in cases:
+        for case, right in zip(cases, rights):
             left = function(*case)
-            right = reference(*case)
             checked += 1
             if left != right:
                 failed += 1

@@ -44,30 +44,28 @@ def check_triple(alpha: Rational, beta: Rational, gamma: Rational) -> None:
         raise ValueError("parameter triple (0, 0, 0) is excluded")
 
 
-def _validate(n: int, k: int, alpha: Fraction, beta: Fraction, gamma: Fraction) -> None:
+def _validate(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational) -> None:
     check_indices(n, k)
     check_triple(alpha, beta, gamma)
 
 
 def gen_stirling(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational) -> Fraction:
     """Generalized Stirling number for the parameter triple (alpha, beta, gamma)."""
-    a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
-    _validate(n, k, a, b, g)
-    return generalized_scheme(a, b, g).value(k, n)
+    _validate(n, k, alpha, beta, gamma)
+    return generalized_scheme(alpha, beta, gamma).value(k, n)
 
 
 def gen_stirling_rec(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational) -> Fraction:
     """Same value through the triangular recursion (works for any beta),
     its rows filled bottom-up so n has no depth limit."""
-    a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
-    _validate(n, k, a, b, g)
+    _validate(n, k, alpha, beta, gamma)
     for m, j in cells_below(n, k):
-        _gen_rec_full(m, j, a, b, g)
-    return _gen_rec_full(n, k, a, b, g)
+        _gen_rec_full(m, j, alpha, beta, gamma)
+    return _gen_rec_full(n, k, alpha, beta, gamma)
 
 
 @cache
-def _gen_rec_full(n: int, k: int, alpha: Fraction, beta: Fraction, gamma: Fraction) -> Fraction:
+def _gen_rec_full(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational) -> Fraction:
     if n == 0:
         return Fraction(1 if k == 0 else 0)
     if k > n:
@@ -82,15 +80,14 @@ def gen_stirling_explicit(n: int, k: int, alpha: Rational, beta: Rational, gamma
 
     (1 / (beta^k k!)) * sum_{j=0..k} (-1)^(k-j) C(k,j) (beta*j + gamma)_{n,alpha}
     """
-    a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
-    _validate(n, k, a, b, g)
-    if b == 0:
+    _validate(n, k, alpha, beta, gamma)
+    if beta == 0:
         raise ValueError("explicit sum is undefined for beta = 0; use the recursion path")
     total = Fraction(0)
     for j in range(k + 1):
         sign = -1 if (k - j) % 2 else 1
-        total += sign * binomial(k, j) * falling_factorial_deg(b * j + g, n, a)
-    return total / (b ** k * math.factorial(k))
+        total += sign * binomial(k, j) * falling_factorial_deg(beta * j + gamma, n, alpha)
+    return total / (beta ** k * math.factorial(k))
 
 
 def degenerate_stirling(n: int, k: int, lam: Rational) -> Fraction:

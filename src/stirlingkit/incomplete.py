@@ -54,8 +54,7 @@ def gen_restricted(
 ) -> Fraction:
     """Generalized numbers with every ordinary block of size at most ell."""
     check_indices(n, k, ell)
-    a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
-    return gen_restricted_scheme(a, b, g, ell).value(k, n)
+    return gen_restricted_scheme(alpha, beta, gamma, ell).value(k, n)
 
 
 def gen_restricted_rec(
@@ -65,18 +64,17 @@ def gen_restricted_rec(
     is filled bottom-up over the states the recursion reaches, so n has
     no depth limit."""
     check_indices(n, k, ell)
-    a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
     for m, j in cells_below(n, k):
         # (m, j) at gamma - t*alpha: t removed elements joined the special
         # set, the other n-m-t formed k-j blocks of 1..ell elements
         for t in range(max(0, n - m - ell * (k - j)), n - m - (k - j) + 1):
-            _gen_restricted_rec(m, j, a, b, g - t * a, ell)
-    return _gen_restricted_rec(n, k, a, b, g, ell)
+            _gen_restricted_rec(m, j, alpha, beta, gamma - t * alpha, ell)
+    return _gen_restricted_rec(n, k, alpha, beta, gamma, ell)
 
 
 @cache
 def _gen_restricted_rec(
-    n: int, k: int, alpha: Fraction, beta: Fraction, gamma: Fraction, ell: int
+    n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational, ell: int
 ) -> Fraction:
     if k > n:
         return Fraction(0)
@@ -146,31 +144,30 @@ def gen_restricted_three_term(
     The audit compares each against the matching reference value.
     """
     check_indices(n, k, ell)
-    a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
-
     if not literal:
-        return gen_restricted_recursion(n + 1, k, a, b, g, ell, lower=gen_restricted_recursion)
+        step = gen_restricted_recursion
+        return step(n + 1, k, alpha, beta, gamma, ell, lower=step)
 
-    total = g * gen_restricted(n, k, a, b, g - a, ell)
+    total = gamma * gen_restricted(n, k, alpha, beta, gamma - alpha, ell)
     for i in range(max(k - 1, 0), ell + 1):
         if i > n:
             break
-        w = binomial(n, i) * Fraction(falling_factorial_deg(b - a, n - i + 1, a))
+        w = binomial(n, i) * Fraction(falling_factorial_deg(beta - alpha, n - i + 1, alpha))
         if i >= 1:
-            total += g * w * _safe_gen_restricted(i - 1, k - 1, a, b, g - a, ell)
+            total += gamma * w * _safe_gen_restricted(i - 1, k - 1, alpha, beta, gamma - alpha, ell)
         inner = Fraction(0)
         for j in range(0, i):
             inner += (
                 binomial(i - 1, j)
-                * Fraction(falling_factorial_deg(b - a, i - j, a))
-                * _safe_gen_restricted(j, k - 2, a, b, g, ell)
+                * Fraction(falling_factorial_deg(beta - alpha, i - j, alpha))
+                * _safe_gen_restricted(j, k - 2, alpha, beta, gamma, ell)
             )
         total += w * inner
     return total
 
 
 def _safe_gen_restricted(
-    n: int, k: int, alpha: Fraction, beta: Fraction, gamma: Fraction, ell: int
+    n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational, ell: int
 ) -> Fraction:
     return Fraction(0) if k < 0 else gen_restricted(n, k, alpha, beta, gamma, ell)
 
@@ -181,21 +178,20 @@ def _safe_gen_restricted(
 def free_atleast(n: int, k: int, gamma: Rational, ell: int) -> Fraction:
     """Pairs (G, P_k) weighted gamma^|G| with every block larger than ell."""
     check_indices(n, k, ell)
-    return free_atleast_scheme(Fraction(gamma), ell).value(k, n)
+    return free_atleast_scheme(gamma, ell).value(k, n)
 
 
 def free_atleast_rec(n: int, k: int, gamma: Rational, ell: int) -> Fraction:
     """Full recursion path built on the size-floored recursion only; the
     rows below n are filled bottom-up first, so n has no depth limit."""
     check_indices(n, k, ell)
-    g = Fraction(gamma)
     for m in range(n - UNFILLED_ROWS):
-        _free_atleast_rec(m, k, g, ell)
-    return _free_atleast_rec(n, k, g, ell)
+        _free_atleast_rec(m, k, gamma, ell)
+    return _free_atleast_rec(n, k, gamma, ell)
 
 
 @cache
-def _free_atleast_rec(n: int, k: int, gamma: Fraction, ell: int) -> Fraction:
+def _free_atleast_rec(n: int, k: int, gamma: Rational, ell: int) -> Fraction:
     if n == 0:
         return Fraction(1 if k == 0 else 0)
     return free_atleast_recursion(n, k, gamma, ell, lower=_free_atleast_rec)
@@ -240,9 +236,8 @@ def associated_from_free(n: int, k: int, gamma: Rational, ell: int) -> Fraction:
     if ell < 1:
         raise ValueError("associated numbers need ell >= 1")
     check_indices(n, k)
-    g = Fraction(gamma)
     total = Fraction(0)
     for i in range(0, n - k + 1):
         sign = -1 if i % 2 else 1
-        total += sign * g ** i * binomial(n, i) * free_atleast(n - i, k, g, ell - 1)
+        total += sign * gamma ** i * binomial(n, i) * free_atleast(n - i, k, gamma, ell - 1)
     return total

@@ -49,9 +49,8 @@ def partial_deg(
     n: int, k: int, ell: int, gamma: Rational, alpha: Rational, beta: Rational
 ) -> Fraction:
     """Weighted count of mixed free/degenerate-cell partitions."""
-    g, a, b = Fraction(gamma), Fraction(alpha), Fraction(beta)
     check_indices(n, k, ell)
-    return partial_degenerate_scheme(g, a, b, ell).value(k, n)
+    return partial_degenerate_scheme(gamma, alpha, beta, ell).value(k, n)
 
 
 def partial_deg_convolution(
@@ -60,16 +59,15 @@ def partial_deg_convolution(
     """Split by the element set living in free cells: a binomial convolution
     of the free-cell numbers with the size-capped weighted numbers (the
     gen_restricted numbers with an empty special set, gamma = 0)."""
-    g, a, b = Fraction(gamma), Fraction(alpha), Fraction(beta)
     check_indices(n, k, ell)
     total = Fraction(0)
     for i in range(0, n + 1):
-        total += binomial(n, i) * _split(i, n - i, k, ell, g, a, b)
+        total += binomial(n, i) * _split(i, n - i, k, ell, gamma, alpha, beta)
     return total
 
 
 def _split(
-    free: int, weighted: int, k: int, ell: int, g: Fraction, a: Fraction, b: Fraction
+    free: int, weighted: int, k: int, ell: int, g: Rational, a: Rational, b: Rational
 ) -> Fraction:
     """sum_j free_atleast(free, j) * gen_restricted(weighted, k - j) at
     gamma = 0: j of the k blocks hold the `free` elements of free cells,
@@ -88,7 +86,6 @@ def partial_deg_recursion(
 ) -> Fraction:
     """Recursion on the newest element's position: it joins either a free
     cell or a weighted cell, shifting one factor of the convolution."""
-    g, a, b = Fraction(gamma), Fraction(alpha), Fraction(beta)
     check_indices(n_plus_1, k, ell)
     if n_plus_1 == 0:
         return Fraction(1 if k == 0 else 0)
@@ -96,7 +93,8 @@ def partial_deg_recursion(
     total = Fraction(0)
     for i in range(0, n + 1):
         total += binomial(n, i) * (
-            _split(i + 1, n - i, k, ell, g, a, b) + _split(i, n - i + 1, k, ell, g, a, b)
+            _split(i + 1, n - i, k, ell, gamma, alpha, beta)
+            + _split(i, n - i + 1, k, ell, gamma, alpha, beta)
         )
     return total
 
@@ -118,9 +116,8 @@ def partial_deg_multinomial(
     The literal reading keeps the product subscripts at 1..k and drops
     the 1/k!; the audit scores it.
     """
-    g, a, b = Fraction(gamma), Fraction(alpha), Fraction(beta)
     check_indices(n, k, ell)
-    block_weight = partial_degenerate_scheme(g, a, b, ell).block_weight
+    block_weight = partial_degenerate_scheme(gamma, alpha, beta, ell).block_weight
     total = Fraction(0)
     if literal:
         fixed = Fraction(1)
@@ -128,11 +125,11 @@ def partial_deg_multinomial(
             fixed *= block_weight(i)
         for head in _iter_head_compositions(n, k, ell):
             remainder = n - sum(head)
-            total += multinomial(n, list(head) + [remainder]) * g ** remainder * fixed
+            total += multinomial(n, list(head) + [remainder]) * gamma ** remainder * fixed
         return total
     for head in _iter_head_compositions(n, k, 1):
         remainder = n - sum(head)
-        w = Fraction(multinomial(n, list(head) + [remainder])) * g ** remainder
+        w = Fraction(multinomial(n, list(head) + [remainder])) * gamma ** remainder
         for size in head:
             w *= block_weight(size)
         total += w

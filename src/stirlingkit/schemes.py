@@ -208,10 +208,11 @@ def generalized_scheme(alpha: Rational, beta: Rational, gamma: Rational) -> Weig
 def gen_restricted_scheme(
     alpha: Rational, beta: Rational, gamma: Rational, ell: int
 ) -> WeightScheme:
-    base = generalized_scheme(alpha, beta, gamma)
+    a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
+    base = generalized_scheme(a, b, g)
     blocks = base.block_weight
     return WeightScheme(
-        name="gen_restricted(%s,%s,%s,ell=%d)" % (alpha, beta, gamma, ell),
+        name="gen_restricted(%s,%s,%s,ell=%d)" % (a, b, g, ell),
         special_weight=base.special_weight,
         block_weight=lambda size: blocks(size) if size <= ell else Fraction(0),
     )

@@ -1,5 +1,6 @@
 import pytest
 
+from stirlingkit import audit
 from stirlingkit.audit import (
     AuditFinding,
     SUITE_NAMES,
@@ -68,6 +69,27 @@ def test_individual_suites():
         result = run_suite(name, nmax=4)
         assert result and all(isinstance(f, AuditFinding) for f in result)
         assert all(f.suite == name for f in result)
+
+
+def test_score_evaluates_the_reference_once_per_case():
+    calls = []
+
+    def reference(n, k):
+        calls.append((n, k))
+        return n + k
+
+    cases = [(1, 2), (3, 4), (2, 2)]
+    findings = audit._score(
+        "suite", "identity", cases, reference,
+        ("literal", lambda n, k: n * k, None),
+        ("corrected", lambda n, k: n + k, None),
+    )
+    assert calls == cases
+    assert [(f.form, f.verdict, f.checked, f.failed) for f in findings] == [
+        ("literal", "FAIL", 3, 2),
+        ("corrected", "PASS", 3, 0),
+    ]
+    assert findings[0].counterexample == "at (1, 2): 2 != 3"
 
 
 def test_unknown_suite():

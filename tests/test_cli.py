@@ -105,6 +105,24 @@ def test_family_options_follow_the_parameter_table(capsys):
     assert flags - own == expected
 
 
+def test_negative_rational_as_a_separate_word(capsys):
+    # argparse reads -1/3 as an option flag unless the CLI joins it to its option
+    code, out, _ = run(
+        capsys,
+        *"value --family generalized --alpha 1/2 --beta -1/3 --gamma 1/2 --n 7 --k 3".split(),
+    )
+    assert code == 0 and out == "147385/1296\n"
+    for command, option in (
+        ("value --family generalized --alpha 1/2 --gamma 1/2 --n 7 --k 3", "--beta"),
+        ("table --family degenerate --nmax 4", "--lambda"),
+        ("series --family free_atleast --ell 1 --k 1 --order 4", "--gamma"),
+        ("asympt --n 4 --k 10,20 --m 3 --gamma 1 --beta 2 --ell 2", "--alpha"),
+    ):
+        separate = run(capsys, *command.split(), option, "-1/3")
+        joined = run(capsys, *command.split(), option + "=-1/3")
+        assert separate == joined and separate[0] == 0, command
+
+
 def test_generalized_zero_triple_refused_by_every_route(capsys):
     family = "--family generalized --alpha 0 --beta 0 --gamma 0".split()
     for method in ("egf", "recurrence", "explicit", "oracle"):

@@ -4,6 +4,7 @@ import pytest
 
 from stirlingkit.core import stirling2
 from stirlingkit.exact import binomial, falling_factorial_deg
+from stirlingkit.families import FamilySpec, family_value
 from stirlingkit.generalized import (
     degenerate_stirling,
     gen_stirling,
@@ -36,10 +37,13 @@ def test_examples():
 
 
 def test_all_zero_triple_rejected():
-    with pytest.raises(ValueError):
-        gen_stirling(3, 2, 0, 0, 0)
-    with pytest.raises(ValueError):
-        gen_stirling_explicit(3, 2, 0, 0, 0)
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ValueError):
+            gen_stirling(3, 2, zero, zero, zero)
+        with pytest.raises(ValueError):
+            gen_stirling_explicit(3, 2, zero, zero, zero)
+        with pytest.raises(ValueError):
+            family_value(FamilySpec("generalized", alpha=zero, beta=zero, gamma=zero), 3, 2)
 
 
 def test_special_column(rng):

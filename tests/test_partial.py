@@ -190,6 +190,28 @@ def test_colored_singleton_oracle_and_recursion():
                     assert value == colored_singleton_rec(n, k, r, s)
 
 
+def test_parameters_are_converted_where_the_scheme_is_built(monkeypatch):
+    # the entry point hands the factory the caller's own objects, and an
+    # int and the equal Fraction share one cached scheme
+    real = partial_degenerate_scheme
+    received = []
+
+    def watched(*args):
+        received.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(partial, "partial_degenerate_scheme", watched)
+    gamma, alpha, beta = 3, -1, 2
+    value = partial_deg(6, 2, 2, gamma, alpha, beta)
+    assert [type(x) for x in received[0]] == [int] * 4
+    assert received[0][0] is gamma and received[0][1] is alpha and received[0][2] is beta
+    before = real.cache_info()
+    assert partial_deg(6, 2, 2, Fraction(gamma), Fraction(alpha), Fraction(beta)) == value
+    after = real.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert real(gamma, alpha, beta, 2) is real(Fraction(gamma), Fraction(alpha), Fraction(beta), 2)
+
+
 def test_reference_routes_ask_only_for_cells_that_exist(monkeypatch):
     # a cell with more blocks than elements is zero; the convolution, its
     # recursion and associated_from_free must not spend a column read on it
