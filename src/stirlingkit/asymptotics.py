@@ -154,7 +154,7 @@ def shifted_mixed_series(
     """
     psi = TruncatedSeries(
         [
-            partial_deg(j + 1, 1, ell, gamma, alpha, beta) / math.factorial(j + 1)
+            Fraction(partial_deg(j + 1, 1, ell, gamma, alpha, beta), math.factorial(j + 1))
             for j in range(order + 1)
         ],
         order,
@@ -213,7 +213,7 @@ def asymptotic_partial(
             )
         coeffs = shifted_mixed_series(g, a, b, ell, d).coeffs
         scale = falling_factorial(Fraction(k), d)
-        exact = partial_deg(n_total, k, ell, g * k, a, b) / math.perm(n_total, d)
+        exact = Fraction(partial_deg(n_total, k, ell, g * k, a, b), math.perm(n_total, d))
     elif mode == "literal":
         if n > LITERAL_MODE_N_CAP:
             raise ValueError(
@@ -224,12 +224,13 @@ def asymptotic_partial(
         # coefficient sequence as printed: k! * S(i,k)/i! with the unscaled
         # gamma, i.e. k! times the coefficients of one generating function
         coeffs = [Fraction(1)] + [
-            partial_deg(i, k, ell, g, a, b) / math.perm(i, i - k) if i >= k else Fraction(0)
+            Fraction(partial_deg(i, k, ell, g, a, b), math.perm(i, i - k)) if i >= k else 0
             for i in range(1, n + 1)
         ]
         scale = 1
         kn = falling_factorial(Fraction(k), n)
-        exact = partial_deg(n, k, ell, g * k, a, b) / (kn * math.factorial(n)) if kn else None
+        exact = (Fraction(partial_deg(n, k, ell, g * k, a, b), kn * math.factorial(n))
+                 if kn else None)
     else:
         raise ValueError("mode must be 'normalized' or 'literal', got %r" % (mode,))
 

@@ -295,11 +295,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     words = sys.argv[1:] if argv is None else list(argv)
     # argparse reads a word like -1/3 as an option flag, so a negative word
-    # after a rational option is joined to it: --beta -1/3 reads --beta=-1/3
-    rational = {"--" + _FLAGS.get(p, p) for p, kind in PARAMETERS.items() if kind == "rational"}
+    # after a rational option or a prefix of one (argparse takes any prefix that
+    # no other option shares; none does): --bet -1/3 reads --bet=-1/3
+    rational = ["--" + _FLAGS.get(p, p) for p, kind in PARAMETERS.items() if kind == "rational"]
     for i in range(len(words) - 1, 0, -1):
-        if words[i - 1] in rational and words[i][:1] == "-" and words[i][1:2].isdigit():
-            words[i - 1 : i + 1] = [words[i - 1] + "=" + words[i]]
+        option = words[i - 1]
+        if (len(option) > 2 and any(flag.startswith(option) for flag in rational)
+                and words[i][:1] == "-" and words[i][1:2].isdigit()):
+            words[i - 1 : i + 1] = [option + "=" + words[i]]
     args = parser.parse_args(words)
     with _int_digits_unlimited():
         try:

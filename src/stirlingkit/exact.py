@@ -1,10 +1,12 @@
 """Exact rational arithmetic, factorial-type primitives, index helpers.
 
-Every quantity in this package is an exact rational.  We use
-:class:`fractions.Fraction`, which keeps values in canonical form
-(gcd(|num|, den) = 1, den > 0) after every operation.  Plain Python
-ints are accepted everywhere a rational is expected; results stay
-int when all inputs are int.
+Every quantity in this package is an exact rational: an int when it is
+integral, else a :class:`fractions.Fraction`, which keeps values in
+canonical form (gcd(|num|, den) = 1, den > 0) after every operation.
+Either is accepted wherever a rational is expected.  A weight scheme
+makes an integral parameter an int where it is built (`rational`), so on
+int inputs its weights, its values and the independent routes to them
+stay int; only the EGF column coefficients, which carry 1/m!, do not.
 """
 
 from __future__ import annotations
@@ -42,8 +44,15 @@ def falling_factorial_deg(t: Rational, n: int, lam: Rational) -> Rational:
     return out
 
 
+def rational(numerator: Rational, denominator: Rational = 1) -> Rational:
+    """numerator / denominator, exactly: an int when it is integral, else a
+    Fraction.  Never a float, whatever the operands."""
+    value = Fraction(numerator) / denominator
+    return value.numerator if value.denominator == 1 else value
+
+
 class FallingFactorials:
-    """size -> (t)_{size,lam} as a Fraction, for one (t, lam).
+    """size -> (t)_{size,lam} for one (t, lam); an int when both are ints.
 
     Each value extends the one for the previous size by a single product
     and is kept, so the sizes 0..n cost n products in all, in whatever
@@ -55,11 +64,11 @@ class FallingFactorials:
     """
 
     def __init__(self, t: Rational, lam: Rational):
-        self.t, self.lam = Fraction(t), Fraction(lam)
-        self.values = [Fraction(1)]
+        self.t, self.lam = t, lam
+        self.values = [1]
         self.lock = threading.Lock()
 
-    def __call__(self, size: int) -> Fraction:
+    def __call__(self, size: int) -> Rational:
         if size < 0:
             raise ValueError("falling factorial needs a size >= 0, got %r" % (size,))
         values = self.values

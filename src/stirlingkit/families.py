@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import schemes as _schemes
 from .core import stirling2_associated_rec, stirling2_rec, stirling2_restricted_rec
-from .exact import check_indices
+from .exact import Rational, check_indices
 from .generalized import check_triple, gen_stirling_explicit, gen_stirling_rec
 from .incomplete import free_atleast_rec, gen_restricted_rec
 from .partial import colored_singleton_rec, partial_deg_rec
@@ -184,8 +184,9 @@ def _check_defined(spec: FamilySpec) -> None:
         check_triple(spec.alpha, spec.beta, spec.gamma)
 
 
-def family_value(spec: FamilySpec, n: int, k: int, method: str = "egf") -> Fraction:
-    """Value of the family member at (n, k) by the chosen method."""
+def family_value(spec: FamilySpec, n: int, k: int, method: str = "egf") -> Rational:
+    """Value of the family member at (n, k) by the chosen method: an int or a
+    Fraction, always a Fraction by the recurrence and explicit methods."""
     if method not in METHODS:
         raise ValueError("unknown method %r (one of %s)" % (method, ", ".join(METHODS)))
     _check_defined(spec)
@@ -225,7 +226,7 @@ class ValueTable:
         self.family = family
         self.method = method
 
-    def value(self, n: int, k: int) -> Fraction:
+    def value(self, n: int, k: int) -> Rational:
         return family_value(self.family, n, k, self.method)
 
     def rows(self, nmax: int):

@@ -24,10 +24,9 @@ are independent routes to the same values.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache
 
-from .exact import Rational, binomial, cells_below, check_indices, falling_factorial_deg
+from .exact import Rational, binomial, cells_below, check_indices, falling_factorial_deg, rational
 from .schemes import generalized_scheme
 
 __all__ = [
@@ -49,33 +48,35 @@ def _validate(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational) 
     check_triple(alpha, beta, gamma)
 
 
-def gen_stirling(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational) -> Fraction:
+def gen_stirling(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational) -> Rational:
     """Generalized Stirling number for the parameter triple (alpha, beta, gamma)."""
     _validate(n, k, alpha, beta, gamma)
     return generalized_scheme(alpha, beta, gamma).value(k, n)
 
 
-def gen_stirling_rec(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational) -> Fraction:
+def gen_stirling_rec(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational) -> Rational:
     """Same value through the triangular recursion (works for any beta),
     its rows filled bottom-up so n has no depth limit."""
     _validate(n, k, alpha, beta, gamma)
+    # the memo holds ints for integral parameters, whoever spelled them first
+    a, b, g = rational(alpha), rational(beta), rational(gamma)
     for m, j in cells_below(n, k):
-        _gen_rec_full(m, j, alpha, beta, gamma)
-    return _gen_rec_full(n, k, alpha, beta, gamma)
+        _gen_rec_full(m, j, a, b, g)
+    return _gen_rec_full(n, k, a, b, g)
 
 
 @cache
-def _gen_rec_full(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational) -> Fraction:
+def _gen_rec_full(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational) -> Rational:
     if n == 0:
-        return Fraction(1 if k == 0 else 0)
+        return 1 if k == 0 else 0
     if k > n:
-        return Fraction(0)
+        return 0
     m = n - 1
-    lower = _gen_rec_full(m, k - 1, alpha, beta, gamma) if k >= 1 else Fraction(0)
+    lower = _gen_rec_full(m, k - 1, alpha, beta, gamma) if k >= 1 else 0
     return lower + (k * beta - m * alpha + gamma) * _gen_rec_full(m, k, alpha, beta, gamma)
 
 
-def gen_stirling_explicit(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational) -> Fraction:
+def gen_stirling_explicit(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational) -> Rational:
     """Alternating-sum formula; requires beta != 0.
 
     (1 / (beta^k k!)) * sum_{j=0..k} (-1)^(k-j) C(k,j) (beta*j + gamma)_{n,alpha}
@@ -83,14 +84,14 @@ def gen_stirling_explicit(n: int, k: int, alpha: Rational, beta: Rational, gamma
     _validate(n, k, alpha, beta, gamma)
     if beta == 0:
         raise ValueError("explicit sum is undefined for beta = 0; use the recursion path")
-    total = Fraction(0)
+    total = 0
     for j in range(k + 1):
         sign = -1 if (k - j) % 2 else 1
         total += sign * binomial(k, j) * falling_factorial_deg(beta * j + gamma, n, alpha)
-    return total / (beta ** k * math.factorial(k))
+    return rational(total, beta ** k * math.factorial(k))
 
 
-def degenerate_stirling(n: int, k: int, lam: Rational) -> Fraction:
+def degenerate_stirling(n: int, k: int, lam: Rational) -> Rational:
     """Degenerate Stirling numbers: the (lam, 1, 0) parameter specialization.
 
     lam = 0 is the limit case: its weights are the classic ones, so it

@@ -30,11 +30,12 @@ for the rows they build on.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 
 from .core import _associated_rec, stirling2_associated_rec
-from .exact import UNFILLED_ROWS, Rational, binomial, cells_below, check_indices, falling_factorial_deg
+from .exact import (
+    UNFILLED_ROWS, Rational, binomial, cells_below, check_indices, falling_factorial_deg, rational
+)
 from .schemes import free_atleast_scheme, gen_restricted_scheme, generalized_scheme
 
 __all__ = [
@@ -51,7 +52,7 @@ __all__ = [
 
 def gen_restricted(
     n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational, ell: int
-) -> Fraction:
+) -> Rational:
     """Generalized numbers with every ordinary block of size at most ell."""
     check_indices(n, k, ell)
     return gen_restricted_scheme(alpha, beta, gamma, ell).value(k, n)
@@ -59,25 +60,26 @@ def gen_restricted(
 
 def gen_restricted_rec(
     n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational, ell: int
-) -> Fraction:
+) -> Rational:
     """Full recursion path (no generating function); any beta.  The memo
     is filled bottom-up over the states the recursion reaches, so n has
     no depth limit."""
     check_indices(n, k, ell)
+    a, b, g = rational(alpha), rational(beta), rational(gamma)
     for m, j in cells_below(n, k):
         # (m, j) at gamma - t*alpha: t removed elements joined the special
         # set, the other n-m-t formed k-j blocks of 1..ell elements
         for t in range(max(0, n - m - ell * (k - j)), n - m - (k - j) + 1):
-            _gen_restricted_rec(m, j, alpha, beta, gamma - t * alpha, ell)
-    return _gen_restricted_rec(n, k, alpha, beta, gamma, ell)
+            _gen_restricted_rec(m, j, a, b, g - t * a, ell)
+    return _gen_restricted_rec(n, k, a, b, g, ell)
 
 
 @cache
 def _gen_restricted_rec(
     n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational, ell: int
-) -> Fraction:
+) -> Rational:
     if k > n:
-        return Fraction(0)
+        return 0
     return gen_restricted_recursion(n, k, alpha, beta, gamma, ell, lower=_gen_restricted_rec)
 
 
@@ -90,7 +92,7 @@ def gen_restricted_recursion(
     ell: int,
     literal: bool = False,
     lower=None,
-) -> Fraction:
+) -> Rational:
     """One step of the basic recursion: S(n+1, k) from the rows below.
 
     lower(m, j, alpha, beta, gamma, ell) evaluates those rows, on the
@@ -106,7 +108,7 @@ def gen_restricted_recursion(
     """
     check_indices(n_plus_1, k, ell)
     if n_plus_1 == 0:
-        return Fraction(1 if k == 0 else 0)
+        return 1 if k == 0 else 0
     if lower is None:
         lower = gen_restricted
     n = n_plus_1 - 1
@@ -134,7 +136,7 @@ def gen_restricted_three_term(
     gamma: Rational,
     ell: int,
     literal: bool = False,
-) -> Fraction:
+) -> Rational:
     """Right-hand side of the three-term recurrence, two readings.
 
     The literal reading evaluates the printed expression, whose left side
@@ -152,14 +154,14 @@ def gen_restricted_three_term(
     for i in range(max(k - 1, 0), ell + 1):
         if i > n:
             break
-        w = binomial(n, i) * Fraction(falling_factorial_deg(beta - alpha, n - i + 1, alpha))
+        w = binomial(n, i) * falling_factorial_deg(beta - alpha, n - i + 1, alpha)
         if i >= 1:
             total += gamma * w * _safe_gen_restricted(i - 1, k - 1, alpha, beta, gamma - alpha, ell)
-        inner = Fraction(0)
+        inner = 0
         for j in range(0, i):
             inner += (
                 binomial(i - 1, j)
-                * Fraction(falling_factorial_deg(beta - alpha, i - j, alpha))
+                * falling_factorial_deg(beta - alpha, i - j, alpha)
                 * _safe_gen_restricted(j, k - 2, alpha, beta, gamma, ell)
             )
         total += w * inner
@@ -168,38 +170,39 @@ def gen_restricted_three_term(
 
 def _safe_gen_restricted(
     n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational, ell: int
-) -> Fraction:
-    return Fraction(0) if k < 0 else gen_restricted(n, k, alpha, beta, gamma, ell)
+) -> Rational:
+    return 0 if k < 0 else gen_restricted(n, k, alpha, beta, gamma, ell)
 
 
 # -- free special set, size-floored blocks -----------------------------------
 
 
-def free_atleast(n: int, k: int, gamma: Rational, ell: int) -> Fraction:
+def free_atleast(n: int, k: int, gamma: Rational, ell: int) -> Rational:
     """Pairs (G, P_k) weighted gamma^|G| with every block larger than ell."""
     check_indices(n, k, ell)
     return free_atleast_scheme(gamma, ell).value(k, n)
 
 
-def free_atleast_rec(n: int, k: int, gamma: Rational, ell: int) -> Fraction:
+def free_atleast_rec(n: int, k: int, gamma: Rational, ell: int) -> Rational:
     """Full recursion path built on the size-floored recursion only; the
     rows below n are filled bottom-up first, so n has no depth limit."""
     check_indices(n, k, ell)
+    g = rational(gamma)
     for m in range(n - UNFILLED_ROWS):
-        _free_atleast_rec(m, k, gamma, ell)
-    return _free_atleast_rec(n, k, gamma, ell)
+        _free_atleast_rec(m, k, g, ell)
+    return _free_atleast_rec(n, k, g, ell)
 
 
 @cache
-def _free_atleast_rec(n: int, k: int, gamma: Rational, ell: int) -> Fraction:
+def _free_atleast_rec(n: int, k: int, gamma: Rational, ell: int) -> Rational:
     if n == 0:
-        return Fraction(1 if k == 0 else 0)
+        return 1 if k == 0 else 0
     return free_atleast_recursion(n, k, gamma, ell, lower=_free_atleast_rec)
 
 
 def free_atleast_recursion(
     n_plus_1: int, k: int, gamma: Rational, ell: int, literal: bool = False, lower=None
-) -> Fraction:
+) -> Rational:
     """One recursion step by the position of the newest element.
 
     Corrected form: gamma * F(n,k) + sum_i gamma^i C(n,i) A(n+1-i, k)
@@ -226,7 +229,7 @@ def free_atleast_recursion(
     return total
 
 
-def associated_from_free(n: int, k: int, gamma: Rational, ell: int) -> Fraction:
+def associated_from_free(n: int, k: int, gamma: Rational, ell: int) -> Rational:
     """Inclusion-exclusion over the special set size.
 
     sum_{i=0..n} (-1)^i gamma^i C(n,i) F(n-i, k; gamma, ell-1) recovers
@@ -236,7 +239,7 @@ def associated_from_free(n: int, k: int, gamma: Rational, ell: int) -> Fraction:
     if ell < 1:
         raise ValueError("associated numbers need ell >= 1")
     check_indices(n, k)
-    total = Fraction(0)
+    total = 0
     for i in range(0, n - k + 1):
         sign = -1 if i % 2 else 1
         total += sign * gamma ** i * binomial(n, i) * free_atleast(n - i, k, gamma, ell - 1)

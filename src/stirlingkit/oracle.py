@@ -24,11 +24,10 @@ shortcut, and the tests check it against enumerate_mixed.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .exact import CACHE_SIZE, check_indices
+from .exact import CACHE_SIZE, Rational, check_indices
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -144,19 +143,19 @@ def _profile_counts(n: int, k: int) -> dict:
     return counts
 
 
-def oracle_sum(n: int, k: int, scheme) -> Fraction:
+def oracle_sum(n: int, k: int, scheme) -> Rational:
     """Sum of w(G, P) over all pairs (G, P_k) under the scheme, read through
-    its special_weight and block_weight only."""
-    total = Fraction(0)
+    its special_weight and block_weight only; an int when the weights are."""
+    total = 0
     for (g, sizes), count in _profile_counts(n, k).items():
-        w = Fraction(scheme.special_weight(g))
+        w = scheme.special_weight(g)
         for s in sizes:
             w *= scheme.block_weight(s)
         total += count * w
     return total
 
 
-def oracle_sum_blocksum(n: int, k: int, scheme) -> Fraction:
+def oracle_sum_blocksum(n: int, k: int, scheme) -> Rational:
     """Variant folding block weights by sum instead of product.
 
     The notation w(P_k) = sum_i w(B_i) circulates alongside the product
@@ -165,12 +164,9 @@ def oracle_sum_blocksum(n: int, k: int, scheme) -> Fraction:
     not zero the sum, so a pair with an excluded block size still counts
     here; the audit reads the variant on the generalized scheme only.
     """
-    total = Fraction(0)
+    total = 0
     for (g, sizes), count in _profile_counts(n, k).items():
-        if sizes:
-            w_blocks = sum(Fraction(scheme.block_weight(s)) for s in sizes)
-        else:
-            w_blocks = Fraction(1)
-        total += count * Fraction(scheme.special_weight(g)) * w_blocks
+        w_blocks = sum(scheme.block_weight(s) for s in sizes) if sizes else 1
+        total += count * scheme.special_weight(g) * w_blocks
     return total
 

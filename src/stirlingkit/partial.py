@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from fractions import Fraction
 from functools import cache
 
-from .exact import Rational, as_integer, binomial, cells_below, check_indices, multinomial
+from .exact import Rational, as_integer, binomial, cells_below, check_indices, multinomial, rational
 from .incomplete import free_atleast, gen_restricted
 from .schemes import colored_singleton_scheme, partial_degenerate_scheme
 
@@ -47,7 +46,7 @@ __all__ = [
 
 def partial_deg(
     n: int, k: int, ell: int, gamma: Rational, alpha: Rational, beta: Rational
-) -> Fraction:
+) -> Rational:
     """Weighted count of mixed free/degenerate-cell partitions."""
     check_indices(n, k, ell)
     return partial_degenerate_scheme(gamma, alpha, beta, ell).value(k, n)
@@ -55,12 +54,12 @@ def partial_deg(
 
 def partial_deg_convolution(
     n: int, k: int, ell: int, gamma: Rational, alpha: Rational, beta: Rational
-) -> Fraction:
+) -> Rational:
     """Split by the element set living in free cells: a binomial convolution
     of the free-cell numbers with the size-capped weighted numbers (the
     gen_restricted numbers with an empty special set, gamma = 0)."""
     check_indices(n, k, ell)
-    total = Fraction(0)
+    total = 0
     for i in range(0, n + 1):
         total += binomial(n, i) * _split(i, n - i, k, ell, gamma, alpha, beta)
     return total
@@ -68,12 +67,12 @@ def partial_deg_convolution(
 
 def _split(
     free: int, weighted: int, k: int, ell: int, g: Rational, a: Rational, b: Rational
-) -> Fraction:
+) -> Rational:
     """sum_j free_atleast(free, j) * gen_restricted(weighted, k - j) at
     gamma = 0: j of the k blocks hold the `free` elements of free cells,
     the rest the `weighted` ones.  Blocks are non-empty, so j runs only
     where neither factor has more blocks than elements."""
-    total = Fraction(0)
+    total = 0
     for j in range(max(0, k - weighted), min(free, k) + 1):
         fa = free_atleast(free, j, g, ell)
         if fa:
@@ -83,14 +82,14 @@ def _split(
 
 def partial_deg_recursion(
     n_plus_1: int, k: int, ell: int, gamma: Rational, alpha: Rational, beta: Rational
-) -> Fraction:
+) -> Rational:
     """Recursion on the newest element's position: it joins either a free
     cell or a weighted cell, shifting one factor of the convolution."""
     check_indices(n_plus_1, k, ell)
     if n_plus_1 == 0:
-        return Fraction(1 if k == 0 else 0)
+        return 1 if k == 0 else 0
     n = n_plus_1 - 1
-    total = Fraction(0)
+    total = 0
     for i in range(0, n + 1):
         total += binomial(n, i) * (
             _split(i + 1, n - i, k, ell, gamma, alpha, beta)
@@ -107,7 +106,7 @@ def partial_deg_multinomial(
     alpha: Rational,
     beta: Rational,
     literal: bool = False,
-) -> Fraction:
+) -> Rational:
     """Block-by-block multinomial decomposition.
 
     Corrected reading: sum over ordered size compositions r_1..r_k >= 1
@@ -118,9 +117,9 @@ def partial_deg_multinomial(
     """
     check_indices(n, k, ell)
     block_weight = partial_degenerate_scheme(gamma, alpha, beta, ell).block_weight
-    total = Fraction(0)
+    total = 0
     if literal:
-        fixed = Fraction(1)
+        fixed = 1
         for i in range(1, k + 1):
             fixed *= block_weight(i)
         for head in _iter_head_compositions(n, k, ell):
@@ -129,11 +128,11 @@ def partial_deg_multinomial(
         return total
     for head in _iter_head_compositions(n, k, 1):
         remainder = n - sum(head)
-        w = Fraction(multinomial(n, list(head) + [remainder])) * gamma ** remainder
+        w = multinomial(n, list(head) + [remainder]) * gamma ** remainder
         for size in head:
             w *= block_weight(size)
         total += w
-    return total / math.factorial(k)
+    return rational(total, math.factorial(k))
 
 
 def _iter_head_compositions(n: int, k: int, minimum: int) -> Iterator[tuple[int, ...]]:
@@ -155,7 +154,7 @@ def partial_deg_derivative_recursion(
     beta: Rational,
     literal: bool = False,
     lower=None,
-) -> Fraction:
+) -> Rational:
     """Recursion from differentiating the generating function.
 
     Corrected inner index k-1: the newest element either joins the
@@ -186,10 +185,10 @@ def partial_deg_derivative_recursion(
 
 def partial_deg_rec(
     n: int, k: int, ell: int, gamma: Rational, alpha: Rational, beta: Rational
-) -> Fraction:
+) -> Rational:
     """Full recursion path: the corrected derivative-style rule applied to
     its own rows, filled bottom-up so n has no depth limit."""
-    g, a, b = Fraction(gamma), Fraction(alpha), Fraction(beta)
+    g, a, b = rational(gamma), rational(alpha), rational(beta)
     check_indices(n, k, ell)
     for m, j in cells_below(n, k):
         _partial_rec(m, j, ell, g, a, b)
@@ -198,10 +197,10 @@ def partial_deg_rec(
 
 @cache
 def _partial_rec(
-    n: int, k: int, ell: int, gamma: Fraction, alpha: Fraction, beta: Fraction
-) -> Fraction:
+    n: int, k: int, ell: int, gamma: Rational, alpha: Rational, beta: Rational
+) -> Rational:
     if k > n:
-        return Fraction(0)
+        return 0
     if k == 0:
         return gamma ** n
     return partial_deg_derivative_recursion(n, k, ell, gamma, alpha, beta, lower=_partial_rec)

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import series
-from .exact import CACHE_SIZE, FallingFactorials, Rational
+from .exact import CACHE_SIZE, FallingFactorials, Rational, rational
 from .series import TruncatedSeries
 
 __all__ = [
@@ -106,13 +106,14 @@ class WeightScheme:
         """sum over g >= 0 of sw(g) t^g / g!."""
         return TruncatedSeries([self.special_coefficient(g) for g in range(order + 1)], order)
 
-    def value(self, k: int, n: int) -> Fraction:
+    def value(self, k: int, n: int) -> Rational:
         """n! [t^n] of the EGF with k blocks: the weighted count of the pairs
-        (G, P_k) over {1..n}.  n!/k! is formed as a falling factorial."""
+        (G, P_k) over {1..n}, an int when it is integral.  n!/k! is formed as
+        a falling factorial."""
         value = self._values.get((k, n))
         if value is None:
             c = self.product_coefficient(k, n)
-            value = self._values[k, n] = c * math.perm(n, n - k) if c else c
+            value = self._values[k, n] = rational(c * math.perm(n, n - k)) if c else 0
         return value
 
     def product_coefficient(self, k: int, n: int) -> Fraction:
@@ -184,10 +185,10 @@ class WeightScheme:
         return coeffs[top]
 
 
-def _degenerate_blocks(alpha: Rational, beta: Rational) -> Callable[[int], Fraction]:
+def _degenerate_blocks(alpha: Rational, beta: Rational) -> Callable[[int], Rational]:
     """size -> (beta-alpha)_{size-1,alpha}, the block weight of the generalized
     model, each size extending the product for the size before."""
-    factorials = FallingFactorials(Fraction(beta) - alpha, alpha)
+    factorials = FallingFactorials(beta - alpha, alpha)
     return lambda size: factorials(size - 1)
 
 
@@ -196,7 +197,7 @@ def _degenerate_blocks(alpha: Rational, beta: Rational) -> Callable[[int], Fract
 
 @lru_cache(maxsize=CACHE_SIZE)
 def generalized_scheme(alpha: Rational, beta: Rational, gamma: Rational) -> WeightScheme:
-    a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
+    a, b, g = rational(alpha), rational(beta), rational(gamma)
     return WeightScheme(
         name="generalized(%s,%s,%s)" % (a, b, g),
         special_weight=FallingFactorials(g, a),
@@ -208,23 +209,23 @@ def generalized_scheme(alpha: Rational, beta: Rational, gamma: Rational) -> Weig
 def gen_restricted_scheme(
     alpha: Rational, beta: Rational, gamma: Rational, ell: int
 ) -> WeightScheme:
-    a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
+    a, b, g = rational(alpha), rational(beta), rational(gamma)
     base = generalized_scheme(a, b, g)
     blocks = base.block_weight
     return WeightScheme(
         name="gen_restricted(%s,%s,%s,ell=%d)" % (a, b, g, ell),
         special_weight=base.special_weight,
-        block_weight=lambda size: blocks(size) if size <= ell else Fraction(0),
+        block_weight=lambda size: blocks(size) if size <= ell else 0,
     )
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def free_atleast_scheme(gamma: Rational, ell: int) -> WeightScheme:
-    g = Fraction(gamma)
+    g = rational(gamma)
     return WeightScheme(
         name="free_atleast(%s,ell=%d)" % (g, ell),
         special_weight=lambda size: g ** size,
-        block_weight=lambda size: Fraction(1 if size > ell else 0),
+        block_weight=lambda size: 1 if size > ell else 0,
     )
 
 
@@ -234,12 +235,12 @@ def partial_degenerate_scheme(
 ) -> WeightScheme:
     """Free special set gamma^|G|; blocks of size <= ell carry the degenerate
     weight, larger blocks are free (weight 1)."""
-    a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
+    a, b, g = rational(alpha), rational(beta), rational(gamma)
     blocks = _degenerate_blocks(a, b)
     return WeightScheme(
         name="partial_degenerate(%s,%s,%s,ell=%d)" % (g, a, b, ell),
         special_weight=lambda size: g ** size,
-        block_weight=lambda size: blocks(size) if size <= ell else Fraction(1),
+        block_weight=lambda size: blocks(size) if size <= ell else 1,
     )
 
 
@@ -248,12 +249,12 @@ def partial_degenerate_swapped_scheme(
     gamma: Rational, alpha: Rational, beta: Rational, ell: int
 ) -> WeightScheme:
     """Orientation with the weights on the wrong side of ell (audit target)."""
-    a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
+    a, b, g = rational(alpha), rational(beta), rational(gamma)
     blocks = _degenerate_blocks(a, b)
     return WeightScheme(
         name="partial_degenerate_swapped(%s,%s,%s,ell=%d)" % (g, a, b, ell),
         special_weight=lambda size: g ** size,
-        block_weight=lambda size: Fraction(1) if size <= ell else blocks(size),
+        block_weight=lambda size: 1 if size <= ell else blocks(size),
     )
 
 
@@ -261,8 +262,8 @@ def partial_degenerate_swapped_scheme(
 def classic_scheme() -> WeightScheme:
     return WeightScheme(
         name="classic",
-        special_weight=lambda size: Fraction(1 if size == 0 else 0),
-        block_weight=lambda size: Fraction(1),
+        special_weight=lambda size: 1 if size == 0 else 0,
+        block_weight=lambda size: 1,
     )
 
 
@@ -271,7 +272,7 @@ def restricted_scheme(ell: int) -> WeightScheme:
     return WeightScheme(
         name="restricted(ell=%d)" % ell,
         special_weight=classic_scheme().special_weight,
-        block_weight=lambda size: Fraction(1 if size <= ell else 0),
+        block_weight=lambda size: 1 if size <= ell else 0,
     )
 
 
@@ -280,7 +281,7 @@ def associated_scheme(ell: int) -> WeightScheme:
     return WeightScheme(
         name="associated(ell=%d)" % ell,
         special_weight=classic_scheme().special_weight,
-        block_weight=lambda size: Fraction(1 if size >= ell else 0),
+        block_weight=lambda size: 1 if size >= ell else 0,
     )
 
 
@@ -289,6 +290,6 @@ def colored_singleton_scheme(r: int, s: int) -> WeightScheme:
     """Special set r^|G|; singleton blocks may take one of s colors."""
     return WeightScheme(
         name="colored_singleton(r=%d,s=%d)" % (r, s),
-        special_weight=lambda size: Fraction(r) ** size,
-        block_weight=lambda size: Fraction(s if size == 1 else 1),
+        special_weight=lambda size: r ** size,
+        block_weight=lambda size: s if size == 1 else 1,
     )

@@ -123,6 +123,32 @@ def test_negative_rational_as_a_separate_word(capsys):
         assert separate == joined and separate[0] == 0, command
 
 
+def test_negative_rational_after_an_abbreviated_option(capsys):
+    # argparse takes an option by any unambiguous prefix; the separate negative
+    # word must be joined to the prefix as it is to the option written in full
+    code, out, _ = run(
+        capsys,
+        *"value --family generalized --alpha 1/2 --bet -1/3 --gamma 1/2 --n 7 --k 3".split(),
+    )
+    assert code == 0 and out == "147385/1296\n"
+    for command, option in (
+        ("value --family generalized --alpha 1/2 --gamma 1/2 --n 7 --k 3", "--beta"),
+        ("table --family degenerate --nmax 4", "--lambda"),
+        ("series --family free_atleast --ell 1 --k 1 --order 4", "--gamma"),
+        ("asympt --n 4 --k 10,20 --m 3 --gamma 1 --beta 2 --ell 2", "--alpha"),
+    ):
+        with pytest.raises(SystemExit):
+            cli.main([command.split()[0], "--help"])
+        flags = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
+        full = run(capsys, *command.split(), option + "=-1/3")
+        assert full[0] == 0, command
+        for end in range(3, len(option)):
+            prefix = option[:end]
+            # no other option of the command begins like this one
+            assert [flag for flag in flags if flag.startswith(prefix)] == [option]
+            assert run(capsys, *command.split(), prefix, "-1/3") == full, (command, prefix)
+
+
 def test_generalized_zero_triple_refused_by_every_route(capsys):
     family = "--family generalized --alpha 0 --beta 0 --gamma 0".split()
     for method in ("egf", "recurrence", "explicit", "oracle"):
