@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Iterable, Sequence
 
 from . import oracle as _oracle, schemes as _schemes
@@ -347,8 +347,10 @@ def _suite_thm20(nmax: int) -> list:
         (k, ell, a, b) for (a, b, _) in INTEGER_TRIPLES for ell in (0, 1, 2, 3) for k in range(6)
     ]
 
+    @cache
     def _parts(ell, a, b):
-        # free blocks above ell and degenerate-weighted blocks up to ell
+        # free blocks above ell and degenerate-weighted blocks up to ell,
+        # built once per (ell, a, b) and shared by both sides
         big = _schemes.free_atleast_scheme(0, ell).block_series(order)
         smallp = _schemes.gen_restricted_scheme(a, b, 0, ell).block_series(order)
         return big, smallp

@@ -217,6 +217,7 @@ def free_atleast_recursion(
         raise ValueError("need n_plus_1 >= 1 and non-negative k, ell")
     if lower is None:
         lower = free_atleast
+    gamma = rational(gamma)
     n = n_plus_1 - 1
     shift = 0 if literal else 1
     total = gamma * lower(n, k, gamma, ell)
@@ -239,6 +240,7 @@ def associated_from_free(n: int, k: int, gamma: Rational, ell: int) -> Rational:
     if ell < 1:
         raise ValueError("associated numbers need ell >= 1")
     check_indices(n, k)
+    gamma = rational(gamma)
     total = 0
     for i in range(0, n - k + 1):
         sign = -1 if i % 2 else 1

@@ -76,7 +76,9 @@ def test_cap_enforced():
 
 def test_profile_counts_match_enumeration():
     # the size-only walk must count exactly the pairs enumerate_mixed yields
-    cells = [(n, k) for n in range(0, 9) for k in range(0, n + 2)] + [(9, 4)]
+    cells = [(n, k) for n in range(0, 9) for k in range(0, n + 2)] + [
+        (9, 4), (9, 0), (9, 9), (9, 1)
+    ]
     for n, k in cells:
         expected = Counter(
             (len(p.special_set), tuple(sorted(len(b) for b in p.blocks)))
@@ -93,6 +95,17 @@ def test_profile_counts_at_the_cap():
     for n, k in [(ENUMERATION_CAP + 1, 2), (-1, 0), (3, -1)]:
         with pytest.raises(ValueError):
             oracle_sum(n, k, classic_scheme())
+
+
+def test_profile_counts_at_the_widest_digits():
+    # at the cap each size is one base-(n + 1) digit of the walk's key, and
+    # these profiles hold a size of n or many digits of 1
+    n = ENUMERATION_CAP
+    assert _profile_counts(n, 0) == {(n, ()): 1}
+    assert _profile_counts(n, n) == {(0, (1,) * n): 1}
+    one_block = _profile_counts(n, 1)
+    assert one_block[(0, (n,))] == 1
+    assert sum(one_block.values()) == 2 ** n - 1
 
 
 def test_oracle_sum_examples():
