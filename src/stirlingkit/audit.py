@@ -343,28 +343,28 @@ def _suite_thm13(nmax: int) -> list:
 def _suite_thm20(nmax: int) -> list:
     cases = _mixed_cells(min(nmax, 8))
     order = 10
+    powers = range(6)
     series_cases = [
-        (k, ell, a, b) for (a, b, _) in INTEGER_TRIPLES for ell in (0, 1, 2, 3) for k in range(6)
+        (k, ell, a, b) for (a, b, _) in INTEGER_TRIPLES for ell in (0, 1, 2, 3) for k in powers
     ]
 
     @cache
-    def _parts(ell, a, b):
-        # free blocks above ell and degenerate-weighted blocks up to ell,
-        # built once per (ell, a, b) and shared by both sides
+    def _powers(ell, a, b):
+        # powers of the free blocks above ell, of the degenerate-weighted blocks
+        # up to ell and of their sum, built once per (ell, a, b) for both sides
         big = _schemes.free_atleast_scheme(0, ell).block_series(order)
         smallp = _schemes.gen_restricted_scheme(a, b, 0, ell).block_series(order)
-        return big, smallp
+        return [[base ** k for k in powers] for base in (big, smallp, big + smallp)]
 
     def _lhs(k, ell, a, b):
-        big, smallp = _parts(ell, a, b)
+        big, smallp, _ = _powers(ell, a, b)
         total = TruncatedSeries.zero(order)
         for j in range(k + 1):
-            total = total + binomial(k, j) * (big ** j) * (smallp ** (k - j))
+            total = total + binomial(k, j) * big[j] * smallp[k - j]
         return total
 
     def _rhs(k, ell, a, b):
-        big, smallp = _parts(ell, a, b)
-        return (big + smallp) ** k
+        return _powers(ell, a, b)[2][k]
 
     return [
         *_score(

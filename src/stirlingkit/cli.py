@@ -8,20 +8,21 @@ Subcommands:
     verify   the identity audit (literal vs corrected verdicts)
     asympt   large-parameter estimates vs exact values
 
-Exit codes: 0 success, 1 verification failure, 2 refused input.  The
-library refuses an input by raising ValueError, and so do the commands
-here; main is the one place that turns any such refusal into
-`error: ...` on stderr and exit 2.  All values are printed as exact
-rationals ('p' or 'p/q'); no floats are ever emitted except the
-convenience decimal column of `asympt`.  The audit, the asymptotics, the
-enumeration oracle and json are imported by the commands that use them,
-so a `value`, `table` or `series` call by egf loads none of them.
+Exit codes: 0 success, 1 verification failure, 2 refused input, 141 a
+stdout closed early (128 + SIGPIPE, as for `yes | head -1`).  The library
+refuses an input by raising ValueError, and so do the commands here; main
+is the one place that turns a refusal into `error: ...` and exit 2.
+Values print as exact rationals ('p' or 'p/q'); only `asympt` adds a
+decimal column.  A command imports what it runs: `value` and `table` by
+egf load exact, families, schemes and suites, `series` adds series, and
+other methods, `verify`, `asympt` and JSON output load their own layers.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 from .exact import format_rational, parse_rational
@@ -34,7 +35,6 @@ from .families import (
     family_egf,
     family_value,
 )
-from .series import egf_coeff
 from .suites import SUITE_NAMES
 
 __all__ = ["main", "entry"]
@@ -151,6 +151,8 @@ def _cmd_series(args) -> int:
     spec = _family_spec(args)
     if args.k is None or args.order is None:
         raise ValueError("series needs --k and --order")
+    from .series import egf_coeff  # only this command loads the series module
+
     series = family_egf(spec, args.k, args.order)
     lines = []
     for n in range(args.order + 1):
@@ -313,7 +315,13 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # exit flushes to devnull
+        code = 141  # 128 + SIGPIPE; importing signal would cost every call its enums
+    sys.exit(code)
 
 
 if __name__ == "__main__":

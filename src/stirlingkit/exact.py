@@ -30,6 +30,12 @@ def check_indices(n: int, k: int, ell: int = 0) -> None:
         raise ValueError("ell must be non-negative, got %r" % (ell,))
 
 
+def check_triple(alpha: Rational, beta: Rational, gamma: Rational) -> None:
+    """Every route refuses the excluded generalized triple (0, 0, 0)."""
+    if alpha == 0 and beta == 0 and gamma == 0:
+        raise ValueError("parameter triple (0, 0, 0) is excluded")
+
+
 def falling_factorial_deg(t: Rational, n: int, lam: Rational) -> Rational:
     """Product t(t-lam)(t-2*lam)...(t-(n-1)*lam); 1 when n = 0.
 
@@ -161,3 +167,43 @@ def cells_below(n: int, k: int) -> Iterator[tuple[int, int]]:
     for m in range(n - UNFILLED_ROWS):
         for j in range(max(0, k - (n - m)), min(m, k) + 1):
             yield m, j
+
+
+# -- the series kernels, run by TruncatedSeries and by the scheme columns alike
+def _product_term(n: int, left: list, right_num: list[int], right_den: list[int]) -> Fraction:
+    """[t^n] of L * R from the non-zero terms (i, numerator, denominator) of
+    L, in rising i, and the numerators and denominators of R up to t^n."""
+    nums, dens = [], []
+    for i, a_num, a_den in left:
+        if i > n:
+            break
+        b_num = right_num[n - i]
+        if b_num:
+            nums.append(a_num * b_num)
+            dens.append(a_den * right_den[n - i])
+    return _fraction_sum(nums, dens)
+
+
+def _miller_term(
+    n: int, k: int, u0: Fraction, terms: list, w_num: list[int], w_den: list[int]
+) -> Fraction:
+    """w_n of U^k, n >= 1, by Miller's recurrence: terms are the non-zero
+    (i, numerator, denominator) of U with i >= 1, in rising i, and w_num,
+    w_den hold w_0..w_(n-1).  Needs only u_0..u_n, so U^k can be extended
+    one coefficient at a time."""
+    nums, dens = [], []
+    for i, num, den in terms:
+        if i > n:
+            break
+        nums.append(((k + 1) * i - n) * num * w_num[n - i])
+        dens.append(den * w_den[n - i])
+    return _fraction_sum(nums, dens) / (n * u0)
+
+
+def _fraction_sum(nums: list[int], dens: list[int]) -> Fraction:
+    """sum of nums[i] / dens[i], formed over the least common denominator
+    and reduced once: the series products sum many terms whose
+    denominators share most of their factors, and a Fraction sum would
+    reduce after every term."""
+    common = math.lcm(*dens)
+    return Fraction(sum(a * (common // d) for a, d in zip(nums, dens)), common)

@@ -21,15 +21,14 @@ Cross-method agreement is part of the test suite and of the CLI
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
 from . import schemes as _schemes
-from .core import stirling2_associated_rec, stirling2_rec, stirling2_restricted_rec
-from .exact import Rational, check_indices
-from .generalized import check_triple, gen_stirling_explicit, gen_stirling_rec
-from .incomplete import free_atleast_rec, gen_restricted_rec
-from .partial import colored_singleton_rec, partial_deg_rec
+from .exact import Rational, check_indices, check_triple
+
+_package = sys.modules[__package__]  # imports a route module on first access (PEP 562)
 
 __all__ = [
     "FAMILIES",
@@ -65,9 +64,9 @@ class Family(namedtuple("Family", ("params", "scheme", "recurrence", "explicit")
     The scheme alone fixes the canonical egf values, so a family has no
     value route of its own; recurrence and explicit (None where the
     family has no explicit sum) are independent of the scheme.  scheme
-    takes a FamilySpec, and a route takes (spec, n, k).  Routes are
-    lambdas, so each call looks its function up by name in this module
-    and a rebound name takes effect.
+    takes a FamilySpec, and a route takes (spec, n, k).  A route looks its
+    function up in its module when called, so only a call loads the module
+    and a name rebound there takes effect.
     """
 
     __slots__ = ()
@@ -77,50 +76,54 @@ FAMILIES = {
     "classic": Family(
         params=(),
         scheme=lambda s: _schemes.classic_scheme(),
-        recurrence=lambda s, n, k: stirling2_rec(n, k),
-        explicit=lambda s, n, k: gen_stirling_explicit(n, k, 0, 1, 0),
+        recurrence=lambda s, n, k: _package.core.stirling2_rec(n, k),
+        explicit=lambda s, n, k: _package.generalized.gen_stirling_explicit(n, k, 0, 1, 0),
     ),
     "restricted": Family(
         params=("ell",),
         scheme=lambda s: _schemes.restricted_scheme(s.ell),
-        recurrence=lambda s, n, k: stirling2_restricted_rec(n, k, s.ell),
+        recurrence=lambda s, n, k: _package.core.stirling2_restricted_rec(n, k, s.ell),
     ),
     "associated": Family(
         params=("ell",),
         scheme=lambda s: _schemes.associated_scheme(s.ell),
-        recurrence=lambda s, n, k: stirling2_associated_rec(n, k, s.ell),
+        recurrence=lambda s, n, k: _package.core.stirling2_associated_rec(n, k, s.ell),
     ),
     "degenerate": Family(
         params=("lam",),
         scheme=lambda s: _schemes.generalized_scheme(s.lam, 1, 0),
-        recurrence=lambda s, n, k: gen_stirling_rec(n, k, s.lam, 1, 0),
-        explicit=lambda s, n, k: gen_stirling_explicit(n, k, s.lam, 1, 0),
+        recurrence=lambda s, n, k: _package.generalized.gen_stirling_rec(n, k, s.lam, 1, 0),
+        explicit=lambda s, n, k: _package.generalized.gen_stirling_explicit(n, k, s.lam, 1, 0),
     ),
     "generalized": Family(
         params=("alpha", "beta", "gamma"),
         scheme=lambda s: _schemes.generalized_scheme(s.alpha, s.beta, s.gamma),
-        recurrence=lambda s, n, k: gen_stirling_rec(n, k, s.alpha, s.beta, s.gamma),
-        explicit=lambda s, n, k: gen_stirling_explicit(n, k, s.alpha, s.beta, s.gamma),
+        recurrence=lambda s, n, k: _package.generalized.gen_stirling_rec(
+            n, k, s.alpha, s.beta, s.gamma),
+        explicit=lambda s, n, k: _package.generalized.gen_stirling_explicit(
+            n, k, s.alpha, s.beta, s.gamma),
     ),
     "gen_restricted": Family(
         params=("alpha", "beta", "gamma", "ell"),
         scheme=lambda s: _schemes.gen_restricted_scheme(s.alpha, s.beta, s.gamma, s.ell),
-        recurrence=lambda s, n, k: gen_restricted_rec(n, k, s.alpha, s.beta, s.gamma, s.ell),
+        recurrence=lambda s, n, k: _package.incomplete.gen_restricted_rec(
+            n, k, s.alpha, s.beta, s.gamma, s.ell),
     ),
     "free_atleast": Family(
         params=("gamma", "ell"),
         scheme=lambda s: _schemes.free_atleast_scheme(s.gamma, s.ell),
-        recurrence=lambda s, n, k: free_atleast_rec(n, k, s.gamma, s.ell),
+        recurrence=lambda s, n, k: _package.incomplete.free_atleast_rec(n, k, s.gamma, s.ell),
     ),
     "partial_degenerate": Family(
         params=("gamma", "alpha", "beta", "ell"),
         scheme=lambda s: _schemes.partial_degenerate_scheme(s.gamma, s.alpha, s.beta, s.ell),
-        recurrence=lambda s, n, k: partial_deg_rec(n, k, s.ell, s.gamma, s.alpha, s.beta),
+        recurrence=lambda s, n, k: _package.partial.partial_deg_rec(
+            n, k, s.ell, s.gamma, s.alpha, s.beta),
     ),
     "colored_singleton": Family(
         params=("r", "s"),
         scheme=lambda s: _schemes.colored_singleton_scheme(s.r, s.s),
-        recurrence=lambda s, n, k: colored_singleton_rec(n, k, s.r, s.s),
+        recurrence=lambda s, n, k: _package.partial.colored_singleton_rec(n, k, s.r, s.s),
     ),
 }
 

@@ -26,7 +26,9 @@ from __future__ import annotations
 import math
 from functools import cache
 
-from .exact import Rational, binomial, cells_below, check_indices, falling_factorial_deg, rational
+from .exact import (
+    Rational, binomial, cells_below, check_indices, check_triple, falling_factorial_deg, rational
+)
 from .schemes import generalized_scheme
 
 __all__ = [
@@ -35,12 +37,6 @@ __all__ = [
     "gen_stirling_explicit",
     "degenerate_stirling",
 ]
-
-
-def check_triple(alpha: Rational, beta: Rational, gamma: Rational) -> None:
-    """Every route refuses the excluded generalized triple (0, 0, 0)."""
-    if alpha == 0 and beta == 0 and gamma == 0:
-        raise ValueError("parameter triple (0, 0, 0) is excluded")
 
 
 def _validate(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational) -> None:

@@ -19,7 +19,7 @@ of U^k (Miller's recurrence, which is online) and of P * U^k, computed
 once each and only as far as a read needs, so a value at n costs
 coefficients up to n - vk whatever k is, and n!/k! is a falling
 factorial.  WeightScheme.value reads a value, product_coefficient the
-column itself, and egf views the column as a truncated series.
+column (both by exact's kernels); egf and the *_series views load series.
 """
 
 from __future__ import annotations
@@ -30,9 +30,7 @@ from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 
-from . import series
-from .exact import CACHE_SIZE, FallingFactorials, Rational, rational
-from .series import TruncatedSeries
+from .exact import CACHE_SIZE, FallingFactorials, Rational, _miller_term, _product_term, rational
 
 __all__ = [
     "WeightScheme",
@@ -100,10 +98,12 @@ class WeightScheme:
 
     def block_series(self, order: int) -> TruncatedSeries:
         """sum over sizes m >= 1 of bw(m) t^m / m!."""
+        from .series import TruncatedSeries
         return TruncatedSeries([self.block_coefficient(m) for m in range(order + 1)], order)
 
     def special_series(self, order: int) -> TruncatedSeries:
         """sum over g >= 0 of sw(g) t^g / g!."""
+        from .series import TruncatedSeries
         return TruncatedSeries([self.special_coefficient(g) for g in range(order + 1)], order)
 
     def value(self, k: int, n: int) -> Rational:
@@ -136,6 +136,7 @@ class WeightScheme:
     def egf(self, k: int, order: int) -> TruncatedSeries:
         """EGF of the pairs with k blocks: special * block^k / k!, mod t^(order+1).
         Blocks are non-empty, so it is zero when k > order and 1/k! is not formed."""
+        from .series import TruncatedSeries
         scale = Fraction(1, math.factorial(k)) if k <= order else 0
         return TruncatedSeries(
             [self.product_coefficient(k, n) * scale for n in range(order + 1)], order
@@ -178,10 +179,10 @@ class WeightScheme:
                 elif k == 1:
                     w = self.block_coefficient(self._v + j)
                 else:
-                    w = series._miller_term(j, k, self._u0, self._unit, w_num, w_den)
+                    w = _miller_term(j, k, self._u0, self._unit, w_num, w_den)
                 w_num.append(w.numerator)
                 w_den.append(w.denominator)
-            coeffs.append(series._product_term(j, self._special, w_num, w_den))
+            coeffs.append(_product_term(j, self._special, w_num, w_den))
         return coeffs[top]
 
 

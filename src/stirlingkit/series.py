@@ -18,10 +18,10 @@ O((N-vk)^2) products whatever k is, and none when vk > N.
 
 The recurrence is online: w_n needs only u_0..u_n and w_0..w_(n-1)
 (J. van der Hoeven, "Relax, but don't be too lazy", J. Symbolic
-Computation 34, 2002).  _miller_term computes one w_n and _product_term
-one coefficient of a product, so the weight schemes of the schemes module
-extend each column P * U^k one coefficient at a time, as values are read,
-with the same arithmetic as the whole-series operations here.
+Computation 34, 2002).  exact._miller_term computes one w_n and
+exact._product_term one coefficient of a product; the weight schemes
+extend each column P * U^k with them, one coefficient at a time, as
+values are read, and need no series module to do it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .exact import Rational, falling_factorial_deg
+from .exact import Rational, _miller_term, _product_term, falling_factorial_deg
 
 
 class TruncatedSeries:
@@ -159,45 +159,6 @@ class TruncatedSeries:
         head = ", ".join(str(c) for c in self.coeffs[:6])
         tail = ", ..." if self.order > 5 else ""
         return "TruncatedSeries([%s%s], order=%d)" % (head, tail, self.order)
-
-
-def _product_term(n: int, left: list, right_num: list[int], right_den: list[int]) -> Fraction:
-    """[t^n] of L * R from the non-zero terms (i, numerator, denominator) of
-    L, in rising i, and the numerators and denominators of R up to t^n."""
-    nums, dens = [], []
-    for i, a_num, a_den in left:
-        if i > n:
-            break
-        b_num = right_num[n - i]
-        if b_num:
-            nums.append(a_num * b_num)
-            dens.append(a_den * right_den[n - i])
-    return _fraction_sum(nums, dens)
-
-
-def _miller_term(
-    n: int, k: int, u0: Fraction, terms: list, w_num: list[int], w_den: list[int]
-) -> Fraction:
-    """w_n of U^k, n >= 1, by Miller's recurrence: terms are the non-zero
-    (i, numerator, denominator) of U with i >= 1, in rising i, and w_num,
-    w_den hold w_0..w_(n-1).  Needs only u_0..u_n, so U^k can be extended
-    one coefficient at a time."""
-    nums, dens = [], []
-    for i, num, den in terms:
-        if i > n:
-            break
-        nums.append(((k + 1) * i - n) * num * w_num[n - i])
-        dens.append(den * w_den[n - i])
-    return _fraction_sum(nums, dens) / (n * u0)
-
-
-def _fraction_sum(nums: list[int], dens: list[int]) -> Fraction:
-    """sum of nums[i] / dens[i], formed over the least common denominator
-    and reduced once: the series products sum many terms whose
-    denominators share most of their factors, and a Fraction sum would
-    reduce after every term."""
-    common = math.lcm(*dens)
-    return Fraction(sum(a * (common // d) for a, d in zip(nums, dens)), common)
 
 
 def exp_series(gamma: Rational, order: int) -> TruncatedSeries:

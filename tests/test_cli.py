@@ -463,3 +463,22 @@ def test_demo_scripts_run(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_a_closed_stdout_exits_141_silently():
+    # the 282 KB table outgrows a pipe's buffer, so the reader's close
+    # reaches the writer mid-output, as with `stirlingkit table ... | head -1`
+    import os
+    import pathlib
+    import subprocess
+
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stirlingkit.cli", "table", "--family", "classic", "--nmax", "100"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline() == b"n,k,value\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -6,12 +6,12 @@ import pytest
 from stirlingkit import (
     colored_singleton,
     degenerate_stirling,
+    exact,
     free_atleast,
     gen_restricted,
     gen_stirling,
     partial_deg,
     schemes,
-    series,
     stirling2,
     stirling2_associated,
     stirling2_restricted,
@@ -111,13 +111,13 @@ def test_methods_agree(spec):
 def test_recurrence_routes_multiply_no_series(monkeypatch):
     # the step functions default to the series-based reference values, so
     # a route that forgot to pass its own rows would fail here; the lazy
-    # columns form their coefficients through series._fraction_sum
+    # columns form their coefficients through exact._fraction_sum
     def refuse(*args):
         raise AssertionError("the recurrence route multiplied series")
 
     for name in ("__mul__", "__rmul__", "__pow__"):
         monkeypatch.setattr(TruncatedSeries, name, refuse)
-    monkeypatch.setattr(series, "_fraction_sum", refuse)
+    monkeypatch.setattr(exact, "_fraction_sum", refuse)
     schemes.classic_scheme.cache_clear()  # a fresh scheme has read no column yet
     params = dict(
         alpha=Fraction(5, 7), beta=Fraction(-2, 9), gamma=Fraction(4, 11),

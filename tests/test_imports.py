@@ -29,15 +29,22 @@ code = cli.main(sys.argv[1:])
 _GEN = ["--gamma", "1", "--alpha", "1", "--beta", "2", "--ell", "2"]
 _VALUE_PATH = {"stirlingkit.audit", "stirlingkit.asymptotics", "stirlingkit.oracle",
                "dataclasses", "json", "csv"}
+# the independent routes' modules, which the egf path never runs
+_ROUTES = {"stirlingkit." + name for name in ("core", "generalized", "incomplete", "partial")}
+_EGF_PATH = {"stirlingkit", "stirlingkit.cli", "stirlingkit.exact", "stirlingkit.families",
+             "stirlingkit.schemes", "stirlingkit.suites"}
 
 # command -> (argv, modules it loads, modules it must not load)
 _COMMANDS = {
     "value": (["value", "--family", "classic", "--n", "6", "--k", "3"],
-              {"stirlingkit.families"}, _VALUE_PATH),
+              {"stirlingkit.families"}, _VALUE_PATH | _ROUTES | {"stirlingkit.series"}),
     "table-csv": (["table", "--family", "classic", "--nmax", "4", "--format", "csv"],
-                  {"stirlingkit.families"}, _VALUE_PATH),
+                  {"stirlingkit.families"}, _VALUE_PATH | _ROUTES | {"stirlingkit.series"}),
     "series": (["series", "--family", "classic", "--k", "2", "--order", "5"],
-               {"stirlingkit.families"}, _VALUE_PATH),
+               {"stirlingkit.families", "stirlingkit.series"}, _VALUE_PATH | _ROUTES),
+    "value-recurrence": (["value", "--family", "classic", "--n", "6", "--k", "3",
+                          "--method", "recurrence"],
+                         {"stirlingkit.core"}, {"stirlingkit.oracle", "stirlingkit.audit"}),
     "asympt-text": (["asympt", "--n", "4", "--k", "3,5", *_GEN],
                     {"stirlingkit.asymptotics"}, {"stirlingkit.audit", "dataclasses"}),
     "value-oracle": (["value", "--family", "classic", "--n", "6", "--k", "3", "--method", "oracle"],
@@ -68,6 +75,32 @@ def test_a_command_loads_only_what_it_runs(command):
     loaded = _loaded(_CLI, *argv)
     assert present <= loaded
     assert not loaded & absent
+
+
+@pytest.mark.parametrize("command", ["value", "table-csv"])
+def test_the_egf_path_loads_exactly_its_layers(command):
+    loaded = _loaded(_CLI, *_COMMANDS[command][0])
+    assert {name for name in loaded if name.startswith("stirlingkit")} == _EGF_PATH
+
+
+def test_every_route_runs_from_a_cold_start():
+    # a route imports its module when first called, which happens in a
+    # fresh interpreter only: pytest's own process has loaded every module
+    body = """\
+from fractions import Fraction
+import stirlingkit.families as f
+params = dict(alpha=Fraction(1, 2), beta=Fraction(-1, 3), gamma=Fraction(2, 5),
+              lam=Fraction(-3, 7), ell=2, r=3, s=2)
+for tag, family in f.FAMILIES.items():
+    spec = f.FamilySpec(tag, **{name: params[name] for name in family.params})
+    methods = ["recurrence"] + ["explicit"] * (family.explicit is not None)
+    for n in range(7):
+        for k in range(n + 1):
+            for method in methods:
+                assert f.family_value(spec, n, k, method) == f.family_value(spec, n, k), (tag, n, k)
+"""
+    loaded = _loaded(body)
+    assert _ROUTES <= loaded
 
 
 @pytest.mark.parametrize("command", ["value", "table-csv", "series"])

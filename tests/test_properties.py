@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stirlingkit import schemes, series
+from stirlingkit import exact, schemes
 from stirlingkit.families import FAMILIES, FAMILY_TAGS, FamilySpec, family_egf, family_value
 from stirlingkit.generalized import gen_stirling, gen_stirling_rec
 from stirlingkit.series import TruncatedSeries, egf_coeff
@@ -119,13 +119,13 @@ def test_family_series_products_do_not_depend_on_k(monkeypatch):
     # products it sums for block^k, and for the special series times it,
     # do not grow with k: k = 2 and k = 640 form the same number
     counts = []
-    real = series._fraction_sum
+    real = exact._fraction_sum
 
     def counting(nums, dens):
         counts[-1] += len(nums)
         return real(nums, dens)
 
-    monkeypatch.setattr(series, "_fraction_sum", counting)
+    monkeypatch.setattr(exact, "_fraction_sum", counting)
     schemes.generalized_scheme.cache_clear()  # a fresh scheme has read no column yet
     spec = FamilySpec("generalized", alpha=Fraction(1, 2), beta=Fraction(-1, 3), gamma=2)
     for k in (2, 640):
