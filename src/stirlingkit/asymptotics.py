@@ -41,8 +41,9 @@ uncorrected published-style normalization for the audit.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import NamedTuple, Sequence
 
 from .exact import Rational, falling_factorial
 from .partial import partial_deg
@@ -163,16 +164,13 @@ def shifted_mixed_series(
     return psi
 
 
-class AsymptoticRow(NamedTuple):
+# k and n_total are ints, mode a str; estimate, exact and rel_error are
+# Fractions or None, and note is a str or None
+class AsymptoticRow(namedtuple("AsymptoticRow", ("k", "n_total", "mode", "estimate", "exact",
+                                                 "rel_error", "note"), defaults=(None,))):
     """One estimate/exact comparison; note explains any undefined field."""
 
-    k: int
-    n_total: int
-    mode: str
-    estimate: Fraction | None
-    exact: Fraction | None
-    rel_error: Fraction | None
-    note: str | None = None
+    __slots__ = ()
 
 
 def asymptotic_partial(

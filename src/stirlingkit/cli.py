@@ -13,9 +13,11 @@ stdout closed early (128 + SIGPIPE, as for `yes | head -1`).  The library
 refuses an input by raising ValueError, and so do the commands here; main
 is the one place that turns a refusal into `error: ...` and exit 2.
 Values print as exact rationals ('p' or 'p/q'); only `asympt` adds a
-decimal column.  A command imports what it runs: `value` and `table` by
-egf load exact, families, schemes and suites, `series` adds series, and
-other methods, `verify`, `asympt` and JSON output load their own layers.
+decimal column.  A command imports what it runs, and the parser adds only
+its options: `value` and `table` by egf load exact, families, names and
+schemes, and `series` adds series.  `asympt` loads exact, names, schemes,
+asymptotics, partial and series; other methods, `verify` and JSON output
+load their own layers, and only `value`, `table` and `series` load families.
 """
 
 from __future__ import annotations
@@ -26,18 +28,11 @@ import os
 import sys
 
 from .exact import format_rational, parse_rational
-from .families import (
-    FAMILY_TAGS,
-    METHODS,
-    PARAMETERS,
-    FamilySpec,
-    ValueTable,
-    family_egf,
-    family_value,
-)
-from .suites import SUITE_NAMES
+from .names import METHODS, PARAMETERS, SUITE_NAMES
 
 __all__ = ["main", "entry"]
+
+_package = sys.modules[__package__]  # imports families on first access (PEP 562)
 
 # --family accepts these short names too, listed just before their target
 _ALIASES = {"partial": "partial_degenerate"}
@@ -45,10 +40,20 @@ _ALIASES = {"partial": "partial_degenerate"}
 _FLAGS = {"lam": "lambda"}
 
 
+# the commands call the family registry through these names, which a test or
+# a reference route may patch; only value, table and series load families
+def family_value(spec, n: int, k: int, method: str = "egf"):
+    return _package.families.family_value(spec, n, k, method)
+
+
+def family_egf(spec, k: int, order: int):
+    return _package.families.family_egf(spec, k, order)
+
+
 def _add_family_options(p: argparse.ArgumentParser) -> None:
     choices = [
         name
-        for tag in FAMILY_TAGS
+        for tag in _package.families.FAMILY_TAGS
         for name in [a for a, target in _ALIASES.items() if target == tag] + [tag]
     ]
     p.add_argument("--family", choices=choices, required=True)
@@ -58,13 +63,13 @@ def _add_family_options(p: argparse.ArgumentParser) -> None:
                        type=str if kind == "rational" else int)
 
 
-def _family_spec(args) -> FamilySpec:
+def _family_spec(args):
     params = {}
     for name, kind in PARAMETERS.items():
         value = getattr(args, name)
         if value is not None:
             params[name] = parse_rational(value) if kind == "rational" else value
-    return FamilySpec(_ALIASES.get(args.family, args.family), **params)
+    return _package.families.FamilySpec(_ALIASES.get(args.family, args.family), **params)
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -132,7 +137,7 @@ def _cmd_table(args) -> int:
     if args.nmax is None or args.nmax < 0:
         raise ValueError("table needs --nmax >= 0")
     _check_oracle_cap(args.method, args.nmax)
-    table = ValueTable(spec, args.method)
+    table = _package.families.ValueTable(spec, args.method)
     rows = [(n, k, format_rational(v)) for n, k, v in table.rows(args.nmax)]
     if args.format == "json":
         _write_json([{"n": n, "k": k, "value": v} for n, k, v in rows], args.out)
@@ -222,7 +227,8 @@ def _cmd_asympt(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """Every command with its help, and the options of `command` only."""
     parser = argparse.ArgumentParser(
         prog="stirlingkit",
         description="Exact values, tables, series, identity audit and asymptotics "
@@ -231,48 +237,53 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_value = sub.add_parser("value", help="one exact value")
-    _add_family_options(p_value)
-    p_value.add_argument("--n", type=int)
-    p_value.add_argument("--k", type=int)
-    p_value.add_argument("--method", choices=METHODS, default="egf")
-    p_value.add_argument("--check", action="store_true",
-                         help="compute via every applicable method; exit 1 on disagreement")
-    p_value.set_defaults(func=_cmd_value)
+    if command == "value":
+        _add_family_options(p_value)
+        p_value.add_argument("--n", type=int)
+        p_value.add_argument("--k", type=int)
+        p_value.add_argument("--method", choices=METHODS, default="egf")
+        p_value.add_argument("--check", action="store_true",
+                             help="compute via every applicable method; exit 1 on disagreement")
+        p_value.set_defaults(func=_cmd_value)
 
     p_table = sub.add_parser("table", help="triangle of values up to --nmax")
-    _add_family_options(p_table)
-    p_table.add_argument("--nmax", type=int)
-    p_table.add_argument("--method", choices=METHODS, default="egf")
-    p_table.add_argument("--format", choices=("csv", "json", "text"), default="csv")
-    p_table.add_argument("--out")
-    p_table.set_defaults(func=_cmd_table)
+    if command == "table":
+        _add_family_options(p_table)
+        p_table.add_argument("--nmax", type=int)
+        p_table.add_argument("--method", choices=METHODS, default="egf")
+        p_table.add_argument("--format", choices=("csv", "json", "text"), default="csv")
+        p_table.add_argument("--out")
+        p_table.set_defaults(func=_cmd_table)
 
     p_series = sub.add_parser("series", help="generating-function coefficients")
-    _add_family_options(p_series)
-    p_series.add_argument("--k", type=int)
-    p_series.add_argument("--order", type=int)
-    p_series.add_argument("--out")
-    p_series.set_defaults(func=_cmd_series)
+    if command == "series":
+        _add_family_options(p_series)
+        p_series.add_argument("--k", type=int)
+        p_series.add_argument("--order", type=int)
+        p_series.add_argument("--out")
+        p_series.set_defaults(func=_cmd_series)
 
     p_verify = sub.add_parser("verify", help="identity audit")
-    p_verify.add_argument("--suite", choices=SUITE_NAMES, required=True)
-    p_verify.add_argument("--nmax", type=int, default=8)
-    p_verify.add_argument("--format", choices=("text", "json"), default="text")
-    p_verify.add_argument("--out")
-    p_verify.set_defaults(func=_cmd_verify)
+    if command == "verify":
+        p_verify.add_argument("--suite", choices=SUITE_NAMES, required=True)
+        p_verify.add_argument("--nmax", type=int, default=8)
+        p_verify.add_argument("--format", choices=("text", "json"), default="text")
+        p_verify.add_argument("--out")
+        p_verify.set_defaults(func=_cmd_verify)
 
     p_asympt = sub.add_parser("asympt", help="estimate vs exact comparison")
-    p_asympt.add_argument("--n", type=int)
-    p_asympt.add_argument("--k", type=str, help="comma-separated list of k values")
-    p_asympt.add_argument("--m", type=int, default=3)
-    p_asympt.add_argument("--mode", choices=("normalized", "literal"), default="normalized")
-    p_asympt.add_argument("--gamma", type=str)
-    p_asympt.add_argument("--alpha", type=str)
-    p_asympt.add_argument("--beta", type=str)
-    p_asympt.add_argument("--ell", type=int)
-    p_asympt.add_argument("--format", choices=("text", "json"), default="text")
-    p_asympt.add_argument("--out")
-    p_asympt.set_defaults(func=_cmd_asympt)
+    if command == "asympt":
+        p_asympt.add_argument("--n", type=int)
+        p_asympt.add_argument("--k", type=str, help="comma-separated list of k values")
+        p_asympt.add_argument("--m", type=int, default=3)
+        p_asympt.add_argument("--mode", choices=("normalized", "literal"), default="normalized")
+        p_asympt.add_argument("--gamma", type=str)
+        p_asympt.add_argument("--alpha", type=str)
+        p_asympt.add_argument("--beta", type=str)
+        p_asympt.add_argument("--ell", type=int)
+        p_asympt.add_argument("--format", choices=("text", "json"), default="text")
+        p_asympt.add_argument("--out")
+        p_asympt.set_defaults(func=_cmd_asympt)
 
     return parser
 
@@ -294,7 +305,6 @@ def _int_digits_unlimited():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     words = sys.argv[1:] if argv is None else list(argv)
     # argparse reads a word like -1/3 as an option flag, so a negative word
     # after a rational option or a prefix of one (argparse takes any prefix that
@@ -305,7 +315,9 @@ def main(argv=None) -> int:
         if (len(option) > 2 and any(flag.startswith(option) for flag in rational)
                 and words[i][:1] == "-" and words[i][1:2].isdigit()):
             words[i - 1 : i + 1] = [option + "=" + words[i]]
-    args = parser.parse_args(words)
+    # the top-level parser has only -h, so the first non-option word is the command
+    command = next((word for word in words if word[:1] != "-"), None)
+    args = _build_parser(command).parse_args(words)
     with _int_digits_unlimited():
         try:
             return args.func(args)

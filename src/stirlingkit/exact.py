@@ -53,6 +53,9 @@ def falling_factorial_deg(t: Rational, n: int, lam: Rational) -> Rational:
 def rational(numerator: Rational, denominator: Rational = 1) -> Rational:
     """numerator / denominator, exactly: an int when it is integral, else a
     Fraction.  Never a float, whatever the operands."""
+    if isinstance(numerator, int) and isinstance(denominator, int):
+        quotient, remainder = divmod(numerator, denominator)
+        return quotient if remainder == 0 else Fraction(numerator, denominator)
     value = Fraction(numerator) / denominator
     return value.numerator if value.denominator == 1 else value
 

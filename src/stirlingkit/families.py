@@ -2,10 +2,10 @@
 
 Each of the nine number families is defined once, in FAMILIES: its
 parameters, its weight scheme (which fixes the generating function, see
-the schemes module) and its independent routes.  PARAMETERS states the
-kind of every parameter once, and a FamilySpec names one family together
-with exactly the parameters that family takes.  Values can be computed
-by several methods:
+the schemes module) and its independent routes.  PARAMETERS (from the
+names module) states the kind of every parameter once, and a FamilySpec
+names one family together with exactly the parameters that family
+takes.  Values can be computed by several methods:
 
     egf         coefficient extraction from the generating function of
                 the family's weight scheme (the canonical path, one
@@ -27,6 +27,7 @@ from fractions import Fraction
 
 from . import schemes as _schemes
 from .exact import Rational, check_indices, check_triple
+from .names import METHODS, PARAMETERS
 
 _package = sys.modules[__package__]  # imports a route module on first access (PEP 562)
 
@@ -42,20 +43,6 @@ __all__ = [
     "family_value",
     "family_egf",
 ]
-
-METHODS = ("egf", "recurrence", "explicit", "oracle")
-
-# every family parameter and its kind; FamilySpec has these fields, in order
-PARAMETERS = {
-    "alpha": "rational",
-    "beta": "rational",
-    "gamma": "rational",
-    "lam": "rational",
-    "ell": "non-negative integer",
-    "r": "non-negative integer",
-    "s": "non-negative integer",
-}
-
 
 class Family(namedtuple("Family", ("params", "scheme", "recurrence", "explicit"),
                          defaults=(None,))):

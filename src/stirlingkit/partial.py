@@ -25,12 +25,14 @@ in one of s colors) share the machinery and close the module.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from functools import cache
 
 from .exact import Rational, as_integer, binomial, cells_below, check_indices, multinomial, rational
-from .incomplete import free_atleast, gen_restricted
 from .schemes import colored_singleton_scheme, partial_degenerate_scheme
+
+_package = sys.modules[__package__]  # imports incomplete on first access (PEP 562)
 
 __all__ = [
     "partial_deg",
@@ -72,11 +74,12 @@ def _split(
     gamma = 0: j of the k blocks hold the `free` elements of free cells,
     the rest the `weighted` ones.  Blocks are non-empty, so j runs only
     where neither factor has more blocks than elements."""
+    incomplete = _package.incomplete  # only these audited routes need it
     total = 0
     for j in range(max(0, k - weighted), min(free, k) + 1):
-        fa = free_atleast(free, j, g, ell)
+        fa = incomplete.free_atleast(free, j, g, ell)
         if fa:
-            total += fa * gen_restricted(weighted, k - j, a, b, 0, ell)
+            total += fa * incomplete.gen_restricted(weighted, k - j, a, b, 0, ell)
     return total
 
 

@@ -113,7 +113,8 @@ class WeightScheme:
         value = self._values.get((k, n))
         if value is None:
             c = self.product_coefficient(k, n)
-            value = self._values[k, n] = rational(c * math.perm(n, n - k)) if c else 0
+            value = self._values[k, n] = (
+                rational(c.numerator * math.perm(n, n - k), c.denominator) if c else 0)
         return value
 
     def product_coefficient(self, k: int, n: int) -> Fraction:

@@ -32,7 +32,10 @@ _VALUE_PATH = {"stirlingkit.audit", "stirlingkit.asymptotics", "stirlingkit.orac
 # the independent routes' modules, which the egf path never runs
 _ROUTES = {"stirlingkit." + name for name in ("core", "generalized", "incomplete", "partial")}
 _EGF_PATH = {"stirlingkit", "stirlingkit.cli", "stirlingkit.exact", "stirlingkit.families",
-             "stirlingkit.schemes", "stirlingkit.suites"}
+             "stirlingkit.names", "stirlingkit.schemes"}
+_ASYMPT_PATH = {"stirlingkit", "stirlingkit.cli", "stirlingkit.exact", "stirlingkit.names",
+                "stirlingkit.schemes", "stirlingkit.asymptotics", "stirlingkit.partial",
+                "stirlingkit.series"}
 
 # command -> (argv, modules it loads, modules it must not load)
 _COMMANDS = {
@@ -46,7 +49,12 @@ _COMMANDS = {
                           "--method", "recurrence"],
                          {"stirlingkit.core"}, {"stirlingkit.oracle", "stirlingkit.audit"}),
     "asympt-text": (["asympt", "--n", "4", "--k", "3,5", *_GEN],
-                    {"stirlingkit.asymptotics"}, {"stirlingkit.audit", "dataclasses"}),
+                    {"stirlingkit.asymptotics"},
+                    {"stirlingkit.audit", "dataclasses", "stirlingkit.families",
+                     "stirlingkit.oracle", "stirlingkit.core", "stirlingkit.generalized",
+                     "stirlingkit.incomplete"}),
+    "verify": (["verify", "--suite", "thm3", "--nmax", "3"],
+               {"stirlingkit.audit"}, {"stirlingkit.families"}),
     "value-oracle": (["value", "--family", "classic", "--n", "6", "--k", "3", "--method", "oracle"],
                      {"stirlingkit.oracle"}, {"stirlingkit.audit"}),
     "value-check": (["value", "--family", "classic", "--n", "6", "--k", "3", "--check"],
@@ -83,6 +91,42 @@ def test_the_egf_path_loads_exactly_its_layers(command):
     assert {name for name in loaded if name.startswith("stirlingkit")} == _EGF_PATH
 
 
+def test_asympt_loads_exactly_its_layers():
+    loaded = _loaded(_CLI, *_COMMANDS["asympt-text"][0])
+    assert {name for name in loaded if name.startswith("stirlingkit")} == _ASYMPT_PATH
+
+
+def test_the_patch_points_stay_live():
+    # the benchmark's reference routes patch these names before a fresh
+    # interpreter's first call; the commands must read them when they run
+    body = """\
+import contextlib, io, json
+from stirlingkit import asymptotics, cli
+from stirlingkit.series import TruncatedSeries
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0
+    return out.getvalue()
+
+cli.family_egf = lambda spec, k, order: TruncatedSeries([7] * (order + 1), order)
+lines = run("series", "--family", "classic", "--k", "2", "--order", "3").splitlines()
+assert [line.split()[1] for line in lines] == ["7"] * 4, lines
+asympt = ["asympt", "--n", "4", "--k", "3,5", "--gamma", "1", "--alpha", "1", "--beta", "2",
+          "--ell", "2", "--format", "json"]
+real = asymptotics.partial_deg
+# k >= 2: only the exact side of a row reads these (psi reads k = 1)
+asymptotics.partial_deg = lambda n, k, *rest: real(n, k, *rest) + (k >= 2)
+patched = json.loads(run(*asympt))
+asymptotics.partial_deg = real
+plain = json.loads(run(*asympt))
+assert [row["estimate"] for row in patched] == [row["estimate"] for row in plain]
+assert all(p["exact"] != q["exact"] for p, q in zip(patched, plain)), (patched, plain)
+"""
+    _loaded(body)
+
+
 def test_every_route_runs_from_a_cold_start():
     # a route imports its module when first called, which happens in a
     # fresh interpreter only: pytest's own process has loaded every module
@@ -103,11 +147,11 @@ for tag, family in f.FAMILIES.items():
     assert _ROUTES <= loaded
 
 
-@pytest.mark.parametrize("command", ["value", "table-csv", "series"])
+@pytest.mark.parametrize("command", ["value", "table-csv", "series", "asympt-text"])
 def test_the_value_path_imports_no_typing(command):
     # -S: a site-packages .pth file may import typing before the package does
     loaded = _loaded(_CLI, *_COMMANDS[command][0], flags=("-S",))
-    assert "stirlingkit.families" in loaded
+    assert _COMMANDS[command][1] <= loaded
     assert "typing" not in loaded
 
 

@@ -229,9 +229,8 @@ def test_reference_routes_ask_only_for_cells_that_exist(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    watched(partial, "free_atleast")
-    watched(partial, "gen_restricted")
     watched(incomplete, "free_atleast")
+    watched(incomplete, "gen_restricted")
     for ell in (1, 2):
         for n in range(0, 6):
             for k in range(0, n + 2):
