@@ -28,10 +28,10 @@ names them, so the command line lists them without importing this one.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import cache, partial
-from typing import Callable, Iterable, Sequence
 
 from . import oracle as _oracle, schemes as _schemes
 from .core import (
@@ -43,7 +43,7 @@ from .core import (
     stirling2_restricted,
     stirling2_restricted_rec,
 )
-from .exact import binomial, falling_factorial_deg
+from .exact import _fraction_sum, binomial, falling_factorial_deg
 from .generalized import gen_stirling
 from .incomplete import (
     associated_from_free,
@@ -82,16 +82,15 @@ INTEGER_TRIPLES = ((0, 1, 0), (0, 1, 2), (1, 2, 0), (1, 3, 2), (2, 4, 2))
 _SEED = 20260809
 
 
-@dataclass(frozen=True)
-class AuditFinding:
-    suite: str
-    identity: str
-    form: str  # "literal" | "corrected" | "as printed" | "report"
-    verdict: str  # "PASS" | "FAIL" | "REPORT"
-    checked: int
-    failed: int
-    counterexample: str | None = None
-    note: str | None = None
+# form is "literal", "corrected", "as printed" or "report"; verdict is "PASS",
+# "FAIL" or "REPORT"; checked and failed are ints; counterexample and note
+# are a str or None
+class AuditFinding(namedtuple("AuditFinding", ("suite", "identity", "form", "verdict", "checked",
+                                               "failed", "counterexample", "note"),
+                              defaults=(None, None))):
+    """One verdict: a form of an identity scored on a case grid."""
+
+    __slots__ = ()
 
 
 def _score(suite: str, identity: str, cases: list, reference: Callable, *forms: tuple) -> list:
@@ -357,18 +356,38 @@ def _suite_thm20(nmax: int) -> list:
 
     @cache
     def _powers(ell, a, b):
-        # powers of the free blocks above ell, of the degenerate-weighted blocks
-        # up to ell and of their sum, built once per (ell, a, b) for both sides
+        # powers of the free blocks above ell, as their non-zero terms (i,
+        # numerator, denominator); of the degenerate-weighted blocks up to ell,
+        # as numerator and denominator lists; and of their sum, as series:
+        # built once per (ell, a, b) for both sides
         big = _schemes.free_atleast_scheme(0, ell).block_series(order)
         smallp = _schemes.gen_restricted_scheme(a, b, 0, ell).block_series(order)
-        return [[base ** k for k in powers] for base in (big, smallp, big + smallp)]
+        total = big + smallp
+        return (
+            [[(i, c.numerator, c.denominator) for i, c in enumerate(p.coeffs) if c]
+             for p in (big ** k for k in powers)],
+            [([c.numerator for c in p.coeffs], [c.denominator for c in p.coeffs])
+             for p in (smallp ** k for k in powers)],
+            [total ** k for k in powers],
+        )
 
     def _lhs(k, ell, a, b):
+        # each coefficient of sum_j C(k, j) big^j smallp^(k-j) as one exact sum
         big, smallp, _ = _powers(ell, a, b)
-        total = TruncatedSeries.zero(order)
-        for j in range(k + 1):
-            total = total + binomial(k, j) * big[j] * smallp[k - j]
-        return total
+        scaled = [(binomial(k, j), big[j], smallp[k - j]) for j in range(k + 1)]
+        coeffs = []
+        for n in range(order + 1):
+            nums, dens = [], []
+            for c, left, (right_num, right_den) in scaled:
+                for i, x_num, x_den in left:
+                    if i > n:
+                        break
+                    y_num = right_num[n - i]
+                    if y_num:
+                        nums.append(c * x_num * y_num)
+                        dens.append(x_den * right_den[n - i])
+            coeffs.append(_fraction_sum(nums, dens))
+        return TruncatedSeries(coeffs, order)
 
     def _rhs(k, ell, a, b):
         return _powers(ell, a, b)[2][k]
@@ -562,5 +581,5 @@ def report_json(findings: Sequence[AuditFinding], nmax: int) -> dict:
     return {
         "nmax": nmax,
         "ok": audit_ok(findings),
-        "findings": [asdict(f) for f in findings],
+        "findings": [f._asdict() for f in findings],
     }

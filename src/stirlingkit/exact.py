@@ -154,10 +154,13 @@ def as_integer(value: Rational) -> int:
 # with n (or k) up to it fill nothing.
 UNFILLED_ROWS = 150
 
-# Entries kept by each bounded cache: the scheme factories and the oracle's
-# size profiles.  After `verify --suite all --nmax 8` the largest,
-# generalized_scheme, holds 52 schemes; a long-lived caller asking for ever
-# new parameters keeps at most this many schemes and their columns alive.
+# Entries kept by each bounded cache: the scheme factories, the oracle's
+# size profiles and the multinomial route's composition tables
+# (partial._composition_table, one per (n, k, minimum)).  After
+# `verify --suite all --nmax 8` the composition tables number 140 and the
+# largest scheme factory, generalized_scheme, holds 52 schemes; a long-lived
+# caller asking for ever new parameters keeps at most this many schemes and
+# their columns alive.
 CACHE_SIZE = 256
 
 

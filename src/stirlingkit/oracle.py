@@ -27,8 +27,9 @@ enumerate_mixed.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
-from typing import Iterator, NamedTuple
 
 from .exact import CACHE_SIZE, Rational, check_indices
 
@@ -46,9 +47,11 @@ __all__ = [
 ENUMERATION_CAP = 11
 
 
-class MixedPartition(NamedTuple):
-    special_set: frozenset
-    blocks: tuple
+# special_set is a frozenset of elements, blocks a tuple of frozensets
+class MixedPartition(namedtuple("MixedPartition", ("special_set", "blocks"))):
+    """One pair (G, P): the special set and the blocks, in canonical order."""
+
+    __slots__ = ()
 
     def is_valid(self, n: int) -> bool:
         seen = set(self.special_set)

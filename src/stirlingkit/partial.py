@@ -25,14 +25,25 @@ in one of s colors) share the machinery and close the module.
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Iterator
-from functools import cache
+from functools import cache, lru_cache
 
-from .exact import Rational, as_integer, binomial, cells_below, check_indices, multinomial, rational
-from .schemes import colored_singleton_scheme, partial_degenerate_scheme
-
-_package = sys.modules[__package__]  # imports incomplete on first access (PEP 562)
+from .exact import (
+    CACHE_SIZE,
+    Rational,
+    as_integer,
+    binomial,
+    cells_below,
+    check_indices,
+    multinomial,
+    rational,
+)
+from .schemes import (
+    colored_singleton_scheme,
+    free_atleast_scheme,
+    gen_restricted_scheme,
+    partial_degenerate_scheme,
+)
 
 __all__ = [
     "partial_deg",
@@ -74,12 +85,13 @@ def _split(
     gamma = 0: j of the k blocks hold the `free` elements of free cells,
     the rest the `weighted` ones.  Blocks are non-empty, so j runs only
     where neither factor has more blocks than elements."""
-    incomplete = _package.incomplete  # only these audited routes need it
+    free_value = free_atleast_scheme(g, ell).value
+    weighted_value = gen_restricted_scheme(a, b, 0, ell).value
     total = 0
     for j in range(max(0, k - weighted), min(free, k) + 1):
-        fa = incomplete.free_atleast(free, j, g, ell)
+        fa = free_value(j, free)
         if fa:
-            total += fa * incomplete.gen_restricted(weighted, k - j, a, b, 0, ell)
+            total += fa * weighted_value(k - j, weighted)
     return total
 
 
@@ -125,17 +137,29 @@ def partial_deg_multinomial(
         fixed = 1
         for i in range(1, k + 1):
             fixed *= block_weight(i)
-        for head in _iter_head_compositions(n, k, ell):
-            remainder = n - sum(head)
-            total += multinomial(n, list(head) + [remainder]) * gamma ** remainder * fixed
+        for _, remainder, coefficient in _composition_table(n, k, ell):
+            total += coefficient * gamma ** remainder * fixed
         return total
-    for head in _iter_head_compositions(n, k, 1):
-        remainder = n - sum(head)
-        w = multinomial(n, list(head) + [remainder]) * gamma ** remainder
+    for head, remainder, coefficient in _composition_table(n, k, 1):
+        w = coefficient * gamma ** remainder
         for size in head:
             w *= block_weight(size)
         total += w
     return rational(total, math.factorial(k))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _composition_table(n: int, k: int, minimum: int) -> tuple:
+    """(head, remainder, multinomial coefficient) for each ordered head
+    composition of _iter_head_compositions(n, k, minimum), in its order:
+    the remainder n - sum(head) is the special set's size and the
+    coefficient n! / (r_1! ... r_k! remainder!).  Both readings of every
+    parameter set read this one table."""
+    table = []
+    for head in _iter_head_compositions(n, k, minimum):
+        remainder = n - sum(head)
+        table.append((head, remainder, multinomial(n, head + (remainder,))))
+    return tuple(table)
 
 
 def _iter_head_compositions(n: int, k: int, minimum: int) -> Iterator[tuple[int, ...]]:

@@ -173,6 +173,15 @@ def test_criterion_5_identity_audit_pattern():
         # the report bytes, pinned: every verdict, count and counterexample
         digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
         assert digest == "e5ade9b8243bad924bef1b5f51c279efb400358ccd6f5224822919040cead907"
+        proc = subprocess.run(
+            [sys.executable, "-m", "stirlingkit.cli", "verify", "--suite", "all", "--nmax", "8",
+             "--format", "json"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        assert digest == "b7ba3a43d1932ee913404070f69a65c535170362867417cc35fb6efc61c04a69"
 
 
 def test_criterion_6_bell_closed_forms():

@@ -102,3 +102,53 @@ def test_colored_singleton_report(findings):
     assert len(reports) == 1
     assert "s in [1]" in reports[0].note
     assert reports[0].verdict == "REPORT"
+
+
+def test_thm20_left_side_is_the_series_expression(monkeypatch):
+    # one exact sum per coefficient gives the series that the chained
+    # TruncatedSeries operations give, for every case the audit scores
+    from stirlingkit.exact import binomial
+    from stirlingkit.schemes import free_atleast_scheme, gen_restricted_scheme
+    from stirlingkit.series import TruncatedSeries
+
+    scored = {}
+    real = audit._score
+
+    def spy(suite, identity, cases, reference, *forms):
+        scored[identity] = (cases, forms)
+        return real(suite, identity, cases, reference, *forms)
+
+    monkeypatch.setattr(audit, "_score", spy)
+    run_suite("thm20", 8)
+    cases, ((_, lhs, _),) = scored["binomial-rearrangement"]
+    assert len(cases) == 120
+    for k, ell, a, b in cases:
+        left = lhs(k, ell, a, b)
+        order = left.order
+        big = free_atleast_scheme(0, ell).block_series(order)
+        smallp = gen_restricted_scheme(a, b, 0, ell).block_series(order)
+        expected = TruncatedSeries.zero(order)
+        for j in range(k + 1):
+            expected = expected + binomial(k, j) * big ** j * smallp ** (k - j)
+        assert left == expected, (k, ell, a, b)
+
+
+def test_a_wrong_binomial_fails_the_rearrangement(monkeypatch):
+    from stirlingkit import exact
+
+    monkeypatch.setattr(audit, "binomial", lambda n, k: exact.binomial(n, k) + (k == 1))
+    findings = {f.identity: f for f in run_suite("thm20", 8)}
+    rearrangement = findings["binomial-rearrangement"]
+    assert rearrangement.verdict == "FAIL" and rearrangement.counterexample
+    assert findings["mixed-cell-egf"].verdict == "PASS"
+
+
+def test_a_finding_is_a_named_tuple():
+    finding = AuditFinding("s", "i", "literal", "PASS", 3, 0)
+    assert (finding.counterexample, finding.note) == (None, None)
+    assert finding._asdict() == {
+        "suite": "s", "identity": "i", "form": "literal", "verdict": "PASS",
+        "checked": 3, "failed": 0, "counterexample": None, "note": None,
+    }
+    with pytest.raises(AttributeError):
+        finding.verdict = "FAIL"

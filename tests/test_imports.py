@@ -54,7 +54,7 @@ _COMMANDS = {
                      "stirlingkit.oracle", "stirlingkit.core", "stirlingkit.generalized",
                      "stirlingkit.incomplete"}),
     "verify": (["verify", "--suite", "thm3", "--nmax", "3"],
-               {"stirlingkit.audit"}, {"stirlingkit.families"}),
+               {"stirlingkit.audit"}, {"stirlingkit.families", "dataclasses", "inspect"}),
     "value-oracle": (["value", "--family", "classic", "--n", "6", "--k", "3", "--method", "oracle"],
                      {"stirlingkit.oracle"}, {"stirlingkit.audit"}),
     "value-check": (["value", "--family", "classic", "--n", "6", "--k", "3", "--check"],
@@ -147,7 +147,9 @@ for tag, family in f.FAMILIES.items():
     assert _ROUTES <= loaded
 
 
-@pytest.mark.parametrize("command", ["value", "table-csv", "series", "asympt-text"])
+@pytest.mark.parametrize(
+    "command", ["value", "table-csv", "series", "asympt-text", "value-oracle", "value-check"]
+)
 def test_the_value_path_imports_no_typing(command):
     # -S: a site-packages .pth file may import typing before the package does
     loaded = _loaded(_CLI, *_COMMANDS[command][0], flags=("-S",))

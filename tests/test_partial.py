@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from stirlingkit import partial
 from stirlingkit.core import stirling2, stirling2_associated
+from stirlingkit.exact import CACHE_SIZE, multinomial, rational
 from stirlingkit.incomplete import free_atleast, gen_restricted
 from stirlingkit.oracle import oracle_sum
 from stirlingkit.partial import (
@@ -82,18 +84,56 @@ def test_recursion():
                     ) == partial_deg(n1, k, ell, gamma, alpha, beta)
 
 
+def _multinomial_as_stated(n, k, ell, gamma, alpha, beta, literal):
+    """The decomposition term by term, each composition enumerated and
+    its multinomial formed where it is used."""
+    block_weight = partial_degenerate_scheme(gamma, alpha, beta, ell).block_weight
+    total = 0
+    for head in partial._iter_head_compositions(n, k, ell if literal else 1):
+        remainder = n - sum(head)
+        w = multinomial(n, list(head) + [remainder]) * gamma ** remainder
+        for i, size in enumerate(head, 1):
+            w *= block_weight(i if literal else size)
+        total += w
+    return total if literal else rational(total, math.factorial(k))
+
+
+def test_composition_table():
+    # at minimum 0 there are C(n + k, k) heads: k stops at 4 there, as in
+    # the audit's grid, to keep the table small
+    for minimum in range(0, 4):
+        for n in range(0, 11):
+            for k in range(0, (n if minimum else min(n, 4)) + 1):
+                table = partial._composition_table(n, k, minimum)
+                heads = list(partial._iter_head_compositions(n, k, minimum))
+                assert [head for head, _, _ in table] == heads
+                for head, remainder, coefficient in table:
+                    assert remainder == n - sum(head) >= 0
+                    assert coefficient == multinomial(n, list(head) + [remainder])
+    assert partial._composition_table.cache_info().maxsize == CACHE_SIZE
+
+
 def test_multinomial_forms():
     assert partial_deg_multinomial(2, 2, 1, 0, 1, 2) == 1
     assert partial_deg_multinomial(2, 2, 1, 0, 1, 2, literal=True) == 2
     for n in range(0, 9):
         assert partial_deg_multinomial(n, 1, 2, 0, 1, 3) == partial_deg(n, 1, 2, 0, 1, 3)
-    for gamma, alpha, beta in PARTIAL_TRIPLES:
+    rational_triples = [(Fraction(1, 2), Fraction(-1, 3), Fraction(5, 2)),
+                        (Fraction(-2, 3), Fraction(1, 2), 0)]
+    for gamma, alpha, beta in PARTIAL_TRIPLES + rational_triples:
         for n in range(0, 9):
             for k in range(0, n + 1):
                 for ell in (0, 1, 2, 3):
-                    assert partial_deg_multinomial(
-                        n, k, ell, gamma, alpha, beta
-                    ) == partial_deg(n, k, ell, gamma, alpha, beta)
+                    corrected = partial_deg_multinomial(n, k, ell, gamma, alpha, beta)
+                    expected = partial_deg(n, k, ell, gamma, alpha, beta)
+                    assert corrected == expected and type(corrected) is type(expected)
+                    assert corrected == _multinomial_as_stated(
+                        n, k, ell, gamma, alpha, beta, literal=False)
+                    if k > 4 and ell == 0:
+                        continue  # C(n + k, k) heads; the audit reads k <= 4
+                    literal = partial_deg_multinomial(n, k, ell, gamma, alpha, beta, literal=True)
+                    stated = _multinomial_as_stated(n, k, ell, gamma, alpha, beta, literal=True)
+                    assert literal == stated and type(literal) is type(stated)
 
 
 def test_derivative_forms():
@@ -218,6 +258,7 @@ def test_reference_routes_ask_only_for_cells_that_exist(monkeypatch):
     from stirlingkit import incomplete
 
     asked = []
+    reads = []
 
     def watched(module, name):
         real = getattr(module, name)
@@ -229,8 +270,27 @@ def test_reference_routes_ask_only_for_cells_that_exist(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
+    def watched_scheme(name):
+        # the convolution reads the schemes' values directly, value(k, n)
+        real = getattr(partial, name)
+
+        def factory(*args):
+            value = real(*args).value
+
+            def read(k, n):
+                reads.append(name)
+                if k > n:
+                    asked.append((partial.__name__, name, n, k))
+                return value(k, n)
+
+            return SimpleNamespace(value=read)
+
+        monkeypatch.setattr(partial, name, factory)
+
     watched(incomplete, "free_atleast")
     watched(incomplete, "gen_restricted")
+    watched_scheme("free_atleast_scheme")
+    watched_scheme("gen_restricted_scheme")
     for ell in (1, 2):
         for n in range(0, 6):
             for k in range(0, n + 2):
@@ -241,3 +301,4 @@ def test_reference_routes_ask_only_for_cells_that_exist(monkeypatch):
                     n, k, ell
                 )
     assert asked == []
+    assert set(reads) == {"free_atleast_scheme", "gen_restricted_scheme"}
