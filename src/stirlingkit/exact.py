@@ -156,11 +156,12 @@ UNFILLED_ROWS = 150
 
 # Entries kept by each bounded cache: the scheme factories, the oracle's
 # size profiles and the multinomial route's composition tables
-# (partial._composition_table, one per (n, k, minimum)).  After
-# `verify --suite all --nmax 8` the composition tables number 140 and the
-# largest scheme factory, generalized_scheme, holds 52 schemes; a long-lived
-# caller asking for ever new parameters keeps at most this many schemes and
-# their columns alive.
+# (partial._composition_table, one per (n, k, minimum), one row per
+# multiset of head sizes).  After `verify --suite all --nmax 8` the
+# composition tables number 140 and the largest scheme factory,
+# generalized_scheme, holds 52 schemes; a long-lived caller asking for
+# ever new parameters keeps at most this many schemes alive, each with its
+# columns: the generating-function columns and the recurrence columns.
 CACHE_SIZE = 256
 
 

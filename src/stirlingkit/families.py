@@ -10,7 +10,8 @@ takes.  Values can be computed by several methods:
     egf         coefficient extraction from the generating function of
                 the family's weight scheme (the canonical path, one
                 generic read of WeightScheme.value for every family)
-    recurrence  self-contained recursion, no series involved
+    recurrence  the differential equation the scheme declares, read as
+                a recurrence (WeightScheme.recurrence), no series involved
     explicit    alternating-sum formula (classic, degenerate and
                 generalized families only, beta != 0)
     oracle      brute-force weighted enumeration (small n only)
@@ -44,16 +45,14 @@ __all__ = [
     "family_egf",
 ]
 
-class Family(namedtuple("Family", ("params", "scheme", "recurrence", "explicit"),
-                         defaults=(None,))):
-    """One family: its parameters, weight scheme and routes to its values.
+class Family(namedtuple("Family", ("params", "scheme", "explicit"), defaults=(None,))):
+    """One family: its parameters, weight scheme and explicit sum.
 
-    The scheme alone fixes the canonical egf values, so a family has no
-    value route of its own; recurrence and explicit (None where the
-    family has no explicit sum) are independent of the scheme.  scheme
-    takes a FamilySpec, and a route takes (spec, n, k).  A route looks its
-    function up in its module when called, so only a call loads the module
-    and a name rebound there takes effect.
+    The scheme fixes the egf values and, by the differential equation it
+    declares, the recurrence values.  explicit (None where the family has
+    no explicit sum) is independent of the scheme: it takes (spec, n, k)
+    and looks its function up in its module when called, so only a call
+    loads the module and a name rebound there takes effect.
     """
 
     __slots__ = ()
@@ -63,54 +62,42 @@ FAMILIES = {
     "classic": Family(
         params=(),
         scheme=lambda s: _schemes.classic_scheme(),
-        recurrence=lambda s, n, k: _package.core.stirling2_rec(n, k),
         explicit=lambda s, n, k: _package.generalized.gen_stirling_explicit(n, k, 0, 1, 0),
     ),
     "restricted": Family(
         params=("ell",),
         scheme=lambda s: _schemes.restricted_scheme(s.ell),
-        recurrence=lambda s, n, k: _package.core.stirling2_restricted_rec(n, k, s.ell),
     ),
     "associated": Family(
         params=("ell",),
         scheme=lambda s: _schemes.associated_scheme(s.ell),
-        recurrence=lambda s, n, k: _package.core.stirling2_associated_rec(n, k, s.ell),
     ),
     "degenerate": Family(
         params=("lam",),
         scheme=lambda s: _schemes.generalized_scheme(s.lam, 1, 0),
-        recurrence=lambda s, n, k: _package.generalized.gen_stirling_rec(n, k, s.lam, 1, 0),
         explicit=lambda s, n, k: _package.generalized.gen_stirling_explicit(n, k, s.lam, 1, 0),
     ),
     "generalized": Family(
         params=("alpha", "beta", "gamma"),
         scheme=lambda s: _schemes.generalized_scheme(s.alpha, s.beta, s.gamma),
-        recurrence=lambda s, n, k: _package.generalized.gen_stirling_rec(
-            n, k, s.alpha, s.beta, s.gamma),
         explicit=lambda s, n, k: _package.generalized.gen_stirling_explicit(
             n, k, s.alpha, s.beta, s.gamma),
     ),
     "gen_restricted": Family(
         params=("alpha", "beta", "gamma", "ell"),
         scheme=lambda s: _schemes.gen_restricted_scheme(s.alpha, s.beta, s.gamma, s.ell),
-        recurrence=lambda s, n, k: _package.incomplete.gen_restricted_rec(
-            n, k, s.alpha, s.beta, s.gamma, s.ell),
     ),
     "free_atleast": Family(
         params=("gamma", "ell"),
         scheme=lambda s: _schemes.free_atleast_scheme(s.gamma, s.ell),
-        recurrence=lambda s, n, k: _package.incomplete.free_atleast_rec(n, k, s.gamma, s.ell),
     ),
     "partial_degenerate": Family(
         params=("gamma", "alpha", "beta", "ell"),
         scheme=lambda s: _schemes.partial_degenerate_scheme(s.gamma, s.alpha, s.beta, s.ell),
-        recurrence=lambda s, n, k: _package.partial.partial_deg_rec(
-            n, k, s.ell, s.gamma, s.alpha, s.beta),
     ),
     "colored_singleton": Family(
         params=("r", "s"),
         scheme=lambda s: _schemes.colored_singleton_scheme(s.r, s.s),
-        recurrence=lambda s, n, k: _package.partial.colored_singleton_rec(n, k, s.r, s.s),
     ),
 }
 
@@ -189,9 +176,9 @@ def family_value(spec: FamilySpec, n: int, k: int, method: str = "egf") -> Ratio
         if family.explicit is None:
             raise ValueError("no explicit-sum formula for family %r" % spec.tag)
         return Fraction(family.explicit(spec, n, k))
-    if method == "recurrence":
-        return Fraction(family.recurrence(spec, n, k))
     check_indices(n, k)
+    if method == "recurrence":
+        return Fraction(family.scheme(spec).recurrence(k, n))
     return family.scheme(spec).value(k, n)
 
 
@@ -209,7 +196,7 @@ class ValueTable:
     Every cell is family_value by the table's method; on the egf method
     that reads the lazy column k of the family's weight scheme, which
     computes each coefficient once however the cells are visited and
-    keeps the values read, as the recurrences' memos keep theirs.
+    keeps the values read, as the scheme's recurrence columns keep theirs.
     """
 
     def __init__(self, family: FamilySpec, method: str = "egf"):

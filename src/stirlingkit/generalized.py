@@ -15,20 +15,19 @@ beta != 0 and needs no division by beta in general; coefficient
 extraction from it is the canonical computation path for every beta.
 The triangular recursion
 
-    S(n+1,k) = S(n,k-1) + (k*beta - n*alpha + gamma) * S(n,k)
+    S(n+1,k) = S(n,k-1) + (k*beta - n*alpha + gamma) * S(n,k),
 
-and an explicit alternating sum (finite-difference style, beta != 0 only)
-are independent routes to the same values.
+which is the differential equation the scheme declares read as a
+recurrence (WeightScheme.recurrence), and an explicit alternating sum
+(finite-difference style, beta != 0 only) are independent routes to the
+same values.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache
 
-from .exact import (
-    Rational, binomial, cells_below, check_indices, check_triple, falling_factorial_deg, rational
-)
+from .exact import Rational, binomial, check_indices, check_triple, falling_factorial_deg, rational
 from .schemes import generalized_scheme
 
 __all__ = [
@@ -52,24 +51,10 @@ def gen_stirling(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rationa
 
 def gen_stirling_rec(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational) -> Rational:
     """Same value through the triangular recursion (works for any beta),
-    its rows filled bottom-up so n has no depth limit."""
+    which is the scheme's declared differential equation read by
+    WeightScheme.recurrence, filled iteratively so n has no depth limit."""
     _validate(n, k, alpha, beta, gamma)
-    # the memo holds ints for integral parameters, whoever spelled them first
-    a, b, g = rational(alpha), rational(beta), rational(gamma)
-    for m, j in cells_below(n, k):
-        _gen_rec_full(m, j, a, b, g)
-    return _gen_rec_full(n, k, a, b, g)
-
-
-@cache
-def _gen_rec_full(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational) -> Rational:
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k > n:
-        return 0
-    m = n - 1
-    lower = _gen_rec_full(m, k - 1, alpha, beta, gamma) if k >= 1 else 0
-    return lower + (k * beta - m * alpha + gamma) * _gen_rec_full(m, k, alpha, beta, gamma)
+    return generalized_scheme(alpha, beta, gamma).recurrence(k, n)
 
 
 def gen_stirling_explicit(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational) -> Rational:

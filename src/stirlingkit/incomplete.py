@@ -14,8 +14,9 @@ Two families live here:
   e^(gamma*x) * (e^x - e_{<=ell}(x))^k / k!.
 
 Both generating functions come from the weight schemes in the schemes
-module.  The recurrence routes re-derive the values independently by
-applying the audited corrected one-step rules to their own rows.
+module.  The recurrence routes re-derive the values independently from
+the differential equation each scheme declares (WeightScheme.recurrence);
+the audited one-step rules below are verification targets.
 
 The free-cell numbers resemble r-Stirling-style counts (distinguished
 elements pinned to distinct blocks, the rest size-floored) but do not
@@ -24,18 +25,15 @@ Those counts are out of scope; only this comparison note is kept.
 
 The one-step recursion evaluators accept a literal flag so the audit
 can score the commonly printed index variants against the corrected
-ones (see the audit module for the scoreboard), and a lower function
-for the rows they build on.
+ones (see the audit module for the scoreboard); gen_restricted_recursion
+also takes a lower function for the rows it builds on, which the derived
+three-term form sets to the step itself.
 """
 
 from __future__ import annotations
 
-from functools import cache
-
 from .core import _associated_rec, stirling2_associated_rec
-from .exact import (
-    UNFILLED_ROWS, Rational, binomial, cells_below, check_indices, falling_factorial_deg, rational
-)
+from .exact import Rational, binomial, check_indices, falling_factorial_deg, rational
 from .schemes import free_atleast_scheme, gen_restricted_scheme, generalized_scheme
 
 __all__ = [
@@ -61,26 +59,10 @@ def gen_restricted(
 def gen_restricted_rec(
     n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational, ell: int
 ) -> Rational:
-    """Full recursion path (no generating function); any beta.  The memo
-    is filled bottom-up over the states the recursion reaches, so n has
-    no depth limit."""
+    """Recurrence path (no generating function); any beta: the scheme's
+    declared differential equation read by WeightScheme.recurrence."""
     check_indices(n, k, ell)
-    a, b, g = rational(alpha), rational(beta), rational(gamma)
-    for m, j in cells_below(n, k):
-        # (m, j) at gamma - t*alpha: t removed elements joined the special
-        # set, the other n-m-t formed k-j blocks of 1..ell elements
-        for t in range(max(0, n - m - ell * (k - j)), n - m - (k - j) + 1):
-            _gen_restricted_rec(m, j, a, b, g - t * a, ell)
-    return _gen_restricted_rec(n, k, a, b, g, ell)
-
-
-@cache
-def _gen_restricted_rec(
-    n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational, ell: int
-) -> Rational:
-    if k > n:
-        return 0
-    return gen_restricted_recursion(n, k, alpha, beta, gamma, ell, lower=_gen_restricted_rec)
+    return gen_restricted_scheme(alpha, beta, gamma, ell).recurrence(k, n)
 
 
 def gen_restricted_recursion(
@@ -97,8 +79,7 @@ def gen_restricted_recursion(
 
     lower(m, j, alpha, beta, gamma, ell) evaluates those rows, on the
     parameters as given; None means the reference values, gen_restricted
-    as looked up at call time.  The recurrence route passes its own
-    memoised rows instead.
+    as looked up at call time.
 
     Corrected summation bounds run max(k-1, n+1-ell) <= i <= n so the
     new element's block keeps size n-i+1 <= ell.  The literal variant
@@ -184,43 +165,28 @@ def free_atleast(n: int, k: int, gamma: Rational, ell: int) -> Rational:
 
 
 def free_atleast_rec(n: int, k: int, gamma: Rational, ell: int) -> Rational:
-    """Full recursion path built on the size-floored recursion only; the
-    rows below n are filled bottom-up first, so n has no depth limit."""
+    """Recurrence path (no generating function): the scheme's declared
+    differential equation read by WeightScheme.recurrence."""
     check_indices(n, k, ell)
-    g = rational(gamma)
-    for m in range(n - UNFILLED_ROWS):
-        _free_atleast_rec(m, k, g, ell)
-    return _free_atleast_rec(n, k, g, ell)
-
-
-@cache
-def _free_atleast_rec(n: int, k: int, gamma: Rational, ell: int) -> Rational:
-    if n == 0:
-        return 1 if k == 0 else 0
-    return free_atleast_recursion(n, k, gamma, ell, lower=_free_atleast_rec)
+    return free_atleast_scheme(gamma, ell).recurrence(k, n)
 
 
 def free_atleast_recursion(
-    n_plus_1: int, k: int, gamma: Rational, ell: int, literal: bool = False, lower=None
+    n_plus_1: int, k: int, gamma: Rational, ell: int, literal: bool = False
 ) -> Rational:
     """One recursion step by the position of the newest element.
 
     Corrected form: gamma * F(n,k) + sum_i gamma^i C(n,i) A(n+1-i, k)
     with A the size-floored partition count at floor ell+1, taken from
-    its own recursion.  lower(n, k, gamma, ell) evaluates F, on the
-    parameters as given; None means the reference values, free_atleast
-    as looked up at call time.  The recurrence route passes its own
-    memoised rows instead.  The literal variant uses A(n-i, k), off by
-    the element that joined the blocks.
+    its own recursion, and F the reference values.  The literal variant
+    uses A(n-i, k), off by the element that joined the blocks.
     """
     if n_plus_1 < 1 or k < 0 or ell < 0:
         raise ValueError("need n_plus_1 >= 1 and non-negative k, ell")
-    if lower is None:
-        lower = free_atleast
     gamma = rational(gamma)
     n = n_plus_1 - 1
     shift = 0 if literal else 1
-    total = gamma * lower(n, k, gamma, ell)
+    total = gamma * free_atleast(n, k, gamma, ell)
     # one bottom-up fill for the largest count covers every smaller one
     stirling2_associated_rec(n + shift, k, ell + 1)
     for i in range(0, n + 1):

@@ -15,8 +15,8 @@ the same value: a binomial convolution splitting free from weighted
 cells, an element-shift recursion, a multinomial block decomposition,
 and a derivative-style recursion.  The multinomial and derivative
 routes exist in a literal and a corrected reading; the audit compares
-both.  The recurrence route (partial_deg_rec) applies the audited
-corrected derivative rule to its own memoised rows, filled bottom-up.
+both.  The recurrence route (partial_deg_rec) reads the differential
+equation the scheme declares (WeightScheme.recurrence).
 
 Colored-singleton numbers (special set weight r^|G|, singleton blocks
 in one of s colors) share the machinery and close the module.
@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from functools import cache, lru_cache
+from functools import lru_cache
+from itertools import groupby
 
 from .exact import (
     CACHE_SIZE,
     Rational,
     as_integer,
     binomial,
-    cells_below,
     check_indices,
     multinomial,
     rational,
@@ -128,7 +128,8 @@ def partial_deg_multinomial(
     plus a special-set remainder, each block contributing its own
     single-block weight, divided by k! because blocks are unordered.
     The literal reading keeps the product subscripts at 1..k and drops
-    the 1/k!; the audit scores it.
+    the 1/k!; the audit scores it.  Both sums read the compositions
+    grouped by their multiset of sizes (_composition_table).
     """
     check_indices(n, k, ell)
     block_weight = partial_degenerate_scheme(gamma, alpha, beta, ell).block_weight
@@ -150,25 +151,28 @@ def partial_deg_multinomial(
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _composition_table(n: int, k: int, minimum: int) -> tuple:
-    """(head, remainder, multinomial coefficient) for each ordered head
-    composition of _iter_head_compositions(n, k, minimum), in its order:
+    """(head, remainder, coefficient) for each non-increasing head of k
+    block sizes >= minimum with sum <= n, one row for all its orderings:
     the remainder n - sum(head) is the special set's size and the
-    coefficient n! / (r_1! ... r_k! remainder!).  Both readings of every
+    coefficient is the number of distinct orderings of the head times
+    n! / (r_1! ... r_k! remainder!).  Every term the decomposition sums is
+    symmetric in the order of the head, so both readings of every
     parameter set read this one table."""
     table = []
-    for head in _iter_head_compositions(n, k, minimum):
+    for head in _iter_heads(n, k, minimum, n):
         remainder = n - sum(head)
-        table.append((head, remainder, multinomial(n, head + (remainder,))))
+        orderings = multinomial(k, [len(list(run)) for _, run in groupby(head)])
+        table.append((head, remainder, orderings * multinomial(n, head + (remainder,))))
     return tuple(table)
 
 
-def _iter_head_compositions(n: int, k: int, minimum: int) -> Iterator[tuple[int, ...]]:
-    """Ordered block-size tuples r_1..r_k >= minimum with sum <= n."""
+def _iter_heads(n: int, k: int, minimum: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """Block-size tuples largest >= r_1 >= ... >= r_k >= minimum with sum <= n."""
     if k == 0:
         yield ()
         return
-    for first in range(minimum, n - minimum * (k - 1) + 1):
-        for rest in _iter_head_compositions(n - first, k - 1, minimum):
+    for first in range(minimum, min(largest, n - minimum * (k - 1)) + 1):
+        for rest in _iter_heads(n - first, k - 1, minimum, first):
             yield (first,) + rest
 
 
@@ -180,31 +184,24 @@ def partial_deg_derivative_recursion(
     alpha: Rational,
     beta: Rational,
     literal: bool = False,
-    lower=None,
 ) -> Rational:
     """Recursion from differentiating the generating function.
 
     Corrected inner index k-1: the newest element either joins the
     special set or completes one distinguished block.  The literal
-    variant keeps the inner index at k; the audit scores it.
-    lower(m, j, ell, gamma, alpha, beta) evaluates the rows below n+1,
-    on the parameters as given; None means the reference values,
-    partial_deg as looked up at call time.  The recurrence route passes
-    its own memoised rows instead.
+    variant keeps the inner index at k; the audit scores it.  The rows
+    below n+1 are the reference values, partial_deg.
     """
     check_indices(n_plus_1, k, ell)
     if k < 1:
         raise ValueError("derivative recursion needs k >= 1")
-    if lower is None:
-        lower = partial_deg
     n = n_plus_1 - 1
     block_weight = partial_degenerate_scheme(gamma, alpha, beta, ell).block_weight
-    total = gamma * lower(n, k, ell, gamma, alpha, beta)
+    total = gamma * partial_deg(n, k, ell, gamma, alpha, beta)
     inner_k = k if literal else k - 1
-    # rows with fewer elements than blocks are zero, so the memoised rows
-    # of the recurrence route stay within the band m - j <= n - k
+    # rows with fewer elements than blocks are zero
     for i in range(inner_k, n + 1):
-        row = lower(i, inner_k, ell, gamma, alpha, beta)
+        row = partial_deg(i, inner_k, ell, gamma, alpha, beta)
         if row:
             total += binomial(n, i) * row * block_weight(n - i + 1)
     return total
@@ -213,51 +210,18 @@ def partial_deg_derivative_recursion(
 def partial_deg_rec(
     n: int, k: int, ell: int, gamma: Rational, alpha: Rational, beta: Rational
 ) -> Rational:
-    """Full recursion path: the corrected derivative-style rule applied to
-    its own rows, filled bottom-up so n has no depth limit."""
-    g, a, b = rational(gamma), rational(alpha), rational(beta)
+    """Recurrence path (no generating function): the scheme's declared
+    differential equation read by WeightScheme.recurrence."""
     check_indices(n, k, ell)
-    for m, j in cells_below(n, k):
-        _partial_rec(m, j, ell, g, a, b)
-    return _partial_rec(n, k, ell, g, a, b)
-
-
-@cache
-def _partial_rec(
-    n: int, k: int, ell: int, gamma: Rational, alpha: Rational, beta: Rational
-) -> Rational:
-    if k > n:
-        return 0
-    if k == 0:
-        return gamma ** n
-    return partial_deg_derivative_recursion(n, k, ell, gamma, alpha, beta, lower=_partial_rec)
-
-
-@cache
-def _colored_rec(n: int, k: int, r: int, s: int) -> int:
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k > n:
-        return 0
-    if k == 0:
-        return r ** n
-    m = n - 1
-    total = r * _colored_rec(m, k, r, s)
-    for i in range(0, m + 1):
-        row = _colored_rec(i, k - 1, r, s)
-        if row:
-            total += binomial(m, i) * row * (s if m - i + 1 == 1 else 1)
-    return total
+    return partial_degenerate_scheme(gamma, alpha, beta, ell).recurrence(k, n)
 
 
 def colored_singleton_rec(n: int, k: int, r: int, s: int) -> int:
-    """Full recursion path for the colored-singleton numbers, its rows
-    filled bottom-up so n has no depth limit."""
+    """Recurrence path for the colored-singleton numbers: the scheme's
+    declared differential equation read by WeightScheme.recurrence."""
     if n < 0 or k < 0 or r < 0 or s < 0:
         raise ValueError("all arguments must be non-negative")
-    for m, j in cells_below(n, k):
-        _colored_rec(m, j, r, s)
-    return _colored_rec(n, k, r, s)
+    return colored_singleton_scheme(r, s).recurrence(k, n)
 
 
 def colored_singleton(n: int, k: int, r: int, s: int) -> int:

@@ -20,6 +20,14 @@ once each and only as far as a read needs, so a value at n costs
 coefficients up to n - vk whatever k is, and n!/k! is a falling
 factorial.  WeightScheme.value reads a value, product_coefficient the
 column (both by exact's kernels); egf and the *_series views load series.
+
+Each family's factory also declares the first-order linear differential
+equations its two series satisfy, a*P' = p*P and a*B' = b*B + q with
+a = 1 + a1*t, constants p and b and a polynomial q.  Then V_k = P*B^k/k!
+satisfies a*V_k' = (p + k*b)*V_k + q*V_(k-1), so every value also follows
+from one short recurrence, WeightScheme.recurrence, which reads neither
+series nor column: an independent route to the same values (Stanley,
+Europ. J. Combin. 1, 1980, on D-finite series).
 """
 
 from __future__ import annotations
@@ -62,20 +70,27 @@ class WeightScheme:
     recurrence reads) and the c_j of P * U^k, each computed once; the
     values already read are kept by (k, n).  One lock guards the store, so
     concurrent readers never extend a list twice.
+
+    ode, where the family declares one, is (a1, p, b, degree, q): with
+    a = 1 + a1*t, a*P' = p*P and a*B' = b*B + q, q of that degree and q(i)
+    = i! [t^i] q, read only as far as a recurrence needs it.  The store
+    keeps those q(i) and, for the recurrence, one column of values per j.
     """
 
-    __slots__ = ("name", "special_weight", "block_weight", "_lock", "_block_top", "_v",
-                 "_u0", "_unit", "_special", "_special_top", "_by_k", "_values")
+    __slots__ = ("name", "special_weight", "block_weight", "ode", "_lock", "_block_top", "_v",
+                 "_u0", "_unit", "_special", "_special_top", "_by_k", "_values", "_q", "_rows")
 
     def __init__(
         self,
         name: str,
         special_weight: Callable[[int], Rational],
         block_weight: Callable[[int], Rational],
+        ode: tuple | None = None,
     ):
         self.name = name
         self.special_weight = special_weight
         self.block_weight = block_weight
+        self.ode = ode
         self._lock = threading.Lock()
         self._block_top = 0  # b_1..b_block_top scanned
         self._v = self._u0 = None  # v and u_0, once a non-zero b_m is found
@@ -84,6 +99,8 @@ class WeightScheme:
         self._special_top = -1
         self._by_k: dict = {}  # k -> (w numerators, w denominators, c)
         self._values: dict = {}
+        self._q: list = []  # q(0), q(1), ... as read so far
+        self._rows: list = []  # j -> [V(j, j), V(j+1, j), ...]
 
     def block_coefficient(self, m: int) -> Fraction:
         """[t^m] of the block series: bw(m)/m! for a size m >= 1; a zero
@@ -143,6 +160,45 @@ class WeightScheme:
             [self.product_coefficient(k, n) * scale for n in range(order + 1)], order
         )
 
+    def recurrence(self, k: int, n: int) -> Rational:
+        """The value at (n, k) from the declared differential equation alone,
+        an int when it is integral:
+
+            V(n+1, k) = (p + k*b - a1*n) V(n, k) + sum_i C(n, i) q(i) V(n-i, k-1)
+
+        from V(0, 0) = 1, so column 0 is sw(n).  Column j is kept from
+        V(j, j) on and filled iteratively only to V(j + n - k, j), the band
+        the read needs, so n has no depth limit; k > n builds nothing."""
+        if k > n:
+            return 0
+        depth = n - k
+        with self._lock:
+            rows = self._rows
+            if k < len(rows) and depth < len(rows[k]):
+                return rational(rows[k][depth])
+            a1, p, b, degree, q = self.ode
+            q_hat = self._q
+            for i in range(len(q_hat), min(degree, depth) + 1):
+                q_hat.append(q(i))
+            while len(rows) <= k:
+                rows.append([])
+            # a fill leaves the columns no longer as j grows, so the ones
+            # short of depth are j0..k
+            j0 = k
+            while j0 and len(rows[j0 - 1]) <= depth:
+                j0 -= 1
+            for j in range(j0, k + 1):
+                # column j - 1 holds V(j-1, j-1) .. V(j-1 + depth, j-1) already
+                column, lower, factor = rows[j], rows[j - 1] if j else (), p + j * b
+                for d in range(len(column), depth + 1):
+                    m = j + d - 1  # V(m+1, j) from row m; V(j-1, j) = 0
+                    value = (factor - a1 * m) * column[d - 1] if d else int(j == 0)
+                    for i in range(min(d, degree) + 1 if lower else 0):
+                        if q_hat[i]:
+                            value += math.comb(m, i) * q_hat[i] * lower[d - i]
+                    column.append(value)
+            return rational(rows[k][depth])
+
     # -- the store; callers hold its lock --------------------------------------
 
     def _valuation(self, limit: int) -> int | None:
@@ -194,16 +250,33 @@ def _degenerate_blocks(alpha: Rational, beta: Rational) -> Callable[[int], Ratio
     return lambda size: factorials(size - 1)
 
 
+def _tail(block_weight: Callable[[int], Rational], ell: int, c: int,
+          a1: Rational = 0) -> tuple:
+    """(degree, q) for a block weight that is the constant c = b above ell
+    (c = 1 needs a1 = 0): B = c(e^t - 1) + h with h = sum_{1<=m<=ell}
+    (bw(m) - c) t^m/m!, so q = a*B' - c*B = c + a*h' - c*h and
+    q(i) = c[i = 0] + h(i+1) + a1*i*h(i) - c*h(i), read at sizes 1..ell."""
+    def h(m):
+        return block_weight(m) - c if 1 <= m <= ell else 0
+
+    return ell, lambda i: c * (i == 0) + h(i + 1) + (a1 * i - c) * h(i)
+
+
 # -- built-in weight schemes -------------------------------------------------
+#
+# Each family's factory declares ode = (a1, p, b, degree, q) next to its weights.
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def generalized_scheme(alpha: Rational, beta: Rational, gamma: Rational) -> WeightScheme:
+    """(1 + alpha t) P' = gamma P and (1 + alpha t) B' = beta B + 1, for
+    every alpha and beta."""
     a, b, g = rational(alpha), rational(beta), rational(gamma)
     return WeightScheme(
         name="generalized(%s,%s,%s)" % (a, b, g),
         special_weight=FallingFactorials(g, a),
         block_weight=_degenerate_blocks(a, b),
+        ode=(a, g, b, 0, lambda i: 1),
     )
 
 
@@ -217,7 +290,8 @@ def gen_restricted_scheme(
     return WeightScheme(
         name="gen_restricted(%s,%s,%s,ell=%d)" % (a, b, g, ell),
         special_weight=base.special_weight,
-        block_weight=lambda size: blocks(size) if size <= ell else 0,
+        block_weight=(weight := lambda size: blocks(size) if size <= ell else 0),
+        ode=(a, g, 0, *_tail(weight, ell, 0, a)),
     )
 
 
@@ -227,7 +301,8 @@ def free_atleast_scheme(gamma: Rational, ell: int) -> WeightScheme:
     return WeightScheme(
         name="free_atleast(%s,ell=%d)" % (g, ell),
         special_weight=lambda size: g ** size,
-        block_weight=lambda size: 1 if size > ell else 0,
+        block_weight=(weight := lambda size: 1 if size > ell else 0),
+        ode=(0, g, 1, *_tail(weight, ell, 1)),
     )
 
 
@@ -242,7 +317,8 @@ def partial_degenerate_scheme(
     return WeightScheme(
         name="partial_degenerate(%s,%s,%s,ell=%d)" % (g, a, b, ell),
         special_weight=lambda size: g ** size,
-        block_weight=lambda size: blocks(size) if size <= ell else 1,
+        block_weight=(weight := lambda size: blocks(size) if size <= ell else 1),
+        ode=(0, g, 1, *_tail(weight, ell, 1)),
     )
 
 
@@ -250,7 +326,8 @@ def partial_degenerate_scheme(
 def partial_degenerate_swapped_scheme(
     gamma: Rational, alpha: Rational, beta: Rational, ell: int
 ) -> WeightScheme:
-    """Orientation with the weights on the wrong side of ell (audit target)."""
+    """Orientation with the weights on the wrong side of ell (audit target;
+    it declares no differential equation)."""
     a, b, g = rational(alpha), rational(beta), rational(gamma)
     blocks = _degenerate_blocks(a, b)
     return WeightScheme(
@@ -266,6 +343,7 @@ def classic_scheme() -> WeightScheme:
         name="classic",
         special_weight=lambda size: 1 if size == 0 else 0,
         block_weight=lambda size: 1,
+        ode=(0, 0, 1, 0, lambda i: 1),
     )
 
 
@@ -274,7 +352,8 @@ def restricted_scheme(ell: int) -> WeightScheme:
     return WeightScheme(
         name="restricted(ell=%d)" % ell,
         special_weight=classic_scheme().special_weight,
-        block_weight=lambda size: 1 if size <= ell else 0,
+        block_weight=(weight := lambda size: 1 if size <= ell else 0),
+        ode=(0, 0, 0, *_tail(weight, ell, 0)),
     )
 
 
@@ -283,7 +362,8 @@ def associated_scheme(ell: int) -> WeightScheme:
     return WeightScheme(
         name="associated(ell=%d)" % ell,
         special_weight=classic_scheme().special_weight,
-        block_weight=lambda size: 1 if size >= ell else 0,
+        block_weight=(weight := lambda size: 1 if size >= ell else 0),
+        ode=(0, 0, 1, *_tail(weight, ell, 1)),
     )
 
 
@@ -293,5 +373,6 @@ def colored_singleton_scheme(r: int, s: int) -> WeightScheme:
     return WeightScheme(
         name="colored_singleton(r=%d,s=%d)" % (r, s),
         special_weight=lambda size: r ** size,
-        block_weight=lambda size: s if size == 1 else 1,
+        block_weight=(weight := lambda size: s if size == 1 else 1),
+        ode=(0, r, 1, *_tail(weight, 1, 1)),
     )

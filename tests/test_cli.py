@@ -190,6 +190,18 @@ def test_associated_recurrence_has_no_block_depth_limit(capsys):
     assert code == 0 and out == "%d\n" % math.comb(341, 2)
 
 
+def test_recurrence_with_more_blocks_than_elements_builds_nothing(capsys):
+    # k > n is zero: no column is built, however large k is
+    from stirlingkit import schemes
+
+    schemes.classic_scheme.cache_clear()
+    code, out, _ = run(
+        capsys, *"value --family classic --n 3 --k 1000000 --method recurrence".split()
+    )
+    assert code == 0 and out == "0\n"
+    assert schemes.classic_scheme()._rows == []
+
+
 def test_oracle_cap_usage_error(capsys):
     code, _, err = run(
         capsys, *"value --family classic --n 20 --k 2 --method oracle".split()

@@ -1,7 +1,10 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stirlingkit import (
     colored_singleton,
@@ -24,6 +27,7 @@ from stirlingkit.families import (
     family_egf,
     family_value,
 )
+from stirlingkit.oracle import oracle_sum
 from stirlingkit.series import TruncatedSeries, egf_coeff
 
 
@@ -109,9 +113,9 @@ def test_methods_agree(spec):
 
 
 def test_recurrence_routes_multiply_no_series(monkeypatch):
-    # the step functions default to the series-based reference values, so
-    # a route that forgot to pass its own rows would fail here; the lazy
-    # columns form their coefficients through exact._fraction_sum
+    # the recurrence reads the scheme's declared equation only: it forms
+    # no series product, and none of the lazy columns' coefficients, which
+    # go through exact._fraction_sum
     def refuse(*args):
         raise AssertionError("the recurrence route multiplied series")
 
@@ -252,3 +256,113 @@ def test_concurrent_callers_see_consistent_values():
         results = list(pool.map(lambda cell: (cell, family_value(spec, *cell)), cells))
     for cell, value in results:
         assert value == expected[cell]
+
+
+# -- the differential equation each scheme declares -------------------------
+
+DECLARED_SPECS = ALL_SPECS + [
+    FamilySpec("restricted", ell=0),
+    FamilySpec("restricted", ell=3),
+    FamilySpec("associated", ell=0),
+    FamilySpec("associated", ell=1),
+    FamilySpec("degenerate", lam=0),
+    FamilySpec("generalized", alpha=Fraction(1, 2), beta=Fraction(-1, 3), gamma=Fraction(1, 2)),
+    FamilySpec("generalized", alpha=Fraction(1, 2), beta=0, gamma=Fraction(1, 2)),
+    FamilySpec("gen_restricted", alpha=Fraction(1, 2), beta=Fraction(-1, 3),
+               gamma=Fraction(1, 2), ell=3),
+    FamilySpec("gen_restricted", alpha=2, beta=0, gamma=1, ell=0),
+    FamilySpec("free_atleast", gamma=Fraction(2, 3), ell=0),
+    FamilySpec("partial_degenerate", gamma=Fraction(1, 2), alpha=Fraction(-1, 3), beta=2, ell=3),
+    FamilySpec("partial_degenerate", gamma=1, alpha=1, beta=2, ell=0),
+    FamilySpec("colored_singleton", r=0, s=0),
+]
+
+
+def _residuals(scheme, order=12, ode=None):
+    """The coefficients of t^0..t^(order-1) in a*P' - p*P and in
+    a*B' - b*B - q, with a = 1 + a1*t, from the scheme's own series."""
+    a1, p, b, degree, q = ode or scheme.ode
+    special = scheme.special_series(order).coeffs
+    block = scheme.block_series(order).coeffs
+
+    def lhs(c, m):  # [t^m] of a*C'
+        return (m + 1) * c[m + 1] + a1 * m * c[m]
+
+    q_series = [Fraction(q(m), math.factorial(m)) if m <= degree else 0 for m in range(order)]
+    return ([lhs(special, m) - p * special[m] for m in range(order)],
+            [lhs(block, m) - b * block[m] - q_series[m] for m in range(order)])
+
+
+def _holds(scheme, ode=None):
+    special, block = _residuals(scheme, ode=ode)
+    return not any(special) and not any(block)
+
+
+@pytest.mark.parametrize("spec", DECLARED_SPECS, ids=lambda s: s.describe())
+def test_each_scheme_declares_its_differential_equation(spec):
+    scheme = FAMILIES[spec.tag].scheme(spec)
+    assert _holds(scheme)
+    # a wrong declaration fails here, before any value is compared: one
+    # coefficient of q off by one breaks a*B' = b*B + q
+    a1, p, b, degree, q = scheme.ode
+    for i in range(degree + 1):
+        mutated = (a1, p, b, degree, lambda m, i=i: q(m) + (m == i))
+        assert not _holds(scheme, mutated), i
+
+
+_DRAWN = {
+    "alpha": st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+    "beta": st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-4, 4),
+                                                       st.integers(1, 3))),
+    "gamma": st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+    "lam": st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+    "ell": st.integers(0, 5),
+    "r": st.integers(0, 4),
+    "s": st.integers(0, 4),
+}
+
+
+@pytest.mark.parametrize("tag", FAMILY_TAGS)
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_drawn_schemes_satisfy_their_declarations(tag, data):
+    spec = FamilySpec(tag, **{name: data.draw(_DRAWN[name]) for name in FAMILIES[tag].params})
+    assert _holds(FAMILIES[tag].scheme(spec))
+
+
+@pytest.mark.parametrize("spec", DECLARED_SPECS, ids=lambda s: s.describe())
+def test_the_recurrence_reads_its_columns_in_any_order(spec):
+    # a read fills only the band it needs, so the columns stay ragged; a
+    # later read of any cell must extend them consistently
+    cells = [(n, k) for n in range(16) for k in range(n + 2)]
+    expected = {cell: family_value(spec, *cell) for cell in cells}
+    random.Random(spec.describe()).shuffle(cells)
+    _clear_scheme_caches()
+    scheme = FAMILIES[spec.tag].scheme(spec)
+    for n, k in cells:
+        value = scheme.recurrence(k, n)
+        assert value == expected[n, k] and type(value) is type(expected[n, k]), (n, k)
+
+
+def _clear_scheme_caches():
+    for factory in (schemes.classic_scheme, schemes.restricted_scheme,
+                    schemes.associated_scheme, schemes.generalized_scheme,
+                    schemes.gen_restricted_scheme, schemes.free_atleast_scheme,
+                    schemes.partial_degenerate_scheme, schemes.colored_singleton_scheme):
+        factory.cache_clear()
+
+
+@pytest.mark.parametrize("spec", DECLARED_SPECS, ids=lambda s: s.describe())
+def test_egf_and_oracle_never_read_the_declaration(spec):
+    expected = {(n, k): family_value(spec, n, k) for n in range(7) for k in range(n + 2)}
+    _clear_scheme_caches()  # a fresh scheme has read nothing yet
+    scheme = FAMILIES[spec.tag].scheme(spec)
+    scheme.ode = ("garbage",)
+    try:
+        for (n, k), value in expected.items():
+            assert scheme.value(k, n) == value
+            assert oracle_sum(n, k, scheme) == value
+        with pytest.raises(ValueError):
+            scheme.recurrence(1, 2)
+    finally:
+        _clear_scheme_caches()  # no later read meets the garbage

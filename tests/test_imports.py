@@ -47,7 +47,7 @@ _COMMANDS = {
                {"stirlingkit.families", "stirlingkit.series"}, _VALUE_PATH | _ROUTES),
     "value-recurrence": (["value", "--family", "classic", "--n", "6", "--k", "3",
                           "--method", "recurrence"],
-                         {"stirlingkit.core"}, {"stirlingkit.oracle", "stirlingkit.audit"}),
+                         {"stirlingkit.schemes"}, _VALUE_PATH | _ROUTES | {"stirlingkit.series"}),
     "asympt-text": (["asympt", "--n", "4", "--k", "3,5", *_GEN],
                     {"stirlingkit.asymptotics"},
                     {"stirlingkit.audit", "dataclasses", "stirlingkit.families",
@@ -88,6 +88,21 @@ def test_a_command_loads_only_what_it_runs(command):
 @pytest.mark.parametrize("command", ["value", "table-csv"])
 def test_the_egf_path_loads_exactly_its_layers(command):
     loaded = _loaded(_CLI, *_COMMANDS[command][0])
+    assert {name for name in loaded if name.startswith("stirlingkit")} == _EGF_PATH
+
+
+_FAMILY_ARGS = {"classic": [], "restricted": ["--ell", "2"], "associated": ["--ell", "2"],
+                "degenerate": ["--lambda", "1/2"], "generalized": _GEN[:6],
+                "gen_restricted": _GEN, "free_atleast": ["--gamma", "2", "--ell", "1"],
+                "partial_degenerate": _GEN, "colored_singleton": ["--r", "2", "--s", "3"]}
+
+
+@pytest.mark.parametrize("family", list(_FAMILY_ARGS))
+def test_the_recurrence_loads_the_egf_path_for_every_family(family):
+    # the recurrence is the scheme's own declaration: no route module
+    argv = ["value", "--family", family, *_FAMILY_ARGS[family], "--n", "6", "--k", "3",
+            "--method", "recurrence"]
+    loaded = _loaded(_CLI, *argv)
     assert {name for name in loaded if name.startswith("stirlingkit")} == _EGF_PATH
 
 
@@ -144,7 +159,8 @@ for tag, family in f.FAMILIES.items():
                 assert f.family_value(spec, n, k, method) == f.family_value(spec, n, k), (tag, n, k)
 """
     loaded = _loaded(body)
-    assert _ROUTES <= loaded
+    # the recurrence is the scheme's; only the explicit sums have a module
+    assert loaded & _ROUTES == {"stirlingkit.generalized"}
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -19,7 +20,7 @@ from stirlingkit.partial import (
     partial_deg_rec,
     partial_deg_recursion,
 )
-from stirlingkit.schemes import colored_singleton_scheme, partial_degenerate_scheme
+from stirlingkit.schemes import WeightScheme, colored_singleton_scheme, partial_degenerate_scheme
 
 # (gamma, alpha, beta) triples with beta nonzero, alpha | beta, alpha | gamma
 PARTIAL_TRIPLES = [(0, 0, 1), (2, 0, 1), (0, 1, 2), (2, 1, 3), (2, 2, 4)]
@@ -84,12 +85,22 @@ def test_recursion():
                     ) == partial_deg(n1, k, ell, gamma, alpha, beta)
 
 
+def _iter_head_compositions(n, k, minimum):
+    """Ordered block-size tuples r_1..r_k >= minimum with sum <= n."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(minimum, n - minimum * (k - 1) + 1):
+        for rest in _iter_head_compositions(n - first, k - 1, minimum):
+            yield (first,) + rest
+
+
 def _multinomial_as_stated(n, k, ell, gamma, alpha, beta, literal):
     """The decomposition term by term, each composition enumerated and
     its multinomial formed where it is used."""
     block_weight = partial_degenerate_scheme(gamma, alpha, beta, ell).block_weight
     total = 0
-    for head in partial._iter_head_compositions(n, k, ell if literal else 1):
+    for head in _iter_head_compositions(n, k, ell if literal else 1):
         remainder = n - sum(head)
         w = multinomial(n, list(head) + [remainder]) * gamma ** remainder
         for i, size in enumerate(head, 1):
@@ -99,17 +110,23 @@ def _multinomial_as_stated(n, k, ell, gamma, alpha, beta, literal):
 
 
 def test_composition_table():
-    # at minimum 0 there are C(n + k, k) heads: k stops at 4 there, as in
-    # the audit's grid, to keep the table small
+    # the ordered compositions, grouped by their multiset of sizes, give the
+    # table: one row per multiset, its coefficient the multinomial of any
+    # one ordering times their number.  At minimum 0 there are C(n + k, k)
+    # compositions: k stops at 4 there, as in the audit's grid
     for minimum in range(0, 4):
         for n in range(0, 11):
             for k in range(0, (n if minimum else min(n, 4)) + 1):
+                grouped = {}
+                for head in _iter_head_compositions(n, k, minimum):
+                    remainder = n - sum(head)
+                    key = tuple(sorted(head, reverse=True))
+                    grouped[key] = grouped.get(key, 0) + multinomial(n, list(head) + [remainder])
                 table = partial._composition_table(n, k, minimum)
-                heads = list(partial._iter_head_compositions(n, k, minimum))
-                assert [head for head, _, _ in table] == heads
-                for head, remainder, coefficient in table:
+                assert {head: coefficient for head, _, coefficient in table} == grouped
+                assert len(table) == len(grouped)
+                for head, remainder, _ in table:
                     assert remainder == n - sum(head) >= 0
-                    assert coefficient == multinomial(n, list(head) + [remainder])
     assert partial._composition_table.cache_info().maxsize == CACHE_SIZE
 
 
@@ -158,13 +175,26 @@ def test_pure_recursion_path():
                     assert partial_deg_rec(n, k, ell, gamma, alpha, beta) == partial_deg(
                         n, k, ell, gamma, alpha, beta
                     )
-    # rows with fewer elements than blocks are zero and not summed: a
-    # near-diagonal value memoises only the band -1 <= m - j <= 3
-    memo = partial._partial_rec.cache_info
-    before = memo().currsize
+    # rows with fewer elements than blocks are zero and never filled: a
+    # near-diagonal value fills only the band 0 <= m - j <= 3 of its scheme
     gamma = Fraction(5, 17)
+    scheme = partial_degenerate_scheme(gamma, 1, 2, 2)
+    before = sum(len(column) for column in scheme._rows)
     assert partial_deg_rec(60, 57, 2, gamma, 1, 2) == partial_deg(60, 57, 2, gamma, 1, 2)
-    assert memo().currsize - before <= 5 * 58
+    assert sum(len(column) for column in scheme._rows) - before <= 5 * 58
+
+
+def test_recurrence_memory_is_bounded_by_the_scheme_cache():
+    # the recurrence keeps its values in the scheme's columns, so a caller
+    # asking for ever new parameters keeps at most CACHE_SIZE schemes alive
+    gammas = [Fraction(i, 997) for i in range(1, 301)]
+    names = {partial_degenerate_scheme(gamma, 1, 2, 2).name for gamma in gammas}
+    partial_degenerate_scheme.cache_clear()
+    for gamma in gammas:
+        partial_deg_rec(12, 3, 2, gamma, 1, 2)
+    gc.collect()
+    alive = [obj for obj in gc.get_objects() if isinstance(obj, WeightScheme) and obj.name in names]
+    assert len(names) == 300 and len(alive) <= CACHE_SIZE
 
 
 def test_integrality():
