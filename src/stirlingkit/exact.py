@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import re
 import threading
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 
 Rational = int | Fraction
@@ -147,33 +147,17 @@ def as_integer(value: Rational) -> int:
     return f.numerator
 
 
-# Rows a memoised recursion may descend before it meets filled rows (or
-# columns, for the size-limited and size-floored recursions, which drop
-# one block per level).  At up to three interpreter levels a row this
-# stays well inside Python's default recursion limit of 1000, and calls
-# with n (or k) up to it fill nothing.
-UNFILLED_ROWS = 150
-
-# Entries kept by each bounded cache: the scheme factories, the oracle's
-# size profiles and the multinomial route's composition tables
+# Entries kept by each bounded cache: the scheme factories (core's
+# printed-form associated scheme among them), the oracle's size profiles
+# and the multinomial route's composition tables
 # (partial._composition_table, one per (n, k, minimum), one row per
 # multiset of head sizes).  After `verify --suite all --nmax 8` the
 # composition tables number 140 and the largest scheme factory,
 # generalized_scheme, holds 52 schemes; a long-lived caller asking for
 # ever new parameters keeps at most this many schemes alive, each with its
-# columns: the generating-function columns and the recurrence columns.
+# columns: the generating-function columns and the recurrence columns,
+# which also hold every value the audited recursions of core have read.
 CACHE_SIZE = 256
-
-
-def cells_below(n: int, k: int) -> Iterator[tuple[int, int]]:
-    """Cells (m, j) of the rows m < n - UNFILLED_ROWS, row by row from
-    m = 0, that a triangular recursion from (n, k) reaches when each step
-    drops at least one element and at most one block:
-    k-(n-m) <= j <= min(m, k).  A memoised recursion evaluated on them
-    first never nests calls more than UNFILLED_ROWS rows deep."""
-    for m in range(n - UNFILLED_ROWS):
-        for j in range(max(0, k - (n - m)), min(m, k) + 1):
-            yield m, j
 
 
 # -- the series kernels, run by TruncatedSeries and by the scheme columns alike

@@ -16,7 +16,9 @@ Two families live here:
 Both generating functions come from the weight schemes in the schemes
 module.  The recurrence routes re-derive the values independently from
 the differential equation each scheme declares (WeightScheme.recurrence);
-the audited one-step rules below are verification targets.
+the audited one-step rules below are verification targets.  The
+size-floored counts that free_atleast_recursion sums come from the
+associated scheme's recurrence as well, so no route here reads core.
 
 The free-cell numbers resemble r-Stirling-style counts (distinguished
 elements pinned to distinct blocks, the rest size-floored) but do not
@@ -32,9 +34,13 @@ three-term form sets to the step itself.
 
 from __future__ import annotations
 
-from .core import _associated_rec, stirling2_associated_rec
 from .exact import Rational, binomial, check_indices, falling_factorial_deg, rational
-from .schemes import free_atleast_scheme, gen_restricted_scheme, generalized_scheme
+from .schemes import (
+    associated_scheme,
+    free_atleast_scheme,
+    gen_restricted_scheme,
+    generalized_scheme,
+)
 
 __all__ = [
     "gen_restricted",
@@ -177,9 +183,10 @@ def free_atleast_recursion(
     """One recursion step by the position of the newest element.
 
     Corrected form: gamma * F(n,k) + sum_i gamma^i C(n,i) A(n+1-i, k)
-    with A the size-floored partition count at floor ell+1, taken from
-    its own recursion, and F the reference values.  The literal variant
-    uses A(n-i, k), off by the element that joined the blocks.
+    with A the size-floored partition count at floor ell+1, read from
+    its scheme's recurrence (no series), and F the reference values.
+    The literal variant uses A(n-i, k), off by the element that joined
+    the blocks.
     """
     if n_plus_1 < 1 or k < 0 or ell < 0:
         raise ValueError("need n_plus_1 >= 1 and non-negative k, ell")
@@ -187,12 +194,12 @@ def free_atleast_recursion(
     n = n_plus_1 - 1
     shift = 0 if literal else 1
     total = gamma * free_atleast(n, k, gamma, ell)
-    # one bottom-up fill for the largest count covers every smaller one
-    stirling2_associated_rec(n + shift, k, ell + 1)
+    # the first read, i = 0, fills the column every later one reads from
+    associated = associated_scheme(ell + 1).recurrence
     for i in range(0, n + 1):
-        term = gamma ** i * _associated_rec(n + shift - i, k, ell + 1)
-        if term:
-            total += binomial(n, i) * term
+        count = associated(k, n + shift - i)
+        if count:
+            total += binomial(n, i) * gamma ** i * count
     return total
 
 

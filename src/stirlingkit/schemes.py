@@ -73,7 +73,8 @@ class WeightScheme:
 
     ode, where the family declares one, is (a1, p, b, degree, q): with
     a = 1 + a1*t, a*P' = p*P and a*B' = b*B + q, q of that degree and q(i)
-    = i! [t^i] q, read only as far as a recurrence needs it.  The store
+    = i! [t^i] q, read only as far as a recurrence needs it.  degree may be
+    math.inf, for a q that is a series, read term by term.  The store
     keeps those q(i) and, for the recurrence, one column of values per j.
     """
 
@@ -169,6 +170,8 @@ class WeightScheme:
         from V(0, 0) = 1, so column 0 is sw(n).  Column j is kept from
         V(j, j) on and filled iteratively only to V(j + n - k, j), the band
         the read needs, so n has no depth limit; k > n builds nothing."""
+        if self.ode is None:
+            raise ValueError("scheme %s declares no differential equation" % self.name)
         if k > n:
             return 0
         depth = n - k

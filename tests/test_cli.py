@@ -173,7 +173,7 @@ def test_recurrence_has_no_depth_limit(capsys):
 
 
 def test_restricted_recurrence_has_no_block_depth_limit(capsys):
-    # 340 blocks nest one call each unless the memo is filled bottom-up;
+    # 340 blocks, one column each, filled iteratively rather than nested;
     # 600 elements in blocks of at most 2: 260 pairs and 80 singletons
     code, out, _ = run(
         capsys, *"value --family restricted --ell 2 --n 600 --k 340 --method recurrence".split()

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from stirlingkit.core import (
@@ -90,6 +92,8 @@ def test_associated_recurrence_matches_generating_function():
         for n in range(0, 30):
             for k in range(0, n + 1):
                 assert stirling2_associated_rec(n, k, ell) == stirling2_associated(n, k, ell)
+    # 1199 blocks, far past Python's recursion limit: one pair, C(1200, 2) ways
+    assert stirling2_associated_rec(1200, 1199, 1) == math.comb(1200, 2)
 
 
 def test_literal_recursion_breaks():
@@ -97,6 +101,8 @@ def test_literal_recursion_breaks():
     assert stirling2_rec_literal(2, 1) == 0
     assert stirling2(2, 1) == 1
     assert stirling2_rec_literal(0, 0) == 1
+    # 5000 rows, past Python's recursion limit
+    assert stirling2_rec_literal(5000, 1) == 0 == stirling2_rec_literal(5000, 0)
 
 
 def test_negative_indices_rejected():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from stirlingkit import (
     stirling2_associated,
     stirling2_restricted,
 )
+from stirlingkit.core import stirling2_associated_rec, stirling2_rec, stirling2_restricted_rec
 from stirlingkit.families import (
     FAMILIES,
     FAMILY_TAGS,
@@ -157,6 +159,14 @@ def test_independent_routes_never_read_a_column(monkeypatch):
                     except ValueError:
                         # the family has no explicit sum, or none at beta = 0
                         assert method == "explicit"
+    # the audited printed recursions are scored against the column, so
+    # they must not read it either
+    for n in range(0, 8):
+        for k in range(0, n + 2):
+            stirling2_rec(n, k)
+            for ell in range(0, 4):
+                stirling2_restricted_rec(n, k, ell)
+                stirling2_associated_rec(n, k, ell)
     with pytest.raises(AssertionError):
         family_value(FamilySpec("classic"), 3, 2, "egf")
 
@@ -342,6 +352,15 @@ def test_the_recurrence_reads_its_columns_in_any_order(spec):
     for n, k in cells:
         value = scheme.recurrence(k, n)
         assert value == expected[n, k] and type(value) is type(expected[n, k]), (n, k)
+
+
+def test_a_scheme_without_a_declaration_refuses_the_recurrence():
+    swapped = schemes.partial_degenerate_swapped_scheme(1, 1, 2, 2)
+    own = schemes.WeightScheme("mine", lambda g: int(g == 0), lambda m: m)
+    for scheme in (swapped, own):
+        for k, n in ((2, 4), (5, 3)):
+            with pytest.raises(ValueError, match="%s declares no" % re.escape(scheme.name)):
+                scheme.recurrence(k, n)
 
 
 def _clear_scheme_caches():

@@ -2,7 +2,9 @@
 its public names on first use, and a command imports only the layers it
 runs.  Each import check runs in a fresh interpreter."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -181,6 +183,23 @@ def test_the_oracle_and_the_schemes_import_apart():
     schemes = _loaded("import stirlingkit.schemes")
     assert "stirlingkit.schemes" in schemes
     assert "stirlingkit.oracle" not in schemes
+
+
+def test_every_module_level_cache_is_bounded():
+    # a long-lived caller asking for ever new arguments must not grow any
+    # cache without limit; an unbounded one reports maxsize None
+    for info in pkgutil.iter_modules(stirlingkit.__path__):
+        module = importlib.import_module("stirlingkit." + info.name)
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_parameters"):
+                assert value.cache_parameters()["maxsize"] is not None, (info.name, name)
+
+
+def test_incomplete_loads_no_core():
+    # free_atleast_recursion reads its size-floored counts from a scheme
+    loaded = _loaded("import stirlingkit.incomplete")
+    assert "stirlingkit.incomplete" in loaded
+    assert "stirlingkit.core" not in loaded
 
 
 def test_every_public_name_resolves_to_its_submodule_object():
