@@ -28,7 +28,7 @@ import os
 import sys
 
 from .exact import format_rational, parse_rational
-from .names import METHODS, PARAMETERS, SUITE_NAMES
+from .names import ENUMERATION_CAP, METHODS, PARAMETERS, SUITE_NAMES
 
 __all__ = ["main", "entry"]
 
@@ -89,32 +89,18 @@ def _write_json(payload, out: str | None) -> None:
     _write_out(json.dumps(payload, indent=2), out)
 
 
-def _enumeration_cap() -> int:
-    from .oracle import ENUMERATION_CAP  # only the oracle method loads the enumeration
-
-    return ENUMERATION_CAP
-
-
-def _check_oracle_cap(method: str, n: int) -> None:
-    if method == "oracle" and n > _enumeration_cap():
-        raise ValueError(
-            "method=oracle is capped at n=%d (asked for n=%d)" % (_enumeration_cap(), n)
-        )
-
-
 def _cmd_value(args) -> int:
     spec = _family_spec(args)
     if args.n is None or args.k is None:
         raise ValueError("value needs --n and --k")
     n, k = args.n, args.k
-    _check_oracle_cap(args.method, n)
     canonical = family_value(spec, n, k, args.method)
     if args.check:
         results = {args.method: canonical}
         for method in METHODS:
             if method in results:
                 continue
-            if method == "oracle" and n > _enumeration_cap():
+            if method == "oracle" and n > ENUMERATION_CAP:
                 continue
             try:
                 results[method] = family_value(spec, n, k, method)
@@ -136,7 +122,10 @@ def _cmd_table(args) -> int:
     spec = _family_spec(args)
     if args.nmax is None or args.nmax < 0:
         raise ValueError("table needs --nmax >= 0")
-    _check_oracle_cap(args.method, args.nmax)
+    # refused before any row: the oracle itself refuses only once rows 0..cap are done
+    if args.method == "oracle" and args.nmax > ENUMERATION_CAP:
+        raise ValueError("method=oracle is capped at n=%d (asked for nmax=%d)"
+                         % (ENUMERATION_CAP, args.nmax))
     table = _package.families.ValueTable(spec, args.method)
     rows = [(n, k, format_rational(v)) for n, k, v in table.rows(args.nmax)]
     if args.format == "json":
@@ -306,13 +295,12 @@ def _int_digits_unlimited():
 
 def main(argv=None) -> int:
     words = sys.argv[1:] if argv is None else list(argv)
-    # argparse reads a word like -1/3 as an option flag, so a negative word
-    # after a rational option or a prefix of one (argparse takes any prefix that
-    # no other option shares; none does): --bet -1/3 reads --bet=-1/3
-    rational = ["--" + _FLAGS.get(p, p) for p, kind in PARAMETERS.items() if kind == "rational"]
+    # argparse reads a word like -1/3 or -3,5 as an option flag, so a word of
+    # a minus and a digit joins the option before it (no option starts with a
+    # digit): --bet -1/3 reads --bet=-1/3, whatever prefix argparse resolves
     for i in range(len(words) - 1, 0, -1):
         option = words[i - 1]
-        if (len(option) > 2 and any(flag.startswith(option) for flag in rational)
+        if (option[:2] == "--" and "=" not in option
                 and words[i][:1] == "-" and words[i][1:2].isdigit()):
             words[i - 1 : i + 1] = [option + "=" + words[i]]
     # the top-level parser has only -h, so the first non-option word is the command

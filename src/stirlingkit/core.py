@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .exact import CACHE_SIZE, as_integer, check_indices
+from .exact import CACHE_SIZE, check_indices
 from .schemes import WeightScheme, associated_scheme, classic_scheme, restricted_scheme
 
 __all__ = [
@@ -41,7 +41,7 @@ __all__ = [
 def stirling2(n: int, k: int) -> int:
     """Partitions of an n-set into k non-empty blocks."""
     check_indices(n, k)
-    return as_integer(classic_scheme().value(k, n))
+    return classic_scheme().value(k, n)
 
 
 def stirling2_restricted(n: int, k: int, ell: int) -> int:
@@ -51,13 +51,13 @@ def stirling2_restricted(n: int, k: int, ell: int) -> int:
     # ell, so it would reach this zero only after O(n) coefficients
     if n > k * ell:
         return 0
-    return as_integer(restricted_scheme(ell).value(k, n))
+    return restricted_scheme(ell).value(k, n)
 
 
 def stirling2_associated(n: int, k: int, ell: int) -> int:
     """Partitions of an n-set into k blocks, each of size at least ell."""
     check_indices(n, k, ell)
-    return as_integer(associated_scheme(ell).value(k, n))
+    return associated_scheme(ell).value(k, n)
 
 
 # -- recurrence evaluators (verification targets) ---------------------------

@@ -30,12 +30,6 @@ def check_indices(n: int, k: int, ell: int = 0) -> None:
         raise ValueError("ell must be non-negative, got %r" % (ell,))
 
 
-def check_triple(alpha: Rational, beta: Rational, gamma: Rational) -> None:
-    """Every route refuses the excluded generalized triple (0, 0, 0)."""
-    if alpha == 0 and beta == 0 and gamma == 0:
-        raise ValueError("parameter triple (0, 0, 0) is excluded")
-
-
 def falling_factorial_deg(t: Rational, n: int, lam: Rational) -> Rational:
     """Product t(t-lam)(t-2*lam)...(t-(n-1)*lam); 1 when n = 0.
 
@@ -137,14 +131,6 @@ def format_rational(value: Rational) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return "%d/%d" % (f.numerator, f.denominator)
-
-
-def as_integer(value: Rational) -> int:
-    """Convert an integral rational to int; reject non-integers."""
-    f = Fraction(value)
-    if f.denominator != 1:
-        raise ValueError("expected an integer value, got %s" % (f,))
-    return f.numerator
 
 
 # Entries kept by each bounded cache: the scheme factories (core's

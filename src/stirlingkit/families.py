@@ -27,7 +27,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import schemes as _schemes
-from .exact import Rational, check_indices, check_triple
+from .exact import Rational, check_indices
 from .names import METHODS, PARAMETERS
 
 _package = sys.modules[__package__]  # imports a route module on first access (PEP 562)
@@ -37,7 +37,6 @@ __all__ = [
     "FAMILY_TAGS",
     "METHODS",
     "PARAMETERS",
-    "REQUIRED_PARAMS",
     "Family",
     "FamilySpec",
     "ValueTable",
@@ -103,8 +102,6 @@ FAMILIES = {
 
 FAMILY_TAGS = tuple(FAMILIES)
 
-REQUIRED_PARAMS = {tag: family.params for tag, family in FAMILIES.items()}
-
 
 _SpecFields = namedtuple("FamilySpec", ("tag", *PARAMETERS), defaults=(None,) * len(PARAMETERS))
 
@@ -124,7 +121,7 @@ class FamilySpec(_SpecFields):
         spec = super().__new__(cls, *args, **kwargs)
         if spec.tag not in FAMILY_TAGS:
             raise ValueError("unknown family tag %r (one of %s)" % (spec.tag, ", ".join(FAMILY_TAGS)))
-        required = set(REQUIRED_PARAMS[spec.tag])
+        required = set(FAMILIES[spec.tag].params)
         for name in PARAMETERS:
             value = getattr(spec, name)
             if name in required and value is None:
@@ -151,14 +148,9 @@ class FamilySpec(_SpecFields):
 
     def describe(self) -> str:
         parts = [self.tag]
-        for name in REQUIRED_PARAMS[self.tag]:
+        for name in FAMILIES[self.tag].params:
             parts.append("%s=%s" % (name, getattr(self, name)))
         return " ".join(parts)
-
-
-def _check_defined(spec: FamilySpec) -> None:
-    if spec.tag == "generalized":
-        check_triple(spec.alpha, spec.beta, spec.gamma)
 
 
 def family_value(spec: FamilySpec, n: int, k: int, method: str = "egf") -> Rational:
@@ -166,7 +158,6 @@ def family_value(spec: FamilySpec, n: int, k: int, method: str = "egf") -> Ratio
     Fraction, always a Fraction by the recurrence and explicit methods."""
     if method not in METHODS:
         raise ValueError("unknown method %r (one of %s)" % (method, ", ".join(METHODS)))
-    _check_defined(spec)
     family = FAMILIES[spec.tag]
     if method == "oracle":
         from .oracle import oracle_sum  # only this method loads the enumeration
@@ -186,7 +177,6 @@ def family_egf(spec: FamilySpec, k: int, order: int):
     """The family's generating function at block count k, truncated."""
     if k < 0 or order < 0:
         raise ValueError("k and order must be non-negative")
-    _check_defined(spec)
     return FAMILIES[spec.tag].scheme(spec).egf(k, order)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 
-from .exact import Rational, binomial, check_indices, check_triple, falling_factorial_deg, rational
+from .exact import Rational, binomial, check_indices, falling_factorial_deg, rational
 from .schemes import generalized_scheme
 
 __all__ = [
@@ -38,14 +38,9 @@ __all__ = [
 ]
 
 
-def _validate(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational) -> None:
-    check_indices(n, k)
-    check_triple(alpha, beta, gamma)
-
-
 def gen_stirling(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational) -> Rational:
     """Generalized Stirling number for the parameter triple (alpha, beta, gamma)."""
-    _validate(n, k, alpha, beta, gamma)
+    check_indices(n, k)
     return generalized_scheme(alpha, beta, gamma).value(k, n)
 
 
@@ -53,7 +48,7 @@ def gen_stirling_rec(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rat
     """Same value through the triangular recursion (works for any beta),
     which is the scheme's declared differential equation read by
     WeightScheme.recurrence, filled iteratively so n has no depth limit."""
-    _validate(n, k, alpha, beta, gamma)
+    check_indices(n, k)
     return generalized_scheme(alpha, beta, gamma).recurrence(k, n)
 
 
@@ -62,7 +57,7 @@ def gen_stirling_explicit(n: int, k: int, alpha: Rational, beta: Rational, gamma
 
     (1 / (beta^k k!)) * sum_{j=0..k} (-1)^(k-j) C(k,j) (beta*j + gamma)_{n,alpha}
     """
-    _validate(n, k, alpha, beta, gamma)
+    check_indices(n, k)
     if beta == 0:
         raise ValueError("explicit sum is undefined for beta = 0; use the recursion path")
     total = 0

@@ -32,6 +32,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 
 from .exact import CACHE_SIZE, Rational, check_indices
+from .names import ENUMERATION_CAP
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -40,12 +41,6 @@ __all__ = [
     "oracle_sum",
     "oracle_sum_blocksum",
 ]
-
-# Bell-like growth with an extra class: n = 11 is 4.2M pairs over all k,
-# which the integer-key profile counter walks in 1.0 to 1.5 s (Python 3.11,
-# 2 shared vCPUs).
-ENUMERATION_CAP = 11
-
 
 # special_set is a frozenset of elements, blocks a tuple of frozensets
 class MixedPartition(namedtuple("MixedPartition", ("special_set", "blocks"))):

@@ -32,7 +32,6 @@ from itertools import groupby
 from .exact import (
     CACHE_SIZE,
     Rational,
-    as_integer,
     binomial,
     check_indices,
     multinomial,
@@ -229,4 +228,4 @@ def colored_singleton(n: int, k: int, r: int, s: int) -> int:
     blocks colored one of s ways."""
     if n < 0 or k < 0 or r < 0 or s < 0:
         raise ValueError("all arguments must be non-negative")
-    return as_integer(colored_singleton_scheme(r, s).value(k, n))
+    return colored_singleton_scheme(r, s).value(k, n)

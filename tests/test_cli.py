@@ -42,11 +42,16 @@ def test_value_methods(capsys):
         assert out == expected
 
 
+# n = 12 is past the oracle's cap: --check skips the oracle and still compares the rest
+CHECKED = (("6", "90"), ("12", "86526"))
+
+
 def test_value_check_agreement(capsys):
-    code, out, _ = run(
-        capsys, *"value --family classic --n 6 --k 3 --check".split()
-    )
-    assert code == 0 and out == "90\n"
+    for n, expected in CHECKED:
+        code, out, _ = run(
+            capsys, *("value --family classic --n %s --k 3 --check" % n).split()
+        )
+        assert code == 0 and out == expected + "\n"
 
 
 def test_value_check_disagreement(capsys, monkeypatch):
@@ -57,9 +62,10 @@ def test_value_check_disagreement(capsys, monkeypatch):
         return value + 1 if method == "recurrence" else value
 
     monkeypatch.setattr(cli, "family_value", rigged)
-    code, _, err = run(capsys, *"value --family classic --n 6 --k 3 --check".split())
-    assert code == 1
-    assert "disagreement" in err
+    for n, _ in CHECKED:
+        code, _, err = run(capsys, *("value --family classic --n %s --k 3 --check" % n).split())
+        assert code == 1
+        assert "disagreement" in err
 
 
 def test_usage_errors(capsys):
@@ -83,6 +89,7 @@ def test_usage_errors(capsys):
         "asympt --n 4 --k , --gamma 1 --alpha 1 --beta 2 --ell 2",
         "asympt --n 4 --k 5 --gamma 1/0 --alpha 1 --beta 2 --ell 2",
         "asympt --n 141 --k 1 --mode literal --gamma 1 --alpha 1 --beta 2 --ell 2",
+        "asympt --n 4 --k -3,5 --gamma 1 --alpha 1 --beta 2 --ell 2",
     ]
     for argv in refused:
         code, out, err = run(capsys, *argv.split())
@@ -149,13 +156,25 @@ def test_negative_rational_after_an_abbreviated_option(capsys):
             assert run(capsys, *command.split(), prefix, "-1/3") == full, (command, prefix)
 
 
-def test_generalized_zero_triple_refused_by_every_route(capsys):
+def test_generalized_zero_triple_is_the_identity_triangle(capsys):
+    # (0, 0, 0) leaves singleton blocks and an empty special set: S(n, k) = [n = k]
     family = "--family generalized --alpha 0 --beta 0 --gamma 0".split()
-    for method in ("egf", "recurrence", "explicit", "oracle"):
-        code, out, err = run(capsys, "value", *family, "--n", "3", "--k", "1", "--method", method)
-        assert code == 2 and out == "" and "(0, 0, 0)" in err
-    code, out, err = run(capsys, "series", *family, "--k", "1", "--order", "4")
-    assert code == 2 and out == "" and "(0, 0, 0)" in err
+    identity = "n,k,value\n" + "".join(
+        "%d,%d,%d\n" % (n, k, n == k) for n in range(7) for k in range(n + 1))
+    for method in ("egf", "recurrence", "oracle"):
+        for n, k in ((3, 3), (3, 1)):
+            code, out, _ = run(capsys, "value", *family, "--n", str(n), "--k", str(k),
+                               "--method", method)
+            assert code == 0 and out == "%d\n" % (n == k), method
+        assert run(capsys, "table", *family, "--nmax", "6", "--method", method) == (0, identity, "")
+    for n, k in ((5, 5), (5, 4)):
+        code, out, _ = run(capsys, "value", *family, "--n", str(n), "--k", str(k), "--check")
+        assert code == 0 and out == "%d\n" % (n == k)
+    code, out, _ = run(capsys, "series", *family, "--k", "1", "--order", "4")
+    assert code == 0 and out == "0 0 0\n1 1 1\n2 0 0\n3 0 0\n4 0 0\n"
+    # the explicit sum divides by beta^k: the one route undefined here
+    code, out, err = run(capsys, "value", *family, "--n", "3", "--k", "1", "--method", "explicit")
+    assert code == 2 and out == "" and "beta = 0" in err
 
 
 def test_recurrence_has_no_depth_limit(capsys):
@@ -284,9 +303,10 @@ def test_table_columns_match_per_cell_values(capsys):
             code, out, _ = run(capsys, "table", "--family", tag, *options,
                                "--nmax", "10", "--format", fmt)
             assert code == 0 and out == text, (tag, fmt)
-    code, out, err = run(capsys, *"table --family generalized --alpha 0 --beta 0 --gamma 0 "
-                         "--nmax 3".split())
-    assert code == 2 and out == "" and "(0, 0, 0)" in err
+    code, out, _ = run(capsys, *"table --family generalized --alpha 0 --beta 0 --gamma 0 "
+                       "--nmax 3 --format text".split())
+    assert code == 0 and out == "".join(
+        "%4d %4d  %d\n" % (n, k, n == k) for n in range(4) for k in range(n + 1))
 
 
 def test_table_out_file(capsys, tmp_path):

@@ -6,7 +6,6 @@ import pytest
 
 from stirlingkit.exact import (
     FallingFactorials,
-    as_integer,
     binomial,
     falling_factorial,
     falling_factorial_deg,
@@ -141,9 +140,3 @@ def test_format_rational_canonical(rng):
         from math import gcd
 
         assert gcd(abs(back.numerator), back.denominator) == 1
-
-
-def test_as_integer():
-    assert as_integer(Fraction(8, 2)) == 4
-    with pytest.raises(ValueError):
-        as_integer(Fraction(1, 2))

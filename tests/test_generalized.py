@@ -23,7 +23,7 @@ TRIPLES = [(0, 1, 0), (0, 1, 2), (1, 2, 0), (1, 3, 2), (2, 4, 2)]
 def random_triple(rng):
     while True:
         trip = tuple(random_rational(rng) for _ in range(3))
-        if trip != (0, 0, 0) and trip[1] != 0:
+        if trip[1] != 0:
             return trip
 
 
@@ -36,14 +36,23 @@ def test_examples():
             assert gen_stirling(n, k, 0, 1, 0) == stirling2(n, k)
 
 
-def test_all_zero_triple_rejected():
+def test_all_zero_triple_is_the_identity():
+    # only singleton blocks weigh 1 and the special set must stay empty, so
+    # S(n, k; 0, 0, 0) = [n = k]; only the explicit sum, which divides by
+    # beta^k, is undefined there
     for zero in (0, Fraction(0)):
-        with pytest.raises(ValueError):
-            gen_stirling(3, 2, zero, zero, zero)
-        with pytest.raises(ValueError):
+        spec = FamilySpec("generalized", alpha=zero, beta=zero, gamma=zero)
+        for n in range(7):
+            for k in range(n + 1):
+                expected = int(n == k)
+                assert gen_stirling(n, k, zero, zero, zero) == expected
+                assert gen_stirling_rec(n, k, zero, zero, zero) == expected
+                for method in ("egf", "recurrence", "oracle"):
+                    assert family_value(spec, n, k, method) == expected
+        with pytest.raises(ValueError, match="beta = 0"):
             gen_stirling_explicit(3, 2, zero, zero, zero)
-        with pytest.raises(ValueError):
-            family_value(FamilySpec("generalized", alpha=zero, beta=zero, gamma=zero), 3, 2)
+        with pytest.raises(ValueError, match="beta = 0"):
+            family_value(spec, 3, 2, "explicit")
 
 
 def test_special_column(rng):

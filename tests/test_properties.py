@@ -1,13 +1,14 @@
-"""Property-based tests: route agreement, scaling and the series ring.
+"""Property-based tests: route agreement, scaling, composition and the series ring.
 
 Parameters are drawn at random (rational alpha, beta, gamma, lambda with
 beta = 0 included; integer ell (0 included), r, s), and each drawn
 member must give the same value through the generating function, the
 recursion, the enumeration oracle and, where the family has one and
 beta != 0, the explicit sum.  The generalized numbers must obey the
-scaling identity, truncated series the commutative-ring axioms, and a
-series power must equal the repeated product at a cost, counted in
-series products, that does not grow with the exponent.
+scaling identity and the composition law, truncated series the
+commutative-ring axioms, and a series power must equal the repeated
+product at a cost, counted in series products, that does not grow with
+the exponent.
 Runs are derandomized and bounded, so the suite stays deterministic and
 fast.
 """
@@ -15,12 +16,13 @@ fast.
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stirlingkit import exact, schemes
 from stirlingkit.families import FAMILIES, FAMILY_TAGS, FamilySpec, family_egf, family_value
 from stirlingkit.generalized import gen_stirling, gen_stirling_rec
+from stirlingkit.oracle import oracle_sum
 from stirlingkit.series import TruncatedSeries, egf_coeff
 
 RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
@@ -47,8 +49,6 @@ def members(draw, tag):
 @given(data=st.data())
 def test_routes_agree(tag, data):
     spec, n = data.draw(members(tag))
-    # the generalized numbers exclude the all-zero triple
-    assume(tag != "generalized" or (spec.alpha, spec.beta, spec.gamma) != (0, 0, 0))
     with_explicit = FAMILIES[tag].explicit is not None and spec.beta != 0
     for k in range(n + 1):
         value = family_value(spec, n, k)
@@ -67,11 +67,30 @@ def test_routes_agree(tag, data):
 )
 def test_scaling_identity(triple, c, n):
     # S(n,k; c*alpha, c*beta, c*gamma) = c^(n-k) S(n,k; alpha, beta, gamma)
-    assume(any(triple))
     scaled = [c * x for x in triple]
     for k in range(n + 1):
         assert gen_stirling(n, k, *scaled) == c ** (n - k) * gen_stirling(n, k, *triple)
         assert gen_stirling_rec(n, k, *scaled) == c ** (n - k) * gen_stirling_rec(n, k, *triple)
+
+
+def _oracle(n, k, alpha, beta, gamma):
+    return oracle_sum(n, k, schemes.generalized_scheme(alpha, beta, gamma))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(alpha=RATIONALS, beta=PARAMS["beta"], delta=PARAMS["beta"], gamma1=RATIONALS,
+       gamma2=RATIONALS, n=st.integers(0, 10))
+@example(alpha=0, beta=0, delta=1, gamma1=0, gamma2=0, n=6)  # S(0, 0, 0) is the identity
+@example(alpha=0, beta=1, delta=0, gamma1=0, gamma2=0, n=6)  # classic times its inverse
+def test_composition_law(alpha, beta, delta, gamma1, gamma2, n):
+    # the connection relations compose (Hsu and Shiue 1998), so the triangles do:
+    # sum_j S(n,j; alpha,beta,gamma1) S(j,k; beta,delta,gamma2) = S(n,k; alpha,delta,gamma1+gamma2)
+    routes = [gen_stirling, gen_stirling_rec] + ([_oracle] if n <= 8 else [])
+    for route in routes:
+        for k in range(n + 1):
+            product = sum(route(n, j, alpha, beta, gamma1) * route(j, k, beta, delta, gamma2)
+                          for j in range(k, n + 1))
+            assert product == route(n, k, alpha, delta, gamma1 + gamma2), route.__name__
 
 
 @st.composite
