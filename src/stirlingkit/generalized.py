@@ -60,6 +60,8 @@ def gen_stirling_explicit(n: int, k: int, alpha: Rational, beta: Rational, gamma
     check_indices(n, k)
     if beta == 0:
         raise ValueError("explicit sum is undefined for beta = 0; use the recursion path")
+    if k > n:
+        return 0  # the k-th difference of a polynomial in j of degree n
     total = 0
     for j in range(k + 1):
         sign = -1 if (k - j) % 2 else 1

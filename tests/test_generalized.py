@@ -67,11 +67,15 @@ def test_explicit_examples():
     for k in range(0, 6):
         assert gen_stirling_explicit(k, k, 1, 2, 2) == 1
     assert gen_stirling_explicit(3, 2, 1, 2, 0) == gen_stirling(3, 2, 1, 2, 0)
+    # past k = n the sum is a k-th difference of a degree-n polynomial: 0 at once
+    assert gen_stirling_explicit(3, 4, Fraction(1, 2), Fraction(-1, 3), 2) == 0
+    assert gen_stirling_explicit(3, 10**6, 0, 1, 0) == 0
 
 
 def test_explicit_rejects_beta_zero():
-    with pytest.raises(ValueError):
-        gen_stirling_explicit(3, 1, 1, 0, 2)
+    for k in (1, 10**6):
+        with pytest.raises(ValueError):
+            gen_stirling_explicit(3, k, 1, 0, 2)
 
 
 def test_beta_zero_uses_recursion():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from stirlingkit import oracle
+from stirlingkit.core import stirling2
 from stirlingkit.exact import CACHE_SIZE, binomial
 from stirlingkit.families import FAMILIES, FamilySpec
 from stirlingkit.oracle import (
@@ -74,17 +76,36 @@ def test_cap_enforced():
         list(enumerate_mixed(ENUMERATION_CAP + 1, 1))
 
 
-def test_profile_counts_match_enumeration():
-    # the size-only walk must count exactly the pairs enumerate_mixed yields
+def test_profile_counts_match_enumeration(monkeypatch):
+    # the size-only walk must count exactly the pairs enumerate_mixed yields,
+    # wherever it splits its tree into prefixes and replayed tails
     cells = [(n, k) for n in range(0, 9) for k in range(0, n + 2)] + [
         (9, 4), (9, 0), (9, 9), (9, 1)
     ]
     for n, k in cells:
-        expected = Counter(
+        expected = dict(Counter(
             (len(p.special_set), tuple(sorted(len(b) for b in p.blocks)))
             for p in enumerate_mixed(n, k)
-        )
-        assert _profile_counts(n, k) == dict(expected), (n, k)
+        ))
+        assert _profile_counts(n, k) == expected, (n, k)
+        for tail in range(1, n + 2) if n <= 8 else ():
+            monkeypatch.setattr(oracle, "TAIL", tail)
+            assert _profile_counts.__wrapped__(n, k) == expected, (n, k, tail)
+        monkeypatch.undo()
+
+
+def test_profile_counts_total_the_pairs():
+    # placing a new element n + 1 in its own class turns the special set into
+    # a block: sum_i C(n, i) S(n - i, k) = S(n + 1, k + 1)
+    for n in range(0, 11):
+        for k in range(0, n + 2):
+            assert sum(_profile_counts(n, k).values()) == stirling2(n + 1, k + 1), (n, k)
+
+
+def test_profile_counts_past_n_build_nothing():
+    # no pair has more blocks than elements: the walk must not first write
+    # down the k + 1 place values of its key
+    assert _profile_counts(3, 10**6) == {}
 
 
 def test_profile_counts_at_the_cap():

@@ -5,7 +5,8 @@ beta = 0 included; integer ell (0 included), r, s), and each drawn
 member must give the same value through the generating function, the
 recursion, the enumeration oracle and, where the family has one and
 beta != 0, the explicit sum.  The generalized numbers must obey the
-scaling identity and the composition law, truncated series the
+scaling identity, the composition law and its inverse pairs
+(orthogonality and the degenerate pair), truncated series the
 commutative-ring axioms, and a series power must equal the repeated
 product at a cost, counted in series products, that does not grow with
 the exponent.
@@ -77,6 +78,15 @@ def _oracle(n, k, alpha, beta, gamma):
     return oracle_sum(n, k, schemes.generalized_scheme(alpha, beta, gamma))
 
 
+def _routes(n):
+    return [gen_stirling, gen_stirling_rec] + ([_oracle] if n <= 8 else [])
+
+
+def _product(route, n, k, left, right):
+    """Entry (n, k) of the product of the triangles of two triples on one route."""
+    return sum(route(n, j, *left) * route(j, k, *right) for j in range(k, n + 1))
+
+
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(alpha=RATIONALS, beta=PARAMS["beta"], delta=PARAMS["beta"], gamma1=RATIONALS,
        gamma2=RATIONALS, n=st.integers(0, 10))
@@ -85,12 +95,31 @@ def _oracle(n, k, alpha, beta, gamma):
 def test_composition_law(alpha, beta, delta, gamma1, gamma2, n):
     # the connection relations compose (Hsu and Shiue 1998), so the triangles do:
     # sum_j S(n,j; alpha,beta,gamma1) S(j,k; beta,delta,gamma2) = S(n,k; alpha,delta,gamma1+gamma2)
-    routes = [gen_stirling, gen_stirling_rec] + ([_oracle] if n <= 8 else [])
-    for route in routes:
+    for route in _routes(n):
         for k in range(n + 1):
-            product = sum(route(n, j, alpha, beta, gamma1) * route(j, k, beta, delta, gamma2)
-                          for j in range(k, n + 1))
+            product = _product(route, n, k, (alpha, beta, gamma1), (beta, delta, gamma2))
             assert product == route(n, k, alpha, delta, gamma1 + gamma2), route.__name__
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(alpha=RATIONALS, beta=PARAMS["beta"], gamma=RATIONALS, n=st.integers(0, 10))
+def test_orthogonality(alpha, beta, gamma, n):
+    # the composition law's inverse pair: S(alpha, beta, gamma) S(beta, alpha, -gamma) = I
+    for route in _routes(n):
+        for k in range(n + 1):
+            product = _product(route, n, k, (alpha, beta, gamma), (beta, alpha, -gamma))
+            assert product == (n == k), route.__name__
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(lam=PARAMS["beta"], n=st.integers(0, 10))
+def test_degenerate_pair(lam, n):
+    # the degenerate numbers (lam, 1, 0) and their inverse (1, lam, 0), in both
+    # orders; lam = 0 pairs the classic numbers with the signed first kind
+    for route in _routes(n):
+        for left, right in [((lam, 1, 0), (1, lam, 0)), ((1, lam, 0), (lam, 1, 0))]:
+            for k in range(n + 1):
+                assert _product(route, n, k, left, right) == (n == k), route.__name__
 
 
 @st.composite
