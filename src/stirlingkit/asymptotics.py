@@ -16,11 +16,14 @@ whose truncation at m < n is the asymptotic approximation for large lam.
 Everything here stays an exact rational.
 
 B(n,j) is computed as [t^n] A(t)^(n-j) / (n-j)! with A = sum_{i>=1} a_i t^i
-(Comtet, Advanced Combinatorics, section 3.3).  The series power takes out
-the valuation of A and runs Miller's recurrence below it (series module),
-so B(n,j) costs O(j^2) products however large n is, and nothing walks
+(Comtet, Advanced Combinatorics, section 3.3).  The power takes out the
+valuation of A and runs Miller's recurrence below it (exact._miller_power,
+the kernel of the series powers) on a_1..a_(j+1) alone, so B(n,j) costs
+O(j^2) products however large n is, builds no series, and nothing walks
 the partitions.  integer_partitions enumerates them all and is kept as
-the test oracle for partial_bell, not used to compute anything.
+the test oracle for partial_bell, not used to compute anything.  The
+expansion forms each denominator (lam-n+j)_j from the previous one by a
+single product, an int when lam is.
 
 Application: the mixed-cell numbers with special-set parameter scaled by
 the block count k have generating function phi(t)^k / k! with phi(0) = 0
@@ -45,9 +48,8 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .exact import Rational, falling_factorial
+from .exact import Rational, _miller_power, rational
 from .partial import partial_deg
-from .series import TruncatedSeries
 
 __all__ = [
     "integer_partitions",
@@ -61,10 +63,11 @@ __all__ = [
 ]
 
 # a row forms up to d+1 partial Bell numbers of d (literal mode: d = n;
-# normalized mode: the offset d), the j-th a series power costing O(j^2)
-# products, so a row costs O(d^3) and both modes cap d here.  On 2 shared
-# vCPUs the worst literal rows (k = 1, m = n) take 1.1 to 2.1 s at n = 140,
-# and the worst normalized row measured (d = m = 140, k = 280) 1.3 to 1.5 s
+# normalized mode: the offset d), the j-th costing O(j^2) products in
+# Miller's recurrence, so a row costs O(d^3) and both modes cap d here.  On
+# 2 shared vCPUs, as cold CLI calls (5 runs each), the worst literal row
+# (k = 1, m = n = 140) takes 0.9 to 1.2 s and the worst normalized row
+# measured (d = m = 140, k = 280) 1.1 to 1.4 s
 LITERAL_MODE_N_CAP = 140
 
 
@@ -100,8 +103,11 @@ def partial_bell(n: int, j: int, a: Sequence[Rational]) -> Fraction:
 
     Computed as [t^n] A(t)^(n-j) / (n-j)! with A = sum_{i>=1} a_i t^i
     (Comtet, Advanced Combinatorics, section 3.3): expanding the power
-    counts each multiset of parts (n-j)! / prod k_i! times.  The series
-    power costs O(j^2) products when a_1 != 0, whatever n is.
+    counts each multiset of parts (n-j)! / prod k_i! times.  With
+    A = t^v * U, Miller's recurrence gives [t^n] A^(n-j) from
+    u_0..u_(n-v(n-j)) = a_v..a_(n-v(n-j-1)), all within a_1..a_(j+1), and
+    A^(n-j) vanishes below t^(n+1) when a_1..a_(j+1) do.  So it reads
+    a_1..a_(j+1) only and costs O(j^2) products, whatever n is.
 
     a is indexed by part size; a[0] is never used (parts are >= 1), and
     entries up to a[n] must exist.
@@ -110,14 +116,17 @@ def partial_bell(n: int, j: int, a: Sequence[Rational]) -> Fraction:
         raise ValueError("need 0 <= j <= n, got j=%r n=%r" % (j, n))
     if len(a) < n + 1:
         raise ValueError("coefficient sequence too short: need indices up to %d" % n)
-    power = TruncatedSeries([0, *a[1 : n + 1]], n) ** (n - j)
-    return power.coefficient(n) / math.factorial(n - j)
+    parts = n - j
+    if parts <= 1:  # no part, or the one part n
+        return Fraction(a[n]) if parts else Fraction(n == 0)
+    w = _miller_power([0, *map(Fraction, a[1 : j + 2])], parts, n)
+    return Fraction(w[-1], math.factorial(parts)) if w else Fraction(0)
 
 
 class VanishingPochhammer(ValueError):
     """A denominator (lam-n+j)_j vanished; carries the offending j."""
 
-    def __init__(self, j: int, lam: Fraction, n: int):
+    def __init__(self, j: int, lam: Rational, n: int):
         self.j = j
         super().__init__(
             "(lam-n+j)_j vanishes at j=%d for lam=%s, n=%d" % (j, lam, n)
@@ -129,19 +138,30 @@ def hsu_expansion(a: Sequence[Rational], n: int, lam: Rational, m: int) -> Fract
 
     Requires a[0] = 1, 0 <= m <= n, and non-vanishing denominators.
     With m = n the sum reproduces [t^n] phi^lam / (lam)_n exactly.
+    (lam-n+j)_j = (lam-n+j) * (lam-n+j-1)_(j-1), one product per j.
     """
     if Fraction(a[0]) != 1:
         raise ValueError("expansion needs a_0 = 1, got %s" % (a[0],))
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n, got m=%r n=%r" % (m, n))
-    lam_f = Fraction(lam)
+    lam = rational(lam)  # an int when integral, and so are the denominators
     total = Fraction(0)
+    den = 1
     for j in range(m + 1):
-        den = falling_factorial(lam_f - n + j, j)
-        if den == 0:
-            raise VanishingPochhammer(j, lam_f, n)
+        if j:
+            den *= lam - n + j
+            if den == 0:
+                raise VanishingPochhammer(j, lam, n)
         total += partial_bell(n, j, a) / den
     return total
+
+
+def _psi_coeffs(
+    gamma: Fraction, alpha: Fraction, beta: Fraction, ell: int, order: int
+) -> list[Fraction]:
+    """psi_0..psi_order of shifted_mixed_series, as a list."""
+    return [Fraction(partial_deg(j + 1, 1, ell, gamma, alpha, beta), math.factorial(j + 1))
+            for j in range(order + 1)]
 
 
 def shifted_mixed_series(
@@ -153,13 +173,8 @@ def shifted_mixed_series(
     The product vanishes at t = 0 with unit linear coefficient, so psi
     is a valid a_0 = 1 input for the expansion machinery.
     """
-    psi = TruncatedSeries(
-        [
-            Fraction(partial_deg(j + 1, 1, ell, gamma, alpha, beta), math.factorial(j + 1))
-            for j in range(order + 1)
-        ],
-        order,
-    )
+    from .series import TruncatedSeries  # a row reads the list; only this loads series
+    psi = TruncatedSeries(_psi_coeffs(gamma, alpha, beta, ell, order), order)
     assert psi.coefficient(0) == 1
     return psi
 
@@ -209,8 +224,8 @@ def asymptotic_partial(
                 "d = %d, each a series power of order d; capped at d=%d"
                 % (d, LITERAL_MODE_N_CAP)
             )
-        coeffs = shifted_mixed_series(g, a, b, ell, d).coeffs
-        scale = falling_factorial(Fraction(k), d)
+        coeffs = _psi_coeffs(g, a, b, ell, d)
+        scale = math.perm(k, d)  # (k)_d
         exact = Fraction(partial_deg(n_total, k, ell, g * k, a, b), math.perm(n_total, d))
     elif mode == "literal":
         if n > LITERAL_MODE_N_CAP:
@@ -226,7 +241,7 @@ def asymptotic_partial(
             for i in range(1, n + 1)
         ]
         scale = 1
-        kn = falling_factorial(Fraction(k), n)
+        kn = math.perm(k, n)  # (k)_n
         exact = (Fraction(partial_deg(n, k, ell, g * k, a, b), kn * math.factorial(n))
                  if kn else None)
     else:

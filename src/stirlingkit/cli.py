@@ -16,8 +16,8 @@ Values print as exact rationals ('p' or 'p/q'); only `asympt` adds a
 decimal column.  A command imports what it runs, and the parser adds only
 its options: `value` and `table` by egf load exact, families, names and
 schemes, and `series` adds series.  `asympt` loads exact, names, schemes,
-asymptotics, partial and series; other methods, `verify` and JSON output
-load their own layers, and only `value`, `table` and `series` load families.
+asymptotics and partial; other methods, `verify` and JSON output load
+their own layers, and only `value`, `table` and `series` load families.
 """
 
 from __future__ import annotations

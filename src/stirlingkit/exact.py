@@ -146,7 +146,8 @@ def format_rational(value: Rational) -> str:
 CACHE_SIZE = 256
 
 
-# -- the series kernels, run by TruncatedSeries and by the scheme columns alike
+# -- the series kernels, run by TruncatedSeries, by the scheme columns and by
+#    the partial Bell numbers alike
 def _product_term(n: int, left: list, right_num: list[int], right_den: list[int]) -> Fraction:
     """[t^n] of L * R from the non-zero terms (i, numerator, denominator) of
     L, in rising i, and the numerators and denominators of R up to t^n."""
@@ -175,6 +176,34 @@ def _miller_term(
         nums.append(((k + 1) * i - n) * num * w_num[n - i])
         dens.append(den * w_den[n - i])
     return _fraction_sum(nums, dens) / (n * u0)
+
+
+def _miller_power(coeffs: Sequence[Rational], k: int, order: int) -> list:
+    """B^k mod t^(order+1), k >= 1, from the coefficients b_0, b_1, ... of B,
+    as its coefficients of t^(order+1-len(w)) .. t^order; [] when the power
+    vanishes mod t^(order+1).
+
+    With B = t^v * U and u_0 = U(0) != 0, B^k = t^(vk) * U^k, so the power
+    is zero once vk > order and otherwise needs w_0..w_N of U^k only,
+    N = order - vk: w_0 = u_0^k and w_n by _miller_term, O(N^2) products in
+    all, whatever k is.  They read b_v..b_(v+N) and nothing beyond, so
+    coeffs may stop at b_L for any L >= v + N; if b_0..b_L are all zero,
+    B is read as having valuation L + 1.
+    """
+    v = next((i for i, c in enumerate(coeffs) if c), len(coeffs))
+    if v * k > order:
+        return []
+    top = order - v * k
+    u0 = coeffs[v]
+    terms = [(i, c.numerator, c.denominator)
+             for i, c in enumerate(coeffs[v + 1 : v + top + 1], 1) if c]
+    w = [u0 ** k]
+    w_num, w_den = [w[0].numerator], [w[0].denominator]
+    for n in range(1, top + 1):
+        w.append(_miller_term(n, k, u0, terms, w_num, w_den))
+        w_num.append(w[n].numerator)
+        w_den.append(w[n].denominator)
+    return w
 
 
 def _fraction_sum(nums: list[int], dens: list[int]) -> Fraction:

@@ -30,7 +30,7 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .exact import Rational, _miller_term, _product_term, falling_factorial_deg
+from .exact import Rational, _miller_power, _product_term, falling_factorial_deg
 
 
 class TruncatedSeries:
@@ -124,7 +124,7 @@ class TruncatedSeries:
 
             w_0 = u_0^k,   w_n = sum_{i=1..n} ((k+1)i - n) u_i w_{n-i} / (n u_0),
 
-        O(N^2) products in all (_miller_term).
+        O(N^2) products in all (exact._miller_power).
         """
         if not isinstance(k, int) or k < 0:
             raise ValueError("series power needs an integer exponent >= 0")
@@ -132,20 +132,8 @@ class TruncatedSeries:
             return TruncatedSeries.one(self.order)
         if k == 1:
             return self
-        v = next((i for i, c in enumerate(self.coeffs) if c), None)
-        if v is None or v * k > self.order:
-            return TruncatedSeries.zero(self.order)
-        top = self.order - v * k
-        u0 = self.coeffs[v]
-        terms = [(i, c.numerator, c.denominator)
-                 for i, c in enumerate(self.coeffs[v + 1 : v + top + 1], 1) if c]
-        w = [u0 ** k]
-        w_num, w_den = [w[0].numerator], [w[0].denominator]
-        for n in range(1, top + 1):
-            w.append(_miller_term(n, k, u0, terms, w_num, w_den))
-            w_num.append(w[n].numerator)
-            w_den.append(w[n].denominator)
-        return TruncatedSeries([0] * (v * k) + w, self.order)
+        w = _miller_power(self.coeffs, k, self.order)
+        return TruncatedSeries([0] * (self.order + 1 - len(w)) + w, self.order)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):

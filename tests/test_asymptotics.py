@@ -81,7 +81,7 @@ def _partition_walk(n, j, a):
 
 
 def test_partial_bell_matches_partition_walk(rng):
-    # the series power against the sum over integer partitions, also with
+    # the Miller power against the sum over integer partitions, also with
     # a_1 = 0 (the power then starts beyond t^(n-j)) and a_1 = a_2 = 0
     sequences = [[Fraction(1)] + [random_rational(rng) for _ in range(14)] for _ in range(2)]
     sequences.append([Fraction(1), Fraction(0)] + [random_rational(rng) for _ in range(13)])
@@ -96,7 +96,32 @@ def test_partial_bell_validation():
     with pytest.raises(ValueError):
         partial_bell(3, 4, [1, 1, 1, 1])
     with pytest.raises(ValueError):
+        partial_bell(3, -1, [1, 1, 1, 1])
+    with pytest.raises(ValueError):
         partial_bell(5, 0, [1, 1])
+    with pytest.raises(ValueError):  # short, although only a_1, a_2 would be read
+        partial_bell(4, 1, [1, 1, 1, 1])
+
+
+class _Unread:
+    """A coefficient that must not be read: Fraction(...) and bool(...) raise."""
+
+    def __bool__(self):
+        raise AssertionError("read a coefficient beyond a_(j+1)")
+
+
+def test_partial_bell_reads_only_a_1_to_j_plus_1(rng):
+    # the cost contract: B(n, j) reads a_1..a_(j+1) whatever n is, also when
+    # a_1 = 0 (the valuation shift) and when a_1..a_(j+1) all vanish
+    heads = [[random_rational(rng) for _ in range(12)],
+             [Fraction(0)] + [random_rational(rng) for _ in range(11)],
+             [Fraction(0), Fraction(0)] + [random_rational(rng) for _ in range(10)],
+             [Fraction(0)] * 12]
+    for head in heads:
+        for n in range(13):
+            for j in range(n + 1):
+                a = [Fraction(1), *head[: min(j + 1, n)]] + [_Unread()] * (n - j - 1)
+                assert partial_bell(n, j, a) == _partition_walk(n, j, [Fraction(1), *head])
 
 
 def test_power_identity_exact(rng):
@@ -144,6 +169,29 @@ def test_hsu_validation():
     with pytest.raises(VanishingPochhammer) as exc:
         hsu_expansion([Fraction(1)] * 7, 6, 4, 3)
     assert exc.value.j == 2
+
+
+def _hsu_outcome(a, n, lam, m):
+    try:
+        return hsu_expansion(a, n, lam, m)
+    except VanishingPochhammer as exc:
+        return exc.j, str(exc)
+
+
+def test_hsu_int_and_fraction_lambda_agree(rng):
+    # an int lam keeps the denominators ints; the value, and where
+    # (lam-n+j)_j first vanishes (j = n - lam) the raised j and message, are
+    # those of Fraction(lam)
+    a = [Fraction(1)] + [random_rational(rng) for _ in range(9)]
+    for n in range(10):
+        for lam in (-3, 0, 1, 4, 7, 12):
+            for m in range(n + 1):
+                outcome = _hsu_outcome(a, n, lam, m)
+                assert outcome == _hsu_outcome(a, n, Fraction(lam), m)
+                if 1 <= n - lam <= m:
+                    assert outcome[0] == n - lam
+                else:
+                    assert isinstance(outcome, Fraction)
 
 
 def test_shifted_series_has_unit_head():

@@ -6,7 +6,8 @@ member must give the same value through the generating function, the
 recursion, the enumeration oracle and, where the family has one and
 beta != 0, the explicit sum.  The generalized numbers must obey the
 scaling identity, the composition law and its inverse pairs
-(orthogonality and the degenerate pair), truncated series the
+(orthogonality and the degenerate pair), on the explicit sum too
+wherever every triple has beta != 0, truncated series the
 commutative-ring axioms, and a series power must equal the repeated
 product at a cost, counted in series products, that does not grow with
 the exponent.
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from stirlingkit import exact, schemes
 from stirlingkit.families import FAMILIES, FAMILY_TAGS, FamilySpec, family_egf, family_value
-from stirlingkit.generalized import gen_stirling, gen_stirling_rec
+from stirlingkit.generalized import gen_stirling, gen_stirling_explicit, gen_stirling_rec
 from stirlingkit.oracle import oracle_sum
 from stirlingkit.series import TruncatedSeries, egf_coeff
 
@@ -78,8 +79,11 @@ def _oracle(n, k, alpha, beta, gamma):
     return oracle_sum(n, k, schemes.generalized_scheme(alpha, beta, gamma))
 
 
-def _routes(n):
-    return [gen_stirling, gen_stirling_rec] + ([_oracle] if n <= 8 else [])
+def _routes(n, explicit):
+    """The routes checked at n; the explicit sum only where every triple it
+    reads has beta != 0."""
+    return ([gen_stirling, gen_stirling_rec] + ([_oracle] if n <= 8 else [])
+            + ([gen_stirling_explicit] if explicit else []))
 
 
 def _product(route, n, k, left, right):
@@ -95,7 +99,7 @@ def _product(route, n, k, left, right):
 def test_composition_law(alpha, beta, delta, gamma1, gamma2, n):
     # the connection relations compose (Hsu and Shiue 1998), so the triangles do:
     # sum_j S(n,j; alpha,beta,gamma1) S(j,k; beta,delta,gamma2) = S(n,k; alpha,delta,gamma1+gamma2)
-    for route in _routes(n):
+    for route in _routes(n, beta != 0 and delta != 0):
         for k in range(n + 1):
             product = _product(route, n, k, (alpha, beta, gamma1), (beta, delta, gamma2))
             assert product == route(n, k, alpha, delta, gamma1 + gamma2), route.__name__
@@ -105,7 +109,7 @@ def test_composition_law(alpha, beta, delta, gamma1, gamma2, n):
 @given(alpha=RATIONALS, beta=PARAMS["beta"], gamma=RATIONALS, n=st.integers(0, 10))
 def test_orthogonality(alpha, beta, gamma, n):
     # the composition law's inverse pair: S(alpha, beta, gamma) S(beta, alpha, -gamma) = I
-    for route in _routes(n):
+    for route in _routes(n, alpha != 0 and beta != 0):
         for k in range(n + 1):
             product = _product(route, n, k, (alpha, beta, gamma), (beta, alpha, -gamma))
             assert product == (n == k), route.__name__
@@ -116,7 +120,7 @@ def test_orthogonality(alpha, beta, gamma, n):
 def test_degenerate_pair(lam, n):
     # the degenerate numbers (lam, 1, 0) and their inverse (1, lam, 0), in both
     # orders; lam = 0 pairs the classic numbers with the signed first kind
-    for route in _routes(n):
+    for route in _routes(n, lam != 0):
         for left, right in [((lam, 1, 0), (1, lam, 0)), ((1, lam, 0), (lam, 1, 0))]:
             for k in range(n + 1):
                 assert _product(route, n, k, left, right) == (n == k), route.__name__
