@@ -43,7 +43,7 @@ from .core import (
     stirling2_restricted,
     stirling2_restricted_rec,
 )
-from .exact import _fraction_sum, binomial, falling_factorial_deg
+from .exact import _pair_sum, binomial, falling_factorial_deg
 from .generalized import gen_stirling
 from .incomplete import (
     associated_from_free,
@@ -55,6 +55,7 @@ from .incomplete import (
 )
 from .asymptotics import partial_bell
 from .partial import (
+    _splits,
     colored_singleton,
     partial_deg,
     partial_deg_convolution,
@@ -136,6 +137,23 @@ def _mixed_cells(nmax: int, first: int = 0, kmin: int = 0, kmax: int | None = No
     triples and ell = 0..3."""
     params = [(ell, g, a, b) for (a, b, g) in INTEGER_TRIPLES for ell in (0, 1, 2, 3)]
     return _cells(params, nmax, first, kmin, kmax)
+
+
+def _per_parameters(build: Callable) -> Callable:
+    """p -> build(*p), built once per distinct parameter tuple p in one
+    suite run.  The grids list their cases grouped by p, and equal tuples
+    of the same objects compare without hashing a Fraction, so a case
+    looks its p up only where the group changes."""
+    built, last = {}, [None, None]
+
+    def get(*p):
+        if last[0] != p:
+            if p not in built:
+                built[p] = build(*p)
+            last[:] = p, built[p]
+        return last[1]
+
+    return get
 
 
 def _rational_triples() -> list:
@@ -222,6 +240,8 @@ def _suite_threeterm(nmax: int) -> list:
 def _suite_bullets24(nmax: int) -> list:
     triples = _rational_triples()
     scales = (Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(5, 3))
+    scaled = _per_parameters(
+        lambda a, b, g, c: _schemes.generalized_scheme(c * a, c * b, c * g).value)
     return [
         *_score(
             "bullets24",
@@ -265,9 +285,7 @@ def _suite_bullets24(nmax: int) -> list:
             "parameter-scaling",
             _cells([t + (c,) for t in triples for c in scales], nmax),
             lambda n, k, a, b, g, c: c ** (n - k) * gen_stirling(n, k, a, b, g),
-            ("as printed",
-             lambda n, k, a, b, g, c: gen_stirling(n, k, c * a, c * b, c * g),
-             None),
+            ("as printed", lambda n, k, *p: scaled(*p)(k, n), None),
         ),
         *_score(
             "bullets24",
@@ -328,20 +346,23 @@ def _suite_s_gt_recursion(nmax: int) -> list:
 
 
 def _suite_thm13(nmax: int) -> list:
+    # the recursion at n + 1 reads exactly the splits the convolution reads
+    # at n + 1: one store of them per parameter set serves both forms
+    split = _per_parameters(lambda *p: cache(_splits(*p)))
     return [
         *_score(
             "thm13",
             "free-weighted-convolution",
             _mixed_cells(nmax),
             partial_deg,
-            ("as printed", partial_deg_convolution, None),
+            ("as printed", lambda n, k, *p: partial_deg_convolution(n, k, *p, split(*p)), None),
         ),
         *_score(
             "thm13",
             "element-shift-recursion",
             _mixed_cells(nmax, first=1),
             partial_deg,
-            ("as printed", partial_deg_recursion, None),
+            ("as printed", lambda n, k, *p: partial_deg_recursion(n, k, *p, split(*p)), None),
         ),
     ]
 
@@ -386,7 +407,7 @@ def _suite_thm20(nmax: int) -> list:
                     if y_num:
                         nums.append(c * x_num * y_num)
                         dens.append(x_den * right_den[n - i])
-            coeffs.append(_fraction_sum(nums, dens))
+            coeffs.append(Fraction(*_pair_sum(nums, dens)))
         return TruncatedSeries(coeffs, order)
 
     def _rhs(k, ell, a, b):

@@ -6,7 +6,9 @@ canonical form (gcd(|num|, den) = 1, den > 0) after every operation.
 Either is accepted wherever a rational is expected.  A weight scheme
 makes an integral parameter an int where it is built (`rational`), so on
 int inputs its weights, its values and the independent routes to them
-stay int; only the EGF column coefficients, which carry 1/m!, do not.
+stay int.  The column kernels below work in ints too: integer columns in
+ints, Miller's columns and series products in reduced (numerator,
+denominator) pairs; a Fraction is formed only where a value is returned.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ def rational(numerator: Rational, denominator: Rational = 1) -> Rational:
     if isinstance(numerator, int) and isinstance(denominator, int):
         quotient, remainder = divmod(numerator, denominator)
         return quotient if remainder == 0 else Fraction(numerator, denominator)
+    if isinstance(numerator, Fraction) and denominator == 1:
+        return numerator.numerator if numerator.denominator == 1 else numerator
     value = Fraction(numerator) / denominator
     return value.numerator if value.denominator == 1 else value
 
@@ -143,14 +147,20 @@ def format_rational(value: Rational) -> str:
 # ever new parameters keeps at most this many schemes alive, each with its
 # columns: the generating-function columns and the recurrence columns,
 # which also hold every value the audited recursions of core have read.
+# The printed forms' shared stores (the audit's thm13 splits, thm3's sums,
+# thm20's powers) live only for one suite run.
 CACHE_SIZE = 256
 
 
 # -- the series kernels, run by TruncatedSeries, by the scheme columns and by
-#    the partial Bell numbers alike
-def _product_term(n: int, left: list, right_num: list[int], right_den: list[int]) -> Fraction:
-    """[t^n] of L * R from the non-zero terms (i, numerator, denominator) of
-    L, in rising i, and the numerators and denominators of R up to t^n."""
+#    the partial Bell numbers alike.  Miller's kernels keep a coefficient as
+#    a reduced pair (numerator, denominator), denominator > 0, and the
+#    integer column's as an int; a Fraction is built only where an API
+#    returns one.
+def _product_term(n: int, left: list, right_num: list[int], right_den: list[int]) -> tuple:
+    """[t^n] of L * R, as a pair, from the non-zero terms (i, numerator,
+    denominator) of L, in rising i, and the numerators and denominators of
+    R up to t^n."""
     nums, dens = [], []
     for i, a_num, a_den in left:
         if i > n:
@@ -159,29 +169,29 @@ def _product_term(n: int, left: list, right_num: list[int], right_den: list[int]
         if b_num:
             nums.append(a_num * b_num)
             dens.append(a_den * right_den[n - i])
-    return _fraction_sum(nums, dens)
+    return _pair_sum(nums, dens)
 
 
 def _miller_term(
-    n: int, k: int, u0: Fraction, terms: list, w_num: list[int], w_den: list[int]
-) -> Fraction:
-    """w_n of U^k, n >= 1, by Miller's recurrence: terms are the non-zero
-    (i, numerator, denominator) of U with i >= 1, in rising i, and w_num,
-    w_den hold w_0..w_(n-1).  Needs only u_0..u_n, so U^k can be extended
-    one coefficient at a time."""
+    n: int, k: int, u0: tuple, terms: list, w_num: list[int], w_den: list[int]
+) -> tuple:
+    """w_n of U^k, n >= 1, as a pair, by Miller's recurrence: u0 is the pair
+    of u_0, terms are the non-zero (i, numerator, denominator) of U with
+    i >= 1, in rising i, and w_num, w_den hold w_0..w_(n-1).  Needs only
+    u_0..u_n, so U^k can be extended one coefficient at a time."""
     nums, dens = [], []
     for i, num, den in terms:
         if i > n:
             break
         nums.append(((k + 1) * i - n) * num * w_num[n - i])
         dens.append(den * w_den[n - i])
-    return _fraction_sum(nums, dens) / (n * u0)
+    return _pair_sum(nums, dens, u0[1], n * u0[0])
 
 
 def _miller_power(coeffs: Sequence[Rational], k: int, order: int) -> list:
     """B^k mod t^(order+1), k >= 1, from the coefficients b_0, b_1, ... of B,
-    as its coefficients of t^(order+1-len(w)) .. t^order; [] when the power
-    vanishes mod t^(order+1).
+    as its coefficients of t^(order+1-len(w)) .. t^order, Fractions; [] when
+    the power vanishes mod t^(order+1).
 
     With B = t^v * U and u_0 = U(0) != 0, B^k = t^(vk) * U^k, so the power
     is zero once vk > order and otherwise needs w_0..w_N of U^k only,
@@ -194,22 +204,102 @@ def _miller_power(coeffs: Sequence[Rational], k: int, order: int) -> list:
     if v * k > order:
         return []
     top = order - v * k
-    u0 = coeffs[v]
+    u0 = (coeffs[v].numerator, coeffs[v].denominator)
     terms = [(i, c.numerator, c.denominator)
              for i, c in enumerate(coeffs[v + 1 : v + top + 1], 1) if c]
-    w = [u0 ** k]
-    w_num, w_den = [w[0].numerator], [w[0].denominator]
+    w_num, w_den = [u0[0] ** k], [u0[1] ** k]
     for n in range(1, top + 1):
-        w.append(_miller_term(n, k, u0, terms, w_num, w_den))
-        w_num.append(w[n].numerator)
-        w_den.append(w[n].denominator)
-    return w
+        num, den = _miller_term(n, k, u0, terms, w_num, w_den)
+        w_num.append(num)
+        w_den.append(den)
+    return list(map(Fraction, w_num, w_den))
 
 
-def _fraction_sum(nums: list[int], dens: list[int]) -> Fraction:
-    """sum of nums[i] / dens[i], formed over the least common denominator
-    and reduced once: the series products sum many terms whose
-    denominators share most of their factors, and a Fraction sum would
-    reduce after every term."""
+def _pair_sum(nums: list[int], dens: list[int], scale_num: int = 1, scale_den: int = 1) -> tuple:
+    """sum of nums[i] / dens[i], times scale_num / scale_den (scale_den !=
+    0), as a reduced pair: one sum over the least common denominator and one
+    gcd.  The series products sum many terms whose denominators share most
+    of their factors, and a Fraction sum would reduce after every term."""
     common = math.lcm(*dens)
-    return Fraction(sum(a * (common // d) for a, d in zip(nums, dens)), common)
+    num = sum(a * (common // d) for a, d in zip(nums, dens)) * scale_num
+    den = common * scale_den
+    if den < 0:
+        num, den = -num, -den
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _binomials(n: int, length: int) -> list[int]:
+    """C(n, 0), C(n, 1), ..., C(n, length - 1), each from the one before."""
+    row = [1]
+    for i in range(length - 1):
+        row.append(row[i] * (n - i) // (i + 1))
+    return row
+
+
+def _egf_term(j: int, k: int, v: int, u0: int, terms: list, row: list[int], x: list[int]) -> int:
+    """x_j of an integer column, j >= 1, from B * (B^k)' = k * B' * B^k.
+
+    With B = sum_m b_m t^m/m! of valuation v and the integers beta_m =
+    D^(m-1) b_m, the column holds x_j = D^(N-k) (N!/k!) [t^N] B^k at
+    N = vk + j.  At n = N + v - 1 the identity reads
+
+        C(n, v-1) j beta_v x_j = v sum_{s=1..j} (k C(n, v+s-1) - C(n, v+s)) beta_(v+s) x_(j-s)
+
+    u0 is beta_v, terms the non-zero (s, beta_(v+s)), s >= 1, in rising s,
+    and row holds C(n, 0..v+s) for every s it reads.  x_j is an integer, so
+    the division is exact; a remainder means a weight the declared D does
+    not clear, and raises."""
+    total = 0
+    for s, u in terms:
+        if s > j:
+            break
+        total += (k * row[v + s - 1] - row[v + s]) * u * x[j - s]
+    quotient, remainder = divmod(v * total, row[v - 1] * j * u0)
+    if remainder:
+        raise ArithmeticError("inexact integer column coefficient x_%d of k = %d" % (j, k))
+    return quotient
+
+
+def _integer_fill(k: int, v: int, u0: int, terms: list, column: tuple, top: int) -> None:
+    """Extend the integer column k = (x,), k >= 2, with every x_j up to x_top
+    that it does not hold yet: x_0 = beta_v^k times the (vk)!/(v!^k k!)
+    ways to cut vk elements into k blocks of size v, then _egf_term, each
+    on the binomial row as far as its terms read."""
+    x = column[0]
+    if not x:
+        x.append(u0 ** k if v == 1 else
+                 math.factorial(v * k) // (math.factorial(v) ** k * math.factorial(k)) * u0 ** k)
+    used = 0
+    for j in range(len(x), top + 1):
+        while used < len(terms) and terms[used][0] <= j:
+            used += 1
+        # the terms s <= j read C(n, v-1 .. v+s)
+        row = _binomials(v * (k + 1) + j - 1, v + (terms[used - 1][0] if used else 0) + 1)
+        x.append(_egf_term(j, k, v, u0, terms, row, x))
+
+
+def _special_sum(n: int, top: int, special: list, x: list[int]) -> int:
+    """sum_g C(n, g) p_g x_(top-g) over the non-zero terms (g, p_g) of P
+    with g <= top, in rising g (p_0 = 1 is one): the special set's g
+    elements chosen from n, the rest in k blocks."""
+    terms = [(g, p) for g, p in special if g <= top]
+    row = _binomials(n, terms[-1][0] + 1)
+    return sum(row[g] * p * x[top - g] for g, p in terms)
+
+
+def _miller_fill(k: int, u0: tuple, terms: list, special: list, column: tuple, top: int) -> None:
+    """Extend Miller's column k = (w numerators, w denominators, c pairs) with
+    every c_j of P * U^k up to c_top that it does not hold yet, and every w_j
+    of U^k those read: w_0 = u_0^k, then _miller_term.  special holds the
+    non-zero terms of P.  Columns 0 and 1 come filled by the caller."""
+    w_num, w_den, coeffs = column
+    if k >= 2 and not w_num:
+        w_num.append(u0[0] ** k)
+        w_den.append(u0[1] ** k)
+    for j in range(len(coeffs), top + 1):
+        if len(w_num) == j:
+            num, den = _miller_term(j, k, u0, terms, w_num, w_den)
+            w_num.append(num)
+            w_den.append(den)
+        coeffs.append(_product_term(j, special, w_num, w_den))

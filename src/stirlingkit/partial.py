@@ -65,50 +65,58 @@ def partial_deg(
 
 
 def partial_deg_convolution(
-    n: int, k: int, ell: int, gamma: Rational, alpha: Rational, beta: Rational
+    n: int, k: int, ell: int, gamma: Rational, alpha: Rational, beta: Rational, split=None
 ) -> Rational:
     """Split by the element set living in free cells: a binomial convolution
     of the free-cell numbers with the size-capped weighted numbers (the
-    gen_restricted numbers with an empty special set, gamma = 0)."""
+    gen_restricted numbers with an empty special set, gamma = 0).
+
+    split(free, weighted, k) evaluates one split; None means
+    _splits(ell, gamma, alpha, beta)."""
     check_indices(n, k, ell)
+    split = split or _splits(ell, gamma, alpha, beta)
     total = 0
     for i in range(0, n + 1):
-        total += binomial(n, i) * _split(i, n - i, k, ell, gamma, alpha, beta)
+        total += binomial(n, i) * split(i, n - i, k)
     return total
 
 
-def _split(
-    free: int, weighted: int, k: int, ell: int, g: Rational, a: Rational, b: Rational
-) -> Rational:
-    """sum_j free_atleast(free, j) * gen_restricted(weighted, k - j) at
-    gamma = 0: j of the k blocks hold the `free` elements of free cells,
+def _splits(ell: int, g: Rational, a: Rational, b: Rational):
+    """(free, weighted, k) -> sum_j free_atleast(free, j) * gen_restricted(weighted, k - j)
+    at gamma = 0: j of the k blocks hold the `free` elements of free cells,
     the rest the `weighted` ones.  Blocks are non-empty, so j runs only
-    where neither factor has more blocks than elements."""
+    where neither factor has more blocks than elements.  The two schemes
+    are looked up once, here, not once per split."""
     free_value = free_atleast_scheme(g, ell).value
     weighted_value = gen_restricted_scheme(a, b, 0, ell).value
-    total = 0
-    for j in range(max(0, k - weighted), min(free, k) + 1):
-        fa = free_value(j, free)
-        if fa:
-            total += fa * weighted_value(k - j, weighted)
-    return total
+
+    def split(free: int, weighted: int, k: int) -> Rational:
+        total = 0
+        for j in range(max(0, k - weighted), min(free, k) + 1):
+            fa = free_value(j, free)
+            if fa:
+                total += fa * weighted_value(k - j, weighted)
+        return total
+
+    return split
 
 
 def partial_deg_recursion(
-    n_plus_1: int, k: int, ell: int, gamma: Rational, alpha: Rational, beta: Rational
+    n_plus_1: int, k: int, ell: int, gamma: Rational, alpha: Rational, beta: Rational,
+    split=None,
 ) -> Rational:
     """Recursion on the newest element's position: it joins either a free
-    cell or a weighted cell, shifting one factor of the convolution."""
+    cell or a weighted cell, shifting one factor of the convolution.  It
+    reads the splits of n + 1 elements, exactly those the convolution at
+    n + 1 reads; split is as there."""
     check_indices(n_plus_1, k, ell)
     if n_plus_1 == 0:
         return 1 if k == 0 else 0
+    split = split or _splits(ell, gamma, alpha, beta)
     n = n_plus_1 - 1
     total = 0
     for i in range(0, n + 1):
-        total += binomial(n, i) * (
-            _split(i + 1, n - i, k, ell, gamma, alpha, beta)
-            + _split(i, n - i + 1, k, ell, gamma, alpha, beta)
-        )
+        total += binomial(n, i) * (split(i + 1, n - i, k) + split(i, n - i + 1, k))
     return total
 
 

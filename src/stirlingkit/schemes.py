@@ -14,12 +14,18 @@ package.  With B = t^v * U and U(0) != 0 the value at n is
 
     n!/k! * [t^(n - vk)] P * U^k,
 
-zero when vk > n.  A scheme keeps one lazy column per k: the coefficients
-of U^k (Miller's recurrence, which is online) and of P * U^k, computed
-once each and only as far as a read needs, so a value at n costs
-coefficients up to n - vk whatever k is, and n!/k! is a falling
-factorial.  WeightScheme.value reads a value, product_coefficient the
-column (both by exact's kernels); egf and the *_series views load series.
+zero when vk > n.  A scheme keeps one lazy column per k, computed once
+and only as far as a read needs, so a value at n costs coefficients up to
+n - vk whatever k is.  Where the scheme declares a1 = 0 (below), its
+block weights are eventually geometric and the column holds integers:
+n!/k! [t^n] B^k times a power of the parameters' denominator, from the
+EGF form of B * (B^k)' = k * B' * B^k, one exact division each.  Where
+a1 != 0 such integers grow by the n! that ordinary coefficients cancel,
+so the column holds the coefficients of U^k (Miller's recurrence) and of
+P * U^k as reduced numerator-denominator pairs.  Both recurrences are
+online, and a value is one `rational`.  WeightScheme.value reads a value,
+product_coefficient and egf the same column (by exact's kernels); egf
+and the *_series views load series.
 
 Each family's factory also declares the first-order linear differential
 equations its two series satisfy, a*P' = p*P and a*B' = b*B + q with
@@ -38,7 +44,8 @@ from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import CACHE_SIZE, FallingFactorials, Rational, _miller_term, _product_term, rational
+from .exact import (CACHE_SIZE, FallingFactorials, Rational, _integer_fill, _miller_fill,
+                    _special_sum, rational)
 
 __all__ = [
     "WeightScheme",
@@ -61,25 +68,37 @@ class WeightScheme:
     0, and so does every pair with a block of that size.  sw(0) must be 1
     (the empty special set always carries weight one).
 
-    The instance also keeps the coefficients it has computed, extended as
-    values are read, so every new scheme starts with an empty store and no
-    read hashes the scheme.  With B = t^v * U and u_0 = U(0) != 0, P and U
-    are shared by every k: their non-zero coefficients are kept as (index,
-    numerator, denominator), U indexed from u_0.  Column k is three lists:
-    the numerators and denominators of the w_j of U^k (which Miller's
-    recurrence reads) and the c_j of P * U^k, each computed once; the
-    values already read are kept by (k, n).  One lock guards the store, so
-    concurrent readers never extend a list twice.
-
     ode, where the family declares one, is (a1, p, b, degree, q): with
     a = 1 + a1*t, a*P' = p*P and a*B' = b*B + q, q of that degree and q(i)
     = i! [t^i] q, read only as far as a recurrence needs it.  degree may be
-    math.inf, for a q that is a series, read term by term.  The store
-    keeps those q(i) and, for the recurrence, one column of values per j.
+    math.inf, for a q that is a series, read term by term.  denominator, D,
+    is declared next to it: the lcm of the parameters' denominators, so
+    that D^(m-1) bw(m) and D^g sw(g) are integers.
+
+    The instance also keeps what it has computed, extended as values are
+    read, so every new scheme starts with an empty store and no read
+    hashes the scheme.  With B = t^v * U, P and U are shared by every k:
+    their non-zero terms are kept, U indexed from u_0, in one of two forms
+    fixed when the scheme is built, by its declared a1:
+
+    * a1 = 0 (an integer column): beta_(v+i) = D^(v+i-1) bw(v+i) as
+      (i, beta) and D^g sw(g) as (g, D^g sw(g)), ints.  Column k is (x,),
+      the ints x_j = D^(N-k) (N!/k!) [t^N] B^k at N = vk + j
+      (exact._egf_term), and the value at n is
+      sum_g C(n, g) D^g sw(g) x_(n-vk-g) / D^(n-k) (exact._special_sum).
+    * otherwise (Miller's column): u_i = bw(v+i)/(v+i)! and p_g = sw(g)/g!
+      as reduced (index, numerator, denominator).  Column k is the
+      numerators and denominators of the w_j of U^k (exact._miller_term)
+      and the pairs c_j of P * U^k (exact._product_term).
+
+    The values already read are kept by (k, n).  The recurrence keeps the
+    q(i) and one column of values per j.  One lock guards the store, so
+    concurrent readers never extend a list twice.
     """
 
-    __slots__ = ("name", "special_weight", "block_weight", "ode", "_lock", "_block_top", "_v",
-                 "_u0", "_unit", "_special", "_special_top", "_by_k", "_values", "_q", "_rows")
+    __slots__ = ("name", "special_weight", "block_weight", "ode", "denominator", "_integer",
+                 "_lock", "_block_top", "_v", "_u0", "_unit", "_special", "_special_top", "_by_k",
+                 "_values", "_q", "_rows")
 
     def __init__(
         self,
@@ -87,79 +106,74 @@ class WeightScheme:
         special_weight: Callable[[int], Rational],
         block_weight: Callable[[int], Rational],
         ode: tuple | None = None,
+        denominator: int = 1,
     ):
         self.name = name
         self.special_weight = special_weight
         self.block_weight = block_weight
         self.ode = ode
+        self.denominator = denominator
+        self._integer = ode is not None and ode[0] == 0
         self._lock = threading.Lock()
         self._block_top = 0  # b_1..b_block_top scanned
-        self._v = self._u0 = None  # v and u_0, once a non-zero b_m is found
+        self._v = self._u0 = None  # v and u_0 as kept, once a non-zero b_m is found
         self._unit: list = []  # non-zero u_i = b_(v+i), i >= 1
-        self._special: list = []  # non-zero p_j
+        self._special: list = []  # non-zero p_g
         self._special_top = -1
-        self._by_k: dict = {}  # k -> (w numerators, w denominators, c)
+        self._by_k: dict = {}  # k -> its column
         self._values: dict = {}
         self._q: list = []  # q(0), q(1), ... as read so far
         self._rows: list = []  # j -> [V(j, j), V(j+1, j), ...]
 
-    def block_coefficient(self, m: int) -> Fraction:
-        """[t^m] of the block series: bw(m)/m! for a size m >= 1; a zero
-        weight costs no m!."""
-        w = Fraction(self.block_weight(m)) if m >= 1 else Fraction(0)
-        return w / math.factorial(m) if w else w
-
-    def special_coefficient(self, g: int) -> Fraction:
-        """[t^g] of the special series: sw(g)/g!; a zero weight costs no g!."""
-        w = Fraction(self.special_weight(g))
-        return w / math.factorial(g) if w else w
-
     def block_series(self, order: int) -> TruncatedSeries:
         """sum over sizes m >= 1 of bw(m) t^m / m!."""
-        from .series import TruncatedSeries
-        return TruncatedSeries([self.block_coefficient(m) for m in range(order + 1)], order)
+        return self._series(self.block_weight, 1, order)
 
     def special_series(self, order: int) -> TruncatedSeries:
         """sum over g >= 0 of sw(g) t^g / g!."""
+        return self._series(self.special_weight, 0, order)
+
+    def _series(self, weight: Callable[[int], Rational], first: int, order: int):
+        """sum over sizes m >= first of weight(m) t^m / m!; a zero weight
+        costs no m!."""
         from .series import TruncatedSeries
-        return TruncatedSeries([self.special_coefficient(g) for g in range(order + 1)], order)
+        return TruncatedSeries([0] * first + [
+            _over(w, math.factorial(m)) if (w := weight(m)) else 0
+            for m in range(first, order + 1)], order)
 
     def value(self, k: int, n: int) -> Rational:
         """n! [t^n] of the EGF with k blocks: the weighted count of the pairs
-        (G, P_k) over {1..n}, an int when it is integral.  n!/k! is formed as
-        a falling factorial."""
+        (G, P_k) over {1..n}, an int when it is integral."""
         value = self._values.get((k, n))
         if value is None:
-            c = self.product_coefficient(k, n)
-            value = self._values[k, n] = (
-                rational(c.numerator * math.perm(n, n - k), c.denominator) if c else 0)
+            with self._lock:
+                value = self._values[k, n] = self._value(k, n)
         return value
 
     def product_coefficient(self, k: int, n: int) -> Fraction:
         """k! [t^n] of the EGF with k blocks, that is [t^n] P * B^k, read from
-        column k; it extends the column only up to t^(n - vk)."""
-        with self._lock:
-            if k == 0:
-                shift = 0
-            else:
-                v = self._valuation(n // k)
-                if v is None or v * k > n:
-                    return Fraction(0)
-                shift = v * k
-            column = self._by_k.get(k)
-            if column is None:
-                w0 = Fraction(1) if k == 0 else self._u0 ** k
-                column = self._by_k[k] = ([w0.numerator], [w0.denominator], [])
-            return self._extend(k, column, n - shift)
+        column k as value(k, n) * k!/n!; it extends the column only up to
+        t^(n - vk)."""
+        return _over(self.value(k, n), math.perm(n, n - k)) if k <= n else Fraction(0)
 
     def egf(self, k: int, order: int) -> TruncatedSeries:
         """EGF of the pairs with k blocks: special * block^k / k!, mod t^(order+1).
         Blocks are non-empty, so it is zero when k > order and 1/k! is not formed."""
         from .series import TruncatedSeries
-        scale = Fraction(1, math.factorial(k)) if k <= order else 0
-        return TruncatedSeries(
-            [self.product_coefficient(k, n) * scale for n in range(order + 1)], order
-        )
+        if k > order:
+            return TruncatedSeries.zero(order)
+        if self._integer:
+            self.value(k, order)  # one read fills the column as far as every other needs
+            return TruncatedSeries(
+                [_over(self.value(k, n), math.factorial(n)) for n in range(order + 1)], order)
+        with self._lock:
+            found = self._column(k, order)
+        if found is None:
+            return TruncatedSeries.zero(order)
+        (_, _, coeffs), top = found
+        scale = math.factorial(k)
+        return TruncatedSeries([0] * (order - top) + [
+            Fraction(num, den * scale) for num, den in coeffs[:top + 1]], order)
 
     def recurrence(self, k: int, n: int) -> Rational:
         """The value at (n, k) from the declared differential equation alone,
@@ -204,46 +218,90 @@ class WeightScheme:
 
     # -- the store; callers hold its lock --------------------------------------
 
+    def _term(self, weight: Callable[[int], Rational], size: int, power: int) -> tuple:
+        """weight(size) as the store keeps it: the int D^(size - power)
+        weight(size) as a 1-tuple in an integer column, where power is 1 for
+        a block and 0 for the special set; the reduced pair of
+        weight(size) / size! in Miller's.  A zero weight is (0,) or (0, 1)."""
+        w = weight(size)
+        if not w:
+            return (0,) if self._integer else (0, 1)
+        if self._integer:
+            scaled, remainder = divmod(w.numerator * self.denominator ** (size - power),
+                                       w.denominator)
+            if remainder:
+                raise ValueError("scheme %s: D = %d leaves the weight of size %d fractional"
+                                 % (self.name, self.denominator, size))
+            return (scaled,)
+        den = w.denominator * math.factorial(size)
+        g = math.gcd(w.numerator, den)
+        return w.numerator // g, den // g
+
     def _valuation(self, limit: int) -> int | None:
-        """v, the first size with a non-zero block coefficient, looked for up
-        to `limit`; None while no size up to there has one."""
+        """v, the first size with a non-zero block weight, looked for up to
+        `limit`; None while no size up to there has one."""
         while self._v is None and self._block_top < limit:
             m = self._block_top + 1
-            b = self.block_coefficient(m)
-            if b:
-                self._v, self._u0 = m, b
+            u0 = self._term(self.block_weight, m, 1)
+            if u0[0]:
+                self._v, self._u0 = m, u0
             self._block_top = m
         return self._v
 
-    def _extend(self, k: int, column: tuple, top: int) -> Fraction:
-        """c_top of P * U^k, computing w_j and c_j for every j up to top that
-        column k does not hold yet."""
-        w_num, w_den, coeffs = column
+    def _column(self, k: int, n: int) -> tuple | None:
+        """(column k, top) with the column extended to its coefficient of
+        t^n, top = n - vk; None when vk > n, so that coefficient is zero."""
+        if k == 0:
+            top = n
+        else:
+            v = self._valuation(n // k)
+            if v is None or v * k > n:
+                return None
+            top = n - v * k
         # each list grows only by a finished entry, so a read that raises
         # leaves the store consistent
-        for j in range(self._special_top + 1, top + 1):
-            p = self.special_coefficient(j)
-            if p:
-                self._special.append((j, p.numerator, p.denominator))
-            self._special_top = j
-        if k >= 2:
-            for m in range(self._block_top + 1, self._v + top + 1):
-                u = self.block_coefficient(m)
-                if u:
-                    self._unit.append((m - self._v, u.numerator, u.denominator))
-                self._block_top = m
-        for j in range(len(coeffs), top + 1):
-            if len(w_num) == j:
-                if k == 0:
-                    w = Fraction(0)
-                elif k == 1:
-                    w = self.block_coefficient(self._v + j)
-                else:
-                    w = _miller_term(j, k, self._u0, self._unit, w_num, w_den)
-                w_num.append(w.numerator)
-                w_den.append(w.denominator)
-            coeffs.append(_product_term(j, self._special, w_num, w_den))
-        return coeffs[top]
+        for g in range(self._special_top + 1, top + 1):
+            p = self._term(self.special_weight, g, 0)
+            if p[0]:
+                self._special.append((g, *p))
+            self._special_top = g
+        for m in range(self._block_top + 1, self._v + top + 1 if k >= 2 else 0):
+            u = self._term(self.block_weight, m, 1)
+            if u[0]:
+                self._unit.append((m - self._v, *u))
+            self._block_top = m
+        column = self._by_k.get(k)
+        if column is None:
+            column = self._by_k[k] = ([],) if self._integer else ([], [], [])
+        if k <= 1:  # U^0 = 1 and U^1 = U: their terms go to x, or to w_num and w_den
+            for j in range(len(column[0]), top + 1):
+                term = self._term(self.block_weight, self._v + j, 1) if k else (int(j == 0), 1)
+                for entries, part in zip(column, term):
+                    entries.append(part)
+        if self._integer:
+            if k >= 2:
+                _integer_fill(k, self._v, self._u0[0], self._unit, column, top)
+        else:
+            _miller_fill(k, self._u0, self._unit, self._special, column, top)
+        return column, top
+
+    def _value(self, k: int, n: int) -> Rational:
+        if self._integer and k == 0:
+            return rational(self.special_weight(n))
+        found = self._column(k, n)
+        if found is None:
+            return 0
+        column, top = found
+        if self._integer:
+            return rational(_special_sum(n, top, self._special, column[0]),
+                            self.denominator ** (n - k))
+        num, den = column[2][top]
+        return rational(num * math.perm(n, n - k), den)
+
+
+def _over(value: Rational, divisor: int) -> Fraction:
+    """value / divisor as a Fraction, reduced once."""
+    return Fraction(value.numerator, value.denominator * divisor)
 
 
 def _degenerate_blocks(alpha: Rational, beta: Rational) -> Callable[[int], Rational]:
@@ -267,7 +325,8 @@ def _tail(block_weight: Callable[[int], Rational], ell: int, c: int,
 
 # -- built-in weight schemes -------------------------------------------------
 #
-# Each family's factory declares ode = (a1, p, b, degree, q) next to its weights.
+# Each family's factory declares ode = (a1, p, b, degree, q) next to its weights,
+# and where a1 = 0 the denominator D of its parameters (1 when it declares none).
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -280,6 +339,7 @@ def generalized_scheme(alpha: Rational, beta: Rational, gamma: Rational) -> Weig
         special_weight=FallingFactorials(g, a),
         block_weight=_degenerate_blocks(a, b),
         ode=(a, g, b, 0, lambda i: 1),
+        denominator=math.lcm(a.denominator, b.denominator, g.denominator),
     )
 
 
@@ -295,6 +355,7 @@ def gen_restricted_scheme(
         special_weight=base.special_weight,
         block_weight=(weight := lambda size: blocks(size) if size <= ell else 0),
         ode=(a, g, 0, *_tail(weight, ell, 0, a)),
+        denominator=base.denominator,
     )
 
 
@@ -306,6 +367,7 @@ def free_atleast_scheme(gamma: Rational, ell: int) -> WeightScheme:
         special_weight=lambda size: g ** size,
         block_weight=(weight := lambda size: 1 if size > ell else 0),
         ode=(0, g, 1, *_tail(weight, ell, 1)),
+        denominator=g.denominator,
     )
 
 
@@ -322,6 +384,7 @@ def partial_degenerate_scheme(
         special_weight=lambda size: g ** size,
         block_weight=(weight := lambda size: blocks(size) if size <= ell else 1),
         ode=(0, g, 1, *_tail(weight, ell, 1)),
+        denominator=math.lcm(g.denominator, a.denominator, b.denominator),
     )
 
 

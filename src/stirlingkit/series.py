@@ -19,9 +19,10 @@ O((N-vk)^2) products whatever k is, and none when vk > N.
 The recurrence is online: w_n needs only u_0..u_n and w_0..w_(n-1)
 (J. van der Hoeven, "Relax, but don't be too lazy", J. Symbolic
 Computation 34, 2002).  exact._miller_term computes one w_n and
-exact._product_term one coefficient of a product; the weight schemes
-extend each column P * U^k with them, one coefficient at a time, as
-values are read, and need no series module to do it.
+exact._product_term one coefficient of a product, each as a reduced
+numerator-denominator pair; the weight schemes with a1 != 0 extend each
+column P * U^k with them, one coefficient at a time, as values are read,
+and need no series module to do it (the others run exact._egf_term).
 """
 
 from __future__ import annotations
@@ -104,7 +105,8 @@ class TruncatedSeries:
             right_num = [c.numerator for c in other.coeffs]
             right_den = [c.denominator for c in other.coeffs]
             return TruncatedSeries(
-                [_product_term(n, left, right_num, right_den) for n in range(self.order + 1)],
+                [Fraction(*_product_term(n, left, right_num, right_den))
+                 for n in range(self.order + 1)],
                 self.order,
             )
         if isinstance(other, (int, Fraction)):

@@ -217,14 +217,14 @@ def test_shift_identity():
 
 def test_large_k_row_reads_d_plus_one_coefficients():
     # the exact side of a normalized row is [t^d] P * U^k, read from column k
-    # of the scheme with special parameter gamma*k: at k = 10^5 the column
-    # computes w_0..w_d of U^k and nothing more
+    # of the scheme with special parameter gamma*k: at k = 10^5 its integer
+    # column computes x_0..x_d and nothing more
     schemes.partial_degenerate_scheme.cache_clear()  # a fresh store
     gamma, alpha, beta, ell, d, k = Fraction(1), Fraction(1), Fraction(2), 2, 4, 10 ** 5
     row = asymptotic_partial(d, k, gamma, alpha, beta, ell, 3)
     assert row.n_total == k + d
-    w_num, _, _ = schemes.partial_degenerate_scheme(gamma * k, alpha, beta, ell)._by_k[k]
-    assert len(w_num) <= d + 1
+    (x,) = schemes.partial_degenerate_scheme(gamma * k, alpha, beta, ell)._by_k[k]
+    assert len(x) <= d + 1
     # [t^d] psi^k = k! S(k+d, k) / (k+d)! by a series power instead
     assert row.exact == (shifted_mixed_series(gamma, alpha, beta, ell, d) ** k).coefficient(d)
 

@@ -117,14 +117,18 @@ def test_methods_agree(spec):
 def test_recurrence_routes_multiply_no_series(monkeypatch):
     # the recurrence reads the scheme's declared equation only: it forms
     # no series product, and none of the lazy columns' coefficients, which
-    # go through exact._fraction_sum
+    # go through exact._pair_sum in Miller's columns and exact._egf_term
+    # in the integer ones
     def refuse(*args):
         raise AssertionError("the recurrence route multiplied series")
 
     for name in ("__mul__", "__rmul__", "__pow__"):
         monkeypatch.setattr(TruncatedSeries, name, refuse)
-    monkeypatch.setattr(exact, "_fraction_sum", refuse)
-    schemes.classic_scheme.cache_clear()  # a fresh scheme has read no column yet
+    monkeypatch.setattr(exact, "_pair_sum", refuse)
+    monkeypatch.setattr(exact, "_egf_term", refuse)
+    # fresh schemes have read no column yet
+    schemes.classic_scheme.cache_clear()
+    schemes.generalized_scheme.cache_clear()
     params = dict(
         alpha=Fraction(5, 7), beta=Fraction(-2, 9), gamma=Fraction(4, 11),
         lam=Fraction(-3, 13), ell=2, r=3, s=2,
@@ -134,18 +138,24 @@ def test_recurrence_routes_multiply_no_series(monkeypatch):
         for n in range(0, 9):
             for k in range(0, n + 1):
                 family_value(spec, n, k, "recurrence")
+    # one scheme of each column kind: classic reads the integer column,
+    # generalized Miller's
     with pytest.raises(AssertionError):
         family_value(FamilySpec("classic"), 9, 4, "egf")
+    with pytest.raises(AssertionError):
+        family_value(FamilySpec("generalized", alpha=params["alpha"], beta=params["beta"],
+                                gamma=params["gamma"]), 9, 4, "egf")
 
 
 def test_independent_routes_never_read_a_column(monkeypatch):
     # recurrence, explicit and oracle verify the egf path only while none
-    # of them reads a value or a coefficient from a scheme's column
+    # of them reads a value or a coefficient from a scheme's column, of
+    # either kind: every read of one goes through WeightScheme._column
     def refuse(*args):
         raise AssertionError("an independent route read a column")
 
-    monkeypatch.setattr(schemes.WeightScheme, "value", refuse)
-    monkeypatch.setattr(schemes.WeightScheme, "product_coefficient", refuse)
+    for name in ("value", "product_coefficient", "egf", "_column"):
+        monkeypatch.setattr(schemes.WeightScheme, name, refuse)
     specs = ALL_SPECS + [
         FamilySpec("generalized", alpha=1, beta=0, gamma=2),
         FamilySpec("restricted", ell=0),
@@ -167,8 +177,10 @@ def test_independent_routes_never_read_a_column(monkeypatch):
             for ell in range(0, 4):
                 stirling2_restricted_rec(n, k, ell)
                 stirling2_associated_rec(n, k, ell)
-    with pytest.raises(AssertionError):
-        family_value(FamilySpec("classic"), 3, 2, "egf")
+    # classic reads the integer column, generalized (1, 0, 2) Miller's
+    for spec in (FamilySpec("classic"), specs[-2]):
+        with pytest.raises(AssertionError):
+            family_value(spec, 3, 2, "egf")
 
 
 def test_unknown_method():

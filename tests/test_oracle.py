@@ -209,11 +209,24 @@ COLUMN_SCHEMES = [FAMILIES[spec.tag].scheme(spec) for spec in _SPECS] + [
 
 @pytest.mark.parametrize("scheme", COLUMN_SCHEMES, ids=lambda scheme: scheme.name)
 def test_columns_match_the_dense_formula(scheme):
+    # a new scheme on the same weights starts with an empty store; declaring
+    # no equation, it reads Miller's column
+    _check_columns(scheme, WeightScheme(scheme.name, scheme.special_weight, scheme.block_weight))
+
+
+@pytest.mark.parametrize("scheme", [scheme for scheme in COLUMN_SCHEMES if scheme._integer],
+                         ids=lambda scheme: scheme.name)
+def test_integer_columns_match_the_dense_formula(scheme):
+    # the same reads from a new scheme that declares a1 = 0, so it reads
+    # the integer column
+    _check_columns(scheme, WeightScheme(scheme.name, scheme.special_weight, scheme.block_weight,
+                                        scheme.ode, scheme.denominator))
+
+
+def _check_columns(scheme, fresh):
     # reads in a random order, each column extended out of order and
     # across k, equal the whole-series product at every (k, n)
     order, ks = 12, range(8)
-    # a new scheme on the same weights starts with an empty store
-    fresh = WeightScheme(scheme.name, scheme.special_weight, scheme.block_weight)
     dense = {k: _dense_egf(scheme, k, order) for k in ks}
     cells = [(k, n) for k in ks for n in range(order + 1)]
     random.Random(scheme.name).shuffle(cells)

@@ -300,9 +300,10 @@ def test_reference_routes_ask_only_for_cells_that_exist(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    def watched_scheme(name):
-        # the convolution reads the schemes' values directly, value(k, n)
-        real = getattr(partial, name)
+    def watched_scheme(module, name):
+        # the convolution and associated_from_free read the schemes' values
+        # directly, value(k, n)
+        real = getattr(module, name)
 
         def factory(*args):
             value = real(*args).value
@@ -310,17 +311,18 @@ def test_reference_routes_ask_only_for_cells_that_exist(monkeypatch):
             def read(k, n):
                 reads.append(name)
                 if k > n:
-                    asked.append((partial.__name__, name, n, k))
+                    asked.append((module.__name__, name, n, k))
                 return value(k, n)
 
             return SimpleNamespace(value=read)
 
-        monkeypatch.setattr(partial, name, factory)
+        monkeypatch.setattr(module, name, factory)
 
     watched(incomplete, "free_atleast")
     watched(incomplete, "gen_restricted")
-    watched_scheme("free_atleast_scheme")
-    watched_scheme("gen_restricted_scheme")
+    watched_scheme(partial, "free_atleast_scheme")
+    watched_scheme(partial, "gen_restricted_scheme")
+    watched_scheme(incomplete, "free_atleast_scheme")
     for ell in (1, 2):
         for n in range(0, 6):
             for k in range(0, n + 2):

@@ -15,6 +15,7 @@ Runs are derandomized and bounded, so the suite stays deterministic and
 fast.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,45 @@ def test_degenerate_pair(lam, n):
                 assert _product(route, n, k, left, right) == (n == k), route.__name__
 
 
+INTEGER_COLUMN_SCHEMES = {
+    # every factory whose declaration has a1 = 0, on parameters drawn with
+    # 0 included; generalized and gen_restricted declare it at alpha = 0
+    "classic": st.builds(schemes.classic_scheme),
+    "restricted": st.builds(schemes.restricted_scheme, st.integers(0, 3)),
+    "associated": st.builds(schemes.associated_scheme, st.integers(0, 3)),
+    "free_atleast": st.builds(schemes.free_atleast_scheme, PARAMS["beta"], st.integers(0, 3)),
+    "partial_degenerate": st.builds(schemes.partial_degenerate_scheme, PARAMS["beta"],
+                                    PARAMS["beta"], PARAMS["beta"], st.integers(0, 3)),
+    "colored_singleton": st.builds(schemes.colored_singleton_scheme, PARAMS["r"], PARAMS["s"]),
+    "generalized": st.builds(schemes.generalized_scheme, st.just(0), PARAMS["beta"],
+                             PARAMS["beta"]),
+    "gen_restricted": st.builds(schemes.gen_restricted_scheme, st.just(0), PARAMS["beta"],
+                                PARAMS["beta"], st.integers(0, 3)),
+}
+
+
+@pytest.mark.parametrize("tag", INTEGER_COLUMN_SCHEMES)
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_integer_column_equals_the_recurrence_and_the_series(tag, data):
+    drawn = data.draw(INTEGER_COLUMN_SCHEMES[tag])
+    n = data.draw(st.integers(0, 30))
+    ks = data.draw(st.lists(st.integers(0, n + 1), min_size=1, max_size=3))
+    # a new scheme on the same declaration starts with an empty store
+    scheme = schemes.WeightScheme(drawn.name, drawn.special_weight, drawn.block_weight,
+                                  drawn.ode, drawn.denominator)
+    assert scheme._integer
+    block, power = scheme.block_series(n), TruncatedSeries.one(n)
+    special = scheme.special_series(n)
+    for k in range(max(ks) + 1):
+        if k in ks:
+            value, expected = scheme.value(k, n), scheme.recurrence(k, n)
+            # an int when it is integral, like the recurrence's value
+            assert value == expected and type(value) is type(expected), (k, n)
+            assert scheme.egf(k, n) == special * power * Fraction(1, math.factorial(k)), k
+        power = power * block
+
+
 @st.composite
 def series_triples(draw):
     order = draw(st.integers(0, 8))
@@ -167,19 +207,39 @@ def test_power_equals_repeated_product(s, k):
 
 
 def test_family_series_products_do_not_depend_on_k(monkeypatch):
-    # the column runs Miller's recurrence on U = B / t, so the coefficient
+    # Miller's column runs the recurrence on U = B / t, so the coefficient
     # products it sums for block^k, and for the special series times it,
     # do not grow with k: k = 2 and k = 640 form the same number
     counts = []
-    real = exact._fraction_sum
+    real = exact._pair_sum
 
-    def counting(nums, dens):
+    def counting(nums, dens, *scale):
         counts[-1] += len(nums)
-        return real(nums, dens)
+        return real(nums, dens, *scale)
 
-    monkeypatch.setattr(exact, "_fraction_sum", counting)
+    monkeypatch.setattr(exact, "_pair_sum", counting)
     schemes.generalized_scheme.cache_clear()  # a fresh scheme has read no column yet
     spec = FamilySpec("generalized", alpha=Fraction(1, 2), beta=Fraction(-1, 3), gamma=2)
+    for k in (2, 640):
+        counts.append(0)
+        family_egf(spec, k, k + 10)
+    assert counts[0] == counts[1] > 0
+
+
+def test_integer_column_products_do_not_depend_on_k(monkeypatch):
+    # the integer column's x_j sums one product per weight term s <= j,
+    # whatever k is: k = 2 and k = 640 form the same number
+    counts = []
+    real = exact._egf_term
+
+    def counting(j, k, v, u0, terms, row, x):
+        counts[-1] += sum(s <= j for s, _ in terms)
+        return real(j, k, v, u0, terms, row, x)
+
+    monkeypatch.setattr(exact, "_egf_term", counting)
+    schemes.partial_degenerate_scheme.cache_clear()  # a fresh scheme has read no column yet
+    spec = FamilySpec("partial_degenerate", gamma=Fraction(1, 2), alpha=Fraction(1, 2),
+                      beta=Fraction(-1, 3), ell=2)
     for k in (2, 640):
         counts.append(0)
         family_egf(spec, k, k + 10)
