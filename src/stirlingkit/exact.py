@@ -6,9 +6,9 @@ canonical form (gcd(|num|, den) = 1, den > 0) after every operation.
 Either is accepted wherever a rational is expected.  A weight scheme
 makes an integral parameter an int where it is built (`rational`), so on
 int inputs its weights, its values and the independent routes to them
-stay int.  The column kernels below work in ints too: integer columns in
-ints, Miller's columns and series products in reduced (numerator,
-denominator) pairs; a Fraction is formed only where a value is returned.
+stay int.  So do the kernels below: integer columns (EGF and ordinary)
+in ints, Miller's columns and series products in reduced int pairs; a
+Fraction is formed only where a value is returned.
 """
 
 from __future__ import annotations
@@ -152,11 +152,10 @@ def format_rational(value: Rational) -> str:
 CACHE_SIZE = 256
 
 
-# -- the series kernels, run by TruncatedSeries, by the scheme columns and by
-#    the partial Bell numbers alike.  Miller's kernels keep a coefficient as
-#    a reduced pair (numerator, denominator), denominator > 0, and the
-#    integer column's as an int; a Fraction is built only where an API
-#    returns one.
+# -- the series kernels, run by TruncatedSeries, the scheme columns and the
+#    partial Bell numbers.  Miller's kernels keep a coefficient as a reduced
+#    pair (numerator, denominator > 0), the integer columns' (_egf_term on
+#    EGF weights, _ordinary_term on ordinary coefficients) as an int.
 def _product_term(n: int, left: list, right_num: list[int], right_den: list[int]) -> tuple:
     """[t^n] of L * R, as a pair, from the non-zero terms (i, numerator,
     denominator) of L, in rising i, and the numerators and denominators of
@@ -292,7 +291,7 @@ def _miller_fill(k: int, u0: tuple, terms: list, special: list, column: tuple, t
     """Extend Miller's column k = (w numerators, w denominators, c pairs) with
     every c_j of P * U^k up to c_top that it does not hold yet, and every w_j
     of U^k those read: w_0 = u_0^k, then _miller_term.  special holds the
-    non-zero terms of P.  Columns 0 and 1 come filled by the caller."""
+    non-zero terms of P.  Column 1 comes filled by the caller."""
     w_num, w_den, coeffs = column
     if k >= 2 and not w_num:
         w_num.append(u0[0] ** k)
@@ -303,3 +302,35 @@ def _miller_fill(k: int, u0: tuple, terms: list, special: list, column: tuple, t
             w_num.append(num)
             w_den.append(den)
         coeffs.append(_product_term(j, special, w_num, w_den))
+
+
+def _ordinary_term(j: int, k: int, u0: int, terms: list, w: list[int]) -> int:
+    """W_j = E^j [t^j] U^k, j >= 1, by Miller's recurrence times E^j,
+
+        j u_0 W_j = sum_{i=1..j} ((k+1) i - j) E^i u_i W_(j-i),
+
+    u0 being u_0 and terms the non-zero (i, E^i u_i), i >= 1, in rising i.
+    W_j is an integer, so a remainder means an E that does not clear U."""
+    total = 0
+    for i, u in terms:
+        if i > j:
+            break
+        total += ((k + 1) * i - j) * u * w[j - i]
+    quotient, remainder = divmod(total, j * u0)
+    if remainder:
+        raise ArithmeticError("inexact integer column coefficient W_%d of k = %d" % (j, k))
+    return quotient
+
+
+def _ordinary_fill(k: int, u0: int, terms: list, special: list, column: tuple, top: int,
+                   scale: int, e: int) -> None:
+    """_miller_fill in ints, for the ordinary column k = (W, c): special
+    holds the non-zero (g, E^g p_g), and c_j is the pair of the int E^j
+    [t^j] P * U^k and scale * E^j, e being E."""
+    w, coeffs = column
+    if k >= 2 and not w:
+        w.append(u0 ** k)
+    for j in range(len(coeffs), top + 1):
+        if len(w) == j:
+            w.append(_ordinary_term(j, k, u0, terms, w))
+        coeffs.append((sum(p * w[j - g] for g, p in special if g <= j), scale * e ** j))

@@ -16,16 +16,14 @@ package.  With B = t^v * U and U(0) != 0 the value at n is
 
 zero when vk > n.  A scheme keeps one lazy column per k, computed once
 and only as far as a read needs, so a value at n costs coefficients up to
-n - vk whatever k is.  Where the scheme declares a1 = 0 (below), its
-block weights are eventually geometric and the column holds integers:
-n!/k! [t^n] B^k times a power of the parameters' denominator, from the
-EGF form of B * (B^k)' = k * B' * B^k, one exact division each.  Where
-a1 != 0 such integers grow by the n! that ordinary coefficients cancel,
-so the column holds the coefficients of U^k (Miller's recurrence) and of
-P * U^k as reduced numerator-denominator pairs.  Both recurrences are
-online, and a value is one `rational`.  WeightScheme.value reads a value,
-product_coefficient and egf the same column (by exact's kernels); egf
-and the *_series views load series.
+n - vk whatever k is.  What the factory declares picks the column's kind
+(WeightScheme): a scaling (s, E), for the binomial blocks at alpha, beta
+!= 0 and their truncations, gives ordinary coefficients of (s U)^k in
+ints; an equation alone gives EGF coefficients of B^k in ints; neither,
+Miller's column of reduced pairs.  Each runs an online recurrence with
+one exact division per coefficient, and a value is one `rational`.
+WeightScheme.value reads a value, product_coefficient and egf the same
+column (by exact's kernels); egf and the *_series views load series.
 
 Each family's factory also declares the first-order linear differential
 equations its two series satisfy, a*P' = p*P and a*B' = b*B + q with
@@ -45,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import (CACHE_SIZE, FallingFactorials, Rational, _integer_fill, _miller_fill,
-                    _special_sum, rational)
+                    _ordinary_fill, _special_sum, rational)
 
 __all__ = [
     "WeightScheme",
@@ -71,32 +69,38 @@ class WeightScheme:
     ode, where the family declares one, is (a1, p, b, degree, q): with
     a = 1 + a1*t, a*P' = p*P and a*B' = b*B + q, q of that degree and q(i)
     = i! [t^i] q, read only as far as a recurrence needs it.  degree may be
-    math.inf, for a q that is a series, read term by term.  denominator, D,
-    is declared next to it: the lcm of the parameters' denominators, so
-    that D^(m-1) bw(m) and D^g sw(g) are integers.
+    math.inf, for a q that is a series, read term by term.  Next to it
+    come denominator, D, the lcm of the parameters' denominators, so that
+    D^(m-1) bw(m) and D^g sw(g) are integers, and, where a fixed E clears
+    the ordinary coefficients u_i = bw(v+i)/(v+i)! and p_g = sw(g)/g!,
+    scaling = (s, E): E^(v+i-1) s u_i and E^g p_g are integers.
 
     The instance also keeps what it has computed, extended as values are
     read, so every new scheme starts with an empty store and no read
     hashes the scheme.  With B = t^v * U, P and U are shared by every k:
-    their non-zero terms are kept, U indexed from u_0, in one of two forms
-    fixed when the scheme is built, by its declared a1:
+    their non-zero terms are kept, U indexed from u_0, in the kind of
+    column its declaration picks when the scheme is built:
 
-    * a1 = 0 (an integer column): beta_(v+i) = D^(v+i-1) bw(v+i) as
-      (i, beta) and D^g sw(g) as (g, D^g sw(g)), ints.  Column k is (x,),
-      the ints x_j = D^(N-k) (N!/k!) [t^N] B^k at N = vk + j
-      (exact._egf_term), and the value at n is
-      sum_g C(n, g) D^g sw(g) x_(n-vk-g) / D^(n-k) (exact._special_sum).
-    * otherwise (Miller's column): u_i = bw(v+i)/(v+i)! and p_g = sw(g)/g!
-      as reduced (index, numerator, denominator).  Column k is the
-      numerators and denominators of the w_j of U^k (exact._miller_term)
-      and the pairs c_j of P * U^k (exact._product_term).
+    * a scaling (ordinary): E^(v+i-1) s u_i as (i, int) and E^g p_g as (g,
+      int).  Column k is the ints W_j = E^(j+k(v-1)) [t^j] (s U)^k
+      (exact._ordinary_term) and c_j = [t^j] P * U^k as the pair of the
+      int E^(j+k(v-1)) [t^j] P * (s U)^k and s^k E^(j+k(v-1)).
+    * an equation alone (EGF): beta_(v+i) = D^(v+i-1) bw(v+i) as (i, beta)
+      and D^g sw(g) as (g, D^g sw(g)).  Column k is (x,), the ints x_j =
+      D^(N-k) (N!/k!) [t^N] B^k at N = vk + j (exact._egf_term), and the
+      value at n is sum_g C(n, g) D^g sw(g) x_(n-vk-g) / D^(n-k).
+    * neither (Miller's): u_i and p_g as reduced (index, numerator,
+      denominator).  Column k is the pairs w_j of U^k as numerators and
+      denominators (exact._miller_term) and the pairs c_j of P * U^k.
+
+    In the ordinary and Miller's columns the value at n is n!/k! c_(n-vk).
 
     The values already read are kept by (k, n).  The recurrence keeps the
     q(i) and one column of values per j.  One lock guards the store, so
     concurrent readers never extend a list twice.
     """
 
-    __slots__ = ("name", "special_weight", "block_weight", "ode", "denominator", "_integer",
+    __slots__ = ("name", "special_weight", "block_weight", "ode", "denominator", "scaling", "_kind",
                  "_lock", "_block_top", "_v", "_u0", "_unit", "_special", "_special_top", "_by_k",
                  "_values", "_q", "_rows")
 
@@ -107,13 +111,15 @@ class WeightScheme:
         block_weight: Callable[[int], Rational],
         ode: tuple | None = None,
         denominator: int = 1,
+        scaling: tuple | None = None,
     ):
         self.name = name
         self.special_weight = special_weight
         self.block_weight = block_weight
         self.ode = ode
         self.denominator = denominator
-        self._integer = ode is not None and ode[0] == 0
+        self.scaling = scaling
+        self._kind = "ordinary" if scaling else "pairs" if ode is None else "egf"
         self._lock = threading.Lock()
         self._block_top = 0  # b_1..b_block_top scanned
         self._v = self._u0 = None  # v and u_0 as kept, once a non-zero b_m is found
@@ -162,7 +168,9 @@ class WeightScheme:
         from .series import TruncatedSeries
         if k > order:
             return TruncatedSeries.zero(order)
-        if self._integer:
+        if k == 0:
+            return self.special_series(order)
+        if self._kind == "egf":
             self.value(k, order)  # one read fills the column as far as every other needs
             return TruncatedSeries(
                 [_over(self.value(k, n), math.factorial(n)) for n in range(order + 1)], order)
@@ -170,7 +178,7 @@ class WeightScheme:
             found = self._column(k, order)
         if found is None:
             return TruncatedSeries.zero(order)
-        (_, _, coeffs), top = found
+        (*_, coeffs), top = found
         scale = math.factorial(k)
         return TruncatedSeries([0] * (order - top) + [
             Fraction(num, den * scale) for num, den in coeffs[:top + 1]], order)
@@ -219,23 +227,23 @@ class WeightScheme:
     # -- the store; callers hold its lock --------------------------------------
 
     def _term(self, weight: Callable[[int], Rational], size: int, power: int) -> tuple:
-        """weight(size) as the store keeps it: the int D^(size - power)
-        weight(size) as a 1-tuple in an integer column, where power is 1 for
-        a block and 0 for the special set; the reduced pair of
-        weight(size) / size! in Miller's.  A zero weight is (0,) or (0, 1)."""
+        """weight(size) as the store keeps it, power being 1 for a block and 0
+        for the special set: the int D^(size - power) w or E^(size - power)
+        s^power w / size! as a 1-tuple in an EGF or an ordinary column, the
+        reduced pair of w / size! in Miller's.  A zero is (0,) or (0, 1)."""
         w = weight(size)
+        if self._kind == "pairs":
+            w = _over(w, math.factorial(size)) if w else Fraction(0)
+            return w.numerator, w.denominator
         if not w:
-            return (0,) if self._integer else (0, 1)
-        if self._integer:
-            scaled, remainder = divmod(w.numerator * self.denominator ** (size - power),
-                                       w.denominator)
-            if remainder:
-                raise ValueError("scheme %s: D = %d leaves the weight of size %d fractional"
-                                 % (self.name, self.denominator, size))
-            return (scaled,)
-        den = w.denominator * math.factorial(size)
-        g = math.gcd(w.numerator, den)
-        return w.numerator // g, den // g
+            return (0,)
+        s, e = self.scaling or (1, self.denominator)
+        scaled, remainder = divmod(w.numerator * e ** (size - power) * s ** power,
+                                   w.denominator * (math.factorial(size) if self.scaling else 1))
+        if remainder:
+            raise ValueError("scheme %s: the declared scaling leaves the weight of size %d"
+                             " fractional" % (self.name, size))
+        return (scaled,)
 
     def _valuation(self, limit: int) -> int | None:
         """v, the first size with a non-zero block weight, looked for up to
@@ -249,15 +257,13 @@ class WeightScheme:
         return self._v
 
     def _column(self, k: int, n: int) -> tuple | None:
-        """(column k, top) with the column extended to its coefficient of
-        t^n, top = n - vk; None when vk > n, so that coefficient is zero."""
-        if k == 0:
-            top = n
-        else:
-            v = self._valuation(n // k)
-            if v is None or v * k > n:
-                return None
-            top = n - v * k
+        """(column k, top), k >= 1, with the column extended to its
+        coefficient of t^n, top = n - vk; None when vk > n, so that
+        coefficient is zero."""
+        v = self._valuation(n // k)
+        if v is None or v * k > n:
+            return None
+        top = n - v * k
         # each list grows only by a finished entry, so a read that raises
         # leaves the store consistent
         for g in range(self._special_top + 1, top + 1):
@@ -265,38 +271,44 @@ class WeightScheme:
             if p[0]:
                 self._special.append((g, *p))
             self._special_top = g
-        for m in range(self._block_top + 1, self._v + top + 1 if k >= 2 else 0):
+        for m in range(self._block_top + 1, v + top + 1 if k >= 2 else 0):
             u = self._term(self.block_weight, m, 1)
             if u[0]:
-                self._unit.append((m - self._v, *u))
+                self._unit.append((m - v, *u))
             self._block_top = m
         column = self._by_k.get(k)
         if column is None:
-            column = self._by_k[k] = ([],) if self._integer else ([], [], [])
-        if k <= 1:  # U^0 = 1 and U^1 = U: their terms go to x, or to w_num and w_den
+            column = self._by_k[k] = tuple([] for _ in range(_LISTS[self._kind]))
+        if k == 1:  # U^1 = U: its terms go to x or W, or to w_num and w_den
             for j in range(len(column[0]), top + 1):
-                term = self._term(self.block_weight, self._v + j, 1) if k else (int(j == 0), 1)
-                for entries, part in zip(column, term):
+                for entries, part in zip(column, self._term(self.block_weight, v + j, 1)):
                     entries.append(part)
-        if self._integer:
+        if self._kind == "egf":
             if k >= 2:
-                _integer_fill(k, self._v, self._u0[0], self._unit, column, top)
+                _integer_fill(k, v, self._u0[0], self._unit, column, top)
+        elif self._kind == "ordinary":
+            s, e = self.scaling
+            _ordinary_fill(k, self._u0[0], self._unit, self._special, column, top,
+                           s ** k * e ** (k * v - k), e)
         else:
             _miller_fill(k, self._u0, self._unit, self._special, column, top)
         return column, top
 
     def _value(self, k: int, n: int) -> Rational:
-        if self._integer and k == 0:
+        if k == 0:
             return rational(self.special_weight(n))
         found = self._column(k, n)
         if found is None:
             return 0
         column, top = found
-        if self._integer:
+        if self._kind == "egf":
             return rational(_special_sum(n, top, self._special, column[0]),
                             self.denominator ** (n - k))
-        num, den = column[2][top]
+        num, den = column[-1][top]
         return rational(num * math.perm(n, n - k), den)
+
+
+_LISTS = {"egf": 1, "ordinary": 2, "pairs": 3}  # the lists a column of each kind holds
 
 
 def _over(value: Rational, divisor: int) -> Fraction:
@@ -326,13 +338,23 @@ def _tail(block_weight: Callable[[int], Rational], ell: int, c: int,
 # -- built-in weight schemes -------------------------------------------------
 #
 # Each family's factory declares ode = (a1, p, b, degree, q) next to its weights,
-# and where a1 = 0 the denominator D of its parameters (1 when it declares none).
+# the denominator D of its parameters (1 when it declares none) and, where
+# a fixed E clears its ordinary coefficients, the scaling (s, E).
+
+
+def _binomial_scaling(a: Rational, b: Rational, g: Rational) -> tuple:
+    """(s, E) of the generalized weights at a, b != 0.  With lam = b/a = p/q,
+    B = ((1 + a t)^lam - 1)/b, so s = p gives s u_i = q C(lam, i+1) a^i,
+    and p_g = C(g/a, g) a^g.  C(x, n) has at most den(x)^(2n-1) in its
+    denominator, so E = lcm(q^2, den(g/a)^2) den(a) clears both."""
+    lam, ratio = Fraction(b) / a, Fraction(g) / a
+    return lam.numerator, math.lcm(lam.denominator ** 2, ratio.denominator ** 2) * a.denominator
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def generalized_scheme(alpha: Rational, beta: Rational, gamma: Rational) -> WeightScheme:
     """(1 + alpha t) P' = gamma P and (1 + alpha t) B' = beta B + 1, for
-    every alpha and beta."""
+    every alpha and beta; binomial blocks, scaled, where alpha, beta != 0."""
     a, b, g = rational(alpha), rational(beta), rational(gamma)
     return WeightScheme(
         name="generalized(%s,%s,%s)" % (a, b, g),
@@ -340,6 +362,7 @@ def generalized_scheme(alpha: Rational, beta: Rational, gamma: Rational) -> Weig
         block_weight=_degenerate_blocks(a, b),
         ode=(a, g, b, 0, lambda i: 1),
         denominator=math.lcm(a.denominator, b.denominator, g.denominator),
+        scaling=_binomial_scaling(a, b, g) if a and b else None,
     )
 
 
@@ -356,6 +379,7 @@ def gen_restricted_scheme(
         block_weight=(weight := lambda size: blocks(size) if size <= ell else 0),
         ode=(a, g, 0, *_tail(weight, ell, 0, a)),
         denominator=base.denominator,
+        scaling=base.scaling,  # its u_i are the base's up to ell; log ones keep D
     )
 
 

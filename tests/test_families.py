@@ -117,8 +117,8 @@ def test_methods_agree(spec):
 def test_recurrence_routes_multiply_no_series(monkeypatch):
     # the recurrence reads the scheme's declared equation only: it forms
     # no series product, and none of the lazy columns' coefficients, which
-    # go through exact._pair_sum in Miller's columns and exact._egf_term
-    # in the integer ones
+    # go through exact._pair_sum in Miller's columns, exact._egf_term in the
+    # EGF integer ones and exact._ordinary_term in the ordinary ones
     def refuse(*args):
         raise AssertionError("the recurrence route multiplied series")
 
@@ -126,9 +126,11 @@ def test_recurrence_routes_multiply_no_series(monkeypatch):
         monkeypatch.setattr(TruncatedSeries, name, refuse)
     monkeypatch.setattr(exact, "_pair_sum", refuse)
     monkeypatch.setattr(exact, "_egf_term", refuse)
+    monkeypatch.setattr(exact, "_ordinary_term", refuse)
     # fresh schemes have read no column yet
     schemes.classic_scheme.cache_clear()
     schemes.generalized_scheme.cache_clear()
+    schemes.partial_degenerate_swapped_scheme.cache_clear()
     params = dict(
         alpha=Fraction(5, 7), beta=Fraction(-2, 9), gamma=Fraction(4, 11),
         lam=Fraction(-3, 13), ell=2, r=3, s=2,
@@ -138,13 +140,17 @@ def test_recurrence_routes_multiply_no_series(monkeypatch):
         for n in range(0, 9):
             for k in range(0, n + 1):
                 family_value(spec, n, k, "recurrence")
-    # one scheme of each column kind: classic reads the integer column,
-    # generalized Miller's
+    # each column kind: classic and the log blocks of generalized at beta =
+    # 0 read the EGF integer column, generalized at beta != 0 the ordinary
+    # one and a scheme that declares no equation Miller's
+    for beta in (0, params["beta"]):
+        with pytest.raises(AssertionError):
+            family_value(FamilySpec("generalized", alpha=params["alpha"], beta=beta,
+                                    gamma=params["gamma"]), 9, 4, "egf")
     with pytest.raises(AssertionError):
         family_value(FamilySpec("classic"), 9, 4, "egf")
     with pytest.raises(AssertionError):
-        family_value(FamilySpec("generalized", alpha=params["alpha"], beta=params["beta"],
-                                gamma=params["gamma"]), 9, 4, "egf")
+        schemes.partial_degenerate_swapped_scheme(2, 1, 3, 2).value(4, 9)
 
 
 def test_independent_routes_never_read_a_column(monkeypatch):
@@ -156,6 +162,8 @@ def test_independent_routes_never_read_a_column(monkeypatch):
 
     for name in ("value", "product_coefficient", "egf", "_column"):
         monkeypatch.setattr(schemes.WeightScheme, name, refuse)
+    for name in ("_pair_sum", "_egf_term", "_ordinary_term"):
+        monkeypatch.setattr(exact, name, refuse)
     specs = ALL_SPECS + [
         FamilySpec("generalized", alpha=1, beta=0, gamma=2),
         FamilySpec("restricted", ell=0),
@@ -177,8 +185,11 @@ def test_independent_routes_never_read_a_column(monkeypatch):
             for ell in range(0, 4):
                 stirling2_restricted_rec(n, k, ell)
                 stirling2_associated_rec(n, k, ell)
-    # classic reads the integer column, generalized (1, 0, 2) Miller's
-    for spec in (FamilySpec("classic"), specs[-2]):
+    # classic and generalized (1, 0, 2) read the EGF integer column,
+    # generalized (1/2, -1/3, 1/2) the ordinary one
+    ordinary = FamilySpec("generalized", alpha=Fraction(1, 2), beta=Fraction(-1, 3),
+                          gamma=Fraction(1, 2))
+    for spec in (FamilySpec("classic"), specs[-2], ordinary):
         with pytest.raises(AssertionError):
             family_value(spec, 3, 2, "egf")
 

@@ -29,6 +29,7 @@ code = cli.main(sys.argv[1:])
 """
 
 _GEN = ["--gamma", "1", "--alpha", "1", "--beta", "2", "--ell", "2"]
+_ALPHA = ["--alpha", "1/2", "--beta", "-1/3", "--gamma", "1/2"]
 _VALUE_PATH = {"stirlingkit.audit", "stirlingkit.asymptotics", "stirlingkit.oracle",
                "dataclasses", "json", "csv"}
 # the independent routes' modules, which the egf path never runs
@@ -47,6 +48,13 @@ _COMMANDS = {
                   {"stirlingkit.families"}, _VALUE_PATH | _ROUTES | {"stirlingkit.series"}),
     "series": (["series", "--family", "classic", "--k", "2", "--order", "5"],
                {"stirlingkit.families", "stirlingkit.series"}, _VALUE_PATH | _ROUTES),
+    # an alpha != 0 family reads the ordinary column, in the same modules
+    "value-alpha": (["value", "--family", "generalized", *_ALPHA, "--n", "12", "--k", "5"],
+                    {"stirlingkit.families"}, _VALUE_PATH | _ROUTES | {"stirlingkit.series"}),
+    "table-alpha": (["table", "--family", "gen_restricted", *_ALPHA, "--ell", "3", "--nmax", "6"],
+                    {"stirlingkit.families"}, _VALUE_PATH | _ROUTES | {"stirlingkit.series"}),
+    "series-alpha": (["series", "--family", "generalized", *_ALPHA, "--k", "2", "--order", "9"],
+                     {"stirlingkit.families", "stirlingkit.series"}, _VALUE_PATH | _ROUTES),
     "value-recurrence": (["value", "--family", "classic", "--n", "6", "--k", "3",
                           "--method", "recurrence"],
                          {"stirlingkit.schemes"}, _VALUE_PATH | _ROUTES | {"stirlingkit.series"}),
@@ -87,10 +95,12 @@ def test_a_command_loads_only_what_it_runs(command):
     assert not loaded & absent
 
 
-@pytest.mark.parametrize("command", ["value", "table-csv"])
+@pytest.mark.parametrize("command", ["value", "table-csv", "value-alpha", "table-alpha",
+                                     "series-alpha"])
 def test_the_egf_path_loads_exactly_its_layers(command):
     loaded = _loaded(_CLI, *_COMMANDS[command][0])
-    assert {name for name in loaded if name.startswith("stirlingkit")} == _EGF_PATH
+    extra = {"stirlingkit.series"} if command.startswith("series") else set()
+    assert {name for name in loaded if name.startswith("stirlingkit")} == _EGF_PATH | extra
 
 
 _FAMILY_ARGS = {"classic": [], "restricted": ["--ell", "2"], "associated": ["--ell", "2"],

@@ -204,6 +204,7 @@ COLUMN_SCHEMES = [FAMILIES[spec.tag].scheme(spec) for spec in _SPECS] + [
     colored_singleton_scheme(2, 0),  # no singletons: v = 2
     generalized_scheme(_HALF, 0, _HALF),  # beta = 0
     gen_restricted_scheme(1, 0, 2, 3),
+    generalized_scheme(2, 3, 1),  # integer parameters, E = 4
 ]
 
 
@@ -214,13 +215,26 @@ def test_columns_match_the_dense_formula(scheme):
     _check_columns(scheme, WeightScheme(scheme.name, scheme.special_weight, scheme.block_weight))
 
 
-@pytest.mark.parametrize("scheme", [scheme for scheme in COLUMN_SCHEMES if scheme._integer],
+@pytest.mark.parametrize("scheme", [scheme for scheme in COLUMN_SCHEMES if scheme.ode],
                          ids=lambda scheme: scheme.name)
 def test_integer_columns_match_the_dense_formula(scheme):
-    # the same reads from a new scheme that declares a1 = 0, so it reads
-    # the integer column
-    _check_columns(scheme, WeightScheme(scheme.name, scheme.special_weight, scheme.block_weight,
-                                        scheme.ode, scheme.denominator))
+    # the same reads from a new scheme that declares its equation and D but
+    # no scaling, so it reads the EGF integer column, whatever its a1
+    fresh = WeightScheme(scheme.name, scheme.special_weight, scheme.block_weight, scheme.ode,
+                         scheme.denominator)
+    assert fresh._kind == "egf"
+    _check_columns(scheme, fresh)
+
+
+@pytest.mark.parametrize("scheme", [scheme for scheme in COLUMN_SCHEMES if scheme.scaling],
+                         ids=lambda scheme: scheme.name)
+def test_ordinary_columns_match_the_dense_formula(scheme):
+    # the same reads from a new scheme that declares the scaling too, so it
+    # reads the ordinary integer column
+    fresh = WeightScheme(scheme.name, scheme.special_weight, scheme.block_weight, scheme.ode,
+                         scheme.denominator, scheme.scaling)
+    assert fresh._kind == "ordinary"
+    _check_columns(scheme, fresh)
 
 
 def _check_columns(scheme, fresh):

@@ -149,12 +149,20 @@ INTEGER_COLUMN_SCHEMES = {
 @given(data=st.data())
 def test_integer_column_equals_the_recurrence_and_the_series(tag, data):
     drawn = data.draw(INTEGER_COLUMN_SCHEMES[tag])
+    assert drawn.scaling is None
+    _check_declared_column(_fresh(drawn), "egf", data)
+
+
+def _fresh(drawn):
+    # a new scheme on the same declaration starts with an empty store
+    return schemes.WeightScheme(drawn.name, drawn.special_weight, drawn.block_weight, drawn.ode,
+                                drawn.denominator, drawn.scaling)
+
+
+def _check_declared_column(scheme, kind, data):
+    assert scheme._kind == kind
     n = data.draw(st.integers(0, 30))
     ks = data.draw(st.lists(st.integers(0, n + 1), min_size=1, max_size=3))
-    # a new scheme on the same declaration starts with an empty store
-    scheme = schemes.WeightScheme(drawn.name, drawn.special_weight, drawn.block_weight,
-                                  drawn.ode, drawn.denominator)
-    assert scheme._integer
     block, power = scheme.block_series(n), TruncatedSeries.one(n)
     special = scheme.special_series(n)
     for k in range(max(ks) + 1):
@@ -164,6 +172,49 @@ def test_integer_column_equals_the_recurrence_and_the_series(tag, data):
             assert value == expected and type(value) is type(expected), (k, n)
             assert scheme.egf(k, n) == special * power * Fraction(1, math.factorial(k)), k
         power = power * block
+
+
+NONZERO = RATIONALS.filter(bool)
+
+
+@st.composite
+def alpha_schemes(draw, tag):
+    # a factory whose declaration has a1 = alpha != 0, with beta and gamma
+    # drawn with 0 included; degenerate is generalized (lam, 1, 0)
+    alpha, beta, gamma = draw(NONZERO), draw(PARAMS["beta"]), draw(PARAMS["beta"])
+    if tag == "degenerate":
+        beta, gamma = 1, 0
+    if tag == "gen_restricted":
+        return schemes.gen_restricted_scheme(alpha, beta, gamma, draw(st.integers(0, 3))), beta
+    return schemes.generalized_scheme(alpha, beta, gamma), beta
+
+
+@pytest.mark.parametrize("tag", ["generalized", "gen_restricted", "degenerate"])
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_alpha_columns_equal_the_recurrence_and_the_series(tag, data):
+    # binomial blocks (beta != 0) and their polynomial truncations declare a
+    # scaling and read the ordinary column; the log blocks of beta = 0 the
+    # EGF one
+    drawn, beta = data.draw(alpha_schemes(tag))
+    assert drawn.ode[0] != 0
+    _check_declared_column(_fresh(drawn), "ordinary" if beta else "egf", data)
+
+
+@pytest.mark.parametrize("triple", [(Fraction(1, 2), Fraction(-1, 3), Fraction(1, 2)),
+                                    (2, 3, 1), (Fraction(5, 7), Fraction(-2, 9), Fraction(4, 11)),
+                                    (Fraction(-1, 3), 1, 0)])
+def test_a_scaling_that_does_not_clear_the_coefficients_raises(triple):
+    # E = 1 leaves s u_1 fractional here (s u_2 at lam = -1/3), so the
+    # first read that needs it raises instead of returning a value
+    drawn = schemes.generalized_scheme(*triple)
+    s, e = drawn.scaling
+    assert e > 1
+    wrong = schemes.WeightScheme(drawn.name, drawn.special_weight, drawn.block_weight,
+                                 drawn.ode, drawn.denominator, (s, 1))
+    with pytest.raises(ValueError, match="fractional"):
+        wrong.egf(2, 12)
+    assert _fresh(drawn).egf(2, 12) == drawn.egf(2, 12)
 
 
 @st.composite
@@ -218,6 +269,27 @@ def test_family_series_products_do_not_depend_on_k(monkeypatch):
         return real(nums, dens, *scale)
 
     monkeypatch.setattr(exact, "_pair_sum", counting)
+    drawn = schemes.generalized_scheme(Fraction(1, 2), Fraction(-1, 3), 2)
+    # a new scheme on the same weights has read no column yet; declaring no
+    # equation, it reads Miller's column
+    scheme = schemes.WeightScheme(drawn.name, drawn.special_weight, drawn.block_weight)
+    for k in (2, 640):
+        counts.append(0)
+        scheme.egf(k, k + 10)
+    assert counts[0] == counts[1] > 0
+
+
+def test_ordinary_column_products_do_not_depend_on_k(monkeypatch):
+    # the ordinary column's W_j sums one product per term i <= j, whatever
+    # k is: k = 2 and k = 640 form the same number
+    counts = []
+    real = exact._ordinary_term
+
+    def counting(j, k, u0, terms, w):
+        counts[-1] += sum(i <= j for i, _ in terms)
+        return real(j, k, u0, terms, w)
+
+    monkeypatch.setattr(exact, "_ordinary_term", counting)
     schemes.generalized_scheme.cache_clear()  # a fresh scheme has read no column yet
     spec = FamilySpec("generalized", alpha=Fraction(1, 2), beta=Fraction(-1, 3), gamma=2)
     for k in (2, 640):
