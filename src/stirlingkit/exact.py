@@ -6,9 +6,10 @@ canonical form (gcd(|num|, den) = 1, den > 0) after every operation.
 Either is accepted wherever a rational is expected.  A weight scheme
 makes an integral parameter an int where it is built (`rational`), so on
 int inputs its weights, its values and the independent routes to them
-stay int.  So do the kernels below: integer columns (EGF and ordinary)
-in ints, Miller's columns and series products in reduced int pairs; a
-Fraction is formed only where a value is returned.
+stay int.  So do the kernels below: the scheme columns (EGF and
+ordinary) in ints, Miller's powers and series products in reduced int
+pairs; a Fraction is formed only where a value is returned, or where a
+bare scheme's weights are not integers.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ class FallingFactorials:
         if size >= len(values):
             with self.lock:
                 while len(values) <= size:
-                    values.append(values[-1] * (self.t - (len(values) - 1) * self.lam))
+                    last = values[-1]  # zero from the first zero factor on
+                    values.append(last and last * (self.t - (len(values) - 1) * self.lam))
         return values[size]
 
 
@@ -152,10 +154,10 @@ def format_rational(value: Rational) -> str:
 CACHE_SIZE = 256
 
 
-# -- the series kernels, run by TruncatedSeries, the scheme columns and the
-#    partial Bell numbers.  Miller's kernels keep a coefficient as a reduced
-#    pair (numerator, denominator > 0), the integer columns' (_egf_term on
-#    EGF weights, _ordinary_term on ordinary coefficients) as an int.
+# -- the series kernels.  Miller's kernels, run by TruncatedSeries and the
+#    partial Bell numbers, keep a coefficient as a reduced pair (numerator,
+#    denominator > 0); the scheme columns' (_egf_term on EGF weights,
+#    _ordinary_term on ordinary coefficients) keep it as an int.
 def _product_term(n: int, left: list, right_num: list[int], right_den: list[int]) -> tuple:
     """[t^n] of L * R, as a pair, from the non-zero terms (i, numerator,
     denominator) of L, in rising i, and the numerators and denominators of
@@ -246,15 +248,19 @@ def _egf_term(j: int, k: int, v: int, u0: int, terms: list, row: list[int], x: l
         C(n, v-1) j beta_v x_j = v sum_{s=1..j} (k C(n, v+s-1) - C(n, v+s)) beta_(v+s) x_(j-s)
 
     u0 is beta_v, terms the non-zero (s, beta_(v+s)), s >= 1, in rising s,
-    and row holds C(n, 0..v+s) for every s it reads.  x_j is an integer, so
-    the division is exact; a remainder means a weight the declared D does
-    not clear, and raises."""
+    and row holds C(n, 0..v+s) for every s it reads.  On int operands x_j
+    is an integer, so the division is exact and a remainder means a weight
+    the declared D does not clear, and raises; a bare scheme's Fraction
+    weights give an exact Fraction instead."""
     total = 0
     for s, u in terms:
         if s > j:
             break
         total += (k * row[v + s - 1] - row[v + s]) * u * x[j - s]
-    quotient, remainder = divmod(v * total, row[v - 1] * j * u0)
+    numerator, divisor = v * total, row[v - 1] * j * u0
+    if not (isinstance(numerator, int) and isinstance(divisor, int)):
+        return rational(numerator, divisor)
+    quotient, remainder = divmod(numerator, divisor)
     if remainder:
         raise ArithmeticError("inexact integer column coefficient x_%d of k = %d" % (j, k))
     return quotient
@@ -287,23 +293,6 @@ def _special_sum(n: int, top: int, special: list, x: list[int]) -> int:
     return sum(row[g] * p * x[top - g] for g, p in terms)
 
 
-def _miller_fill(k: int, u0: tuple, terms: list, special: list, column: tuple, top: int) -> None:
-    """Extend Miller's column k = (w numerators, w denominators, c pairs) with
-    every c_j of P * U^k up to c_top that it does not hold yet, and every w_j
-    of U^k those read: w_0 = u_0^k, then _miller_term.  special holds the
-    non-zero terms of P.  Column 1 comes filled by the caller."""
-    w_num, w_den, coeffs = column
-    if k >= 2 and not w_num:
-        w_num.append(u0[0] ** k)
-        w_den.append(u0[1] ** k)
-    for j in range(len(coeffs), top + 1):
-        if len(w_num) == j:
-            num, den = _miller_term(j, k, u0, terms, w_num, w_den)
-            w_num.append(num)
-            w_den.append(den)
-        coeffs.append(_product_term(j, special, w_num, w_den))
-
-
 def _ordinary_term(j: int, k: int, u0: int, terms: list, w: list[int]) -> int:
     """W_j = E^j [t^j] U^k, j >= 1, by Miller's recurrence times E^j,
 
@@ -322,15 +311,15 @@ def _ordinary_term(j: int, k: int, u0: int, terms: list, w: list[int]) -> int:
     return quotient
 
 
-def _ordinary_fill(k: int, u0: int, terms: list, special: list, column: tuple, top: int,
-                   scale: int, e: int) -> None:
-    """_miller_fill in ints, for the ordinary column k = (W, c): special
-    holds the non-zero (g, E^g p_g), and c_j is the pair of the int E^j
-    [t^j] P * U^k and scale * E^j, e being E."""
+def _ordinary_fill(k: int, u0: int, terms: list, special: list, column: tuple, top: int) -> None:
+    """Extend the ordinary column k = (W, c) with every c_j = E^(j+k(v-1))
+    [t^j] P * (s U)^k up to c_top that it does not hold yet, and every W_j
+    those read: W_0 = u0^k, then _ordinary_term.  special holds the
+    non-zero (g, E^g p_g).  Column 1 comes with its W filled by the caller."""
     w, coeffs = column
     if k >= 2 and not w:
         w.append(u0 ** k)
     for j in range(len(coeffs), top + 1):
         if len(w) == j:
             w.append(_ordinary_term(j, k, u0, terms, w))
-        coeffs.append((sum(p * w[j - g] for g, p in special if g <= j), scale * e ** j))
+        coeffs.append(sum(p * w[j - g] for g, p in special if g <= j))

@@ -84,8 +84,7 @@ def gen_restricted_recursion(
     """One step of the basic recursion: S(n+1, k) from the rows below.
 
     lower(m, j, alpha, beta, gamma, ell) evaluates those rows, on the
-    parameters as given; None means the reference values, read from the
-    two schemes they come from, each looked up once.
+    parameters as given; None means the reference values, gen_restricted.
 
     Corrected summation bounds run max(k-1, n+1-ell) <= i <= n so the
     new element's block keeps size n-i+1 <= ell.  The literal variant
@@ -97,11 +96,8 @@ def gen_restricted_recursion(
     if n_plus_1 == 0:
         return 1 if k == 0 else 0
     n = n_plus_1 - 1
-    if lower is None:
-        total = gamma * gen_restricted_scheme(alpha, beta, gamma - alpha, ell).value(k, n)
-        row = gen_restricted_scheme(alpha, beta, gamma, ell).value
-    else:
-        total = gamma * lower(n, k, alpha, beta, gamma - alpha, ell)
+    lower = lower or gen_restricted
+    total = gamma * lower(n, k, alpha, beta, gamma - alpha, ell)
     if k >= 1:
         if literal:
             lo, hi = k - 1, n - ell - 1
@@ -109,8 +105,8 @@ def gen_restricted_recursion(
             lo, hi = max(k - 1, n + 1 - ell), n
         block_weight = generalized_scheme(alpha, beta, 0).block_weight
         for i in range(max(lo, 0), hi + 1):
-            below = row(k - 1, i) if lower is None else lower(i, k - 1, alpha, beta, gamma, ell)
-            total += binomial(n, i) * block_weight(n - i + 1) * below
+            total += (binomial(n, i) * block_weight(n - i + 1)
+                      * lower(i, k - 1, alpha, beta, gamma, ell))
     return total
 
 
@@ -192,15 +188,11 @@ def free_atleast_recursion(
     gamma = rational(gamma)
     n = n_plus_1 - 1
     shift = 0 if literal else 1
-    total = gamma * free_atleast_scheme(gamma, ell).value(k, n)
-    # the first read, i = 0, fills the column every later one reads from
-    associated = associated_scheme(ell + 1).recurrence
-    power = 1  # gamma^i
+    total = gamma * free_atleast(n, k, gamma, ell)
     for i in range(0, n + 1):
-        count = associated(k, n + shift - i)
+        count = associated_scheme(ell + 1).recurrence(k, n + shift - i)
         if count:
-            total += binomial(n, i) * power * count
-        power *= gamma
+            total += binomial(n, i) * gamma ** i * count
     return total
 
 

@@ -16,14 +16,15 @@ package.  With B = t^v * U and U(0) != 0 the value at n is
 
 zero when vk > n.  A scheme keeps one lazy column per k, computed once
 and only as far as a read needs, so a value at n costs coefficients up to
-n - vk whatever k is.  What the factory declares picks the column's kind
-(WeightScheme): a scaling (s, E), for the binomial blocks at alpha, beta
-!= 0 and their truncations, gives ordinary coefficients of (s U)^k in
-ints; an equation alone gives EGF coefficients of B^k in ints; neither,
-Miller's column of reduced pairs.  Each runs an online recurrence with
-one exact division per coefficient, and a value is one `rational`.
-WeightScheme.value reads a value, product_coefficient and egf the same
-column (by exact's kernels); egf and the *_series views load series.
+n - vk whatever k is.  A declared scaling (s, E), for the binomial blocks
+at alpha, beta != 0 and their truncations, gives a column of ordinary
+coefficients of (s U)^k in ints; every other scheme keeps EGF
+coefficients of B^k, in ints where a declared D clears its weights (every
+factory's does) and in Fractions for a bare scheme whose weights are not
+integers.  Each runs an online recurrence with one exact division per
+coefficient, and a value is one `rational`.  WeightScheme.value reads a
+value and egf the same column (by exact's kernels); egf and the *_series
+views load series.
 
 Each family's factory also declares the first-order linear differential
 equations its two series satisfy, a*P' = p*P and a*B' = b*B + q with
@@ -42,8 +43,8 @@ from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import (CACHE_SIZE, FallingFactorials, Rational, _integer_fill, _miller_fill,
-                    _ordinary_fill, _special_sum, rational)
+from .exact import (CACHE_SIZE, FallingFactorials, Rational, _integer_fill, _ordinary_fill,
+                    _special_sum, rational)
 
 __all__ = [
     "WeightScheme",
@@ -69,40 +70,38 @@ class WeightScheme:
     ode, where the family declares one, is (a1, p, b, degree, q): with
     a = 1 + a1*t, a*P' = p*P and a*B' = b*B + q, q of that degree and q(i)
     = i! [t^i] q, read only as far as a recurrence needs it.  degree may be
-    math.inf, for a q that is a series, read term by term.  Next to it
-    come denominator, D, the lcm of the parameters' denominators, so that
-    D^(m-1) bw(m) and D^g sw(g) are integers, and, where a fixed E clears
-    the ordinary coefficients u_i = bw(v+i)/(v+i)! and p_g = sw(g)/g!,
-    scaling = (s, E): E^(v+i-1) s u_i and E^g p_g are integers.
+    math.inf, for a q that is a series, read term by term; only recurrence
+    reads it.  Next to it come denominator, D, the lcm of the parameters'
+    denominators, so that D^(m-1) bw(m) and D^g sw(g) are integers, and,
+    where a fixed E clears the ordinary coefficients u_i = bw(v+i)/(v+i)!
+    and p_g = sw(g)/g!, scaling = (s, E): E^(v+i-1) s u_i and E^g p_g are
+    integers.  A declared D or scaling that leaves one fractional raises.
 
     The instance also keeps what it has computed, extended as values are
     read, so every new scheme starts with an empty store and no read
     hashes the scheme.  With B = t^v * U, P and U are shared by every k:
-    their non-zero terms are kept, U indexed from u_0, in the kind of
-    column its declaration picks when the scheme is built:
+    their non-zero terms are kept, U indexed from u_0, in one of two kinds
+    of column, as the scaling picks:
 
     * a scaling (ordinary): E^(v+i-1) s u_i as (i, int) and E^g p_g as (g,
-      int).  Column k is the ints W_j = E^(j+k(v-1)) [t^j] (s U)^k
-      (exact._ordinary_term) and c_j = [t^j] P * U^k as the pair of the
-      int E^(j+k(v-1)) [t^j] P * (s U)^k and s^k E^(j+k(v-1)).
-    * an equation alone (EGF): beta_(v+i) = D^(v+i-1) bw(v+i) as (i, beta)
-      and D^g sw(g) as (g, D^g sw(g)).  Column k is (x,), the ints x_j =
-      D^(N-k) (N!/k!) [t^N] B^k at N = vk + j (exact._egf_term), and the
-      value at n is sum_g C(n, g) D^g sw(g) x_(n-vk-g) / D^(n-k).
-    * neither (Miller's): u_i and p_g as reduced (index, numerator,
-      denominator).  Column k is the pairs w_j of U^k as numerators and
-      denominators (exact._miller_term) and the pairs c_j of P * U^k.
-
-    In the ordinary and Miller's columns the value at n is n!/k! c_(n-vk).
+      int).  Column k is (W, c), the ints W_j = E^(j+k(v-1)) [t^j] (s U)^k
+      (exact._ordinary_term) and c_j = E^(j+k(v-1)) [t^j] P * (s U)^k,
+      and the value at n is n!/k! c_(n-vk) / (s^k E^(n-k)).
+    * none (EGF): beta_(v+i) = D^(v+i-1) bw(v+i) as (i, beta) and D^g
+      sw(g) as (g, D^g sw(g)), D being 1 where none is declared, so a bare
+      scheme keeps a Fraction where its weight is not an integer.  Column k
+      is (x,), x_j = D^(N-k) (N!/k!) [t^N] B^k at N = vk + j
+      (exact._egf_term), and the value at n is sum_g C(n, g) D^g sw(g)
+      x_(n-vk-g) / D^(n-k).
 
     The values already read are kept by (k, n).  The recurrence keeps the
     q(i) and one column of values per j.  One lock guards the store, so
     concurrent readers never extend a list twice.
     """
 
-    __slots__ = ("name", "special_weight", "block_weight", "ode", "denominator", "scaling", "_kind",
-                 "_lock", "_block_top", "_v", "_u0", "_unit", "_special", "_special_top", "_by_k",
-                 "_values", "_q", "_rows")
+    __slots__ = ("name", "special_weight", "block_weight", "ode", "denominator", "scaling", "_lock",
+                 "_block_top", "_v", "_u0", "_unit", "_special", "_special_top", "_by_k", "_values",
+                 "_q", "_rows")
 
     def __init__(
         self,
@@ -110,7 +109,7 @@ class WeightScheme:
         special_weight: Callable[[int], Rational],
         block_weight: Callable[[int], Rational],
         ode: tuple | None = None,
-        denominator: int = 1,
+        denominator: int | None = None,
         scaling: tuple | None = None,
     ):
         self.name = name
@@ -119,7 +118,6 @@ class WeightScheme:
         self.ode = ode
         self.denominator = denominator
         self.scaling = scaling
-        self._kind = "ordinary" if scaling else "pairs" if ode is None else "egf"
         self._lock = threading.Lock()
         self._block_top = 0  # b_1..b_block_top scanned
         self._v = self._u0 = None  # v and u_0 as kept, once a non-zero b_m is found
@@ -156,12 +154,6 @@ class WeightScheme:
                 value = self._values[k, n] = self._value(k, n)
         return value
 
-    def product_coefficient(self, k: int, n: int) -> Fraction:
-        """k! [t^n] of the EGF with k blocks, that is [t^n] P * B^k, read from
-        column k as value(k, n) * k!/n!; it extends the column only up to
-        t^(n - vk)."""
-        return _over(self.value(k, n), math.perm(n, n - k)) if k <= n else Fraction(0)
-
     def egf(self, k: int, order: int) -> TruncatedSeries:
         """EGF of the pairs with k blocks: special * block^k / k!, mod t^(order+1).
         Blocks are non-empty, so it is zero when k > order and 1/k! is not formed."""
@@ -170,7 +162,7 @@ class WeightScheme:
             return TruncatedSeries.zero(order)
         if k == 0:
             return self.special_series(order)
-        if self._kind == "egf":
+        if not self.scaling:
             self.value(k, order)  # one read fills the column as far as every other needs
             return TruncatedSeries(
                 [_over(self.value(k, n), math.factorial(n)) for n in range(order + 1)], order)
@@ -178,10 +170,14 @@ class WeightScheme:
             found = self._column(k, order)
         if found is None:
             return TruncatedSeries.zero(order)
-        (*_, coeffs), top = found
-        scale = math.factorial(k)
-        return TruncatedSeries([0] * (order - top) + [
-            Fraction(num, den * scale) for num, den in coeffs[:top + 1]], order)
+        (_, coeffs), top = found
+        s, e = self.scaling
+        den = math.factorial(k) * s ** k * e ** (order - top - k)  # k! s^k E^(k(v-1))
+        series = [0] * (order - top)
+        for c in coeffs[:top + 1]:
+            series.append(Fraction(c, den))
+            den *= e
+        return TruncatedSeries(series, order)
 
     def recurrence(self, k: int, n: int) -> Rational:
         """The value at (n, k) from the declared differential equation alone,
@@ -226,24 +222,20 @@ class WeightScheme:
 
     # -- the store; callers hold its lock --------------------------------------
 
-    def _term(self, weight: Callable[[int], Rational], size: int, power: int) -> tuple:
+    def _term(self, weight: Callable[[int], Rational], size: int, power: int) -> Rational:
         """weight(size) as the store keeps it, power being 1 for a block and 0
-        for the special set: the int D^(size - power) w or E^(size - power)
-        s^power w / size! as a 1-tuple in an EGF or an ordinary column, the
-        reduced pair of w / size! in Miller's.  A zero is (0,) or (0, 1)."""
+        for the special set: D^(size - power) w in an EGF column, E^(size -
+        power) s^power w / size! in an ordinary one."""
         w = weight(size)
-        if self._kind == "pairs":
-            w = _over(w, math.factorial(size)) if w else Fraction(0)
-            return w.numerator, w.denominator
         if not w:
-            return (0,)
-        s, e = self.scaling or (1, self.denominator)
-        scaled, remainder = divmod(w.numerator * e ** (size - power) * s ** power,
-                                   w.denominator * (math.factorial(size) if self.scaling else 1))
-        if remainder:
-            raise ValueError("scheme %s: the declared scaling leaves the weight of size %d"
+            return 0
+        s, e = self.scaling or (1, self.denominator or 1)
+        scaled = rational(w.numerator * e ** (size - power) * s ** power,
+                          w.denominator * (math.factorial(size) if self.scaling else 1))
+        if isinstance(scaled, Fraction) and (self.scaling or self.denominator):
+            raise ValueError("scheme %s: the declared D or scaling leaves the weight of size %d"
                              " fractional" % (self.name, size))
-        return (scaled,)
+        return scaled
 
     def _valuation(self, limit: int) -> int | None:
         """v, the first size with a non-zero block weight, looked for up to
@@ -251,7 +243,7 @@ class WeightScheme:
         while self._v is None and self._block_top < limit:
             m = self._block_top + 1
             u0 = self._term(self.block_weight, m, 1)
-            if u0[0]:
+            if u0:
                 self._v, self._u0 = m, u0
             self._block_top = m
         return self._v
@@ -268,30 +260,25 @@ class WeightScheme:
         # leaves the store consistent
         for g in range(self._special_top + 1, top + 1):
             p = self._term(self.special_weight, g, 0)
-            if p[0]:
-                self._special.append((g, *p))
+            if p:
+                self._special.append((g, p))
             self._special_top = g
         for m in range(self._block_top + 1, v + top + 1 if k >= 2 else 0):
             u = self._term(self.block_weight, m, 1)
-            if u[0]:
-                self._unit.append((m - v, *u))
+            if u:
+                self._unit.append((m - v, u))
             self._block_top = m
         column = self._by_k.get(k)
         if column is None:
-            column = self._by_k[k] = tuple([] for _ in range(_LISTS[self._kind]))
-        if k == 1:  # U^1 = U: its terms go to x or W, or to w_num and w_den
-            for j in range(len(column[0]), top + 1):
-                for entries, part in zip(column, self._term(self.block_weight, v + j, 1)):
-                    entries.append(part)
-        if self._kind == "egf":
-            if k >= 2:
-                _integer_fill(k, v, self._u0[0], self._unit, column, top)
-        elif self._kind == "ordinary":
-            s, e = self.scaling
-            _ordinary_fill(k, self._u0[0], self._unit, self._special, column, top,
-                           s ** k * e ** (k * v - k), e)
-        else:
-            _miller_fill(k, self._u0, self._unit, self._special, column, top)
+            column = self._by_k[k] = ([], []) if self.scaling else ([],)
+        if k == 1:  # U^1 = U: its terms are x or W
+            first = column[0]
+            for j in range(len(first), top + 1):
+                first.append(self._term(self.block_weight, v + j, 1))
+        if self.scaling:
+            _ordinary_fill(k, self._u0, self._unit, self._special, column, top)
+        elif k >= 2:
+            _integer_fill(k, v, self._u0, self._unit, column, top)
         return column, top
 
     def _value(self, k: int, n: int) -> Rational:
@@ -301,14 +288,11 @@ class WeightScheme:
         if found is None:
             return 0
         column, top = found
-        if self._kind == "egf":
-            return rational(_special_sum(n, top, self._special, column[0]),
-                            self.denominator ** (n - k))
-        num, den = column[-1][top]
-        return rational(num * math.perm(n, n - k), den)
-
-
-_LISTS = {"egf": 1, "ordinary": 2, "pairs": 3}  # the lists a column of each kind holds
+        if self.scaling:
+            s, e = self.scaling
+            return rational(column[1][top] * math.perm(n, n - k), s ** k * e ** (n - k))
+        return rational(_special_sum(n, top, self._special, column[0]),
+                        (self.denominator or 1) ** (n - k))
 
 
 def _over(value: Rational, divisor: int) -> Fraction:
@@ -417,13 +401,14 @@ def partial_degenerate_swapped_scheme(
     gamma: Rational, alpha: Rational, beta: Rational, ell: int
 ) -> WeightScheme:
     """Orientation with the weights on the wrong side of ell (audit target;
-    it declares no differential equation)."""
+    it declares no differential equation, only its D)."""
     a, b, g = rational(alpha), rational(beta), rational(gamma)
     blocks = _degenerate_blocks(a, b)
     return WeightScheme(
         name="partial_degenerate_swapped(%s,%s,%s,ell=%d)" % (g, a, b, ell),
         special_weight=lambda size: g ** size,
         block_weight=lambda size: 1 if size <= ell else blocks(size),
+        denominator=math.lcm(g.denominator, a.denominator, b.denominator),
     )
 
 

@@ -20,9 +20,10 @@ The recurrence is online: w_n needs only u_0..u_n and w_0..w_(n-1)
 (J. van der Hoeven, "Relax, but don't be too lazy", J. Symbolic
 Computation 34, 2002).  exact._miller_term computes one w_n and
 exact._product_term one coefficient of a product, each as a reduced
-numerator-denominator pair; the weight schemes with a1 != 0 extend each
-column P * U^k with them, one coefficient at a time, as values are read,
-and need no series module to do it (the others run exact._egf_term).
+numerator-denominator pair; series powers, series products and the
+partial Bell numbers run on them.  The weight schemes' columns run
+integer kernels of their own (exact._egf_term, exact._ordinary_term),
+one coefficient at a time as values are read, and need no series module.
 """
 
 from __future__ import annotations

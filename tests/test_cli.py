@@ -8,7 +8,8 @@ import pytest
 
 import stirlingkit.cli as cli
 from stirlingkit.exact import format_rational
-from stirlingkit.families import FAMILIES, FAMILY_TAGS, PARAMETERS, FamilySpec, family_value
+from stirlingkit.families import (FAMILIES, FAMILY_TAGS, METHODS, PARAMETERS, FamilySpec,
+                                  family_value)
 
 
 def run(capsys, *argv):
@@ -35,7 +36,7 @@ def test_value_examples(capsys):
 def test_value_methods(capsys):
     args = "value --family degenerate --lambda 1/2 --n 5 --k 3".split()
     expected = None
-    for method in ("egf", "recurrence", "explicit", "oracle"):
+    for method in METHODS:
         code, out, _ = run(capsys, *args, "--method", method)
         assert code == 0
         expected = expected or out

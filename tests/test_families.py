@@ -110,15 +110,15 @@ def test_methods_agree(spec):
             assert PUBLIC_VALUE[spec.tag](spec, n, k) == canonical
             assert family_value(spec, n, k, "recurrence") == canonical
             assert family_value(spec, n, k, "oracle") == canonical
-            if spec.tag in ("classic", "degenerate", "generalized"):
+            if FAMILIES[spec.tag].explicit is not None:
                 assert family_value(spec, n, k, "explicit") == canonical
 
 
 def test_recurrence_routes_multiply_no_series(monkeypatch):
     # the recurrence reads the scheme's declared equation only: it forms
     # no series product, and none of the lazy columns' coefficients, which
-    # go through exact._pair_sum in Miller's columns, exact._egf_term in the
-    # EGF integer ones and exact._ordinary_term in the ordinary ones
+    # go through exact._egf_term in the EGF columns and exact._ordinary_term
+    # in the ordinary ones
     def refuse(*args):
         raise AssertionError("the recurrence route multiplied series")
 
@@ -140,9 +140,9 @@ def test_recurrence_routes_multiply_no_series(monkeypatch):
         for n in range(0, 9):
             for k in range(0, n + 1):
                 family_value(spec, n, k, "recurrence")
-    # each column kind: classic and the log blocks of generalized at beta =
-    # 0 read the EGF integer column, generalized at beta != 0 the ordinary
-    # one and a scheme that declares no equation Miller's
+    # each column kind: classic, the log blocks of generalized at beta = 0
+    # and a scheme that declares no equation read the EGF column,
+    # generalized at beta != 0 the ordinary one
     for beta in (0, params["beta"]):
         with pytest.raises(AssertionError):
             family_value(FamilySpec("generalized", alpha=params["alpha"], beta=beta,
@@ -160,7 +160,7 @@ def test_independent_routes_never_read_a_column(monkeypatch):
     def refuse(*args):
         raise AssertionError("an independent route read a column")
 
-    for name in ("value", "product_coefficient", "egf", "_column"):
+    for name in ("value", "egf", "_column"):
         monkeypatch.setattr(schemes.WeightScheme, name, refuse)
     for name in ("_pair_sum", "_egf_term", "_ordinary_term"):
         monkeypatch.setattr(exact, name, refuse)

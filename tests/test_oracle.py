@@ -211,7 +211,8 @@ COLUMN_SCHEMES = [FAMILIES[spec.tag].scheme(spec) for spec in _SPECS] + [
 @pytest.mark.parametrize("scheme", COLUMN_SCHEMES, ids=lambda scheme: scheme.name)
 def test_columns_match_the_dense_formula(scheme):
     # a new scheme on the same weights starts with an empty store; declaring
-    # no equation, it reads Miller's column
+    # no D, it reads the EGF column in Fractions wherever its weights are not
+    # integers
     _check_columns(scheme, WeightScheme(scheme.name, scheme.special_weight, scheme.block_weight))
 
 
@@ -222,8 +223,8 @@ def test_integer_columns_match_the_dense_formula(scheme):
     # no scaling, so it reads the EGF integer column, whatever its a1
     fresh = WeightScheme(scheme.name, scheme.special_weight, scheme.block_weight, scheme.ode,
                          scheme.denominator)
-    assert fresh._kind == "egf"
     _check_columns(scheme, fresh)
+    assert all(type(x) is int for column in fresh._by_k.values() for x in column[0])
 
 
 @pytest.mark.parametrize("scheme", [scheme for scheme in COLUMN_SCHEMES if scheme.scaling],
@@ -233,8 +234,8 @@ def test_ordinary_columns_match_the_dense_formula(scheme):
     # reads the ordinary integer column
     fresh = WeightScheme(scheme.name, scheme.special_weight, scheme.block_weight, scheme.ode,
                          scheme.denominator, scheme.scaling)
-    assert fresh._kind == "ordinary"
     _check_columns(scheme, fresh)
+    assert all(len(column) == 2 for column in fresh._by_k.values())
 
 
 def _check_columns(scheme, fresh):
@@ -246,10 +247,44 @@ def _check_columns(scheme, fresh):
     random.Random(scheme.name).shuffle(cells)
     for k, n in cells:
         assert fresh.value(k, n) == egf_coeff(dense[k], n)
-        assert fresh.product_coefficient(k, n) == dense[k].coefficient(n) * math.factorial(k)
     for k in ks:
         assert fresh.egf(k, order) == dense[k]
     assert fresh._by_k is not scheme._by_k and fresh._values is not scheme._values
+
+
+@pytest.mark.parametrize("scheme", COLUMN_SCHEMES, ids=lambda scheme: scheme.name)
+def test_factory_columns_hold_only_ints(scheme):
+    # every factory declares a D (or a scaling) that clears its weights, so
+    # once every value up to n = 12 is read its store holds no Fraction: a
+    # wrong declaration fails here instead of moving a family onto Fractions
+    for n in range(13):
+        for k in range(n + 2):
+            scheme.value(k, n)
+    kept = [x for column in scheme._by_k.values() for part in column for x in part]
+    kept += [term for _, term in scheme._unit + scheme._special]
+    assert all(type(x) is int for x in kept)
+
+
+def _bare_scheme(v):
+    # weights no fixed D clears: sw(g) = 1/2^g, bw(m) = 1/m! from size v on
+    return WeightScheme("bare(v=%d)" % v, lambda g: Fraction(1, 2 ** g),
+                        lambda m: Fraction(1, math.factorial(m)) if m >= v else 0)
+
+
+@pytest.mark.parametrize("v", [1, 2, 3])
+def test_bare_schemes_read_exact_fractions(v):
+    # a scheme that declares no D reads the EGF column in Fractions: its
+    # values are the weighted sums over every pair, and its series the
+    # exponential formula on whole series, the power by repeated products
+    scheme = _bare_scheme(v)
+    for n in range(10):
+        for k in range(n + 2):
+            assert scheme.value(k, n) == oracle_sum(n, k, scheme), (n, k)
+    order, fresh = 14, _bare_scheme(v)
+    block, power = fresh.block_series(order), fresh.special_series(order)
+    for k in range(8):
+        assert fresh.egf(k, order) == power * Fraction(1, math.factorial(k)), k
+        power = power * block
 
 
 def test_scheme_factory_cache_is_bounded():

@@ -8,9 +8,10 @@ beta != 0, the explicit sum.  The generalized numbers must obey the
 scaling identity, the composition law and its inverse pairs
 (orthogonality and the degenerate pair), on the explicit sum too
 wherever every triple has beta != 0, truncated series the
-commutative-ring axioms, and a series power must equal the repeated
+commutative-ring axioms, a series power must equal the repeated
 product at a cost, counted in series products, that does not grow with
-the exponent.
+the exponent, and a bare scheme on random rational weights must equal
+the enumeration.
 Runs are derandomized and bounded, so the suite stays deterministic and
 fast.
 """
@@ -150,7 +151,7 @@ INTEGER_COLUMN_SCHEMES = {
 def test_integer_column_equals_the_recurrence_and_the_series(tag, data):
     drawn = data.draw(INTEGER_COLUMN_SCHEMES[tag])
     assert drawn.scaling is None
-    _check_declared_column(_fresh(drawn), "egf", data)
+    _check_declared_column(_fresh(drawn), data)
 
 
 def _fresh(drawn):
@@ -159,8 +160,7 @@ def _fresh(drawn):
                                 drawn.denominator, drawn.scaling)
 
 
-def _check_declared_column(scheme, kind, data):
-    assert scheme._kind == kind
+def _check_declared_column(scheme, data):
     n = data.draw(st.integers(0, 30))
     ks = data.draw(st.lists(st.integers(0, n + 1), min_size=1, max_size=3))
     block, power = scheme.block_series(n), TruncatedSeries.one(n)
@@ -172,6 +172,8 @@ def _check_declared_column(scheme, kind, data):
             assert value == expected and type(value) is type(expected), (k, n)
             assert scheme.egf(k, n) == special * power * Fraction(1, math.factorial(k)), k
         power = power * block
+    # the declared D or scaling cleared every weight the reads kept
+    assert all(type(x) is int for column in scheme._by_k.values() for part in column for x in part)
 
 
 NONZERO = RATIONALS.filter(bool)
@@ -197,8 +199,8 @@ def test_alpha_columns_equal_the_recurrence_and_the_series(tag, data):
     # scaling and read the ordinary column; the log blocks of beta = 0 the
     # EGF one
     drawn, beta = data.draw(alpha_schemes(tag))
-    assert drawn.ode[0] != 0
-    _check_declared_column(_fresh(drawn), "ordinary" if beta else "egf", data)
+    assert drawn.ode[0] != 0 and bool(drawn.scaling) == bool(beta)
+    _check_declared_column(_fresh(drawn), data)
 
 
 @pytest.mark.parametrize("triple", [(Fraction(1, 2), Fraction(-1, 3), Fraction(1, 2)),
@@ -215,6 +217,41 @@ def test_a_scaling_that_does_not_clear_the_coefficients_raises(triple):
     with pytest.raises(ValueError, match="fractional"):
         wrong.egf(2, 12)
     assert _fresh(drawn).egf(2, 12) == drawn.egf(2, 12)
+
+
+@pytest.mark.parametrize("drawn", [
+    schemes.generalized_scheme(Fraction(1, 2), 0, Fraction(1, 2)),
+    schemes.partial_degenerate_scheme(Fraction(1, 2), Fraction(1, 2), Fraction(-1, 3), 2),
+    schemes.free_atleast_scheme(Fraction(1, 2), 1),
+    schemes.partial_degenerate_swapped_scheme(Fraction(1, 2), Fraction(1, 2), Fraction(-1, 3), 2),
+], ids=lambda scheme: scheme.name)
+def test_a_denominator_that_does_not_clear_the_weights_raises(drawn):
+    # the EGF twin of the scaling check: a declared D = 1 leaves a weight
+    # fractional, so the first read that needs it raises instead of
+    # returning a value on Fractions
+    assert drawn.scaling is None and drawn.denominator > 1
+    wrong = schemes.WeightScheme(drawn.name, drawn.special_weight, drawn.block_weight,
+                                 drawn.ode, 1)
+    with pytest.raises(ValueError, match="fractional"):
+        wrong.egf(2, 12)
+    assert _fresh(drawn).egf(2, 12) == drawn.egf(2, 12)
+
+
+@st.composite
+def bare_schemes(draw):
+    # rational weights with zeros, valuation v = 1..3, declaring nothing
+    v = draw(st.integers(1, 3))
+    special = [1] + draw(st.lists(st.one_of(st.just(0), RATIONALS), min_size=9, max_size=9))
+    blocks = [0] * v + [draw(NONZERO)] + draw(
+        st.lists(st.one_of(st.just(0), RATIONALS), min_size=9 - v, max_size=9 - v))
+    return schemes.WeightScheme("bare", special.__getitem__, blocks.__getitem__)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(scheme=bare_schemes(), n=st.integers(0, 9))
+def test_bare_schemes_equal_the_oracle(scheme, n):
+    for k in range(n + 2):
+        assert scheme.value(k, n) == oracle_sum(n, k, scheme), k
 
 
 @st.composite
@@ -258,25 +295,24 @@ def test_power_equals_repeated_product(s, k):
 
 
 def test_family_series_products_do_not_depend_on_k(monkeypatch):
-    # Miller's column runs the recurrence on U = B / t, so the coefficient
-    # products it sums for block^k, and for the special series times it,
-    # do not grow with k: k = 2 and k = 640 form the same number
+    # a bare scheme on rational weights reads the EGF column in Fractions,
+    # whose x_j sums one product per weight term s <= j, whatever k is:
+    # k = 2 and k = 640 form the same number
     counts = []
-    real = exact._pair_sum
+    real = exact._egf_term
 
-    def counting(nums, dens, *scale):
-        counts[-1] += len(nums)
-        return real(nums, dens, *scale)
+    def counting(j, k, v, u0, terms, row, x):
+        counts[-1] += sum(s <= j for s, _ in terms)
+        return real(j, k, v, u0, terms, row, x)
 
-    monkeypatch.setattr(exact, "_pair_sum", counting)
-    drawn = schemes.generalized_scheme(Fraction(1, 2), Fraction(-1, 3), 2)
-    # a new scheme on the same weights has read no column yet; declaring no
-    # equation, it reads Miller's column
+    monkeypatch.setattr(exact, "_egf_term", counting)
+    drawn = schemes.generalized_scheme(Fraction(5, 7), Fraction(-2, 9), Fraction(4, 11))
     scheme = schemes.WeightScheme(drawn.name, drawn.special_weight, drawn.block_weight)
     for k in (2, 640):
         counts.append(0)
         scheme.egf(k, k + 10)
     assert counts[0] == counts[1] > 0
+    assert any(isinstance(x, Fraction) for x in scheme._by_k[2][0])
 
 
 def test_ordinary_column_products_do_not_depend_on_k(monkeypatch):
