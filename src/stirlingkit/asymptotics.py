@@ -56,7 +56,6 @@ __all__ = [
     "partial_bell",
     "VanishingPochhammer",
     "hsu_expansion",
-    "shifted_mixed_series",
     "AsymptoticRow",
     "asymptotic_partial",
     "decimal_str",
@@ -159,24 +158,10 @@ def hsu_expansion(a: Sequence[Rational], n: int, lam: Rational, m: int) -> Fract
 def _psi_coeffs(
     gamma: Fraction, alpha: Fraction, beta: Fraction, ell: int, order: int
 ) -> list[Fraction]:
-    """psi_0..psi_order of shifted_mixed_series, as a list."""
+    """psi_0..psi_order, psi_j = [t^(j+1)] of e^(gamma*t) * mixed block series,
+    that is S(j+1, 1) / (j+1)!: psi_0 = 1, an a_0 = 1 input for the expansion."""
     return [Fraction(partial_deg(j + 1, 1, ell, gamma, alpha, beta), math.factorial(j + 1))
             for j in range(order + 1)]
-
-
-def shifted_mixed_series(
-    gamma: Fraction, alpha: Fraction, beta: Fraction, ell: int, order: int
-) -> TruncatedSeries:
-    """psi with psi_j = [t^(j+1)] of e^(gamma*t) * mixed block series,
-    that is S(j+1, 1) / (j+1)!.
-
-    The product vanishes at t = 0 with unit linear coefficient, so psi
-    is a valid a_0 = 1 input for the expansion machinery.
-    """
-    from .series import TruncatedSeries  # a row reads the list; only this loads series
-    psi = TruncatedSeries(_psi_coeffs(gamma, alpha, beta, ell, order), order)
-    assert psi.coefficient(0) == 1
-    return psi
 
 
 # k and n_total are ints, mode a str; estimate, exact and rel_error are

@@ -40,23 +40,16 @@ __all__ = [
 
 def stirling2(n: int, k: int) -> int:
     """Partitions of an n-set into k non-empty blocks."""
-    check_indices(n, k)
     return classic_scheme().value(k, n)
 
 
 def stirling2_restricted(n: int, k: int, ell: int) -> int:
     """Partitions of an n-set into k blocks, each of size at most ell."""
-    check_indices(n, k, ell)
-    # the column cannot see that the block series is a polynomial of degree
-    # ell, so it would reach this zero only after O(n) coefficients
-    if n > k * ell:
-        return 0
     return restricted_scheme(ell).value(k, n)
 
 
 def stirling2_associated(n: int, k: int, ell: int) -> int:
     """Partitions of an n-set into k blocks, each of size at least ell."""
-    check_indices(n, k, ell)
     return associated_scheme(ell).value(k, n)
 
 
@@ -66,7 +59,6 @@ def stirling2_associated(n: int, k: int, ell: int) -> int:
 def stirling2_rec(n: int, k: int) -> int:
     """Standard recursion S(n,k) = k*S(n-1,k) + S(n-1,k-1): the classic
     scheme's declared recurrence, which is this rule itself."""
-    check_indices(n, k)
     return classic_scheme().recurrence(k, n)
 
 
@@ -91,7 +83,6 @@ def stirling2_restricted_rec(n: int, k: int, ell: int) -> int:
     """Size-limited recursion: the new element's block takes i more members,
     i <= ell-1, and the rest form k-1 blocks.  This is the restricted
     scheme's declared recurrence, B' = q with q(i) = 1 for i < ell."""
-    check_indices(n, k, ell)
     return restricted_scheme(ell).recurrence(k, n)
 
 
@@ -99,7 +90,6 @@ def stirling2_associated_rec(n: int, k: int, ell: int) -> int:
     """Size-floored recursion: the new element's block takes i >= ell-1 more
     members.  This printed sum is not the associated scheme's own equation,
     so it runs on a scheme with the same weights and the trivial B' = q."""
-    check_indices(n, k, ell)
     return _printed_associated_scheme(ell).recurrence(k, n)
 
 

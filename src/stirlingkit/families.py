@@ -27,7 +27,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import schemes as _schemes
-from .exact import Rational, check_indices
+from .exact import Rational
 from .names import METHODS, PARAMETERS
 
 _package = sys.modules[__package__]  # imports a route module on first access (PEP 562)
@@ -167,7 +167,6 @@ def family_value(spec: FamilySpec, n: int, k: int, method: str = "egf") -> Ratio
         if family.explicit is None:
             raise ValueError("no explicit-sum formula for family %r" % spec.tag)
         return Fraction(family.explicit(spec, n, k))
-    check_indices(n, k)
     if method == "recurrence":
         return Fraction(family.scheme(spec).recurrence(k, n))
     return family.scheme(spec).value(k, n)
@@ -175,8 +174,6 @@ def family_value(spec: FamilySpec, n: int, k: int, method: str = "egf") -> Ratio
 
 def family_egf(spec: FamilySpec, k: int, order: int):
     """The family's generating function at block count k, truncated."""
-    if k < 0 or order < 0:
-        raise ValueError("k and order must be non-negative")
     return FAMILIES[spec.tag].scheme(spec).egf(k, order)
 
 

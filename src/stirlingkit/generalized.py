@@ -40,7 +40,6 @@ __all__ = [
 
 def gen_stirling(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational) -> Rational:
     """Generalized Stirling number for the parameter triple (alpha, beta, gamma)."""
-    check_indices(n, k)
     return generalized_scheme(alpha, beta, gamma).value(k, n)
 
 
@@ -48,7 +47,6 @@ def gen_stirling_rec(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rat
     """Same value through the triangular recursion (works for any beta),
     which is the scheme's declared differential equation read by
     WeightScheme.recurrence, filled iteratively so n has no depth limit."""
-    check_indices(n, k)
     return generalized_scheme(alpha, beta, gamma).recurrence(k, n)
 
 

@@ -58,7 +58,6 @@ def gen_restricted(
     n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational, ell: int
 ) -> Rational:
     """Generalized numbers with every ordinary block of size at most ell."""
-    check_indices(n, k, ell)
     return gen_restricted_scheme(alpha, beta, gamma, ell).value(k, n)
 
 
@@ -67,7 +66,6 @@ def gen_restricted_rec(
 ) -> Rational:
     """Recurrence path (no generating function); any beta: the scheme's
     declared differential equation read by WeightScheme.recurrence."""
-    check_indices(n, k, ell)
     return gen_restricted_scheme(alpha, beta, gamma, ell).recurrence(k, n)
 
 
@@ -161,14 +159,12 @@ def _safe_gen_restricted(
 
 def free_atleast(n: int, k: int, gamma: Rational, ell: int) -> Rational:
     """Pairs (G, P_k) weighted gamma^|G| with every block larger than ell."""
-    check_indices(n, k, ell)
     return free_atleast_scheme(gamma, ell).value(k, n)
 
 
 def free_atleast_rec(n: int, k: int, gamma: Rational, ell: int) -> Rational:
     """Recurrence path (no generating function): the scheme's declared
     differential equation read by WeightScheme.recurrence."""
-    check_indices(n, k, ell)
     return free_atleast_scheme(gamma, ell).recurrence(k, n)
 
 

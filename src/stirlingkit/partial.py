@@ -60,7 +60,6 @@ def partial_deg(
     n: int, k: int, ell: int, gamma: Rational, alpha: Rational, beta: Rational
 ) -> Rational:
     """Weighted count of mixed free/degenerate-cell partitions."""
-    check_indices(n, k, ell)
     return partial_degenerate_scheme(gamma, alpha, beta, ell).value(k, n)
 
 
@@ -219,21 +218,16 @@ def partial_deg_rec(
 ) -> Rational:
     """Recurrence path (no generating function): the scheme's declared
     differential equation read by WeightScheme.recurrence."""
-    check_indices(n, k, ell)
     return partial_degenerate_scheme(gamma, alpha, beta, ell).recurrence(k, n)
 
 
 def colored_singleton_rec(n: int, k: int, r: int, s: int) -> int:
     """Recurrence path for the colored-singleton numbers: the scheme's
     declared differential equation read by WeightScheme.recurrence."""
-    if n < 0 or k < 0 or r < 0 or s < 0:
-        raise ValueError("all arguments must be non-negative")
     return colored_singleton_scheme(r, s).recurrence(k, n)
 
 
 def colored_singleton(n: int, k: int, r: int, s: int) -> int:
     """Partition count with an r-compartment free special set and singleton
     blocks colored one of s ways."""
-    if n < 0 or k < 0 or r < 0 or s < 0:
-        raise ValueError("all arguments must be non-negative")
     return colored_singleton_scheme(r, s).value(k, n)

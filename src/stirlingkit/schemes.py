@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import (CACHE_SIZE, FallingFactorials, Rational, _integer_fill, _ordinary_fill,
-                    _special_sum, rational)
+                    _special_sum, check_indices, rational)
 
 __all__ = [
     "WeightScheme",
@@ -95,13 +95,14 @@ class WeightScheme:
       x_(n-vk-g) / D^(n-k).
 
     The values already read are kept by (k, n).  The recurrence keeps the
-    q(i) and one column of values per j.  One lock guards the store, so
-    concurrent readers never extend a list twice.
+    q(i), the degrees of P and B and one column of values per j.  One lock
+    guards the store, so concurrent readers never extend a list twice.
+    Every read refuses a negative n or k, so no caller need check them.
     """
 
     __slots__ = ("name", "special_weight", "block_weight", "ode", "denominator", "scaling", "_lock",
                  "_block_top", "_v", "_u0", "_unit", "_special", "_special_top", "_by_k", "_values",
-                 "_q", "_rows")
+                 "_q", "_degrees", "_rows")
 
     def __init__(
         self,
@@ -127,6 +128,7 @@ class WeightScheme:
         self._by_k: dict = {}  # k -> its column
         self._values: dict = {}
         self._q: list = []  # q(0), q(1), ... as read so far
+        self._degrees = None  # (deg P, deg B) once q is read in full, see _degrees
         self._rows: list = []  # j -> [V(j, j), V(j+1, j), ...]
 
     def block_series(self, order: int) -> TruncatedSeries:
@@ -158,6 +160,7 @@ class WeightScheme:
         """EGF of the pairs with k blocks: special * block^k / k!, mod t^(order+1).
         Blocks are non-empty, so it is zero when k > order and 1/k! is not formed."""
         from .series import TruncatedSeries
+        check_indices(order, k)
         if k > order:
             return TruncatedSeries.zero(order)
         if k == 0:
@@ -187,7 +190,9 @@ class WeightScheme:
 
         from V(0, 0) = 1, so column 0 is sw(n).  Column j is kept from
         V(j, j) on and filled iteratively only to V(j + n - k, j), the band
-        the read needs, so n has no depth limit; k > n builds nothing."""
+        the read needs, so n has no depth limit; k > n builds nothing, nor
+        does n > deg P + k deg B, where the declaration fixes both degrees."""
+        check_indices(n, k)
         if self.ode is None:
             raise ValueError("scheme %s declares no differential equation" % self.name)
         if k > n:
@@ -201,6 +206,10 @@ class WeightScheme:
             q_hat = self._q
             for i in range(len(q_hat), min(degree, depth) + 1):
                 q_hat.append(q(i))
+            if len(q_hat) > degree:  # q is read in full, so the degrees are known
+                deg_p, deg_b = self._degrees = self._degrees or _degrees(a1, p, b, q_hat)
+                if n > deg_p + (k * deg_b if k else 0):
+                    return 0
             while len(rows) <= k:
                 rows.append([])
             # a fill leaves the columns no longer as j grows, so the ones
@@ -282,6 +291,7 @@ class WeightScheme:
         return column, top
 
     def _value(self, k: int, n: int) -> Rational:
+        check_indices(n, k)
         if k == 0:
             return rational(self.special_weight(n))
         found = self._column(k, n)
@@ -298,6 +308,21 @@ class WeightScheme:
 def _over(value: Rational, divisor: int) -> Fraction:
     """value / divisor as a Fraction, reduced once."""
     return Fraction(value.numerator, value.denominator * divisor)
+
+
+def _degrees(a1: Rational, p: Rational, b: Rational, q_hat: list) -> tuple:
+    """(deg P, deg B) as a*P' = p*P and a*B' = b*B + q fix them, math.inf for
+    a series that is no polynomial, q_hat holding every q(i) the degree
+    declares.  P = (1 + a1 t)^(p/a1), e^(pt) at a1 = 0, is one of degree
+    p/a1 when that is an integer >= 0 (0 at p = 0).  With b = 0, B' = q/a:
+    at a1 = 0 B has degree deg q + 1, and at a1 != 0 degree deg q when a
+    divides q, that is when q(-1/a1) = sum_i q(i)/i! (-1/a1)^i = 0."""
+    exponent = Fraction(p) / a1 if a1 else Fraction(0 if p == 0 else -1)
+    deg_p = int(exponent) if exponent >= 0 and exponent.denominator == 1 else math.inf
+    root = Fraction(-1) / a1 if a1 else 0
+    if b or a1 and sum(c * root ** i / math.factorial(i) for i, c in enumerate(q_hat)):
+        return deg_p, math.inf
+    return deg_p, max((i for i, c in enumerate(q_hat) if c), default=-1) + (0 if a1 else 1)
 
 
 def _degenerate_blocks(alpha: Rational, beta: Rational) -> Callable[[int], Rational]:
@@ -323,7 +348,8 @@ def _tail(block_weight: Callable[[int], Rational], ell: int, c: int,
 #
 # Each family's factory declares ode = (a1, p, b, degree, q) next to its weights,
 # the denominator D of its parameters (1 when it declares none) and, where
-# a fixed E clears its ordinary coefficients, the scaling (s, E).
+# a fixed E clears its ordinary coefficients, the scaling (s, E).  It refuses
+# a negative ell, r or s, as the scheme refuses a negative index.
 
 
 def _binomial_scaling(a: Rational, b: Rational, g: Rational) -> tuple:
@@ -354,6 +380,7 @@ def generalized_scheme(alpha: Rational, beta: Rational, gamma: Rational) -> Weig
 def gen_restricted_scheme(
     alpha: Rational, beta: Rational, gamma: Rational, ell: int
 ) -> WeightScheme:
+    check_indices(0, 0, ell)
     a, b, g = rational(alpha), rational(beta), rational(gamma)
     base = generalized_scheme(a, b, g)
     blocks = base.block_weight
@@ -369,6 +396,7 @@ def gen_restricted_scheme(
 
 @lru_cache(maxsize=CACHE_SIZE)
 def free_atleast_scheme(gamma: Rational, ell: int) -> WeightScheme:
+    check_indices(0, 0, ell)
     g = rational(gamma)
     return WeightScheme(
         name="free_atleast(%s,ell=%d)" % (g, ell),
@@ -385,6 +413,7 @@ def partial_degenerate_scheme(
 ) -> WeightScheme:
     """Free special set gamma^|G|; blocks of size <= ell carry the degenerate
     weight, larger blocks are free (weight 1)."""
+    check_indices(0, 0, ell)
     a, b, g = rational(alpha), rational(beta), rational(gamma)
     blocks = _degenerate_blocks(a, b)
     return WeightScheme(
@@ -402,6 +431,7 @@ def partial_degenerate_swapped_scheme(
 ) -> WeightScheme:
     """Orientation with the weights on the wrong side of ell (audit target;
     it declares no differential equation, only its D)."""
+    check_indices(0, 0, ell)
     a, b, g = rational(alpha), rational(beta), rational(gamma)
     blocks = _degenerate_blocks(a, b)
     return WeightScheme(
@@ -424,6 +454,7 @@ def classic_scheme() -> WeightScheme:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def restricted_scheme(ell: int) -> WeightScheme:
+    check_indices(0, 0, ell)
     return WeightScheme(
         name="restricted(ell=%d)" % ell,
         special_weight=classic_scheme().special_weight,
@@ -434,6 +465,7 @@ def restricted_scheme(ell: int) -> WeightScheme:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def associated_scheme(ell: int) -> WeightScheme:
+    check_indices(0, 0, ell)
     return WeightScheme(
         name="associated(ell=%d)" % ell,
         special_weight=classic_scheme().special_weight,
@@ -445,6 +477,8 @@ def associated_scheme(ell: int) -> WeightScheme:
 @lru_cache(maxsize=CACHE_SIZE)
 def colored_singleton_scheme(r: int, s: int) -> WeightScheme:
     """Special set r^|G|; singleton blocks may take one of s colors."""
+    if r < 0 or s < 0:
+        raise ValueError("all arguments must be non-negative")
     return WeightScheme(
         name="colored_singleton(r=%d,s=%d)" % (r, s),
         special_weight=lambda size: r ** size,

@@ -8,15 +8,16 @@ from stirlingkit import schemes
 from stirlingkit.asymptotics import (
     LITERAL_MODE_N_CAP,
     VanishingPochhammer,
+    _psi_coeffs,
     asymptotic_partial,
     decimal_str,
     hsu_expansion,
     integer_partitions,
     partial_bell,
-    shifted_mixed_series,
 )
 from stirlingkit.exact import falling_factorial
 from stirlingkit.partial import partial_deg, partial_deg_rec
+from stirlingkit.series import TruncatedSeries
 
 from conftest import random_rational
 
@@ -197,8 +198,7 @@ def test_hsu_int_and_fraction_lambda_agree(rng):
 def test_shifted_series_has_unit_head():
     for gamma in (Fraction(0), Fraction(1), Fraction(5, 2)):
         for ell in (0, 1, 3):
-            psi = shifted_mixed_series(gamma, Fraction(1), Fraction(2), ell, 6)
-            assert psi.coefficient(0) == 1
+            assert _psi_coeffs(gamma, Fraction(1), Fraction(2), ell, 6)[0] == 1
 
 
 def test_shift_identity():
@@ -206,7 +206,7 @@ def test_shift_identity():
     gamma, alpha, beta, ell = Fraction(1), Fraction(1), Fraction(2), 2
     for k in (3, 5, 8):
         for d in (0, 1, 2, 3, 4):
-            psi = shifted_mixed_series(gamma, alpha, beta, ell, d)
+            psi = TruncatedSeries(_psi_coeffs(gamma, alpha, beta, ell, d), d)
             lhs = (psi ** k).coefficient(d)
             n_tot = k + d
             rhs = partial_deg(n_tot, k, ell, gamma * k, alpha, beta) * Fraction(
@@ -226,7 +226,8 @@ def test_large_k_row_reads_d_plus_one_coefficients():
     (x,) = schemes.partial_degenerate_scheme(gamma * k, alpha, beta, ell)._by_k[k]
     assert len(x) <= d + 1
     # [t^d] psi^k = k! S(k+d, k) / (k+d)! by a series power instead
-    assert row.exact == (shifted_mixed_series(gamma, alpha, beta, ell, d) ** k).coefficient(d)
+    psi = TruncatedSeries(_psi_coeffs(gamma, alpha, beta, ell, d), d)
+    assert row.exact == (psi ** k).coefficient(d)
 
 
 def test_asymptotic_zero_offset_is_exact():

@@ -21,6 +21,9 @@ from stirlingkit import (
     stirling2_restricted,
 )
 from stirlingkit.core import stirling2_associated_rec, stirling2_rec, stirling2_restricted_rec
+from stirlingkit.generalized import gen_stirling_rec
+from stirlingkit.incomplete import free_atleast_rec, gen_restricted_rec
+from stirlingkit.partial import colored_singleton_rec, partial_deg_rec
 from stirlingkit.families import (
     FAMILIES,
     FAMILY_TAGS,
@@ -408,3 +411,112 @@ def test_egf_and_oracle_never_read_the_declaration(spec):
             scheme.recurrence(1, 2)
     finally:
         _clear_scheme_caches()  # no later read meets the garbage
+
+
+@pytest.mark.parametrize("tag", FAMILY_TAGS)
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_the_recurrence_equals_the_value_past_the_declared_degrees(tag, data):
+    # the recurrence returns 0 past deg P + k deg B, degrees it reads off the
+    # declaration; the column reads only the weights, so it checks that rule
+    spec = FamilySpec(tag, **{name: data.draw(_DRAWN[name]) for name in FAMILIES[tag].params})
+    scheme = FAMILIES[tag].scheme(spec)
+    cells = st.integers(0, 30).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n + 1)))
+    for n, k in data.draw(st.lists(cells, min_size=1, max_size=4)):
+        assert scheme.recurrence(k, n) == scheme.value(k, n), (n, k)
+
+
+def test_the_recurrence_stops_at_the_declared_degrees():
+    # restricted ell 2: P = 1 and B = t + t^2/2, so (2001, 1000) is past
+    # deg P + k deg B = 2000 and fills no column
+    scheme = schemes.restricted_scheme(2)
+    assert scheme.recurrence(1000, 2001) == 0 and len(scheme._rows) <= 1000
+    # gen_restricted (1/2, -1/3, 1/2) ell 2: P = 1 + t/2 and (1 + t/2) divides q
+    half, third = Fraction(1, 2), Fraction(-1, 3)
+    scheme = schemes.gen_restricted_scheme(half, third, half, 2)
+    assert scheme.recurrence(2, 6) == 0 == scheme.value(2, 6) != scheme.value(2, 5)
+    a1, p, b, degree, q = scheme.ode
+    assert schemes._degrees(a1, p, b, [q(i) for i in range(degree + 1)]) == (1, 2)
+    # a P or B that is no polynomial has no bound
+    for spec in (FamilySpec("classic"), FamilySpec("generalized", alpha=1, beta=3, gamma=2),
+                 FamilySpec("gen_restricted", alpha=2, beta=3, gamma=1, ell=2)):
+        a1, p, b, degree, q = FAMILIES[spec.tag].scheme(spec).ode
+        assert math.inf in schemes._degrees(a1, p, b, [q(i) for i in range(degree + 1)])
+
+
+_HALF = Fraction(1, 2)
+
+# every scheme factory with the arguments it is called on, each ell, r and s
+# among them marked by its position
+FACTORY_CALLS = [
+    (schemes.classic_scheme, (), ()),
+    (schemes.restricted_scheme, (2,), (0,)),
+    (schemes.associated_scheme, (2,), (0,)),
+    (schemes.generalized_scheme, (_HALF, Fraction(-1, 3), _HALF), ()),
+    (schemes.gen_restricted_scheme, (_HALF, Fraction(-1, 3), _HALF, 2), (3,)),
+    (schemes.free_atleast_scheme, (2, 1), (1,)),
+    (schemes.partial_degenerate_scheme, (_HALF, Fraction(1, 3), 2, 3), (3,)),
+    (schemes.partial_degenerate_swapped_scheme, (1, 1, 2, 2), (3,)),
+    (schemes.colored_singleton_scheme, (2, 3), (0, 1)),
+]
+
+# the public value and recurrence functions f(n, k, *args), likewise
+INDEX_CALLS = [
+    (stirling2, (), ()),
+    (stirling2_rec, (), ()),
+    (stirling2_restricted, (2,), (0,)),
+    (stirling2_restricted_rec, (2,), (0,)),
+    (stirling2_associated, (2,), (0,)),
+    (stirling2_associated_rec, (2,), (0,)),
+    (gen_stirling, (_HALF, 2, _HALF), ()),
+    (gen_stirling_rec, (_HALF, 2, _HALF), ()),
+    (gen_restricted, (_HALF, 2, _HALF, 2), (3,)),
+    (gen_restricted_rec, (_HALF, 2, _HALF, 2), (3,)),
+    (free_atleast, (2, 1), (1,)),
+    (free_atleast_rec, (2, 1), (1,)),
+    (partial_deg, (2, _HALF, 1, 3), (0,)),
+    (partial_deg_rec, (2, _HALF, 1, 3), (0,)),
+    (colored_singleton, (2, 3), (0, 1)),
+    (colored_singleton_rec, (2, 3), (0, 1)),
+]
+
+NEGATIVE_INDICES = [(-1, 0), (0, -1), (3, -1), (-3, 2), (-2, -2)]
+INDICES = "indices must be non-negative"
+
+
+def _negated(args, at):
+    return args[:at] + (-1,) + args[at + 1:]
+
+
+@pytest.mark.parametrize("factory, args, naturals", FACTORY_CALLS,
+                         ids=[call[0].__name__ for call in FACTORY_CALLS])
+def test_each_scheme_refuses_a_negative_index(factory, args, naturals):
+    scheme = factory(*args)
+    for n, k in NEGATIVE_INDICES:
+        for read in (scheme.value, scheme.egf, scheme.recurrence):
+            with pytest.raises(ValueError, match=INDICES):
+                read(k, n)
+    for at in naturals:
+        with pytest.raises(ValueError, match="must be non-negative"):
+            factory(*_negated(args, at))
+
+
+@pytest.mark.parametrize("function, args, naturals", INDEX_CALLS,
+                         ids=[call[0].__name__ for call in INDEX_CALLS])
+def test_each_value_function_refuses_a_negative_argument(function, args, naturals):
+    for n, k in NEGATIVE_INDICES:
+        with pytest.raises(ValueError, match=INDICES):
+            function(n, k, *args)
+    for at in naturals:
+        with pytest.raises(ValueError, match="must be non-negative"):
+            function(4, 2, *_negated(args, at))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.tag)
+def test_family_value_and_egf_refuse_a_negative_index(spec):
+    for n, k in NEGATIVE_INDICES:
+        for method in ("egf", "recurrence", "oracle"):
+            with pytest.raises(ValueError, match=INDICES):
+                family_value(spec, n, k, method)
+        with pytest.raises(ValueError, match=INDICES):
+            family_egf(spec, k, n)
