@@ -95,14 +95,14 @@ class WeightScheme:
       x_(n-vk-g) / D^(n-k).
 
     The values already read are kept by (k, n).  The recurrence keeps the
-    q(i), the degrees of P and B and one column of values per j.  One lock
-    guards the store, so concurrent readers never extend a list twice.
+    q(i) and one column of values per j.  One lock guards the store, so
+    concurrent readers never extend a list twice.
     Every read refuses a negative n or k, so no caller need check them.
     """
 
     __slots__ = ("name", "special_weight", "block_weight", "ode", "denominator", "scaling", "_lock",
                  "_block_top", "_v", "_u0", "_unit", "_special", "_special_top", "_by_k", "_values",
-                 "_q", "_degrees", "_rows")
+                 "_q", "_rows")
 
     def __init__(
         self,
@@ -128,7 +128,6 @@ class WeightScheme:
         self._by_k: dict = {}  # k -> its column
         self._values: dict = {}
         self._q: list = []  # q(0), q(1), ... as read so far
-        self._degrees = None  # (deg P, deg B) once q is read in full, see _degrees
         self._rows: list = []  # j -> [V(j, j), V(j+1, j), ...]
 
     def block_series(self, order: int) -> TruncatedSeries:
@@ -160,7 +159,8 @@ class WeightScheme:
         """EGF of the pairs with k blocks: special * block^k / k!, mod t^(order+1).
         Blocks are non-empty, so it is zero when k > order and 1/k! is not formed."""
         from .series import TruncatedSeries
-        check_indices(order, k)
+        if order < 0 or k < 0:
+            raise ValueError("indices must be non-negative, got order=%r k=%r" % (order, k))
         if k > order:
             return TruncatedSeries.zero(order)
         if k == 0:
@@ -190,8 +190,7 @@ class WeightScheme:
 
         from V(0, 0) = 1, so column 0 is sw(n).  Column j is kept from
         V(j, j) on and filled iteratively only to V(j + n - k, j), the band
-        the read needs, so n has no depth limit; k > n builds nothing, nor
-        does n > deg P + k deg B, where the declaration fixes both degrees."""
+        the read needs, so n has no depth limit; k > n builds nothing."""
         check_indices(n, k)
         if self.ode is None:
             raise ValueError("scheme %s declares no differential equation" % self.name)
@@ -206,10 +205,6 @@ class WeightScheme:
             q_hat = self._q
             for i in range(len(q_hat), min(degree, depth) + 1):
                 q_hat.append(q(i))
-            if len(q_hat) > degree:  # q is read in full, so the degrees are known
-                deg_p, deg_b = self._degrees = self._degrees or _degrees(a1, p, b, q_hat)
-                if n > deg_p + (k * deg_b if k else 0):
-                    return 0
             while len(rows) <= k:
                 rows.append([])
             # a fill leaves the columns no longer as j grows, so the ones
@@ -308,21 +303,6 @@ class WeightScheme:
 def _over(value: Rational, divisor: int) -> Fraction:
     """value / divisor as a Fraction, reduced once."""
     return Fraction(value.numerator, value.denominator * divisor)
-
-
-def _degrees(a1: Rational, p: Rational, b: Rational, q_hat: list) -> tuple:
-    """(deg P, deg B) as a*P' = p*P and a*B' = b*B + q fix them, math.inf for
-    a series that is no polynomial, q_hat holding every q(i) the degree
-    declares.  P = (1 + a1 t)^(p/a1), e^(pt) at a1 = 0, is one of degree
-    p/a1 when that is an integer >= 0 (0 at p = 0).  With b = 0, B' = q/a:
-    at a1 = 0 B has degree deg q + 1, and at a1 != 0 degree deg q when a
-    divides q, that is when q(-1/a1) = sum_i q(i)/i! (-1/a1)^i = 0."""
-    exponent = Fraction(p) / a1 if a1 else Fraction(0 if p == 0 else -1)
-    deg_p = int(exponent) if exponent >= 0 and exponent.denominator == 1 else math.inf
-    root = Fraction(-1) / a1 if a1 else 0
-    if b or a1 and sum(c * root ** i / math.factorial(i) for i, c in enumerate(q_hat)):
-        return deg_p, math.inf
-    return deg_p, max((i for i, c in enumerate(q_hat) if c), default=-1) + (0 if a1 else 1)
 
 
 def _degenerate_blocks(alpha: Rational, beta: Rational) -> Callable[[int], Rational]:

@@ -101,6 +101,13 @@ def test_usage_errors(capsys):
     assert exc.value.code == 2
 
 
+def test_series_names_its_order_in_a_refusal(capsys):
+    for options, message in (("--k 1 --order -1", "got order=-1 k=1"),
+                             ("--k -1 --order 3", "got order=3 k=-1")):
+        code, out, err = run(capsys, "series", "--family", "classic", *options.split())
+        assert (code, out, err) == (2, "", "error: indices must be non-negative, %s\n" % message)
+
+
 def test_family_options_follow_the_parameter_table(capsys):
     fields = list(FamilySpec._fields)
     assert fields[0] == "tag" and list(PARAMETERS) == fields[1:]
