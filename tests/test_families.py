@@ -413,17 +413,6 @@ def test_egf_and_oracle_never_read_the_declaration(spec):
         _clear_scheme_caches()  # no later read meets the garbage
 
 
-@pytest.mark.parametrize("tag", FAMILY_TAGS)
-@settings(max_examples=15, derandomize=True, database=None, deadline=None)
-@given(data=st.data())
-def test_the_recurrence_equals_the_value(tag, data):
-    spec = FamilySpec(tag, **{name: data.draw(_DRAWN[name]) for name in FAMILIES[tag].params})
-    scheme = FAMILIES[tag].scheme(spec)
-    cells = st.integers(0, 30).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n + 1)))
-    for n, k in data.draw(st.lists(cells, min_size=1, max_size=4)):
-        assert scheme.recurrence(k, n) == scheme.value(k, n), (n, k)
-
-
 _HALF = Fraction(1, 2)
 
 # every scheme factory with the arguments it is called on, each ell, r and s
