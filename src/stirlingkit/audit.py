@@ -43,7 +43,7 @@ from .core import (
     stirling2_restricted,
     stirling2_restricted_rec,
 )
-from .exact import _pair_sum, binomial, falling_factorial_deg
+from .exact import binomial, falling_factorial_deg
 from .generalized import gen_stirling
 from .incomplete import (
     associated_from_free,
@@ -63,7 +63,7 @@ from .partial import (
     partial_deg_multinomial,
     partial_deg_recursion,
 )
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _product_term
 from .names import SUITE_NAMES, SUITES as _SUITE_ORDER
 
 __all__ = [
@@ -395,20 +395,9 @@ def _suite_thm20(nmax: int) -> list:
     def _lhs(k, ell, a, b):
         # each coefficient of sum_j C(k, j) big^j smallp^(k-j) as one exact sum
         big, smallp, _ = _powers(ell, a, b)
-        scaled = [(binomial(k, j), big[j], smallp[k - j]) for j in range(k + 1)]
-        coeffs = []
-        for n in range(order + 1):
-            nums, dens = [], []
-            for c, left, (right_num, right_den) in scaled:
-                for i, x_num, x_den in left:
-                    if i > n:
-                        break
-                    y_num = right_num[n - i]
-                    if y_num:
-                        nums.append(c * x_num * y_num)
-                        dens.append(x_den * right_den[n - i])
-            coeffs.append(Fraction(*_pair_sum(nums, dens)))
-        return TruncatedSeries(coeffs, order)
+        products = [(binomial(k, j), big[j], smallp[k - j]) for j in range(k + 1)]
+        return TruncatedSeries(
+            [Fraction(*_product_term(n, products)) for n in range(order + 1)], order)
 
     def _rhs(k, ell, a, b):
         return _powers(ell, a, b)[2][k]

@@ -6,10 +6,9 @@ canonical form (gcd(|num|, den) = 1, den > 0) after every operation.
 Either is accepted wherever a rational is expected.  A weight scheme
 makes an integral parameter an int where it is built (`rational`), so on
 int inputs its weights, its values and the independent routes to them
-stay int.  So do the kernels below: the scheme columns (EGF and
-ordinary) in ints, Miller's powers and series products in reduced int
-pairs; a Fraction is formed only where a value is returned, or where a
-bare scheme's weights are not integers.
+stay int.  So does Miller's kernel below, which keeps the coefficients
+of series powers and products as reduced int pairs; a Fraction is formed
+only where a value is returned.
 """
 
 from __future__ import annotations
@@ -80,12 +79,12 @@ class FallingFactorials:
         if size < 0:
             raise ValueError("falling factorial needs a size >= 0, got %r" % (size,))
         values = self.values
-        if size >= len(values):
+        if size >= len(values) and values[-1]:
             with self.lock:
-                while len(values) <= size:
-                    last = values[-1]  # zero from the first zero factor on
-                    values.append(last and last * (self.t - (len(values) - 1) * self.lam))
-        return values[size]
+                while len(values) <= size and values[-1]:
+                    values.append(values[-1] * (self.t - (len(values) - 1) * self.lam))
+        # zero from the first zero factor on, which ends the list
+        return values[size] if size < len(values) else values[-1]
 
 
 def falling_factorial(t: Rational, n: int) -> Rational:
@@ -144,35 +143,22 @@ def format_rational(value: Rational) -> str:
 # and the multinomial route's composition tables
 # (partial._composition_table, one per (n, k, minimum), one row per
 # multiset of head sizes).  After `verify --suite all --nmax 8` the
-# composition tables number 140 and the largest scheme factory,
-# generalized_scheme, holds 52 schemes; a long-lived caller asking for
-# ever new parameters keeps at most this many schemes alive, each with its
-# columns: the generating-function columns and the recurrence columns,
-# which also hold every value the audited recursions of core have read.
-# The printed forms' shared stores (the audit's thm13 splits, thm3's sums,
-# thm20's powers) live only for one suite run.
+# composition tables number 140, and the largest scheme factory,
+# generalized_scheme, holds 52 of the 175 schemes (classic's, the triple
+# (0, 1, 0), among them), which keep 988 columns in all.  A long-lived
+# caller asking for ever new parameters keeps at most this many schemes
+# per factory alive, each with its columns: the generating-function
+# columns and the recurrence columns, which also hold every value the
+# audited recursions of core have read.  The printed forms' shared stores
+# (the audit's thm13 splits, thm3's sums, thm20's powers) live only for
+# one suite run.
 CACHE_SIZE = 256
 
 
-# -- the series kernels.  Miller's kernels, run by TruncatedSeries and the
-#    partial Bell numbers, keep a coefficient as a reduced pair (numerator,
-#    denominator > 0); the scheme columns' (_egf_term on EGF weights,
-#    _ordinary_term on ordinary coefficients) keep it as an int.
-def _product_term(n: int, left: list, right_num: list[int], right_den: list[int]) -> tuple:
-    """[t^n] of L * R, as a pair, from the non-zero terms (i, numerator,
-    denominator) of L, in rising i, and the numerators and denominators of
-    R up to t^n."""
-    nums, dens = [], []
-    for i, a_num, a_den in left:
-        if i > n:
-            break
-        b_num = right_num[n - i]
-        if b_num:
-            nums.append(a_num * b_num)
-            dens.append(a_den * right_den[n - i])
-    return _pair_sum(nums, dens)
-
-
+# -- Miller's pair kernel, run by the series powers and products and by the
+#    partial Bell numbers: a coefficient is a reduced pair (numerator,
+#    denominator > 0).  The scheme columns keep theirs as ints, by the
+#    kernels of the schemes module.
 def _miller_term(
     n: int, k: int, u0: tuple, terms: list, w_num: list[int], w_den: list[int]
 ) -> tuple:
@@ -228,98 +214,3 @@ def _pair_sum(nums: list[int], dens: list[int], scale_num: int = 1, scale_den: i
         num, den = -num, -den
     g = math.gcd(num, den)
     return num // g, den // g
-
-
-def _binomials(n: int, length: int) -> list[int]:
-    """C(n, 0), C(n, 1), ..., C(n, length - 1), each from the one before."""
-    row = [1]
-    for i in range(length - 1):
-        row.append(row[i] * (n - i) // (i + 1))
-    return row
-
-
-def _egf_term(j: int, k: int, v: int, u0: int, terms: list, row: list[int], x: list[int]) -> int:
-    """x_j of an integer column, j >= 1, from B * (B^k)' = k * B' * B^k.
-
-    With B = sum_m b_m t^m/m! of valuation v and the integers beta_m =
-    D^(m-1) b_m, the column holds x_j = D^(N-k) (N!/k!) [t^N] B^k at
-    N = vk + j.  At n = N + v - 1 the identity reads
-
-        C(n, v-1) j beta_v x_j = v sum_{s=1..j} (k C(n, v+s-1) - C(n, v+s)) beta_(v+s) x_(j-s)
-
-    u0 is beta_v, terms the non-zero (s, beta_(v+s)), s >= 1, in rising s,
-    and row holds C(n, 0..v+s) for every s it reads.  On int operands x_j
-    is an integer, so the division is exact and a remainder means a weight
-    the declared D does not clear, and raises; a bare scheme's Fraction
-    weights give an exact Fraction instead."""
-    total = 0
-    for s, u in terms:
-        if s > j:
-            break
-        total += (k * row[v + s - 1] - row[v + s]) * u * x[j - s]
-    numerator, divisor = v * total, row[v - 1] * j * u0
-    if not (isinstance(numerator, int) and isinstance(divisor, int)):
-        return rational(numerator, divisor)
-    quotient, remainder = divmod(numerator, divisor)
-    if remainder:
-        raise ArithmeticError("inexact integer column coefficient x_%d of k = %d" % (j, k))
-    return quotient
-
-
-def _integer_fill(k: int, v: int, u0: int, terms: list, column: tuple, top: int) -> None:
-    """Extend the integer column k = (x,), k >= 2, with every x_j up to x_top
-    that it does not hold yet: x_0 = beta_v^k times the (vk)!/(v!^k k!)
-    ways to cut vk elements into k blocks of size v, then _egf_term, each
-    on the binomial row as far as its terms read."""
-    x = column[0]
-    if not x:
-        x.append(u0 ** k if v == 1 else
-                 math.factorial(v * k) // (math.factorial(v) ** k * math.factorial(k)) * u0 ** k)
-    used = 0
-    for j in range(len(x), top + 1):
-        while used < len(terms) and terms[used][0] <= j:
-            used += 1
-        # the terms s <= j read C(n, v-1 .. v+s)
-        row = _binomials(v * (k + 1) + j - 1, v + (terms[used - 1][0] if used else 0) + 1)
-        x.append(_egf_term(j, k, v, u0, terms, row, x))
-
-
-def _special_sum(n: int, top: int, special: list, x: list[int]) -> int:
-    """sum_g C(n, g) p_g x_(top-g) over the non-zero terms (g, p_g) of P
-    with g <= top, in rising g (p_0 = 1 is one): the special set's g
-    elements chosen from n, the rest in k blocks."""
-    terms = [(g, p) for g, p in special if g <= top]
-    row = _binomials(n, terms[-1][0] + 1)
-    return sum(row[g] * p * x[top - g] for g, p in terms)
-
-
-def _ordinary_term(j: int, k: int, u0: int, terms: list, w: list[int]) -> int:
-    """W_j = E^j [t^j] U^k, j >= 1, by Miller's recurrence times E^j,
-
-        j u_0 W_j = sum_{i=1..j} ((k+1) i - j) E^i u_i W_(j-i),
-
-    u0 being u_0 and terms the non-zero (i, E^i u_i), i >= 1, in rising i.
-    W_j is an integer, so a remainder means an E that does not clear U."""
-    total = 0
-    for i, u in terms:
-        if i > j:
-            break
-        total += ((k + 1) * i - j) * u * w[j - i]
-    quotient, remainder = divmod(total, j * u0)
-    if remainder:
-        raise ArithmeticError("inexact integer column coefficient W_%d of k = %d" % (j, k))
-    return quotient
-
-
-def _ordinary_fill(k: int, u0: int, terms: list, special: list, column: tuple, top: int) -> None:
-    """Extend the ordinary column k = (W, c) with every c_j = E^(j+k(v-1))
-    [t^j] P * (s U)^k up to c_top that it does not hold yet, and every W_j
-    those read: W_0 = u0^k, then _ordinary_term.  special holds the
-    non-zero (g, E^g p_g).  Column 1 comes with its W filled by the caller."""
-    w, coeffs = column
-    if k >= 2 and not w:
-        w.append(u0 ** k)
-    for j in range(len(coeffs), top + 1):
-        if len(w) == j:
-            w.append(_ordinary_term(j, k, u0, terms, w))
-        coeffs.append(sum(p * w[j - g] for g, p in special if g <= j))

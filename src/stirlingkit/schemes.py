@@ -23,8 +23,8 @@ coefficients of B^k, in ints where a declared D clears its weights (every
 factory's does) and in Fractions for a bare scheme whose weights are not
 integers.  Each runs an online recurrence with one exact division per
 coefficient, and a value is one `rational`.  WeightScheme.value reads a
-value and egf the same column (by exact's kernels); egf and the *_series
-views load series.
+value and egf the same column, by the kernels of this module, which
+alone know the column's scaling; egf and the *_series views load series.
 
 Each family's factory also declares the first-order linear differential
 equations its two series satisfy, a*P' = p*P and a*B' = b*B + q with
@@ -43,8 +43,7 @@ from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import (CACHE_SIZE, FallingFactorials, Rational, _integer_fill, _ordinary_fill,
-                    _special_sum, check_indices, rational)
+from .exact import CACHE_SIZE, FallingFactorials, Rational, check_indices, rational
 
 __all__ = [
     "WeightScheme",
@@ -64,8 +63,7 @@ class WeightScheme:
     """Multiplicative weights by size: w(G,P) = sw(|G|) * prod bw(|B_i|).
 
     A scheme is its two weights: a block size the family excludes weighs
-    0, and so does every pair with a block of that size.  sw(0) must be 1
-    (the empty special set always carries weight one).
+    0, and so does every pair with a block of that size.
 
     ode, where the family declares one, is (a1, p, b, degree, q): with
     a = 1 + a1*t, a*P' = p*P and a*B' = b*B + q, q of that degree and q(i)
@@ -85,13 +83,13 @@ class WeightScheme:
 
     * a scaling (ordinary): E^(v+i-1) s u_i as (i, int) and E^g p_g as (g,
       int).  Column k is (W, c), the ints W_j = E^(j+k(v-1)) [t^j] (s U)^k
-      (exact._ordinary_term) and c_j = E^(j+k(v-1)) [t^j] P * (s U)^k,
+      (_ordinary_term) and c_j = E^(j+k(v-1)) [t^j] P * (s U)^k,
       and the value at n is n!/k! c_(n-vk) / (s^k E^(n-k)).
     * none (EGF): beta_(v+i) = D^(v+i-1) bw(v+i) as (i, beta) and D^g
       sw(g) as (g, D^g sw(g)), D being 1 where none is declared, so a bare
       scheme keeps a Fraction where its weight is not an integer.  Column k
       is (x,), x_j = D^(N-k) (N!/k!) [t^N] B^k at N = vk + j
-      (exact._egf_term), and the value at n is sum_g C(n, g) D^g sw(g)
+      (_egf_term), and the value at n is sum_g C(n, g) D^g sw(g)
       x_(n-vk-g) / D^(n-k).
 
     The values already read are kept by (k, n).  The recurrence keeps the
@@ -188,7 +186,7 @@ class WeightScheme:
 
             V(n+1, k) = (p + k*b - a1*n) V(n, k) + sum_i C(n, i) q(i) V(n-i, k-1)
 
-        from V(0, 0) = 1, so column 0 is sw(n).  Column j is kept from
+        from V(0, 0) = sw(0), so column 0 is sw(n).  Column j is kept from
         V(j, j) on and filled iteratively only to V(j + n - k, j), the band
         the read needs, so n has no depth limit; k > n builds nothing."""
         check_indices(n, k)
@@ -206,7 +204,7 @@ class WeightScheme:
             for i in range(len(q_hat), min(degree, depth) + 1):
                 q_hat.append(q(i))
             while len(rows) <= k:
-                rows.append([])
+                rows.append([] if rows else [rational(self.special_weight(0))])  # V(0, 0) = sw(0)
             # a fill leaves the columns no longer as j grows, so the ones
             # short of depth are j0..k
             j0 = k
@@ -217,7 +215,7 @@ class WeightScheme:
                 column, lower, factor = rows[j], rows[j - 1] if j else (), p + j * b
                 for d in range(len(column), depth + 1):
                     m = j + d - 1  # V(m+1, j) from row m; V(j-1, j) = 0
-                    value = (factor - a1 * m) * column[d - 1] if d else int(j == 0)
+                    value = (factor - a1 * m) * column[d - 1] if d else 0
                     for i in range(min(d, degree) + 1 if lower else 0):
                         if q_hat[i]:
                             value += math.comb(m, i) * q_hat[i] * lower[d - i]
@@ -303,6 +301,105 @@ class WeightScheme:
 def _over(value: Rational, divisor: int) -> Fraction:
     """value / divisor as a Fraction, reduced once."""
     return Fraction(value.numerator, value.denominator * divisor)
+
+
+# -- the column kernels, one coefficient at a time in the scaling of
+#    WeightScheme._term: ints wherever the declared D or scaling clears it
+def _binomials(n: int, length: int) -> list[int]:
+    """C(n, 0), C(n, 1), ..., C(n, length - 1), each from the one before."""
+    row = [1]
+    for i in range(length - 1):
+        row.append(row[i] * (n - i) // (i + 1))
+    return row
+
+
+def _egf_term(j: int, k: int, v: int, u0: int, terms: list, row: list[int], x: list[int]) -> int:
+    """x_j of an integer column, j >= 1, from B * (B^k)' = k * B' * B^k.
+
+    With B = sum_m b_m t^m/m! of valuation v and the integers beta_m =
+    D^(m-1) b_m, the column holds x_j = D^(N-k) (N!/k!) [t^N] B^k at
+    N = vk + j.  At n = N + v - 1 the identity reads
+
+        C(n, v-1) j beta_v x_j = v sum_{s=1..j} (k C(n, v+s-1) - C(n, v+s)) beta_(v+s) x_(j-s)
+
+    u0 is beta_v, terms the non-zero (s, beta_(v+s)), s >= 1, in rising s,
+    and row holds C(n, 0..v+s) for every s it reads.  On int operands x_j
+    is an integer, so the division is exact and a remainder means a weight
+    the declared D does not clear, and raises; a bare scheme's Fraction
+    weights give an exact Fraction instead."""
+    total = 0
+    for s, u in terms:
+        if s > j:
+            break
+        total += (k * row[v + s - 1] - row[v + s]) * u * x[j - s]
+    numerator, divisor = v * total, row[v - 1] * j * u0
+    if not (isinstance(numerator, int) and isinstance(divisor, int)):
+        return rational(numerator, divisor)
+    quotient, remainder = divmod(numerator, divisor)
+    if remainder:
+        raise ArithmeticError("inexact integer column coefficient x_%d of k = %d" % (j, k))
+    return quotient
+
+
+def _integer_fill(k: int, v: int, u0: int, terms: list, column: tuple, top: int) -> None:
+    """Extend the integer column k = (x,), k >= 2, with every x_j up to x_top
+    that it does not hold yet: x_0 = beta_v^k times the (vk)!/(v!^k k!)
+    ways to cut vk elements into k blocks of size v, then _egf_term, each
+    on the binomial row as far as its terms read."""
+    x = column[0]
+    if not x:
+        x.append(u0 ** k if v == 1 else
+                 math.factorial(v * k) // (math.factorial(v) ** k * math.factorial(k)) * u0 ** k)
+    used = 0
+    for j in range(len(x), top + 1):
+        while used < len(terms) and terms[used][0] <= j:
+            used += 1
+        # the terms s <= j read C(n, v-1 .. v+s)
+        row = _binomials(v * (k + 1) + j - 1, v + (terms[used - 1][0] if used else 0) + 1)
+        x.append(_egf_term(j, k, v, u0, terms, row, x))
+
+
+def _special_sum(n: int, top: int, special: list, x: list[int]) -> int:
+    """sum_g C(n, g) p_g x_(top-g) over the non-zero terms (g, p_g) of P
+    with g <= top, in rising g: the special set's g elements chosen from
+    n, the rest in k blocks; 0 when there is no such term."""
+    terms = [(g, p) for g, p in special if g <= top]
+    if not terms:
+        return 0
+    row = _binomials(n, terms[-1][0] + 1)
+    return sum(row[g] * p * x[top - g] for g, p in terms)
+
+
+def _ordinary_term(j: int, k: int, u0: int, terms: list, w: list[int]) -> int:
+    """W_j = E^j [t^j] U^k, j >= 1, by Miller's recurrence times E^j,
+
+        j u_0 W_j = sum_{i=1..j} ((k+1) i - j) E^i u_i W_(j-i),
+
+    u0 being u_0 and terms the non-zero (i, E^i u_i), i >= 1, in rising i.
+    W_j is an integer, so a remainder means an E that does not clear U."""
+    total = 0
+    for i, u in terms:
+        if i > j:
+            break
+        total += ((k + 1) * i - j) * u * w[j - i]
+    quotient, remainder = divmod(total, j * u0)
+    if remainder:
+        raise ArithmeticError("inexact integer column coefficient W_%d of k = %d" % (j, k))
+    return quotient
+
+
+def _ordinary_fill(k: int, u0: int, terms: list, special: list, column: tuple, top: int) -> None:
+    """Extend the ordinary column k = (W, c) with every c_j = E^(j+k(v-1))
+    [t^j] P * (s U)^k up to c_top that it does not hold yet, and every W_j
+    those read: W_0 = u0^k, then _ordinary_term.  special holds the
+    non-zero (g, E^g p_g).  Column 1 comes with its W filled by the caller."""
+    w, coeffs = column
+    if k >= 2 and not w:
+        w.append(u0 ** k)
+    for j in range(len(coeffs), top + 1):
+        if len(w) == j:
+            w.append(_ordinary_term(j, k, u0, terms, w))
+        coeffs.append(sum(p * w[j - g] for g, p in special if g <= j))
 
 
 def _degenerate_blocks(alpha: Rational, beta: Rational) -> Callable[[int], Rational]:
@@ -423,38 +520,6 @@ def partial_degenerate_swapped_scheme(
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def classic_scheme() -> WeightScheme:
-    return WeightScheme(
-        name="classic",
-        special_weight=lambda size: 1 if size == 0 else 0,
-        block_weight=lambda size: 1,
-        ode=(0, 0, 1, 0, lambda i: 1),
-    )
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def restricted_scheme(ell: int) -> WeightScheme:
-    check_indices(0, 0, ell)
-    return WeightScheme(
-        name="restricted(ell=%d)" % ell,
-        special_weight=classic_scheme().special_weight,
-        block_weight=(weight := lambda size: 1 if size <= ell else 0),
-        ode=(0, 0, 0, *_tail(weight, ell, 0)),
-    )
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def associated_scheme(ell: int) -> WeightScheme:
-    check_indices(0, 0, ell)
-    return WeightScheme(
-        name="associated(ell=%d)" % ell,
-        special_weight=classic_scheme().special_weight,
-        block_weight=(weight := lambda size: 1 if size >= ell else 0),
-        ode=(0, 0, 1, *_tail(weight, ell, 1)),
-    )
-
-
-@lru_cache(maxsize=CACHE_SIZE)
 def colored_singleton_scheme(r: int, s: int) -> WeightScheme:
     """Special set r^|G|; singleton blocks may take one of s colors."""
     if r < 0 or s < 0:
@@ -465,3 +530,21 @@ def colored_singleton_scheme(r: int, s: int) -> WeightScheme:
         block_weight=(weight := lambda size: s if size == 1 else 1),
         ode=(0, r, 1, *_tail(weight, 1, 1)),
     )
+
+
+# -- the classical numbers: each is a family above at fixed parameters, so
+#    it shares that family's scheme, its columns and its cache
+def classic_scheme() -> WeightScheme:
+    """Degenerate at lambda = 0: the generalized triple (0, 1, 0)."""
+    return generalized_scheme(0, 1, 0)
+
+
+def restricted_scheme(ell: int) -> WeightScheme:
+    """Blocks of size at most ell: gen_restricted at (0, 1, 0)."""
+    return gen_restricted_scheme(0, 1, 0, ell)
+
+
+def associated_scheme(ell: int) -> WeightScheme:
+    """Blocks of size at least ell: free_atleast at gamma = 0, above ell - 1."""
+    check_indices(0, 0, ell)
+    return free_atleast_scheme(0, max(ell - 1, 0))

@@ -6,8 +6,8 @@ truncation order and all coefficients are exact rationals, so every
 identity checked through this module is verified exactly mod t^(N+1).
 
 Coefficient extraction in exponential-generating-function form
-(n! * c_n) is the reference computation path for every number family
-in this package.
+(n! * c_n) reads a series as values.  The weight schemes' columns compute
+every number family; whole series are the reference the tests hold them to.
 
 Every family's generating function is P(t) * B(t)^k / k! with B(0) = 0,
 so powers are taken with their valuation shifted out: B = t^v * U with
@@ -19,11 +19,11 @@ O((N-vk)^2) products whatever k is, and none when vk > N.
 The recurrence is online: w_n needs only u_0..u_n and w_0..w_(n-1)
 (J. van der Hoeven, "Relax, but don't be too lazy", J. Symbolic
 Computation 34, 2002).  exact._miller_term computes one w_n and
-exact._product_term one coefficient of a product, each as a reduced
-numerator-denominator pair; series powers, series products and the
-partial Bell numbers run on them.  The weight schemes' columns run
-integer kernels of their own (exact._egf_term, exact._ordinary_term),
-one coefficient at a time as values are read, and need no series module.
+_product_term one coefficient of a sum of products, each as a reduced
+numerator-denominator pair: series powers and products, the audit's
+binomial sums and the partial Bell numbers run on them.  The weight
+schemes' columns run integer kernels of their own (schemes._egf_term,
+schemes._ordinary_term) one coefficient at a time, without this module.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .exact import Rational, _miller_power, _product_term, falling_factorial_deg
+from .exact import Rational, _miller_power, _pair_sum, falling_factorial_deg
 
 
 class TruncatedSeries:
@@ -103,13 +103,10 @@ class TruncatedSeries:
             if sum(map(bool, other.coeffs)) < sum(map(bool, self.coeffs)):
                 self, other = other, self
             left = [(i, c.numerator, c.denominator) for i, c in enumerate(self.coeffs) if c]
-            right_num = [c.numerator for c in other.coeffs]
-            right_den = [c.denominator for c in other.coeffs]
+            right = [c.numerator for c in other.coeffs], [c.denominator for c in other.coeffs]
+            product = [(1, left, right)]
             return TruncatedSeries(
-                [Fraction(*_product_term(n, left, right_num, right_den))
-                 for n in range(self.order + 1)],
-                self.order,
-            )
+                [Fraction(*_product_term(n, product)) for n in range(self.order + 1)], self.order)
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries([a * other for a in self.coeffs], self.order)
         return NotImplemented
@@ -150,6 +147,22 @@ class TruncatedSeries:
         head = ", ".join(str(c) for c in self.coeffs[:6])
         tail = ", ..." if self.order > 5 else ""
         return "TruncatedSeries([%s%s], order=%d)" % (head, tail, self.order)
+
+
+def _product_term(n: int, products: list) -> tuple:
+    """[t^n] of sum c * L * R over products (c, L, R), as one reduced pair:
+    c an int, L the non-zero terms (i, numerator, denominator) of a series
+    in rising i, and R the lists of another's numerators and denominators."""
+    nums, dens = [], []
+    for c, left, (right_num, right_den) in products:
+        for i, a_num, a_den in left:
+            if i > n:
+                break
+            b_num = right_num[n - i]
+            if b_num:
+                nums.append(c * a_num * b_num)
+                dens.append(a_den * right_den[n - i])
+    return _pair_sum(nums, dens)
 
 
 def exp_series(gamma: Rational, order: int) -> TruncatedSeries:

@@ -221,7 +221,7 @@ def test_recurrence_with_more_blocks_than_elements_builds_nothing(capsys):
     # k > n is zero: no column is built, however large k is
     from stirlingkit import schemes
 
-    schemes.classic_scheme.cache_clear()
+    schemes.generalized_scheme.cache_clear()  # classic is generalized (0, 1, 0)
     code, out, _ = run(
         capsys, *"value --family classic --n 3 --k 1000000 --method recurrence".split()
     )

@@ -16,6 +16,7 @@ from stirlingkit import (
     gen_stirling,
     partial_deg,
     schemes,
+    series,
     stirling2,
     stirling2_associated,
     stirling2_restricted,
@@ -120,7 +121,7 @@ def test_methods_agree(spec):
 def test_recurrence_routes_multiply_no_series(monkeypatch):
     # the recurrence reads the scheme's declared equation only: it forms
     # no series product, and none of the lazy columns' coefficients, which
-    # go through exact._egf_term in the EGF columns and exact._ordinary_term
+    # go through schemes._egf_term in the EGF columns and schemes._ordinary_term
     # in the ordinary ones
     def refuse(*args):
         raise AssertionError("the recurrence route multiplied series")
@@ -128,10 +129,9 @@ def test_recurrence_routes_multiply_no_series(monkeypatch):
     for name in ("__mul__", "__rmul__", "__pow__"):
         monkeypatch.setattr(TruncatedSeries, name, refuse)
     monkeypatch.setattr(exact, "_pair_sum", refuse)
-    monkeypatch.setattr(exact, "_egf_term", refuse)
-    monkeypatch.setattr(exact, "_ordinary_term", refuse)
-    # fresh schemes have read no column yet
-    schemes.classic_scheme.cache_clear()
+    monkeypatch.setattr(schemes, "_egf_term", refuse)
+    monkeypatch.setattr(schemes, "_ordinary_term", refuse)
+    # fresh schemes have read no column yet; classic is generalized (0, 1, 0)
     schemes.generalized_scheme.cache_clear()
     schemes.partial_degenerate_swapped_scheme.cache_clear()
     params = dict(
@@ -165,8 +165,11 @@ def test_independent_routes_never_read_a_column(monkeypatch):
 
     for name in ("value", "egf", "_column"):
         monkeypatch.setattr(schemes.WeightScheme, name, refuse)
-    for name in ("_pair_sum", "_egf_term", "_ordinary_term"):
-        monkeypatch.setattr(exact, name, refuse)
+    # Miller's pairs, in a power or a partial Bell number, and a series product
+    for module in (exact, series):
+        monkeypatch.setattr(module, "_pair_sum", refuse)
+    for name in ("_egf_term", "_ordinary_term"):
+        monkeypatch.setattr(schemes, name, refuse)
     specs = ALL_SPECS + [
         FamilySpec("generalized", alpha=1, beta=0, gamma=2),
         FamilySpec("restricted", ell=0),
@@ -237,8 +240,10 @@ def test_excluded_block_sizes_form_no_factorial(monkeypatch):
         return factorial(m)
 
     monkeypatch.setattr(math, "factorial", bounded)
-    schemes.classic_scheme.cache_clear()
-    schemes.restricted_scheme.cache_clear()  # a fresh scheme has read no column yet
+    # a fresh scheme has read no column yet; restricted is gen_restricted at
+    # (0, 1, 0), whose special weight is generalized (0, 1, 0)'s
+    schemes.generalized_scheme.cache_clear()
+    schemes.gen_restricted_scheme.cache_clear()
     spec = FamilySpec("restricted", ell=ell)
     assert family_value(spec, 400, 2) == 0
     assert family_value(spec, 6, 3) == 15
@@ -390,8 +395,8 @@ def test_a_scheme_without_a_declaration_refuses_the_recurrence():
 
 
 def _clear_scheme_caches():
-    for factory in (schemes.classic_scheme, schemes.restricted_scheme,
-                    schemes.associated_scheme, schemes.generalized_scheme,
+    # classic, restricted and associated are schemes of the factories below
+    for factory in (schemes.generalized_scheme,
                     schemes.gen_restricted_scheme, schemes.free_atleast_scheme,
                     schemes.partial_degenerate_scheme, schemes.colored_singleton_scheme):
         factory.cache_clear()
@@ -489,3 +494,36 @@ def test_family_value_and_egf_refuse_a_negative_index(spec):
                 family_value(spec, n, k, method)
         with pytest.raises(ValueError, match=INDICES):
             family_egf(spec, k, n)
+
+
+def test_the_classical_schemes_are_general_schemes_at_fixed_parameters():
+    # classic is degenerate at lambda = 0, restricted is gen_restricted at
+    # (0, 1, 0) and associated is free_atleast at gamma = 0: one scheme each,
+    # with one store of columns
+    assert schemes.classic_scheme() is schemes.generalized_scheme(0, 1, 0)
+    for ell in range(5):
+        assert schemes.restricted_scheme(ell) is schemes.gen_restricted_scheme(0, 1, 0, ell)
+        assert schemes.associated_scheme(ell) is schemes.free_atleast_scheme(0, max(ell - 1, 0))
+    for factory in (schemes.restricted_scheme, schemes.associated_scheme,
+                    lambda ell: schemes.gen_restricted_scheme(0, 1, 0, ell)):
+        with pytest.raises(ValueError, match=r"^ell must be non-negative, got -1$"):
+            factory(-1)
+
+
+@pytest.mark.parametrize("factory, args", [
+    (schemes.free_atleast_scheme, (_HALF, 1)),
+    (schemes.generalized_scheme, (_HALF, Fraction(-1, 3), _HALF)),
+    (schemes.colored_singleton_scheme, (2, 3)),
+], ids=["free_atleast", "generalized", "colored_singleton"])
+def test_every_route_reads_the_empty_special_set_weight(factory, args):
+    # a*P' = p*P is linear, so twice the special weights keep the declaration
+    # and double every value: the recurrence starts from sw(0), not from 1
+    base = factory(*args)
+    doubled = schemes.WeightScheme("doubled", lambda g: 2 * base.special_weight(g),
+                                   base.block_weight, base.ode, base.denominator, base.scaling)
+    for n in range(8):
+        for k in range(n + 2):
+            expected = 2 * base.value(k, n)
+            assert doubled.recurrence(k, n) == expected, (n, k)
+            assert doubled.value(k, n) == expected, (n, k)
+            assert oracle_sum(n, k, doubled) == expected, (n, k)

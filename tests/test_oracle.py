@@ -206,9 +206,22 @@ COLUMN_SCHEMES = [FAMILIES[spec.tag].scheme(spec) for spec in _SPECS] + [
     gen_restricted_scheme(1, 0, 2, 3),
     generalized_scheme(2, 3, 1),  # integer parameters, E = 4
 ]
+# classic, restricted and associated are schemes of the general families at
+# fixed parameters; their ids keep the names these families go by
+_LABELS = {
+    classic_scheme(): "classic",
+    restricted_scheme(0): "restricted(ell=0)",
+    restricted_scheme(2): "restricted(ell=2)",
+    associated_scheme(2): "associated(ell=2)",
+    associated_scheme(3): "associated(ell=3)",
+}
 
 
-@pytest.mark.parametrize("scheme", COLUMN_SCHEMES, ids=lambda scheme: scheme.name)
+def _label(scheme):
+    return _LABELS.get(scheme, scheme.name)
+
+
+@pytest.mark.parametrize("scheme", COLUMN_SCHEMES, ids=_label)
 def test_columns_match_the_dense_formula(scheme):
     # a new scheme on the same weights starts with an empty store; declaring
     # no D, it reads the EGF column in Fractions wherever its weights are not
@@ -217,7 +230,7 @@ def test_columns_match_the_dense_formula(scheme):
 
 
 @pytest.mark.parametrize("scheme", [scheme for scheme in COLUMN_SCHEMES if scheme.ode],
-                         ids=lambda scheme: scheme.name)
+                         ids=_label)
 def test_integer_columns_match_the_dense_formula(scheme):
     # the same reads from a new scheme that declares its equation and D but
     # no scaling, so it reads the EGF integer column, whatever its a1
@@ -228,7 +241,7 @@ def test_integer_columns_match_the_dense_formula(scheme):
 
 
 @pytest.mark.parametrize("scheme", [scheme for scheme in COLUMN_SCHEMES if scheme.scaling],
-                         ids=lambda scheme: scheme.name)
+                         ids=_label)
 def test_ordinary_columns_match_the_dense_formula(scheme):
     # the same reads from a new scheme that declares the scaling too, so it
     # reads the ordinary integer column
@@ -252,7 +265,7 @@ def _check_columns(scheme, fresh):
     assert fresh._by_k is not scheme._by_k and fresh._values is not scheme._values
 
 
-@pytest.mark.parametrize("scheme", COLUMN_SCHEMES, ids=lambda scheme: scheme.name)
+@pytest.mark.parametrize("scheme", COLUMN_SCHEMES, ids=_label)
 def test_factory_columns_hold_only_ints(scheme):
     # every factory declares a D (or a scaling) that clears its weights, so
     # once every value up to n = 12 is read its store holds no Fraction: a
