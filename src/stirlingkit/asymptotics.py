@@ -243,7 +243,12 @@ def asymptotic_partial(
 
 
 def decimal_str(value: Fraction, digits: int = 6) -> str:
-    """Fixed-precision decimal rendering of an exact rational."""
+    """Fixed-precision decimal rendering of an exact rational, truncated to
+    `digits` places; with 0 digits, the truncated integer part alone."""
+    if digits < 0:
+        raise ValueError("decimal_str needs digits >= 0, got %d" % digits)
+    if digits == 0:
+        return str(int(value))
     if value < 0:
         return "-" + decimal_str(-value, digits)
     scaled = value * 10 ** digits

@@ -18,12 +18,18 @@ its options: `value` and `table` by egf load exact, families, names and
 schemes, and `series` adds series.  `asympt` loads exact, names, schemes,
 asymptotics and partial; other methods, `verify` and JSON output load
 their own layers, and only `value`, `table` and `series` load families.
+
+`entry`, the console script and `python -m stirlingkit.cli`, freezes the
+heap (`gc.freeze()`) on its way out, so the interpreter's shutdown does not
+collect objects that die with the process.  `main`, which library callers
+and the tests use, leaves the collector as it found it.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import os
 import sys
 
@@ -321,6 +327,11 @@ def entry() -> None:
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # exit flushes to devnull
         code = 141  # 128 + SIGPIPE; importing signal would cost every call its enums
+    finally:
+        # every way out, argparse's exits too: the collections of finalization
+        # skip a frozen heap, which dies with the process; atexit handlers,
+        # stdio flushing and module teardown still run
+        gc.freeze()
     sys.exit(code)
 
 

@@ -324,3 +324,11 @@ def test_decimal_str():
     assert decimal_str(Fraction(0)) == "0.000000"
     assert decimal_str(Fraction(-5, 4), 2) == "-1.25"
     assert decimal_str(Fraction(1234, 1), 3) == "1234.000"
+    # no digits: the integer part, truncated toward zero, and no point
+    assert decimal_str(Fraction(5), 0) == "5"
+    assert decimal_str(Fraction(1, 3), 0) == "0"
+    assert decimal_str(Fraction(-3, 2), 0) == "-1"
+    assert decimal_str(Fraction(-1, 3), 0) == "0"
+    assert decimal_str(Fraction(7, 2), 0) == "3"
+    with pytest.raises(ValueError):
+        decimal_str(Fraction(1, 3), -1)

@@ -505,20 +505,102 @@ def test_demo_scripts_run(script):
     assert proc.stdout.strip()
 
 
+# The console script's way out.  `python -m stirlingkit.cli` runs under a probe:
+# an atexit handler, which runs after entry() has returned and before
+# finalization collects, prints the collector's freeze count as the last
+# line of stderr.  The rest of the call must match cli.main in-process.
+_PROBE = (
+    "import atexit, gc, runpy, sys\n"
+    "atexit.register(lambda: print('frozen=%d' % gc.get_freeze_count(), file=sys.stderr))\n"
+    "runpy.run_module('stirlingkit.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def _cli_env():
+    import os
+    import pathlib
+
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": src}
+
+
+def _split_probe(err: bytes):
+    """stderr without the probe's line, and the freeze count it reports."""
+    lines = err.decode().splitlines(keepends=True)
+    assert lines and lines[-1].startswith("frozen="), err
+    return "".join(lines[:-1]), int(lines[-1][len("frozen="):])
+
+
+def _in_process(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse's own exits
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+EXITS = [
+    "value --family classic --n 4 --k 2",  # 0
+    "value --family classic --n -1 --k 2",  # 2, refused by the library
+    "value --family classic --n 4 --k 2 --nosuch 1",  # 2, refused by argparse
+    "--help",  # 0, from argparse
+    "value --help",
+]
+
+
+@pytest.mark.parametrize("words", EXITS)
+def test_the_console_script_freezes_the_heap_on_every_way_out(capsys, words):
+    import subprocess
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *words.split()],
+        capture_output=True, env=_cli_env(), timeout=60,
+    )
+    err, frozen = _split_probe(proc.stderr)
+    assert frozen > 0
+    assert (proc.returncode, proc.stdout.decode(), err) == _in_process(capsys, words.split())
+
+
 def test_a_closed_stdout_exits_141_silently():
     # the 282 KB table outgrows a pipe's buffer, so the reader's close
     # reaches the writer mid-output, as with `stirlingkit table ... | head -1`
-    import os
-    import pathlib
     import subprocess
 
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     proc = subprocess.Popen(
-        [sys.executable, "-m", "stirlingkit.cli", "table", "--family", "classic", "--nmax", "100"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-c", _PROBE, "table", "--family", "classic", "--nmax", "100"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
     )
     assert proc.stdout.readline() == b"n,k,value\n"
     proc.stdout.close()
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 141
-    assert err == b""
+    err, frozen = _split_probe(err)
+    assert err == "" and frozen > 0
+
+
+@pytest.mark.parametrize(
+    "words",
+    ["table --family classic --nmax 30", "verify --suite thm3 --nmax 4 --format json"],
+)
+def test_out_through_the_console_script_writes_its_stdout(tmp_path, words):
+    import subprocess
+
+    command = [sys.executable, "-m", "stirlingkit.cli", *words.split()]
+    shown = subprocess.run(command, capture_output=True, env=_cli_env(), timeout=60)
+    out = tmp_path / "out.txt"
+    written = subprocess.run(
+        command + ["--out", str(out)], capture_output=True, env=_cli_env(), timeout=60
+    )
+    assert shown.returncode == written.returncode == 0
+    assert written.stdout == written.stderr == shown.stderr == b""
+    assert out.read_bytes() == shown.stdout
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys):
+    import gc
+
+    before = gc.get_freeze_count(), gc.isenabled()
+    for words in EXITS:
+        _in_process(capsys, words.split())
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
