@@ -19,7 +19,9 @@ from importlib import import_module
 _EXPORTS = {
     "asymptotics": ("AsymptoticRow", "asymptotic_partial", "hsu_expansion",
                     "integer_partitions", "partial_bell"),
-    "audit": ("AuditFinding", "audit_ok", "run_all", "run_suite"),
+    "audit": ("AuditFinding", "audit_ok", "partial_deg_convolution",
+              "partial_deg_derivative_recursion", "partial_deg_multinomial",
+              "partial_deg_recursion", "run_all", "run_suite"),
     "core": ("stirling2", "stirling2_associated", "stirling2_restricted"),
     "exact": ("binomial", "falling_factorial", "falling_factorial_deg", "format_rational",
               "multinomial", "parse_rational"),
@@ -28,9 +30,8 @@ _EXPORTS = {
     "incomplete": ("associated_from_free", "free_atleast", "free_atleast_recursion",
                    "gen_restricted", "gen_restricted_recursion", "gen_restricted_three_term"),
     "oracle": ("MixedPartition", "enumerate_mixed", "oracle_sum"),
-    "partial": ("colored_singleton", "partial_deg", "partial_deg_convolution",
-                "partial_deg_derivative_recursion", "partial_deg_multinomial",
-                "partial_deg_recursion"),
+    "partial": ("colored_singleton", "partial_deg"),
+    "recurrence": (),
     "schemes": ("WeightScheme",),
     "series": ("TruncatedSeries", "degenerate_exp", "egf_coeff", "exp_series",
                "incomplete_degenerate_exp", "incomplete_exp"),

@@ -39,6 +39,9 @@ k of the weight scheme (schemes module), which computes only the d + 1
 coefficients of U^k it needs and no factorial of k, so a row costs the
 same at k = 10^5 as at k = 100.  Beyond it, a literal mode evaluates the
 uncorrected published-style normalization for the audit.
+
+report_text and report_json render rows as `asympt` prints them, as the
+audit renders its findings.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .exact import Rational, _miller_power, rational
+from .exact import Rational, _miller_power, format_rational, rational
 from .partial import partial_deg
 
 __all__ = [
@@ -59,6 +62,8 @@ __all__ = [
     "AsymptoticRow",
     "asymptotic_partial",
     "decimal_str",
+    "report_text",
+    "report_json",
 ]
 
 # a row forms up to d+1 partial Bell numbers of d (literal mode: d = n;
@@ -255,3 +260,34 @@ def decimal_str(value: Fraction, digits: int = 6) -> str:
     whole = scaled.numerator // scaled.denominator
     text = str(whole).rjust(digits + 1, "0")
     return "%s.%s" % (text[:-digits], text[-digits:])
+
+
+# the text report: one column per field, '-' where it is null, then the note
+_REPORT_LINE = "%6s %8s %-26s %-26s %-20s %-12s %s"
+_REPORT_COLUMNS = ("k", "n_total", "estimate", "exact", "rel_error", "rel_error_decimal")
+
+
+def report_json(rows: Sequence[AsymptoticRow]) -> list:
+    """The rows as `asympt --format json` prints them, one object each, with
+    rationals as text, an 8-place decimal and None where a field is undefined."""
+    objects = []
+    for row in rows:
+        fields = {"k": row.k, "n_total": row.n_total, "mode": row.mode}
+        for name in ("estimate", "exact", "rel_error"):
+            value = getattr(row, name)
+            fields[name] = None if value is None else format_rational(value)
+        error = row.rel_error
+        fields["rel_error_decimal"] = None if error is None else decimal_str(error, 8)
+        fields["note"] = row.note
+        objects.append(fields)
+    return objects
+
+
+def report_text(rows: Sequence[AsymptoticRow]) -> str:
+    """The rows as `asympt` prints them: a header, then one line per row of
+    its report_json fields, '-' where one is None, and its note."""
+    lines = [_REPORT_LINE % ("k", "n_total", "estimate", "exact", "rel_error", "(decimal)", "note")]
+    for fields in report_json(rows):
+        cells = ["-" if fields[name] is None else fields[name] for name in _REPORT_COLUMNS]
+        lines.append(_REPORT_LINE % (*cells, fields["note"] or ""))
+    return "\n".join(lines)

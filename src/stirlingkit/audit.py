@@ -23,17 +23,23 @@ Suites group related identities and build their identity lists when
 they run, so a name rebound in this module takes effect; `run_suite`
 runs one suite, or every suite in order for "all".  The names module
 names them, so the command line lists them without importing this one.
+
+The printed forms no other module reads live here, so a value or an
+`asympt` call never compiles them: the partial Bell closed forms and the
+four printed routes of the mixed-cell numbers (partial module).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache, partial
+from itertools import groupby
 
-from . import oracle as _oracle, schemes as _schemes
+from . import oracle as _oracle
 from .core import (
     stirling2,
     stirling2_associated,
@@ -43,7 +49,8 @@ from .core import (
     stirling2_restricted,
     stirling2_restricted_rec,
 )
-from .exact import binomial, falling_factorial_deg
+from .exact import (CACHE_SIZE, Rational, binomial, check_indices, falling_factorial_deg,
+                    multinomial, rational)
 from .generalized import gen_stirling
 from .incomplete import (
     associated_from_free,
@@ -54,16 +61,10 @@ from .incomplete import (
     gen_restricted_three_term,
 )
 from .asymptotics import partial_bell
-from .partial import (
-    _splits,
-    colored_singleton,
-    partial_deg,
-    partial_deg_convolution,
-    partial_deg_derivative_recursion,
-    partial_deg_multinomial,
-    partial_deg_recursion,
-)
-from .series import TruncatedSeries, _product_term
+from .partial import colored_singleton, partial_deg
+from .schemes import (free_atleast_scheme, gen_restricted_scheme, generalized_scheme,
+                      partial_degenerate_scheme, partial_degenerate_swapped_scheme)
+from .series import TruncatedSeries, _product_term, block_series
 from .names import SUITE_NAMES, SUITES as _SUITE_ORDER
 
 __all__ = [
@@ -75,6 +76,10 @@ __all__ = [
     "report_text",
     "report_json",
     "INTEGER_TRIPLES",
+    "partial_deg_convolution",
+    "partial_deg_recursion",
+    "partial_deg_multinomial",
+    "partial_deg_derivative_recursion",
 ]
 
 # (alpha, beta, gamma): non-negative integers with alpha | beta, alpha | gamma
@@ -169,6 +174,161 @@ def _rational_triples() -> list:
     return out
 
 
+# -- the printed routes of the mixed-cell numbers: each re-derives partial_deg
+#    from a printed identity, in a literal and a corrected reading where the
+#    two differ
+
+
+def partial_deg_convolution(
+    n: int, k: int, ell: int, gamma: Rational, alpha: Rational, beta: Rational, split=None
+) -> Rational:
+    """Split by the element set living in free cells: a binomial convolution
+    of the free-cell numbers with the size-capped weighted numbers (the
+    gen_restricted numbers with an empty special set, gamma = 0).
+
+    split(free, weighted, k) evaluates one split; None means
+    _splits(ell, gamma, alpha, beta)."""
+    check_indices(n, k, ell)
+    split = split or _splits(ell, gamma, alpha, beta)
+    total = 0
+    for i in range(0, n + 1):
+        total += binomial(n, i) * split(i, n - i, k)
+    return total
+
+
+def _splits(ell: int, g: Rational, a: Rational, b: Rational):
+    """(free, weighted, k) -> sum_j free_atleast(free, j) * gen_restricted(weighted, k - j)
+    at gamma = 0: j of the k blocks hold the `free` elements of free cells,
+    the rest the `weighted` ones.  Blocks are non-empty, so j runs only
+    where neither factor has more blocks than elements.  The two schemes
+    are looked up once, here, not once per split."""
+    free_value = free_atleast_scheme(g, ell).value
+    weighted_value = gen_restricted_scheme(a, b, 0, ell).value
+
+    def split(free: int, weighted: int, k: int) -> Rational:
+        total = 0
+        for j in range(max(0, k - weighted), min(free, k) + 1):
+            fa = free_value(j, free)
+            if fa:
+                total += fa * weighted_value(k - j, weighted)
+        return total
+
+    return split
+
+
+def partial_deg_recursion(
+    n_plus_1: int, k: int, ell: int, gamma: Rational, alpha: Rational, beta: Rational,
+    split=None,
+) -> Rational:
+    """Recursion on the newest element's position: it joins either a free
+    cell or a weighted cell, shifting one factor of the convolution.  It
+    reads the splits of n + 1 elements, exactly those the convolution at
+    n + 1 reads; split is as there."""
+    check_indices(n_plus_1, k, ell)
+    if n_plus_1 == 0:
+        return 1 if k == 0 else 0
+    split = split or _splits(ell, gamma, alpha, beta)
+    n = n_plus_1 - 1
+    total = 0
+    for i in range(0, n + 1):
+        total += binomial(n, i) * (split(i + 1, n - i, k) + split(i, n - i + 1, k))
+    return total
+
+
+def partial_deg_multinomial(
+    n: int,
+    k: int,
+    ell: int,
+    gamma: Rational,
+    alpha: Rational,
+    beta: Rational,
+    literal: bool = False,
+) -> Rational:
+    """Block-by-block multinomial decomposition.
+
+    Corrected reading: sum over ordered size compositions r_1..r_k >= 1
+    plus a special-set remainder, each block contributing its own
+    single-block weight, divided by k! because blocks are unordered.
+    The literal reading keeps the product subscripts at 1..k and drops
+    the 1/k!; the audit scores it.  Both sums read the compositions
+    grouped by their multiset of sizes (_composition_table).
+    """
+    check_indices(n, k, ell)
+    block_weight = partial_degenerate_scheme(gamma, alpha, beta, ell).block_weight
+    total = 0
+    if literal:
+        fixed = 1
+        for i in range(1, k + 1):
+            fixed *= block_weight(i)
+        for _, remainder, coefficient in _composition_table(n, k, ell):
+            total += coefficient * gamma ** remainder * fixed
+        return total
+    for head, remainder, coefficient in _composition_table(n, k, 1):
+        w = coefficient * gamma ** remainder
+        for size in head:
+            w *= block_weight(size)
+        total += w
+    return rational(total, math.factorial(k))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _composition_table(n: int, k: int, minimum: int) -> tuple:
+    """(head, remainder, coefficient) for each non-increasing head of k
+    block sizes >= minimum with sum <= n, one row for all its orderings:
+    the remainder n - sum(head) is the special set's size and the
+    coefficient is the number of distinct orderings of the head times
+    n! / (r_1! ... r_k! remainder!).  Every term the decomposition sums is
+    symmetric in the order of the head, so both readings of every
+    parameter set read this one table."""
+    table = []
+    for head in _iter_heads(n, k, minimum, n):
+        remainder = n - sum(head)
+        orderings = multinomial(k, [len(list(run)) for _, run in groupby(head)])
+        table.append((head, remainder, orderings * multinomial(n, head + (remainder,))))
+    return tuple(table)
+
+
+def _iter_heads(n: int, k: int, minimum: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """Block-size tuples largest >= r_1 >= ... >= r_k >= minimum with sum <= n."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(minimum, min(largest, n - minimum * (k - 1)) + 1):
+        for rest in _iter_heads(n - first, k - 1, minimum, first):
+            yield (first,) + rest
+
+
+def partial_deg_derivative_recursion(
+    n_plus_1: int,
+    k: int,
+    ell: int,
+    gamma: Rational,
+    alpha: Rational,
+    beta: Rational,
+    literal: bool = False,
+) -> Rational:
+    """Recursion from differentiating the generating function.
+
+    Corrected inner index k-1: the newest element either joins the
+    special set or completes one distinguished block.  The literal
+    variant keeps the inner index at k; the audit scores it.  The rows
+    below n+1 are the reference values, partial_deg.
+    """
+    check_indices(n_plus_1, k, ell)
+    if k < 1:
+        raise ValueError("derivative recursion needs k >= 1")
+    n = n_plus_1 - 1
+    block_weight = partial_degenerate_scheme(gamma, alpha, beta, ell).block_weight
+    total = gamma * partial_deg(n, k, ell, gamma, alpha, beta)
+    inner_k = k if literal else k - 1
+    # rows with fewer elements than blocks are zero
+    for i in range(inner_k, n + 1):
+        row = partial_deg(i, inner_k, ell, gamma, alpha, beta)
+        if row:
+            total += binomial(n, i) * row * block_weight(n - i + 1)
+    return total
+
+
 # -- suites -------------------------------------------------------------------
 
 
@@ -241,7 +401,7 @@ def _suite_bullets24(nmax: int) -> list:
     triples = _rational_triples()
     scales = (Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(5, 3))
     scaled = _per_parameters(
-        lambda a, b, g, c: _schemes.generalized_scheme(c * a, c * b, c * g).value)
+        lambda a, b, g, c: generalized_scheme(c * a, c * b, c * g).value)
     return [
         *_score(
             "bullets24",
@@ -294,10 +454,10 @@ def _suite_bullets24(nmax: int) -> list:
             gen_stirling,
             ("literal",
              lambda n, k, a, b, g: _oracle.oracle_sum_blocksum(
-                 n, k, _schemes.generalized_scheme(a, b, g)),
+                 n, k, generalized_scheme(a, b, g)),
              "partition weight read as the sum of block weights"),
             ("corrected",
-             lambda n, k, a, b, g: _oracle.oracle_sum(n, k, _schemes.generalized_scheme(a, b, g)),
+             lambda n, k, a, b, g: _oracle.oracle_sum(n, k, generalized_scheme(a, b, g)),
              "partition weight is the product of block weights"),
         ),
     ]
@@ -381,8 +541,8 @@ def _suite_thm20(nmax: int) -> list:
         # numerator, denominator); of the degenerate-weighted blocks up to ell,
         # as numerator and denominator lists; and of their sum, as series:
         # built once per (ell, a, b) for both sides
-        big = _schemes.free_atleast_scheme(0, ell).block_series(order)
-        smallp = _schemes.gen_restricted_scheme(a, b, 0, ell).block_series(order)
+        big = block_series(free_atleast_scheme(0, ell), order)
+        smallp = block_series(gen_restricted_scheme(a, b, 0, ell), order)
         total = big + smallp
         return (
             [[(i, c.numerator, c.denominator) for i, c in enumerate(p.coeffs) if c]
@@ -408,7 +568,7 @@ def _suite_thm20(nmax: int) -> list:
             "mixed-cell-egf",
             cases,
             lambda n, k, ell, g, a, b: _oracle.oracle_sum(
-                n, k, _schemes.partial_degenerate_scheme(g, a, b, ell)
+                n, k, partial_degenerate_scheme(g, a, b, ell)
             ),
             ("as printed", partial_deg, "degenerate weight on blocks of size <= ell, free above"),
         ),
@@ -419,7 +579,7 @@ def _suite_thm20(nmax: int) -> list:
             partial_deg,
             ("literal",
              lambda n, k, ell, g, a, b: _oracle.oracle_sum(
-                 n, k, _schemes.partial_degenerate_swapped_scheme(g, a, b, ell)),
+                 n, k, partial_degenerate_swapped_scheme(g, a, b, ell)),
              "weight-1 blocks below the threshold, degenerate above"),
         ),
         *_score(
@@ -487,10 +647,9 @@ def _suite_derivative(nmax: int) -> list:
 def _closed_form_bell(n: int, j: int, a: Sequence[Fraction]) -> Fraction:
     """Displayed closed forms for j <= 3; factorials of negative numbers
     mark absent terms."""
-    import math as _math
 
     def inv_fact(m: int) -> Fraction:
-        return Fraction(1, _math.factorial(m)) if m >= 0 else Fraction(0)
+        return Fraction(1, math.factorial(m)) if m >= 0 else Fraction(0)
 
     a1 = Fraction(a[1]) if n >= 1 else Fraction(0)
 

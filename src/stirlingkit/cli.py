@@ -15,9 +15,11 @@ is the one place that turns a refusal into `error: ...` and exit 2.
 Values print as exact rationals ('p' or 'p/q'); only `asympt` adds a
 decimal column.  A command imports what it runs, and the parser adds only
 its options: `value` and `table` by egf load exact, families, names and
-schemes, and `series` adds series.  `asympt` loads exact, names, schemes,
-asymptotics and partial; other methods, `verify` and JSON output load
-their own layers, and only `value`, `table` and `series` load families.
+schemes, and `series` adds series.  `--method recurrence` adds the
+recurrence module and `--method oracle` the oracle, as `--check` and
+`verify` load every route.  `asympt` loads exact, names, schemes,
+asymptotics and partial, and prints its rows by asymptotics.report_text
+or report_json; only `value`, `table` and `series` load families.
 
 `entry`, the console script and `python -m stirlingkit.cli`, freezes the
 heap (`gc.freeze()`) on its way out, so the interpreter's shutdown does not
@@ -175,27 +177,8 @@ def _cmd_verify(args) -> int:
     return 0 if audit_ok(findings) else 1
 
 
-# asympt text: one column per field, '-' where it is null, then the note
-_ASYMPT_LINE = "%6s %8s %-26s %-26s %-20s %-12s %s"
-_ASYMPT_COLUMNS = ("k", "n_total", "estimate", "exact", "rel_error", "rel_error_decimal")
-
-
-def _asympt_fields(row) -> dict:
-    """One asympt row (an AsymptoticRow) as its printed fields, None where a
-    field is undefined: the JSON object, and the cells of the text line."""
-    from .asymptotics import decimal_str
-
-    fields = {"k": row.k, "n_total": row.n_total, "mode": row.mode}
-    for name in ("estimate", "exact", "rel_error"):
-        value = getattr(row, name)
-        fields[name] = None if value is None else format_rational(value)
-    fields["rel_error_decimal"] = None if row.rel_error is None else decimal_str(row.rel_error, 8)
-    fields["note"] = row.note
-    return fields
-
-
 def _cmd_asympt(args) -> int:
-    from .asymptotics import asymptotic_partial
+    from .asymptotics import asymptotic_partial, report_json, report_text
 
     if None in (args.gamma, args.alpha, args.beta):
         raise ValueError("asympt needs --gamma, --alpha, --beta and --ell")
@@ -205,20 +188,12 @@ def _cmd_asympt(args) -> int:
     k_list = [int(part) for part in args.k.split(",") if part.strip() != ""]
     if not k_list:
         raise ValueError("empty --k list")
-    rows = [
-        _asympt_fields(
-            asymptotic_partial(args.n, k, gamma, alpha, beta, args.ell, args.m, args.mode)
-        )
-        for k in k_list
-    ]
+    rows = [asymptotic_partial(args.n, k, gamma, alpha, beta, args.ell, args.m, args.mode)
+            for k in k_list]
     if args.format == "json":
-        _write_json(rows, args.out)
-        return 0
-    lines = [_ASYMPT_LINE % ("k", "n_total", "estimate", "exact", "rel_error", "(decimal)", "note")]
-    for fields in rows:
-        cells = ["-" if fields[name] is None else fields[name] for name in _ASYMPT_COLUMNS]
-        lines.append(_ASYMPT_LINE % (*cells, fields["note"] or ""))
-    _write_out("\n".join(lines), args.out)
+        _write_json(report_json(rows), args.out)
+    else:
+        _write_out(report_text(rows), args.out)
     return 0
 
 

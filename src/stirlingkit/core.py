@@ -13,9 +13,9 @@ recurrences are provided separately as verification targets; the audit
 module compares them (including a commonly printed but wrong variant of
 the basic recursion) against these reference values.  The basic,
 size-limited and size-floored recursions each run as the recurrence of a
-scheme's declared differential equation (WeightScheme.recurrence), which
-reads no series and no column and keeps its values in the scheme; the
-wrong variant is a loop.  So neither n nor k meets a recursion depth
+scheme's declared differential equation (recurrence module), which reads
+no series and no column and keeps its values in the scheme; the wrong
+variant is a loop.  So neither n nor k meets a recursion depth
 limit.
 """
 
@@ -25,6 +25,7 @@ import math
 from functools import lru_cache
 
 from .exact import CACHE_SIZE, check_indices
+from .recurrence import recurrence_value
 from .schemes import WeightScheme, associated_scheme, classic_scheme, restricted_scheme
 
 __all__ = [
@@ -59,7 +60,7 @@ def stirling2_associated(n: int, k: int, ell: int) -> int:
 def stirling2_rec(n: int, k: int) -> int:
     """Standard recursion S(n,k) = k*S(n-1,k) + S(n-1,k-1): the classic
     scheme's declared recurrence, which is this rule itself."""
-    return classic_scheme().recurrence(k, n)
+    return recurrence_value(n, k, classic_scheme())
 
 
 def stirling2_rec_literal(n: int, k: int) -> int:
@@ -83,14 +84,14 @@ def stirling2_restricted_rec(n: int, k: int, ell: int) -> int:
     """Size-limited recursion: the new element's block takes i more members,
     i <= ell-1, and the rest form k-1 blocks.  This is the restricted
     scheme's declared recurrence, B' = q with q(i) = 1 for i < ell."""
-    return restricted_scheme(ell).recurrence(k, n)
+    return recurrence_value(n, k, restricted_scheme(ell))
 
 
 def stirling2_associated_rec(n: int, k: int, ell: int) -> int:
     """Size-floored recursion: the new element's block takes i >= ell-1 more
     members.  This printed sum is not the associated scheme's own equation,
     so it runs on a scheme with the same weights and the trivial B' = q."""
-    return _printed_associated_scheme(ell).recurrence(k, n)
+    return recurrence_value(n, k, _printed_associated_scheme(ell))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

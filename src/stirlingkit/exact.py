@@ -141,7 +141,7 @@ def format_rational(value: Rational) -> str:
 # Entries kept by each bounded cache: the scheme factories (core's
 # printed-form associated scheme among them), the oracle's size profiles
 # and the multinomial route's composition tables
-# (partial._composition_table, one per (n, k, minimum), one row per
+# (audit._composition_table, one per (n, k, minimum), one row per
 # multiset of head sizes).  After `verify --suite all --nmax 8` the
 # composition tables number 140, and the largest scheme factory,
 # generalized_scheme, holds 52 of the 175 schemes (classic's, the triple

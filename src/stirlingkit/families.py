@@ -11,7 +11,7 @@ takes.  Values can be computed by several methods:
                 the family's weight scheme (the canonical path, one
                 generic read of WeightScheme.value for every family)
     recurrence  the differential equation the scheme declares, read as
-                a recurrence (WeightScheme.recurrence), no series involved
+                a recurrence (recurrence module), no series involved
     explicit    alternating-sum formula (classic, degenerate and
                 generalized families only, beta != 0)
     oracle      brute-force weighted enumeration (small n only)
@@ -168,13 +168,13 @@ def family_value(spec: FamilySpec, n: int, k: int, method: str = "egf") -> Ratio
             raise ValueError("no explicit-sum formula for family %r" % spec.tag)
         return Fraction(family.explicit(spec, n, k))
     if method == "recurrence":
-        return Fraction(family.scheme(spec).recurrence(k, n))
+        return Fraction(_package.recurrence.recurrence_value(n, k, family.scheme(spec)))
     return family.scheme(spec).value(k, n)
 
 
 def family_egf(spec: FamilySpec, k: int, order: int):
     """The family's generating function at block count k, truncated."""
-    return FAMILIES[spec.tag].scheme(spec).egf(k, order)
+    return _package.series.egf(FAMILIES[spec.tag].scheme(spec), k, order)
 
 
 class ValueTable:

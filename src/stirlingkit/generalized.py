@@ -18,7 +18,7 @@ The triangular recursion
     S(n+1,k) = S(n,k-1) + (k*beta - n*alpha + gamma) * S(n,k),
 
 which is the differential equation the scheme declares read as a
-recurrence (WeightScheme.recurrence), and an explicit alternating sum
+recurrence (recurrence module), and an explicit alternating sum
 (finite-difference style, beta != 0 only) are independent routes to the
 same values.
 """
@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 
 from .exact import Rational, binomial, check_indices, falling_factorial_deg, rational
+from .recurrence import recurrence_value
 from .schemes import generalized_scheme
 
 __all__ = [
@@ -46,8 +47,8 @@ def gen_stirling(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rationa
 def gen_stirling_rec(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational) -> Rational:
     """Same value through the triangular recursion (works for any beta),
     which is the scheme's declared differential equation read by
-    WeightScheme.recurrence, filled iteratively so n has no depth limit."""
-    return generalized_scheme(alpha, beta, gamma).recurrence(k, n)
+    the recurrence module, filled iteratively so n has no depth limit."""
+    return recurrence_value(n, k, generalized_scheme(alpha, beta, gamma))
 
 
 def gen_stirling_explicit(n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational) -> Rational:

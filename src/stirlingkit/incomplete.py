@@ -15,7 +15,7 @@ Two families live here:
 
 Both generating functions come from the weight schemes in the schemes
 module.  The recurrence routes re-derive the values independently from
-the differential equation each scheme declares (WeightScheme.recurrence);
+the differential equation each scheme declares (recurrence module);
 the audited one-step rules below are verification targets.  The
 size-floored counts that free_atleast_recursion sums come from the
 associated scheme's recurrence as well, so no route here reads core.
@@ -35,6 +35,7 @@ three-term form sets to the step itself.
 from __future__ import annotations
 
 from .exact import Rational, binomial, check_indices, falling_factorial_deg, rational
+from .recurrence import recurrence_value
 from .schemes import (
     associated_scheme,
     free_atleast_scheme,
@@ -65,8 +66,8 @@ def gen_restricted_rec(
     n: int, k: int, alpha: Rational, beta: Rational, gamma: Rational, ell: int
 ) -> Rational:
     """Recurrence path (no generating function); any beta: the scheme's
-    declared differential equation read by WeightScheme.recurrence."""
-    return gen_restricted_scheme(alpha, beta, gamma, ell).recurrence(k, n)
+    declared differential equation read by the recurrence module."""
+    return recurrence_value(n, k, gen_restricted_scheme(alpha, beta, gamma, ell))
 
 
 def gen_restricted_recursion(
@@ -164,8 +165,8 @@ def free_atleast(n: int, k: int, gamma: Rational, ell: int) -> Rational:
 
 def free_atleast_rec(n: int, k: int, gamma: Rational, ell: int) -> Rational:
     """Recurrence path (no generating function): the scheme's declared
-    differential equation read by WeightScheme.recurrence."""
-    return free_atleast_scheme(gamma, ell).recurrence(k, n)
+    differential equation read by the recurrence module."""
+    return recurrence_value(n, k, free_atleast_scheme(gamma, ell))
 
 
 def free_atleast_recursion(
@@ -186,7 +187,7 @@ def free_atleast_recursion(
     shift = 0 if literal else 1
     total = gamma * free_atleast(n, k, gamma, ell)
     for i in range(0, n + 1):
-        count = associated_scheme(ell + 1).recurrence(k, n + shift - i)
+        count = recurrence_value(n + shift - i, k, associated_scheme(ell + 1))
         if count:
             total += binomial(n, i) * gamma ** i * count
     return total

@@ -23,27 +23,28 @@ coefficients of B^k, in ints where a declared D clears its weights (every
 factory's does) and in Fractions for a bare scheme whose weights are not
 integers.  Each runs an online recurrence with one exact division per
 coefficient, and a value is one `rational`.  WeightScheme.value reads a
-value and egf the same column, by the kernels of this module, which
-alone know the column's scaling; egf and the *_series views load series.
+value from the column, by the kernels of this module, which fix the
+column's scaling; series.egf reads the same column as a whole series.
 
-Each family's factory also declares the first-order linear differential
-equations its two series satisfy, a*P' = p*P and a*B' = b*B + q with
-a = 1 + a1*t, constants p and b and a polynomial q.  Then V_k = P*B^k/k!
-satisfies a*V_k' = (p + k*b)*V_k + q*V_(k-1), so every value also follows
-from one short recurrence, WeightScheme.recurrence, which reads neither
-series nor column: an independent route to the same values (Stanley,
-Europ. J. Combin. 1, 1980, on D-finite series).
+Each family's factory also declares the differential equations its two
+series satisfy (WeightScheme.ode), which the recurrence module reads as an
+independent route.  That module, series (egf and the *_series views) and
+oracle hold the other reads of a scheme, so the value path never compiles
+them; the scheme's methods of those names forward there.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 
 from .exact import CACHE_SIZE, FallingFactorials, Rational, check_indices, rational
+
+_package = sys.modules[__package__]  # imports a route module on first access (PEP 562)
 
 __all__ = [
     "WeightScheme",
@@ -68,12 +69,13 @@ class WeightScheme:
     ode, where the family declares one, is (a1, p, b, degree, q): with
     a = 1 + a1*t, a*P' = p*P and a*B' = b*B + q, q of that degree and q(i)
     = i! [t^i] q, read only as far as a recurrence needs it.  degree may be
-    math.inf, for a q that is a series, read term by term; only recurrence
-    reads it.  Next to it come denominator, D, the lcm of the parameters'
-    denominators, so that D^(m-1) bw(m) and D^g sw(g) are integers, and,
-    where a fixed E clears the ordinary coefficients u_i = bw(v+i)/(v+i)!
-    and p_g = sw(g)/g!, scaling = (s, E): E^(v+i-1) s u_i and E^g p_g are
-    integers.  A declared D or scaling that leaves one fractional raises.
+    math.inf, for a q that is a series, read term by term; only the
+    recurrence module reads it.  Next to it come denominator, D, the lcm of
+    the parameters' denominators, so that D^(m-1) bw(m) and D^g sw(g) are
+    integers, and, where a fixed E clears the ordinary coefficients u_i =
+    bw(v+i)/(v+i)! and p_g = sw(g)/g!, scaling = (s, E): E^(v+i-1) s u_i
+    and E^g p_g are integers.  A declared D or scaling that leaves one
+    fractional raises.
 
     The instance also keeps what it has computed, extended as values are
     read, so every new scheme starts with an empty store and no read
@@ -128,22 +130,6 @@ class WeightScheme:
         self._q: list = []  # q(0), q(1), ... as read so far
         self._rows: list = []  # j -> [V(j, j), V(j+1, j), ...]
 
-    def block_series(self, order: int) -> TruncatedSeries:
-        """sum over sizes m >= 1 of bw(m) t^m / m!."""
-        return self._series(self.block_weight, 1, order)
-
-    def special_series(self, order: int) -> TruncatedSeries:
-        """sum over g >= 0 of sw(g) t^g / g!."""
-        return self._series(self.special_weight, 0, order)
-
-    def _series(self, weight: Callable[[int], Rational], first: int, order: int):
-        """sum over sizes m >= first of weight(m) t^m / m!; a zero weight
-        costs no m!."""
-        from .series import TruncatedSeries
-        return TruncatedSeries([0] * first + [
-            _over(w, math.factorial(m)) if (w := weight(m)) else 0
-            for m in range(first, order + 1)], order)
-
     def value(self, k: int, n: int) -> Rational:
         """n! [t^n] of the EGF with k blocks: the weighted count of the pairs
         (G, P_k) over {1..n}, an int when it is integral."""
@@ -153,74 +139,23 @@ class WeightScheme:
                 value = self._values[k, n] = self._value(k, n)
         return value
 
+    # -- the other reads, one line each into the module that holds the route
+
     def egf(self, k: int, order: int) -> TruncatedSeries:
-        """EGF of the pairs with k blocks: special * block^k / k!, mod t^(order+1).
-        Blocks are non-empty, so it is zero when k > order and 1/k! is not formed."""
-        from .series import TruncatedSeries
-        if order < 0 or k < 0:
-            raise ValueError("indices must be non-negative, got order=%r k=%r" % (order, k))
-        if k > order:
-            return TruncatedSeries.zero(order)
-        if k == 0:
-            return self.special_series(order)
-        if not self.scaling:
-            self.value(k, order)  # one read fills the column as far as every other needs
-            return TruncatedSeries(
-                [_over(self.value(k, n), math.factorial(n)) for n in range(order + 1)], order)
-        with self._lock:
-            found = self._column(k, order)
-        if found is None:
-            return TruncatedSeries.zero(order)
-        (_, coeffs), top = found
-        s, e = self.scaling
-        den = math.factorial(k) * s ** k * e ** (order - top - k)  # k! s^k E^(k(v-1))
-        series = [0] * (order - top)
-        for c in coeffs[:top + 1]:
-            series.append(Fraction(c, den))
-            den *= e
-        return TruncatedSeries(series, order)
+        """series.egf: special * block^k / k!, mod t^(order+1)."""
+        return _package.series.egf(self, k, order)
+
+    def block_series(self, order: int) -> TruncatedSeries:
+        """series.block_series: sum over sizes m >= 1 of bw(m) t^m / m!."""
+        return _package.series.block_series(self, order)
+
+    def special_series(self, order: int) -> TruncatedSeries:
+        """series.special_series: sum over g >= 0 of sw(g) t^g / g!."""
+        return _package.series.special_series(self, order)
 
     def recurrence(self, k: int, n: int) -> Rational:
-        """The value at (n, k) from the declared differential equation alone,
-        an int when it is integral:
-
-            V(n+1, k) = (p + k*b - a1*n) V(n, k) + sum_i C(n, i) q(i) V(n-i, k-1)
-
-        from V(0, 0) = sw(0), so column 0 is sw(n).  Column j is kept from
-        V(j, j) on and filled iteratively only to V(j + n - k, j), the band
-        the read needs, so n has no depth limit; k > n builds nothing."""
-        check_indices(n, k)
-        if self.ode is None:
-            raise ValueError("scheme %s declares no differential equation" % self.name)
-        if k > n:
-            return 0
-        depth = n - k
-        with self._lock:
-            rows = self._rows
-            if k < len(rows) and depth < len(rows[k]):
-                return rational(rows[k][depth])
-            a1, p, b, degree, q = self.ode
-            q_hat = self._q
-            for i in range(len(q_hat), min(degree, depth) + 1):
-                q_hat.append(q(i))
-            while len(rows) <= k:
-                rows.append([] if rows else [rational(self.special_weight(0))])  # V(0, 0) = sw(0)
-            # a fill leaves the columns no longer as j grows, so the ones
-            # short of depth are j0..k
-            j0 = k
-            while j0 and len(rows[j0 - 1]) <= depth:
-                j0 -= 1
-            for j in range(j0, k + 1):
-                # column j - 1 holds V(j-1, j-1) .. V(j-1 + depth, j-1) already
-                column, lower, factor = rows[j], rows[j - 1] if j else (), p + j * b
-                for d in range(len(column), depth + 1):
-                    m = j + d - 1  # V(m+1, j) from row m; V(j-1, j) = 0
-                    value = (factor - a1 * m) * column[d - 1] if d else 0
-                    for i in range(min(d, degree) + 1 if lower else 0):
-                        if q_hat[i]:
-                            value += math.comb(m, i) * q_hat[i] * lower[d - i]
-                    column.append(value)
-            return rational(rows[k][depth])
+        """recurrence.recurrence_value: the value at (n, k) from the ode."""
+        return _package.recurrence.recurrence_value(n, k, self)
 
     # -- the store; callers hold its lock --------------------------------------
 
@@ -296,11 +231,6 @@ class WeightScheme:
             return rational(column[1][top] * math.perm(n, n - k), s ** k * e ** (n - k))
         return rational(_special_sum(n, top, self._special, column[0]),
                         (self.denominator or 1) ** (n - k))
-
-
-def _over(value: Rational, divisor: int) -> Fraction:
-    """value / divisor as a Fraction, reduced once."""
-    return Fraction(value.numerator, value.denominator * divisor)
 
 
 # -- the column kernels, one coefficient at a time in the scaling of

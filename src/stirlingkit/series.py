@@ -8,6 +8,8 @@ identity checked through this module is verified exactly mod t^(N+1).
 Coefficient extraction in exponential-generating-function form
 (n! * c_n) reads a series as values.  The weight schemes' columns compute
 every number family; whole series are the reference the tests hold them to.
+A weight scheme's series views live here, so the value path never compiles
+them: egf, read from the scheme's column, block_series and special_series.
 
 Every family's generating function is P(t) * B(t)^k / k! with B(0) = 0,
 so powers are taken with their valuation shifted out: B = t^v * U with
@@ -29,7 +31,7 @@ schemes._ordinary_term) one coefficient at a time, without this module.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 
 from .exact import Rational, _miller_power, _pair_sum, falling_factorial_deg
@@ -163,6 +165,59 @@ def _product_term(n: int, products: list) -> tuple:
                 nums.append(c * a_num * b_num)
                 dens.append(a_den * right_den[n - i])
     return _pair_sum(nums, dens)
+
+
+def egf(scheme, k: int, order: int) -> TruncatedSeries:
+    """EGF of the pairs of a weight scheme with k blocks: special * block^k /
+    k!, mod t^(order+1).  Blocks are non-empty, so it is zero when k > order
+    and 1/k! is not formed.  It reads the scheme's column k: the values of an
+    EGF column, or an ordinary column's coefficients c_j divided by its
+    scaling once each."""
+    if order < 0 or k < 0:
+        raise ValueError("indices must be non-negative, got order=%r k=%r" % (order, k))
+    if k > order:
+        return TruncatedSeries.zero(order)
+    if k == 0:
+        return special_series(scheme, order)
+    if not scheme.scaling:
+        scheme.value(k, order)  # one read fills the column as far as every other needs
+        return TruncatedSeries(
+            [_over(scheme.value(k, n), math.factorial(n)) for n in range(order + 1)], order)
+    with scheme._lock:
+        found = scheme._column(k, order)
+    if found is None:
+        return TruncatedSeries.zero(order)
+    (_, coeffs), top = found
+    s, e = scheme.scaling
+    den = math.factorial(k) * s ** k * e ** (order - top - k)  # k! s^k E^(k(v-1))
+    series = [0] * (order - top)
+    for c in coeffs[:top + 1]:
+        series.append(Fraction(c, den))
+        den *= e
+    return TruncatedSeries(series, order)
+
+
+def block_series(scheme, order: int) -> TruncatedSeries:
+    """sum over sizes m >= 1 of bw(m) t^m / m! for a weight scheme."""
+    return _series(scheme.block_weight, 1, order)
+
+
+def special_series(scheme, order: int) -> TruncatedSeries:
+    """sum over g >= 0 of sw(g) t^g / g! for a weight scheme."""
+    return _series(scheme.special_weight, 0, order)
+
+
+def _series(weight: Callable[[int], Rational], first: int, order: int) -> TruncatedSeries:
+    """sum over sizes m >= first of weight(m) t^m / m!; a zero weight costs
+    no m!."""
+    return TruncatedSeries([0] * first + [
+        _over(w, math.factorial(m)) if (w := weight(m)) else 0
+        for m in range(first, order + 1)], order)
+
+
+def _over(value: Rational, divisor: int) -> Fraction:
+    """value / divisor as a Fraction, reduced once."""
+    return Fraction(value.numerator, value.denominator * divisor)
 
 
 def exp_series(gamma: Rational, order: int) -> TruncatedSeries:

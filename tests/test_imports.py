@@ -3,6 +3,7 @@ its public names on first use, and a command imports only the layers it
 runs.  Each import check runs in a fresh interpreter."""
 
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -33,7 +34,9 @@ _ALPHA = ["--alpha", "1/2", "--beta", "-1/3", "--gamma", "1/2"]
 _VALUE_PATH = {"stirlingkit.audit", "stirlingkit.asymptotics", "stirlingkit.oracle",
                "dataclasses", "json", "csv"}
 # the independent routes' modules, which the egf path never runs
-_ROUTES = {"stirlingkit." + name for name in ("core", "generalized", "incomplete", "partial")}
+_ROUTES = {"stirlingkit." + name
+           for name in ("core", "generalized", "incomplete", "partial", "recurrence")}
+_RECURRENCE = "stirlingkit.recurrence"
 _EGF_PATH = {"stirlingkit", "stirlingkit.cli", "stirlingkit.exact", "stirlingkit.families",
              "stirlingkit.names", "stirlingkit.schemes"}
 # a row reads psi as a list and runs Miller's recurrence from exact: no series module
@@ -55,20 +58,23 @@ _COMMANDS = {
                     {"stirlingkit.families"}, _VALUE_PATH | _ROUTES | {"stirlingkit.series"}),
     "series-alpha": (["series", "--family", "generalized", *_ALPHA, "--k", "2", "--order", "9"],
                      {"stirlingkit.families", "stirlingkit.series"}, _VALUE_PATH | _ROUTES),
+    # the recurrence has a route module, as the oracle has, and loads no other
     "value-recurrence": (["value", "--family", "classic", "--n", "6", "--k", "3",
                           "--method", "recurrence"],
-                         {"stirlingkit.schemes"}, _VALUE_PATH | _ROUTES | {"stirlingkit.series"}),
+                         {"stirlingkit.schemes", _RECURRENCE},
+                         _VALUE_PATH | (_ROUTES - {_RECURRENCE}) | {"stirlingkit.series"}),
     "asympt-text": (["asympt", "--n", "4", "--k", "3,5", *_GEN],
                     {"stirlingkit.asymptotics"},
                     {"stirlingkit.audit", "dataclasses", "stirlingkit.families",
                      "stirlingkit.oracle", "stirlingkit.core", "stirlingkit.generalized",
-                     "stirlingkit.incomplete", "stirlingkit.series"}),
+                     "stirlingkit.incomplete", "stirlingkit.series", _RECURRENCE}),
     "verify": (["verify", "--suite", "thm3", "--nmax", "3"],
-               {"stirlingkit.audit"}, {"stirlingkit.families", "dataclasses", "inspect"}),
+               {"stirlingkit.audit", _RECURRENCE},
+               {"stirlingkit.families", "dataclasses", "inspect"}),
     "value-oracle": (["value", "--family", "classic", "--n", "6", "--k", "3", "--method", "oracle"],
-                     {"stirlingkit.oracle"}, {"stirlingkit.audit"}),
+                     {"stirlingkit.oracle"}, {"stirlingkit.audit", _RECURRENCE}),
     "value-check": (["value", "--family", "classic", "--n", "6", "--k", "3", "--check"],
-                    {"stirlingkit.oracle"}, {"stirlingkit.audit"}),
+                    {"stirlingkit.oracle", _RECURRENCE}, {"stirlingkit.audit"}),
 }
 
 
@@ -111,16 +117,50 @@ _FAMILY_ARGS = {"classic": [], "restricted": ["--ell", "2"], "associated": ["--e
 
 @pytest.mark.parametrize("family", list(_FAMILY_ARGS))
 def test_the_recurrence_loads_the_egf_path_for_every_family(family):
-    # the recurrence is the scheme's own declaration: no route module
+    # the scheme declares its equation, and the recurrence module reads it:
+    # the egf path's layers and that one route module, for every family
     argv = ["value", "--family", family, *_FAMILY_ARGS[family], "--n", "6", "--k", "3",
             "--method", "recurrence"]
     loaded = _loaded(_CLI, *argv)
-    assert {name for name in loaded if name.startswith("stirlingkit")} == _EGF_PATH
+    assert {name for name in loaded if name.startswith("stirlingkit")} == _EGF_PATH | {_RECURRENCE}
 
 
 def test_asympt_loads_exactly_its_layers():
     loaded = _loaded(_CLI, *_COMMANDS["asympt-text"][0])
     assert {name for name in loaded if name.startswith("stirlingkit")} == _ASYMPT_PATH
+
+
+_PRINTED_ROUTES = ("partial_deg_convolution", "partial_deg_recursion", "partial_deg_multinomial",
+                   "partial_deg_derivative_recursion", "_splits", "_composition_table",
+                   "_iter_heads")
+
+
+def test_asympt_compiles_none_of_the_printed_routes():
+    # asympt loads partial for partial_deg; the printed routes, which only the
+    # audit scores, live in the audit
+    body = """\
+from stirlingkit import cli, partial
+assert cli.main(%r) == 0
+assert not set(vars(partial)) & set(%r), sorted(vars(partial))
+""" % (_COMMANDS["asympt-text"][0], _PRINTED_ROUTES)
+    assert "stirlingkit.partial" in _loaded(body)
+    audit = importlib.import_module("stirlingkit.audit")
+    assert all(hasattr(audit, name) for name in _PRINTED_ROUTES)
+
+
+def test_the_schemes_define_no_series_view_and_no_recurrence_body():
+    # the scheme keeps its declaration and its store; its series views and
+    # its recurrence are one-line forwards into the modules that hold them
+    from stirlingkit import schemes
+
+    assert not {"_series", "_over"} & set(vars(schemes))
+    forwards = {"egf": ("series", "egf"), "block_series": ("series", "block_series"),
+                "special_series": ("series", "special_series"),
+                "recurrence": ("recurrence", "recurrence_value")}
+    for method, (module, function) in forwards.items():
+        code = getattr(schemes.WeightScheme, method).__code__
+        assert set(code.co_names) == {"_package", module, function}, method
+        assert callable(getattr(importlib.import_module("stirlingkit." + module), function))
 
 
 def test_the_patch_points_stay_live():
@@ -178,8 +218,9 @@ for tag, family in f.FAMILIES.items():
                 assert f.family_value(spec, n, k, method) == f.family_value(spec, n, k), (tag, n, k)
 """
     loaded = _loaded(body)
-    # the recurrence is the scheme's; only the explicit sums have a module
-    assert loaded & _ROUTES == {"stirlingkit.generalized"}
+    # the recurrence and the explicit sums have a module each, and no other
+    # route module loads
+    assert loaded & _ROUTES == {"stirlingkit.generalized", _RECURRENCE}
 
 
 @pytest.mark.parametrize(
@@ -217,6 +258,17 @@ def test_incomplete_loads_no_core():
     loaded = _loaded("import stirlingkit.incomplete")
     assert "stirlingkit.incomplete" in loaded
     assert "stirlingkit.core" not in loaded
+
+
+def test_every_export_names_the_module_that_defines_it():
+    # the lazy map must name the defining module, not one that re-exports
+    # the name, so a move cannot leave it resolving through an import
+    for module, names in stirlingkit._EXPORTS.items():
+        loaded = importlib.import_module("stirlingkit." + module)
+        for name in names:
+            value = getattr(loaded, name)
+            if inspect.isfunction(value) or inspect.isclass(value):
+                assert value.__module__ == loaded.__name__, (module, name)
 
 
 def test_every_public_name_resolves_to_its_submodule_object():

@@ -5,7 +5,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from stirlingkit import partial
+from stirlingkit import audit, partial
+from stirlingkit.audit import (
+    partial_deg_convolution,
+    partial_deg_derivative_recursion,
+    partial_deg_multinomial,
+    partial_deg_recursion,
+)
 from stirlingkit.core import stirling2, stirling2_associated
 from stirlingkit.exact import CACHE_SIZE, multinomial, rational
 from stirlingkit.incomplete import free_atleast, gen_restricted
@@ -14,11 +20,7 @@ from stirlingkit.partial import (
     colored_singleton,
     colored_singleton_rec,
     partial_deg,
-    partial_deg_convolution,
-    partial_deg_derivative_recursion,
-    partial_deg_multinomial,
     partial_deg_rec,
-    partial_deg_recursion,
 )
 from stirlingkit.schemes import WeightScheme, colored_singleton_scheme, partial_degenerate_scheme
 
@@ -122,12 +124,12 @@ def test_composition_table():
                     remainder = n - sum(head)
                     key = tuple(sorted(head, reverse=True))
                     grouped[key] = grouped.get(key, 0) + multinomial(n, list(head) + [remainder])
-                table = partial._composition_table(n, k, minimum)
+                table = audit._composition_table(n, k, minimum)
                 assert {head: coefficient for head, _, coefficient in table} == grouped
                 assert len(table) == len(grouped)
                 for head, remainder, _ in table:
                     assert remainder == n - sum(head) >= 0
-    assert partial._composition_table.cache_info().maxsize == CACHE_SIZE
+    assert audit._composition_table.cache_info().maxsize == CACHE_SIZE
 
 
 def test_multinomial_forms():
@@ -320,8 +322,8 @@ def test_reference_routes_ask_only_for_cells_that_exist(monkeypatch):
 
     watched(incomplete, "free_atleast")
     watched(incomplete, "gen_restricted")
-    watched_scheme(partial, "free_atleast_scheme")
-    watched_scheme(partial, "gen_restricted_scheme")
+    watched_scheme(audit, "free_atleast_scheme")
+    watched_scheme(audit, "gen_restricted_scheme")
     watched_scheme(incomplete, "free_atleast_scheme")
     for ell in (1, 2):
         for n in range(0, 6):

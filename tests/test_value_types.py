@@ -42,15 +42,17 @@ from stirlingkit.incomplete import (
     gen_restricted_three_term,
 )
 from stirlingkit.oracle import oracle_sum, oracle_sum_blocksum
+from stirlingkit.audit import (
+    partial_deg_convolution,
+    partial_deg_derivative_recursion,
+    partial_deg_multinomial,
+    partial_deg_recursion,
+)
 from stirlingkit.partial import (
     colored_singleton,
     colored_singleton_rec,
     partial_deg,
-    partial_deg_convolution,
-    partial_deg_derivative_recursion,
-    partial_deg_multinomial,
     partial_deg_rec,
-    partial_deg_recursion,
 )
 
 RATIONAL_TRIPLES = (
