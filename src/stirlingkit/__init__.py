@@ -19,16 +19,16 @@ from importlib import import_module
 _EXPORTS = {
     "asymptotics": ("AsymptoticRow", "asymptotic_partial", "hsu_expansion",
                     "integer_partitions", "partial_bell"),
-    "audit": ("AuditFinding", "audit_ok", "partial_deg_convolution",
-              "partial_deg_derivative_recursion", "partial_deg_multinomial",
-              "partial_deg_recursion", "run_all", "run_suite"),
+    "audit": ("AuditFinding", "associated_from_free", "audit_ok", "free_atleast_recursion",
+              "gen_restricted_recursion", "gen_restricted_three_term",
+              "partial_deg_convolution", "partial_deg_derivative_recursion",
+              "partial_deg_multinomial", "partial_deg_recursion", "run_all", "run_suite"),
     "core": ("stirling2", "stirling2_associated", "stirling2_restricted"),
     "exact": ("binomial", "falling_factorial", "falling_factorial_deg", "format_rational",
               "multinomial", "parse_rational"),
     "families": ("FamilySpec", "ValueTable", "family_egf", "family_value"),
     "generalized": ("degenerate_stirling", "gen_stirling", "gen_stirling_explicit"),
-    "incomplete": ("associated_from_free", "free_atleast", "free_atleast_recursion",
-                   "gen_restricted", "gen_restricted_recursion", "gen_restricted_three_term"),
+    "incomplete": ("free_atleast", "gen_restricted"),
     "oracle": ("MixedPartition", "enumerate_mixed", "oracle_sum"),
     "partial": ("colored_singleton", "partial_deg"),
     "recurrence": (),

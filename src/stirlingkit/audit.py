@@ -25,8 +25,12 @@ runs one suite, or every suite in order for "all".  The names module
 names them, so the command line lists them without importing this one.
 
 The printed forms no other module reads live here, so a value or an
-`asympt` call never compiles them: the partial Bell closed forms and the
-four printed routes of the mixed-cell numbers (partial module).
+`asympt` call never compiles them: the partial Bell closed forms, the
+four printed routes of the mixed-cell numbers (partial module), the
+one-step rules of the size-capped and free-cell numbers and the
+inclusion-exclusion back to the associated numbers (incomplete module),
+and the swapped-orientation scheme thm20 scores.  A rule with a literal
+flag evaluates the printed reading when it is set.
 """
 
 from __future__ import annotations
@@ -52,18 +56,12 @@ from .core import (
 from .exact import (CACHE_SIZE, Rational, binomial, check_indices, falling_factorial_deg,
                     multinomial, rational)
 from .generalized import gen_stirling
-from .incomplete import (
-    associated_from_free,
-    free_atleast,
-    free_atleast_recursion,
-    gen_restricted,
-    gen_restricted_recursion,
-    gen_restricted_three_term,
-)
+from .incomplete import free_atleast, gen_restricted
 from .asymptotics import partial_bell
 from .partial import colored_singleton, partial_deg
-from .schemes import (free_atleast_scheme, gen_restricted_scheme, generalized_scheme,
-                      partial_degenerate_scheme, partial_degenerate_swapped_scheme)
+from .recurrence import recurrence_value
+from .schemes import (WeightScheme, associated_scheme, free_atleast_scheme,
+                      gen_restricted_scheme, generalized_scheme, partial_degenerate_scheme)
 from .series import TruncatedSeries, _product_term, block_series
 from .names import SUITE_NAMES, SUITES as _SUITE_ORDER
 
@@ -80,6 +78,11 @@ __all__ = [
     "partial_deg_recursion",
     "partial_deg_multinomial",
     "partial_deg_derivative_recursion",
+    "gen_restricted_recursion",
+    "gen_restricted_three_term",
+    "free_atleast_recursion",
+    "associated_from_free",
+    "partial_degenerate_swapped_scheme",
 ]
 
 # (alpha, beta, gamma): non-negative integers with alpha | beta, alpha | gamma
@@ -327,6 +330,141 @@ def partial_deg_derivative_recursion(
         if row:
             total += binomial(n, i) * row * block_weight(n - i + 1)
     return total
+
+
+# -- the printed rules of the size-capped and free-cell numbers (incomplete
+#    module), and the orientation of the mixed-cell weights as printed
+
+
+def gen_restricted_recursion(
+    n_plus_1: int,
+    k: int,
+    alpha: Rational,
+    beta: Rational,
+    gamma: Rational,
+    ell: int,
+    literal: bool = False,
+    lower=None,
+) -> Rational:
+    """One step of the basic recursion: S(n+1, k) from the rows below.
+
+    lower(m, j, alpha, beta, gamma, ell) evaluates those rows, on the
+    parameters as given; None means the reference values, gen_restricted.
+
+    Corrected summation bounds run max(k-1, n+1-ell) <= i <= n so the
+    new element's block keeps size n-i+1 <= ell.  The literal variant
+    uses the widely printed bounds k-1 <= i <= n-ell-1, which the audit
+    shows to be wrong.  Those bounds reach blocks larger than ell, so the
+    block weight is the generalized one, which excludes no size.
+    """
+    check_indices(n_plus_1, k, ell)
+    if n_plus_1 == 0:
+        return 1 if k == 0 else 0
+    n = n_plus_1 - 1
+    lower = lower or gen_restricted
+    total = gamma * lower(n, k, alpha, beta, gamma - alpha, ell)
+    if k >= 1:
+        if literal:
+            lo, hi = k - 1, n - ell - 1
+        else:
+            lo, hi = max(k - 1, n + 1 - ell), n
+        block_weight = generalized_scheme(alpha, beta, 0).block_weight
+        for i in range(max(lo, 0), hi + 1):
+            total += (binomial(n, i) * block_weight(n - i + 1)
+                      * lower(i, k - 1, alpha, beta, gamma, ell))
+    return total
+
+
+def gen_restricted_three_term(
+    n: int,
+    k: int,
+    alpha: Rational,
+    beta: Rational,
+    gamma: Rational,
+    ell: int,
+    literal: bool = False,
+) -> Rational:
+    """Right-hand side of the three-term recurrence, two readings.
+
+    The literal reading evaluates the printed expression, whose left side
+    is indexed S(n,k); the derived one (the default) applies the corrected
+    one-step rule twice (the step, evaluated on rows that are themselves
+    one step from the reference values), giving a value for S(n+1,k).
+    The audit compares each against the matching reference value.
+    """
+    check_indices(n, k, ell)
+    if not literal:
+        step = gen_restricted_recursion
+        return step(n + 1, k, alpha, beta, gamma, ell, lower=step)
+
+    total = gamma * gen_restricted(n, k, alpha, beta, gamma - alpha, ell)
+    for i in range(max(k - 1, 0), min(ell, n) + 1):
+        w = binomial(n, i) * falling_factorial_deg(beta - alpha, n - i + 1, alpha)
+        if i >= 1 and k >= 1:
+            total += gamma * w * gen_restricted(i - 1, k - 1, alpha, beta, gamma - alpha, ell)
+        if k >= 2:
+            total += w * sum(binomial(i - 1, j) * falling_factorial_deg(beta - alpha, i - j, alpha)
+                             * gen_restricted(j, k - 2, alpha, beta, gamma, ell) for j in range(i))
+    return total
+
+
+def free_atleast_recursion(
+    n_plus_1: int, k: int, gamma: Rational, ell: int, literal: bool = False
+) -> Rational:
+    """One recursion step by the position of the newest element.
+
+    Corrected form: gamma * F(n,k) + sum_i gamma^i C(n,i) A(n+1-i, k)
+    with A the size-floored partition count at floor ell+1, read from
+    its scheme's recurrence (no series, no core), and F the reference
+    values.  The literal variant uses A(n-i, k), off by the element that
+    joined the blocks.
+    """
+    check_indices(n_plus_1, k, ell)
+    if n_plus_1 == 0:
+        return 1 if k == 0 else 0
+    gamma = rational(gamma)
+    n = n_plus_1 - 1
+    shift = 0 if literal else 1
+    floored = associated_scheme(ell + 1)
+    total = gamma * free_atleast(n, k, gamma, ell)
+    for i in range(0, n + 1):
+        count = recurrence_value(n + shift - i, k, floored)
+        if count:
+            total += binomial(n, i) * gamma ** i * count
+    return total
+
+
+def associated_from_free(n: int, k: int, gamma: Rational, ell: int) -> Rational:
+    """Inclusion-exclusion over the special set size.
+
+    sum_{i=0..n} (-1)^i gamma^i C(n,i) F(n-i, k; gamma, ell-1) recovers
+    the size-floored partition count, independently of gamma.  F(n-i, k)
+    is zero for i > n-k (blocks are non-empty), so the sum stops there.
+    """
+    if ell < 1:
+        raise ValueError("associated numbers need ell >= 1")
+    check_indices(n, k)
+    gamma = rational(gamma)
+    free = free_atleast_scheme(gamma, ell - 1).value
+    total, power = 0, 1  # power = (-gamma)^i
+    for i in range(0, n - k + 1):
+        total += power * binomial(n, i) * free(k, n - i)
+        power *= -gamma
+    return total
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def partial_degenerate_swapped_scheme(
+    gamma: Rational, alpha: Rational, beta: Rational, ell: int
+) -> WeightScheme:
+    """partial_degenerate's weights on the wrong side of ell: free blocks up
+    to ell, degenerate ones above.  It declares no differential equation,
+    only the D of the scheme it swaps."""
+    base = partial_degenerate_scheme(gamma, alpha, beta, ell)
+    blocks = generalized_scheme(alpha, beta, 0).block_weight
+    return WeightScheme(base.name.replace("(", "_swapped(", 1), base.special_weight,
+                        lambda size: 1 if size <= ell else blocks(size),
+                        denominator=base.denominator)
 
 
 # -- suites -------------------------------------------------------------------

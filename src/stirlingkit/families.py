@@ -1,8 +1,8 @@
 """Family registry and uniform value dispatch.
 
 Each of the nine number families is defined once, in FAMILIES: its
-parameters, its weight scheme (which fixes the generating function, see
-the schemes module) and its independent routes.  PARAMETERS (from the
+parameters and its weight scheme, which fixes the value by every route
+(the schemes module).  PARAMETERS (from the
 names module) states the kind of every parameter once, and a FamilySpec
 names one family together with exactly the parameters that family
 takes.  Values can be computed by several methods:
@@ -12,8 +12,11 @@ takes.  Values can be computed by several methods:
                 generic read of WeightScheme.value for every family)
     recurrence  the differential equation the scheme declares, read as
                 a recurrence (recurrence module), no series involved
-    explicit    alternating-sum formula (classic, degenerate and
-                generalized families only, beta != 0)
+    explicit    the alternating sum, read off the same declaration
+                where its q is a constant and b != 0 (generalized
+                module's explicit_value): classic, degenerate and
+                generalized, associated at ell <= 1, free_atleast and
+                partial_degenerate at ell = 0
     oracle      brute-force weighted enumeration (small n only)
 
 Cross-method agreement is part of the test suite and of the CLI
@@ -44,60 +47,27 @@ __all__ = [
     "family_egf",
 ]
 
-class Family(namedtuple("Family", ("params", "scheme", "explicit"), defaults=(None,))):
-    """One family: its parameters, weight scheme and explicit sum.
-
-    The scheme fixes the egf values and, by the differential equation it
-    declares, the recurrence values.  explicit (None where the family has
-    no explicit sum) is independent of the scheme: it takes (spec, n, k)
-    and looks its function up in its module when called, so only a call
-    loads the module and a name rebound there takes effect.
-    """
-
-    __slots__ = ()
+# a family's parameters and spec -> its weight scheme: the egf and the oracle
+# read its weights, the recurrence and the explicit sum its declaration
+Family = namedtuple("Family", ("params", "scheme"))
 
 
 FAMILIES = {
-    "classic": Family(
-        params=(),
-        scheme=lambda s: _schemes.classic_scheme(),
-        explicit=lambda s, n, k: _package.generalized.gen_stirling_explicit(n, k, 0, 1, 0),
-    ),
-    "restricted": Family(
-        params=("ell",),
-        scheme=lambda s: _schemes.restricted_scheme(s.ell),
-    ),
-    "associated": Family(
-        params=("ell",),
-        scheme=lambda s: _schemes.associated_scheme(s.ell),
-    ),
-    "degenerate": Family(
-        params=("lam",),
-        scheme=lambda s: _schemes.generalized_scheme(s.lam, 1, 0),
-        explicit=lambda s, n, k: _package.generalized.gen_stirling_explicit(n, k, s.lam, 1, 0),
-    ),
-    "generalized": Family(
-        params=("alpha", "beta", "gamma"),
-        scheme=lambda s: _schemes.generalized_scheme(s.alpha, s.beta, s.gamma),
-        explicit=lambda s, n, k: _package.generalized.gen_stirling_explicit(
-            n, k, s.alpha, s.beta, s.gamma),
-    ),
+    "classic": Family((), lambda s: _schemes.classic_scheme()),
+    "restricted": Family(("ell",), lambda s: _schemes.restricted_scheme(s.ell)),
+    "associated": Family(("ell",), lambda s: _schemes.associated_scheme(s.ell)),
+    "degenerate": Family(("lam",), lambda s: _schemes.generalized_scheme(s.lam, 1, 0)),
+    "generalized": Family(("alpha", "beta", "gamma"),
+                          lambda s: _schemes.generalized_scheme(s.alpha, s.beta, s.gamma)),
     "gen_restricted": Family(
-        params=("alpha", "beta", "gamma", "ell"),
-        scheme=lambda s: _schemes.gen_restricted_scheme(s.alpha, s.beta, s.gamma, s.ell),
-    ),
-    "free_atleast": Family(
-        params=("gamma", "ell"),
-        scheme=lambda s: _schemes.free_atleast_scheme(s.gamma, s.ell),
-    ),
+        ("alpha", "beta", "gamma", "ell"),
+        lambda s: _schemes.gen_restricted_scheme(s.alpha, s.beta, s.gamma, s.ell)),
+    "free_atleast": Family(("gamma", "ell"),
+                           lambda s: _schemes.free_atleast_scheme(s.gamma, s.ell)),
     "partial_degenerate": Family(
-        params=("gamma", "alpha", "beta", "ell"),
-        scheme=lambda s: _schemes.partial_degenerate_scheme(s.gamma, s.alpha, s.beta, s.ell),
-    ),
-    "colored_singleton": Family(
-        params=("r", "s"),
-        scheme=lambda s: _schemes.colored_singleton_scheme(s.r, s.s),
-    ),
+        ("gamma", "alpha", "beta", "ell"),
+        lambda s: _schemes.partial_degenerate_scheme(s.gamma, s.alpha, s.beta, s.ell)),
+    "colored_singleton": Family(("r", "s"), lambda s: _schemes.colored_singleton_scheme(s.r, s.s)),
 }
 
 FAMILY_TAGS = tuple(FAMILIES)
@@ -164,9 +134,7 @@ def family_value(spec: FamilySpec, n: int, k: int, method: str = "egf") -> Ratio
 
         return oracle_sum(n, k, family.scheme(spec))
     if method == "explicit":
-        if family.explicit is None:
-            raise ValueError("no explicit-sum formula for family %r" % spec.tag)
-        return Fraction(family.explicit(spec, n, k))
+        return Fraction(_package.generalized.explicit_value(n, k, family.scheme(spec)))
     if method == "recurrence":
         return Fraction(_package.recurrence.recurrence_value(n, k, family.scheme(spec)))
     return family.scheme(spec).value(k, n)

@@ -21,6 +21,12 @@ which is the differential equation the scheme declares read as a
 recurrence (recurrence module), and an explicit alternating sum
 (finite-difference style, beta != 0 only) are independent routes to the
 same values.
+
+The alternating sum is also the explicit route of every scheme whose
+declared q is a constant and b != 0 (explicit_value): its two series
+are then the generalized ones up to constant factors, so classic,
+degenerate, generalized, associated at ell <= 1 and free_atleast and
+partial_degenerate at ell = 0 all take it.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ __all__ = [
     "gen_stirling",
     "gen_stirling_rec",
     "gen_stirling_explicit",
+    "explicit_value",
     "degenerate_stirling",
 ]
 
@@ -66,6 +73,22 @@ def gen_stirling_explicit(n: int, k: int, alpha: Rational, beta: Rational, gamma
         sign = -1 if (k - j) % 2 else 1
         total += sign * binomial(k, j) * falling_factorial_deg(beta * j + gamma, n, alpha)
     return rational(total, beta ** k * math.factorial(k))
+
+
+def explicit_value(n: int, k: int, scheme) -> Rational:
+    """The value of scheme at (n, k) by the alternating sum, read off the
+    differential equation it declares, never off a column.
+
+    With ode = (a1, p, b, 0, q), q a constant, the series are P = sw(0) times
+    the generalized special series at (a1, p) and B = q(0) times the
+    generalized block series at (a1, b), so the value is
+    sw(0) q(0)^k S(n, k; a1, b, p).  Any other declaration is refused.
+    """
+    if scheme.ode is None or scheme.ode[3] != 0:
+        raise ValueError("no explicit sum for scheme %s: it declares no constant q" % scheme.name)
+    a1, p, b, _, q = scheme.ode
+    value = gen_stirling_explicit(n, k, a1, b, p)
+    return value and rational(scheme.special_weight(0) * q(0) ** k * value)
 
 
 def degenerate_stirling(n: int, k: int, lam: Rational) -> Rational:

@@ -30,7 +30,9 @@ Each family's factory also declares the differential equations its two
 series satisfy (WeightScheme.ode), which the recurrence module reads as an
 independent route.  That module, series (egf and the *_series views) and
 oracle hold the other reads of a scheme, so the value path never compiles
-them; the scheme's methods of those names forward there.
+them; the scheme's methods of those names forward there.  The factories
+here are the families' own schemes; a scheme the audit builds only to
+score a printed form (the swapped mixed-cell orientation) lives there.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ __all__ = [
     "gen_restricted_scheme",
     "free_atleast_scheme",
     "partial_degenerate_scheme",
-    "partial_degenerate_swapped_scheme",
     "colored_singleton_scheme",
 ]
 
@@ -428,23 +429,6 @@ def partial_degenerate_scheme(
         special_weight=lambda size: g ** size,
         block_weight=(weight := lambda size: blocks(size) if size <= ell else 1),
         ode=(0, g, 1, *_tail(weight, ell, 1)),
-        denominator=math.lcm(g.denominator, a.denominator, b.denominator),
-    )
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def partial_degenerate_swapped_scheme(
-    gamma: Rational, alpha: Rational, beta: Rational, ell: int
-) -> WeightScheme:
-    """Orientation with the weights on the wrong side of ell (audit target;
-    it declares no differential equation, only its D)."""
-    check_indices(0, 0, ell)
-    a, b, g = rational(alpha), rational(beta), rational(gamma)
-    blocks = _degenerate_blocks(a, b)
-    return WeightScheme(
-        name="partial_degenerate_swapped(%s,%s,%s,ell=%d)" % (g, a, b, ell),
-        special_weight=lambda size: g ** size,
-        block_weight=lambda size: 1 if size <= ell else blocks(size),
         denominator=math.lcm(g.denominator, a.denominator, b.denominator),
     )
 

@@ -7,6 +7,8 @@ from functools import lru_cache
 
 import pytest
 
+from stirlingkit.families import FAMILIES
+
 
 @pytest.fixture
 def rng():
@@ -32,6 +34,13 @@ def brute_set_partitions(n):
             out.append(smaller[:i] + (smaller[i] + (n,),) + smaller[i + 1 :])
         out.append(smaller + ((n,),))
     return out
+
+
+def has_explicit_sum(spec):
+    """Whether the explicit route serves spec, read off its scheme's
+    declaration: a constant q (degree 0) and b != 0."""
+    a1, p, b, degree, q = FAMILIES[spec.tag].scheme(spec).ode
+    return degree == 0 and b != 0
 
 
 def brute_stirling2(n, k, size_ok=lambda s: True):

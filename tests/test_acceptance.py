@@ -18,7 +18,9 @@ from stirlingkit import oracle as orc
 from stirlingkit import schemes
 from stirlingkit.asymptotics import asymptotic_partial, hsu_expansion
 from stirlingkit.audit import audit_ok, run_all, run_suite
-from stirlingkit.families import FAMILIES, FamilySpec, family_value
+from stirlingkit.families import FamilySpec, family_value
+
+from conftest import has_explicit_sum
 
 
 @contextmanager
@@ -94,15 +96,20 @@ def test_criterion_2_cross_method_agreement():
     with criterion(2, "recursion, explicit sum and series paths agree, n <= 12"):
         specs = [FamilySpec("classic")]
         specs += [FamilySpec("restricted", ell=ell) for ell in (1, 2, 3)]
-        specs += [FamilySpec("associated", ell=ell) for ell in (1, 2, 3)]
-        specs += [FamilySpec("degenerate", lam=lam) for lam in (0, 1, 2, Fraction(1, 2))]
+        specs += [FamilySpec("associated", ell=ell) for ell in (0, 1, 2, 3)]
+        specs += [FamilySpec("degenerate", lam=lam)
+                  for lam in (0, 1, 2, Fraction(1, 2), Fraction(1, 3), -1)]
         specs += [
-            FamilySpec("generalized", alpha=a, beta=b, gamma=g) for a, b, g in TRIPLES
+            FamilySpec("generalized", alpha=a, beta=b, gamma=g)
+            for a, b, g in TRIPLES + [(Fraction(1, 2), Fraction(-1, 3), Fraction(1, 2))]
         ]
+        # the explicit sum serves these too: their q is a constant at ell = 0
+        specs += [FamilySpec("free_atleast", gamma=Fraction(1, 2), ell=0),
+                  FamilySpec("partial_degenerate", gamma=2, alpha=1, beta=3, ell=0)]
         for spec in specs:
-            has_explicit = FAMILIES[spec.tag].explicit is not None
+            has_explicit = has_explicit_sum(spec)
             for n in range(0, 13):
-                for k in range(0, n + 1):
+                for k in range(0, n + 2):
                     canonical = family_value(spec, n, k)
                     assert family_value(spec, n, k, "recurrence") == canonical, (
                         spec.describe(),

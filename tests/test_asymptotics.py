@@ -29,6 +29,9 @@ def test_integer_partitions_examples():
         assert ones == [tuple([n] + [0] * (n - 1))]
     assert integer_partitions(2, 0) == []
     assert integer_partitions(0, 0) == [()]
+    for n, parts in ((-1, 0), (2, -1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            integer_partitions(n, parts)
 
 
 def test_integer_partitions_invariants():

@@ -95,6 +95,29 @@ def test_score_evaluates_the_reference_once_per_case():
 def test_unknown_suite():
     with pytest.raises(ValueError):
         run_suite("nonsense", 4)
+    # the closed forms are displayed, so scored, only up to j = 3
+    with pytest.raises(ValueError, match="j <= 3"):
+        audit._closed_form_bell(6, 4, [1] * 7)
+
+
+def test_the_free_cell_recursion_reads_no_core(monkeypatch):
+    # the corrected free-cell rule sums size-floored counts; it takes them
+    # from the associated scheme's recurrence, so the suite scores the same
+    # verdicts with every function of core refused
+    from stirlingkit import core, schemes
+
+    def refuse(*args):
+        raise AssertionError("the free-cell recursion read core")
+
+    for name in core.__all__:
+        for module in (core, audit):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    schemes.free_atleast_scheme.cache_clear()  # no column is filled yet
+    found = run_suite("s-gt-recursion", 5)
+    assert [(f.form, f.verdict) for f in found] == [("literal", "FAIL"), ("corrected", "PASS")]
+    for ell in (1, 2, 3, 4):
+        assert schemes.associated_scheme(ell)._rows, ell
 
 
 def test_colored_singleton_report(findings):

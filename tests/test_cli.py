@@ -85,12 +85,15 @@ def test_usage_errors(capsys):
         "table --family classic --nmax 12 --method oracle",
         "series --family classic --k -1 --order 3",
         "series --family degenerate --lambda 1/0 --k 1 --order 3",
+        "series --family classic --k 2",
         "verify --suite all --nmax -1",
         "asympt --n 4 --k 1,x --gamma 1 --alpha 1 --beta 2 --ell 2",
         "asympt --n 4 --k , --gamma 1 --alpha 1 --beta 2 --ell 2",
         "asympt --n 4 --k 5 --gamma 1/0 --alpha 1 --beta 2 --ell 2",
         "asympt --n 141 --k 1 --mode literal --gamma 1 --alpha 1 --beta 2 --ell 2",
         "asympt --n 4 --k -3,5 --gamma 1 --alpha 1 --beta 2 --ell 2",
+        "asympt --k 3 --gamma 1 --alpha 1 --beta 2 --ell 2",
+        "value --family restricted --ell 2 --n 5 --k 2 --method explicit",
     ]
     for argv in refused:
         code, out, err = run(capsys, *argv.split())

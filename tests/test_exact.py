@@ -27,6 +27,8 @@ def test_falling_factorial_deg_examples():
 def test_falling_factorial_deg_rejects_negative_n():
     with pytest.raises(ValueError):
         falling_factorial_deg(1, -1, 1)
+    with pytest.raises(ValueError, match="size >= 0"):
+        FallingFactorials(1, 1)(-1)
 
 
 def test_falling_factorial_step_property(rng):

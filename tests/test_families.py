@@ -21,6 +21,7 @@ from stirlingkit import (
     stirling2_associated,
     stirling2_restricted,
 )
+from stirlingkit.audit import partial_degenerate_swapped_scheme
 from stirlingkit.core import stirling2_associated_rec, stirling2_rec, stirling2_restricted_rec
 from stirlingkit.generalized import gen_stirling_rec
 from stirlingkit.incomplete import free_atleast_rec, gen_restricted_rec
@@ -35,6 +36,8 @@ from stirlingkit.families import (
 )
 from stirlingkit.oracle import oracle_sum
 from stirlingkit.series import TruncatedSeries, egf_coeff
+
+from conftest import has_explicit_sum
 
 
 def test_spec_validation():
@@ -114,7 +117,7 @@ def test_methods_agree(spec):
             assert PUBLIC_VALUE[spec.tag](spec, n, k) == canonical
             assert family_value(spec, n, k, "recurrence") == canonical
             assert family_value(spec, n, k, "oracle") == canonical
-            if FAMILIES[spec.tag].explicit is not None:
+            if has_explicit_sum(spec):
                 assert family_value(spec, n, k, "explicit") == canonical
 
 
@@ -133,7 +136,7 @@ def test_recurrence_routes_multiply_no_series(monkeypatch):
     monkeypatch.setattr(schemes, "_ordinary_term", refuse)
     # fresh schemes have read no column yet; classic is generalized (0, 1, 0)
     schemes.generalized_scheme.cache_clear()
-    schemes.partial_degenerate_swapped_scheme.cache_clear()
+    partial_degenerate_swapped_scheme.cache_clear()
     params = dict(
         alpha=Fraction(5, 7), beta=Fraction(-2, 9), gamma=Fraction(4, 11),
         lam=Fraction(-3, 13), ell=2, r=3, s=2,
@@ -153,7 +156,7 @@ def test_recurrence_routes_multiply_no_series(monkeypatch):
     with pytest.raises(AssertionError):
         family_value(FamilySpec("classic"), 9, 4, "egf")
     with pytest.raises(AssertionError):
-        schemes.partial_degenerate_swapped_scheme(2, 1, 3, 2).value(4, 9)
+        partial_degenerate_swapped_scheme(2, 1, 3, 2).value(4, 9)
 
 
 def test_independent_routes_never_read_a_column(monkeypatch):
@@ -171,6 +174,9 @@ def test_independent_routes_never_read_a_column(monkeypatch):
     for name in ("_egf_term", "_ordinary_term"):
         monkeypatch.setattr(schemes, name, refuse)
     specs = ALL_SPECS + [
+        FamilySpec("associated", ell=1),
+        FamilySpec("free_atleast", gamma=Fraction(1, 2), ell=0),
+        FamilySpec("partial_degenerate", gamma=2, alpha=1, beta=3, ell=0),
         FamilySpec("generalized", alpha=1, beta=0, gamma=2),
         FamilySpec("restricted", ell=0),
     ]
@@ -182,7 +188,7 @@ def test_independent_routes_never_read_a_column(monkeypatch):
                         family_value(spec, n, k, method)
                     except ValueError:
                         # the family has no explicit sum, or none at beta = 0
-                        assert method == "explicit"
+                        assert method == "explicit" and not has_explicit_sum(spec)
     # the audited printed recursions are scored against the column, so
     # they must not read it either
     for n in range(0, 8):
@@ -205,6 +211,15 @@ def test_unknown_method():
         family_value(FamilySpec("classic"), 3, 2, "guess")
     with pytest.raises(ValueError):
         family_value(FamilySpec("restricted", ell=2), 3, 2, "explicit")
+    # the explicit sum needs a constant q: these declare a polynomial of
+    # degree ell or 1, or, gen_restricted at ell = 0, a constant with b = 0
+    for spec in (FamilySpec("gen_restricted", alpha=1, beta=3, gamma=2, ell=2),
+                 FamilySpec("gen_restricted", alpha=1, beta=3, gamma=2, ell=0),
+                 FamilySpec("colored_singleton", r=2, s=3),
+                 FamilySpec("free_atleast", gamma=2, ell=1),
+                 FamilySpec("free_atleast", gamma=2, ell=3)):
+        with pytest.raises(ValueError, match="no constant q|beta = 0"):
+            family_value(spec, 3, 2, "explicit")
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.tag)
@@ -386,7 +401,7 @@ def test_the_recurrence_reads_its_columns_in_any_order(spec):
 
 
 def test_a_scheme_without_a_declaration_refuses_the_recurrence():
-    swapped = schemes.partial_degenerate_swapped_scheme(1, 1, 2, 2)
+    swapped = partial_degenerate_swapped_scheme(1, 1, 2, 2)
     own = schemes.WeightScheme("mine", lambda g: int(g == 0), lambda m: m)
     for scheme in (swapped, own):
         for k, n in ((2, 4), (5, 3)):
@@ -430,7 +445,7 @@ FACTORY_CALLS = [
     (schemes.gen_restricted_scheme, (_HALF, Fraction(-1, 3), _HALF, 2), (3,)),
     (schemes.free_atleast_scheme, (2, 1), (1,)),
     (schemes.partial_degenerate_scheme, (_HALF, Fraction(1, 3), 2, 3), (3,)),
-    (schemes.partial_degenerate_swapped_scheme, (1, 1, 2, 2), (3,)),
+    (partial_degenerate_swapped_scheme, (1, 1, 2, 2), (3,)),
     (schemes.colored_singleton_scheme, (2, 3), (0, 1)),
 ]
 

@@ -5,14 +5,17 @@ import pytest
 from stirlingkit.core import stirling2
 from stirlingkit.exact import binomial, falling_factorial_deg
 from stirlingkit.families import FamilySpec, family_value
+from stirlingkit.exact import FallingFactorials
 from stirlingkit.generalized import (
     degenerate_stirling,
+    explicit_value,
     gen_stirling,
     gen_stirling_explicit,
     gen_stirling_rec,
 )
 from stirlingkit.oracle import oracle_sum
-from stirlingkit.schemes import generalized_scheme
+from stirlingkit.recurrence import recurrence_value
+from stirlingkit.schemes import WeightScheme, generalized_scheme
 from stirlingkit.series import TruncatedSeries, degenerate_exp, egf_coeff
 
 from conftest import random_rational
@@ -70,6 +73,26 @@ def test_explicit_examples():
     # past k = n the sum is a k-th difference of a degree-n polynomial: 0 at once
     assert gen_stirling_explicit(3, 4, Fraction(1, 2), Fraction(-1, 3), 2) == 0
     assert gen_stirling_explicit(3, 10**6, 0, 1, 0) == 0
+
+
+def test_explicit_route_reads_sw0_and_a_constant_q():
+    # a bare scheme declaring (1 + a t) P' = p P and (1 + a t) B' = b B + q
+    # with q = 3/2 and sw(0) = 3: the generalized series at (a, b, p) times
+    # 3 and 3/2, so every route gives 3 (3/2)^k S(n, k; a, b, p)
+    a, p, b, q = Fraction(1, 2), Fraction(2, 3), Fraction(-1, 3), Fraction(3, 2)
+    special, blocks = FallingFactorials(p, a), FallingFactorials(b - a, a)
+    scheme = WeightScheme("bare", lambda g: 3 * special(g), lambda m: q * blocks(m - 1),
+                          ode=(a, p, b, 0, lambda i: q))
+    for n in range(10):
+        for k in range(n + 2):
+            value = explicit_value(n, k, scheme)
+            assert value == 3 * q ** k * gen_stirling(n, k, a, b, p)
+            assert value == scheme.value(k, n) == recurrence_value(n, k, scheme)
+            assert value == oracle_sum(n, k, scheme), (n, k)
+    # no declaration, or a q that is not a constant, has no explicit sum
+    for ode in (None, (a, p, b, 1, lambda i: q)):
+        with pytest.raises(ValueError, match="declares no constant q"):
+            explicit_value(3, 2, WeightScheme("bare", special, blocks, ode=ode))
 
 
 def test_explicit_rejects_beta_zero():

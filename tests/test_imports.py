@@ -211,7 +211,8 @@ params = dict(alpha=Fraction(1, 2), beta=Fraction(-1, 3), gamma=Fraction(2, 5),
               lam=Fraction(-3, 7), ell=2, r=3, s=2)
 for tag, family in f.FAMILIES.items():
     spec = f.FamilySpec(tag, **{name: params[name] for name in family.params})
-    methods = ["recurrence"] + ["explicit"] * (family.explicit is not None)
+    a1, p, b, degree, q = family.scheme(spec).ode
+    methods = ["recurrence"] + ["explicit"] * (degree == 0 and b != 0)
     for n in range(7):
         for k in range(n + 1):
             for method in methods:
@@ -251,13 +252,6 @@ def test_every_module_level_cache_is_bounded():
         for name, value in vars(module).items():
             if hasattr(value, "cache_parameters"):
                 assert value.cache_parameters()["maxsize"] is not None, (info.name, name)
-
-
-def test_incomplete_loads_no_core():
-    # free_atleast_recursion reads its size-floored counts from a scheme
-    loaded = _loaded("import stirlingkit.incomplete")
-    assert "stirlingkit.incomplete" in loaded
-    assert "stirlingkit.core" not in loaded
 
 
 def test_every_export_names_the_module_that_defines_it():

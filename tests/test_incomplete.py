@@ -1,18 +1,17 @@
 from fractions import Fraction
 
-from stirlingkit.core import stirling2, stirling2_associated, stirling2_restricted
-from stirlingkit.exact import binomial, falling_factorial_deg
-from stirlingkit.generalized import gen_stirling
-from stirlingkit.incomplete import (
+import pytest
+
+from stirlingkit.audit import (
     associated_from_free,
-    free_atleast,
-    free_atleast_rec,
     free_atleast_recursion,
-    gen_restricted,
-    gen_restricted_rec,
     gen_restricted_recursion,
     gen_restricted_three_term,
 )
+from stirlingkit.core import stirling2, stirling2_associated, stirling2_restricted
+from stirlingkit.exact import binomial, falling_factorial_deg
+from stirlingkit.generalized import gen_stirling
+from stirlingkit.incomplete import free_atleast, free_atleast_rec, gen_restricted, gen_restricted_rec
 from stirlingkit.oracle import oracle_sum
 from stirlingkit.schemes import free_atleast_scheme, gen_restricted_scheme
 
@@ -114,6 +113,12 @@ def test_free_atleast_examples():
 
 def test_free_atleast_recursion_forms():
     assert free_atleast_recursion(3, 1, 1, 0) == 7 == free_atleast(3, 1, 1, 0)
+    # no element: only the empty partition, as in the sibling one-step rules
+    for k, expected in ((0, 1), (1, 0), (2, 0)):
+        assert free_atleast_recursion(0, k, 3, 1) == expected == free_atleast(0, k, 3, 1)
+    for args in ((-1, 0, 3, 1), (2, -1, 3, 1), (2, 1, 3, -1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            free_atleast_recursion(*args)
     assert free_atleast_recursion(3, 1, 1, 0, literal=True) == 6
     for n1 in range(1, 8):
         assert free_atleast_recursion(n1, 0, 3, 1) == Fraction(3) ** n1
@@ -150,6 +155,8 @@ def test_free_atleast_binomial_convolution():
 def test_associated_from_free():
     assert associated_from_free(2, 1, 1, 1) == stirling2(2, 1) == 1
     assert associated_from_free(4, 2, 2, 2) == 3
+    with pytest.raises(ValueError, match="ell >= 1"):
+        associated_from_free(4, 2, 2, 0)
     for n in range(0, 8):
         for k in range(0, n + 1):
             assert associated_from_free(n, k, 0, 2) == free_atleast(n, k, 0, 1)

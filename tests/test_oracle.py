@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 
 from stirlingkit import oracle
+from stirlingkit.audit import partial_degenerate_swapped_scheme
 from stirlingkit.core import stirling2
 from stirlingkit.exact import CACHE_SIZE, binomial
 from stirlingkit.families import FAMILIES, FamilySpec
 from stirlingkit.oracle import (
     ENUMERATION_CAP,
+    MixedPartition,
     _profile_counts,
     enumerate_mixed,
     oracle_sum,
@@ -25,7 +27,6 @@ from stirlingkit.schemes import (
     gen_restricted_scheme,
     generalized_scheme,
     partial_degenerate_scheme,
-    partial_degenerate_swapped_scheme,
     restricted_scheme,
 )
 from stirlingkit.series import egf_coeff
@@ -65,6 +66,9 @@ def test_enumeration_complete_and_duplicate_free():
             for p in pairs:
                 mins = [min(b) for b in p.blocks]
                 assert mins == sorted(mins)
+    # an empty block, and an element in two classes, are no pair
+    assert not MixedPartition(frozenset(), (frozenset({1}), frozenset())).is_valid(1)
+    assert not MixedPartition(frozenset({1}), (frozenset({1, 2}),)).is_valid(2)
 
 
 def test_enumeration_deterministic():

@@ -331,7 +331,7 @@ def test_reference_routes_ask_only_for_cells_that_exist(monkeypatch):
                 expected = partial_deg(n, k, ell, 2, 1, 3)
                 assert partial_deg_convolution(n, k, ell, 2, 1, 3) == expected
                 assert partial_deg_recursion(n, k, ell, 2, 1, 3) == expected
-                assert incomplete.associated_from_free(n, k, 2, ell) == stirling2_associated(
+                assert audit.associated_from_free(n, k, 2, ell) == stirling2_associated(
                     n, k, ell
                 )
     assert asked == []

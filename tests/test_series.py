@@ -27,6 +27,13 @@ def test_add_examples():
     a = S([3, 5, 7])
     assert a + TruncatedSeries.zero(2) == a
     assert S([0, 1, 0]) + S([0, 0, 1]) == S([0, 1, 1])
+    assert a - a == -a + a == TruncatedSeries.zero(2)
+    assert -a == S([-3, -5, -7])
+    # a series meets no other type in + - * or ==, and equal series hash alike
+    for method in ("__add__", "__sub__", "__mul__", "__eq__"):
+        assert getattr(a, method)("t") is NotImplemented
+    assert a != [3, 5, 7]
+    assert hash(a) == hash(S([3, 5, 7])) and len({a, S([3, 5, 7]), -a}) == 2
 
 
 def test_mul_examples():
@@ -117,6 +124,8 @@ def test_incomplete_degenerate_exp():
     assert incomplete_degenerate_exp(2, 1, 2, 4) == S([1, 2, 1, 0, 0])
     # once ell clears the truncation order the cutoff is invisible
     assert incomplete_degenerate_exp(3, 2, 9, 5) == degenerate_exp(3, 2, 5)
+    with pytest.raises(ValueError, match="ell >= 0"):
+        incomplete_degenerate_exp(2, 1, -1, 4)
 
 
 def test_egf_coeff():
@@ -132,3 +141,7 @@ def test_immutability():
     a = S([1, 2, 3])
     with pytest.raises(AttributeError):
         a.order = 5
+    with pytest.raises(ValueError, match="constant coefficient"):
+        S([])
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        S([1], -1)

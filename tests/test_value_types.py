@@ -14,7 +14,6 @@ import pytest
 
 from stirlingkit import schemes
 from stirlingkit.asymptotics import asymptotic_partial
-from stirlingkit.audit import INTEGER_TRIPLES
 from stirlingkit.core import (
     stirling2,
     stirling2_associated,
@@ -31,22 +30,19 @@ from stirlingkit.generalized import (
     gen_stirling_explicit,
     gen_stirling_rec,
 )
-from stirlingkit.incomplete import (
-    associated_from_free,
-    free_atleast,
-    free_atleast_rec,
-    free_atleast_recursion,
-    gen_restricted,
-    gen_restricted_rec,
-    gen_restricted_recursion,
-    gen_restricted_three_term,
-)
+from stirlingkit.incomplete import free_atleast, free_atleast_rec, gen_restricted, gen_restricted_rec
 from stirlingkit.oracle import oracle_sum, oracle_sum_blocksum
 from stirlingkit.audit import (
+    INTEGER_TRIPLES,
+    associated_from_free,
+    free_atleast_recursion,
+    gen_restricted_recursion,
+    gen_restricted_three_term,
     partial_deg_convolution,
     partial_deg_derivative_recursion,
     partial_deg_multinomial,
     partial_deg_recursion,
+    partial_degenerate_swapped_scheme,
 )
 from stirlingkit.partial import (
     colored_singleton,
@@ -54,6 +50,8 @@ from stirlingkit.partial import (
     partial_deg,
     partial_deg_rec,
 )
+
+from conftest import has_explicit_sum
 
 RATIONAL_TRIPLES = (
     (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 2)),
@@ -121,7 +119,7 @@ def _triple_routes(a, b, g):
         for scheme in (schemes.gen_restricted_scheme(a, b, g, ell),
                        schemes.free_atleast_scheme(g, ell),
                        schemes.partial_degenerate_scheme(g, a, b, ell),
-                       schemes.partial_degenerate_swapped_scheme(g, a, b, ell)):
+                       partial_degenerate_swapped_scheme(g, a, b, ell)):
             routes["oracle " + scheme.name] = (
                 lambda n, k, scheme=scheme: oracle_sum(n, k, scheme), 0, 0)
     return routes
@@ -199,7 +197,7 @@ def test_family_values_are_never_floats():
               for tag, family in FAMILIES.items()]
     for spec in specs:
         for method in METHODS:
-            if method == "explicit" and FAMILIES[spec.tag].explicit is None:
+            if method == "explicit" and not has_explicit_sum(spec):
                 continue
             for n in range(6):
                 for k in range(n + 2):
