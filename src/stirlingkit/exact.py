@@ -40,6 +40,8 @@ def falling_factorial_deg(t: Rational, n: int, lam: Rational) -> Rational:
     """
     if n < 0:
         raise ValueError("falling_factorial_deg needs n >= 0, got %r" % (n,))
+    if lam == 0:
+        return t ** n
     out: Rational = 1
     for i in range(n):
         out *= t - i * lam

@@ -16,7 +16,9 @@ takes.  Values can be computed by several methods:
                 where its q is a constant and b != 0 (generalized
                 module's explicit_value): classic, degenerate and
                 generalized, associated at ell <= 1, free_atleast and
-                partial_degenerate at ell = 0
+                partial_degenerate at ell = 0; and the special series
+                alone where q = 0: restricted and gen_restricted at
+                ell = 0
     oracle      brute-force weighted enumeration (small n only)
 
 Cross-method agreement is part of the test suite and of the CLI

@@ -26,7 +26,9 @@ The alternating sum is also the explicit route of every scheme whose
 declared q is a constant and b != 0 (explicit_value): its two series
 are then the generalized ones up to constant factors, so classic,
 degenerate, generalized, associated at ell <= 1 and free_atleast and
-partial_degenerate at ell = 0 all take it.
+partial_degenerate at ell = 0 all take it.  A declared q = 0 has no
+blocks, so restricted and gen_restricted at ell = 0 take the special
+series alone.
 """
 
 from __future__ import annotations
@@ -82,11 +84,15 @@ def explicit_value(n: int, k: int, scheme) -> Rational:
     With ode = (a1, p, b, 0, q), q a constant, the series are P = sw(0) times
     the generalized special series at (a1, p) and B = q(0) times the
     generalized block series at (a1, b), so the value is
-    sw(0) q(0)^k S(n, k; a1, b, p).  Any other declaration is refused.
+    sw(0) q(0)^k S(n, k; a1, b, p).  At q = 0, B = 0 whatever b is, and the
+    value is [k = 0] sw(0) (p)_{n,a1}.  Any other declaration is refused.
     """
     if scheme.ode is None or scheme.ode[3] != 0:
         raise ValueError("no explicit sum for scheme %s: it declares no constant q" % scheme.name)
     a1, p, b, _, q = scheme.ode
+    if not q(0):
+        check_indices(n, k)
+        return rational(scheme.special_weight(0) * falling_factorial_deg(p, n, a1)) if k == 0 else 0
     value = gen_stirling_explicit(n, k, a1, b, p)
     return value and rational(scheme.special_weight(0) * q(0) ** k * value)
 

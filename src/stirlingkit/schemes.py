@@ -22,15 +22,16 @@ coefficients of (s U)^k in ints; every other scheme keeps EGF
 coefficients of B^k, in ints where a declared D clears its weights (every
 factory's does) and in Fractions for a bare scheme whose weights are not
 integers.  Each runs an online recurrence with one exact division per
-coefficient, and a value is one `rational`.  WeightScheme.value reads a
-value from the column, by the kernels of this module, which fix the
-column's scaling; series.egf reads the same column as a whole series.
+coefficient, and a value is one `rational`.  WeightScheme.value is the one
+reader of a column, by the kernels of this module, so only this module
+knows a column's kind, scaling and layout; series.egf reads a whole series
+as values.
 
 Each family's factory also declares the differential equations its two
 series satisfy (WeightScheme.ode), which the recurrence module reads as an
 independent route.  That module, series (egf and the *_series views) and
-oracle hold the other reads of a scheme, so the value path never compiles
-them; the scheme's methods of those names forward there.  The factories
+oracle hold the other reads of a scheme, each taking the scheme as its
+argument, so the value path never compiles them.  The factories
 here are the families' own schemes; a scheme the audit builds only to
 score a printed form (the swapped mixed-cell orientation) lives there.
 """
@@ -38,15 +39,12 @@ score a printed form (the swapped mixed-cell orientation) lives there.
 from __future__ import annotations
 
 import math
-import sys
 import threading
 from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 
 from .exact import CACHE_SIZE, FallingFactorials, Rational, check_indices, rational
-
-_package = sys.modules[__package__]  # imports a route module on first access (PEP 562)
 
 __all__ = [
     "WeightScheme",
@@ -85,13 +83,13 @@ class WeightScheme:
     of column, as the scaling picks:
 
     * a scaling (ordinary): E^(v+i-1) s u_i as (i, int) and E^g p_g as (g,
-      int).  Column k is (W, c), the ints W_j = E^(j+k(v-1)) [t^j] (s U)^k
-      (_ordinary_term) and c_j = E^(j+k(v-1)) [t^j] P * (s U)^k,
-      and the value at n is n!/k! c_(n-vk) / (s^k E^(n-k)).
+      int).  Column k is the list of ints W_j = E^(j+k(v-1)) [t^j] (s U)^k
+      (_ordinary_term), and the value at n is n!/k! sum_g E^g p_g
+      W_(n-vk-g) / (s^k E^(n-k)).
     * none (EGF): beta_(v+i) = D^(v+i-1) bw(v+i) as (i, beta) and D^g
       sw(g) as (g, D^g sw(g)), D being 1 where none is declared, so a bare
       scheme keeps a Fraction where its weight is not an integer.  Column k
-      is (x,), x_j = D^(N-k) (N!/k!) [t^N] B^k at N = vk + j
+      is the list x_j = D^(N-k) (N!/k!) [t^N] B^k at N = vk + j
       (_egf_term), and the value at n is sum_g C(n, g) D^g sw(g)
       x_(n-vk-g) / D^(n-k).
 
@@ -139,24 +137,6 @@ class WeightScheme:
             with self._lock:
                 value = self._values[k, n] = self._value(k, n)
         return value
-
-    # -- the other reads, one line each into the module that holds the route
-
-    def egf(self, k: int, order: int) -> TruncatedSeries:
-        """series.egf: special * block^k / k!, mod t^(order+1)."""
-        return _package.series.egf(self, k, order)
-
-    def block_series(self, order: int) -> TruncatedSeries:
-        """series.block_series: sum over sizes m >= 1 of bw(m) t^m / m!."""
-        return _package.series.block_series(self, order)
-
-    def special_series(self, order: int) -> TruncatedSeries:
-        """series.special_series: sum over g >= 0 of sw(g) t^g / g!."""
-        return _package.series.special_series(self, order)
-
-    def recurrence(self, k: int, n: int) -> Rational:
-        """recurrence.recurrence_value: the value at (n, k) from the ode."""
-        return _package.recurrence.recurrence_value(n, k, self)
 
     # -- the store; callers hold its lock --------------------------------------
 
@@ -206,16 +186,13 @@ class WeightScheme:
             if u:
                 self._unit.append((m - v, u))
             self._block_top = m
-        column = self._by_k.get(k)
-        if column is None:
-            column = self._by_k[k] = ([], []) if self.scaling else ([],)
+        column = self._by_k.setdefault(k, [])
         if k == 1:  # U^1 = U: its terms are x or W
-            first = column[0]
-            for j in range(len(first), top + 1):
-                first.append(self._term(self.block_weight, v + j, 1))
-        if self.scaling:
-            _ordinary_fill(k, self._u0, self._unit, self._special, column, top)
-        elif k >= 2:
+            for j in range(len(column), top + 1):
+                column.append(self._term(self.block_weight, v + j, 1))
+        elif self.scaling:
+            _ordinary_fill(k, self._u0, self._unit, column, top)
+        else:
             _integer_fill(k, v, self._u0, self._unit, column, top)
         return column, top
 
@@ -229,8 +206,9 @@ class WeightScheme:
         column, top = found
         if self.scaling:
             s, e = self.scaling
-            return rational(column[1][top] * math.perm(n, n - k), s ** k * e ** (n - k))
-        return rational(_special_sum(n, top, self._special, column[0]),
+            special = sum(p * column[top - g] for g, p in self._special if g <= top)
+            return rational(special * math.perm(n, n - k), s ** k * e ** (n - k))
+        return rational(_special_sum(n, top, self._special, column),
                         (self.denominator or 1) ** (n - k))
 
 
@@ -272,12 +250,11 @@ def _egf_term(j: int, k: int, v: int, u0: int, terms: list, row: list[int], x: l
     return quotient
 
 
-def _integer_fill(k: int, v: int, u0: int, terms: list, column: tuple, top: int) -> None:
-    """Extend the integer column k = (x,), k >= 2, with every x_j up to x_top
-    that it does not hold yet: x_0 = beta_v^k times the (vk)!/(v!^k k!)
-    ways to cut vk elements into k blocks of size v, then _egf_term, each
-    on the binomial row as far as its terms read."""
-    x = column[0]
+def _integer_fill(k: int, v: int, u0: int, terms: list, x: list, top: int) -> None:
+    """Extend the integer column x of k >= 2 with every x_j up to x_top that
+    it does not hold yet: x_0 = beta_v^k times the (vk)!/(v!^k k!) ways to
+    cut vk elements into k blocks of size v, then _egf_term, each on the
+    binomial row as far as its terms read."""
     if not x:
         x.append(u0 ** k if v == 1 else
                  math.factorial(v * k) // (math.factorial(v) ** k * math.factorial(k)) * u0 ** k)
@@ -319,18 +296,13 @@ def _ordinary_term(j: int, k: int, u0: int, terms: list, w: list[int]) -> int:
     return quotient
 
 
-def _ordinary_fill(k: int, u0: int, terms: list, special: list, column: tuple, top: int) -> None:
-    """Extend the ordinary column k = (W, c) with every c_j = E^(j+k(v-1))
-    [t^j] P * (s U)^k up to c_top that it does not hold yet, and every W_j
-    those read: W_0 = u0^k, then _ordinary_term.  special holds the
-    non-zero (g, E^g p_g).  Column 1 comes with its W filled by the caller."""
-    w, coeffs = column
-    if k >= 2 and not w:
+def _ordinary_fill(k: int, u0: int, terms: list, w: list, top: int) -> None:
+    """Extend the ordinary column W of k >= 2 with every W_j up to W_top that
+    it does not hold yet: W_0 = u0^k, then _ordinary_term."""
+    if not w:
         w.append(u0 ** k)
-    for j in range(len(coeffs), top + 1):
-        if len(w) == j:
-            w.append(_ordinary_term(j, k, u0, terms, w))
-        coeffs.append(sum(p * w[j - g] for g, p in special if g <= j))
+    for j in range(len(w), top + 1):
+        w.append(_ordinary_term(j, k, u0, terms, w))
 
 
 def _degenerate_blocks(alpha: Rational, beta: Rational) -> Callable[[int], Rational]:

@@ -9,7 +9,7 @@ Coefficient extraction in exponential-generating-function form
 (n! * c_n) reads a series as values.  The weight schemes' columns compute
 every number family; whole series are the reference the tests hold them to.
 A weight scheme's series views live here, so the value path never compiles
-them: egf, read from the scheme's column, block_series and special_series.
+them: egf, read as the scheme's values, block_series and special_series.
 
 Every family's generating function is P(t) * B(t)^k / k! with B(0) = 0,
 so powers are taken with their valuation shifted out: B = t^v * U with
@@ -169,32 +169,16 @@ def _product_term(n: int, products: list) -> tuple:
 
 def egf(scheme, k: int, order: int) -> TruncatedSeries:
     """EGF of the pairs of a weight scheme with k blocks: special * block^k /
-    k!, mod t^(order+1).  Blocks are non-empty, so it is zero when k > order
-    and 1/k! is not formed.  It reads the scheme's column k: the values of an
-    EGF column, or an ordinary column's coefficients c_j divided by its
-    scaling once each."""
+    k!, mod t^(order+1), read as values through WeightScheme.value, which
+    alone reads the scheme's columns.  Blocks are non-empty, so it is zero
+    when k > order and 1/k! is not formed."""
     if order < 0 or k < 0:
         raise ValueError("indices must be non-negative, got order=%r k=%r" % (order, k))
     if k > order:
         return TruncatedSeries.zero(order)
-    if k == 0:
-        return special_series(scheme, order)
-    if not scheme.scaling:
-        scheme.value(k, order)  # one read fills the column as far as every other needs
-        return TruncatedSeries(
-            [_over(scheme.value(k, n), math.factorial(n)) for n in range(order + 1)], order)
-    with scheme._lock:
-        found = scheme._column(k, order)
-    if found is None:
-        return TruncatedSeries.zero(order)
-    (_, coeffs), top = found
-    s, e = scheme.scaling
-    den = math.factorial(k) * s ** k * e ** (order - top - k)  # k! s^k E^(k(v-1))
-    series = [0] * (order - top)
-    for c in coeffs[:top + 1]:
-        series.append(Fraction(c, den))
-        den *= e
-    return TruncatedSeries(series, order)
+    scheme.value(k, order)  # one read fills the column as far as every other needs
+    return TruncatedSeries(
+        [_over(scheme.value(k, n), math.factorial(n)) for n in range(order + 1)], order)
 
 
 def block_series(scheme, order: int) -> TruncatedSeries:

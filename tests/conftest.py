@@ -38,9 +38,9 @@ def brute_set_partitions(n):
 
 def has_explicit_sum(spec):
     """Whether the explicit route serves spec, read off its scheme's
-    declaration: a constant q (degree 0) and b != 0."""
+    declaration: a constant q (degree 0), and b != 0 or q = 0."""
     a1, p, b, degree, q = FAMILIES[spec.tag].scheme(spec).ode
-    return degree == 0 and b != 0
+    return degree == 0 and (b != 0 or q(0) == 0)
 
 
 def brute_stirling2(n, k, size_ok=lambda s: True):

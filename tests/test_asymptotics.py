@@ -226,7 +226,7 @@ def test_large_k_row_reads_d_plus_one_coefficients():
     gamma, alpha, beta, ell, d, k = Fraction(1), Fraction(1), Fraction(2), 2, 4, 10 ** 5
     row = asymptotic_partial(d, k, gamma, alpha, beta, ell, 3)
     assert row.n_total == k + d
-    (x,) = schemes.partial_degenerate_scheme(gamma * k, alpha, beta, ell)._by_k[k]
+    x = schemes.partial_degenerate_scheme(gamma * k, alpha, beta, ell)._by_k[k]
     assert len(x) <= d + 1
     # [t^d] psi^k = k! S(k+d, k) / (k+d)! by a series power instead
     psi = TruncatedSeries(_psi_coeffs(gamma, alpha, beta, ell, d), d)

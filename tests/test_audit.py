@@ -132,7 +132,7 @@ def test_thm20_left_side_is_the_series_expression(monkeypatch):
     # TruncatedSeries operations give, for every case the audit scores
     from stirlingkit.exact import binomial
     from stirlingkit.schemes import free_atleast_scheme, gen_restricted_scheme
-    from stirlingkit.series import TruncatedSeries
+    from stirlingkit.series import TruncatedSeries, block_series
 
     scored = {}
     real = audit._score
@@ -148,8 +148,8 @@ def test_thm20_left_side_is_the_series_expression(monkeypatch):
     for k, ell, a, b in cases:
         left = lhs(k, ell, a, b)
         order = left.order
-        big = free_atleast_scheme(0, ell).block_series(order)
-        smallp = gen_restricted_scheme(a, b, 0, ell).block_series(order)
+        big = block_series(free_atleast_scheme(0, ell), order)
+        smallp = block_series(gen_restricted_scheme(a, b, 0, ell), order)
         expected = TruncatedSeries.zero(order)
         for j in range(k + 1):
             expected = expected + binomial(k, j) * big ** j * smallp ** (k - j)

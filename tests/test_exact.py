@@ -24,6 +24,18 @@ def test_falling_factorial_deg_examples():
     assert falling_factorial_deg(2, 2, 0) == 4
 
 
+def test_falling_factorial_deg_at_lam_zero_is_the_power():
+    # lam = 0 takes t ** n, which must equal the n-fold product of t for
+    # int, Fraction and zero t, n = 0 included
+    for t in (0, Fraction(0), 3, -2, Fraction(-3, 4)):
+        for lam in (0, Fraction(0)):
+            for n in range(6):
+                product = 1
+                for _ in range(n):
+                    product *= t
+                assert falling_factorial_deg(t, n, lam) == product, (t, lam, n)
+
+
 def test_falling_factorial_deg_rejects_negative_n():
     with pytest.raises(ValueError):
         falling_factorial_deg(1, -1, 1)

@@ -35,6 +35,7 @@ from stirlingkit.families import (
     family_value,
 )
 from stirlingkit.oracle import oracle_sum
+from stirlingkit.recurrence import recurrence_value
 from stirlingkit.series import TruncatedSeries, egf_coeff
 
 from conftest import has_explicit_sum
@@ -162,11 +163,12 @@ def test_recurrence_routes_multiply_no_series(monkeypatch):
 def test_independent_routes_never_read_a_column(monkeypatch):
     # recurrence, explicit and oracle verify the egf path only while none
     # of them reads a value or a coefficient from a scheme's column, of
-    # either kind: every read of one goes through WeightScheme._column
+    # either kind: every read of one, series.egf's too, goes through
+    # WeightScheme.value to WeightScheme._column
     def refuse(*args):
         raise AssertionError("an independent route read a column")
 
-    for name in ("value", "egf", "_column"):
+    for name in ("value", "_column"):
         monkeypatch.setattr(schemes.WeightScheme, name, refuse)
     # Miller's pairs, in a power or a partial Bell number, and a series product
     for module in (exact, series):
@@ -212,14 +214,18 @@ def test_unknown_method():
     with pytest.raises(ValueError):
         family_value(FamilySpec("restricted", ell=2), 3, 2, "explicit")
     # the explicit sum needs a constant q: these declare a polynomial of
-    # degree ell or 1, or, gen_restricted at ell = 0, a constant with b = 0
+    # degree ell or 1, or, generalized at beta = 0, a constant q != 0 with
+    # b = 0; gen_restricted at ell = 0 declares q = 0, which it serves
     for spec in (FamilySpec("gen_restricted", alpha=1, beta=3, gamma=2, ell=2),
-                 FamilySpec("gen_restricted", alpha=1, beta=3, gamma=2, ell=0),
+                 FamilySpec("generalized", alpha=1, beta=0, gamma=2),
                  FamilySpec("colored_singleton", r=2, s=3),
                  FamilySpec("free_atleast", gamma=2, ell=1),
                  FamilySpec("free_atleast", gamma=2, ell=3)):
         with pytest.raises(ValueError, match="no constant q|beta = 0"):
             family_value(spec, 3, 2, "explicit")
+    spec = FamilySpec("gen_restricted", alpha=1, beta=3, gamma=5, ell=0)
+    assert [family_value(spec, 3, k, "explicit") for k in range(3)] == [
+        family_value(spec, 3, k) for k in range(3)] == [60, 0, 0]
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.tag)
@@ -338,8 +344,8 @@ def _residuals(scheme, order=12, ode=None):
     """The coefficients of t^0..t^(order-1) in a*P' - p*P and in
     a*B' - b*B - q, with a = 1 + a1*t, from the scheme's own series."""
     a1, p, b, degree, q = ode or scheme.ode
-    special = scheme.special_series(order).coeffs
-    block = scheme.block_series(order).coeffs
+    special = series.special_series(scheme, order).coeffs
+    block = series.block_series(scheme, order).coeffs
 
     def lhs(c, m):  # [t^m] of a*C'
         return (m + 1) * c[m + 1] + a1 * m * c[m]
@@ -396,7 +402,7 @@ def test_the_recurrence_reads_its_columns_in_any_order(spec):
     _clear_scheme_caches()
     scheme = FAMILIES[spec.tag].scheme(spec)
     for n, k in cells:
-        value = scheme.recurrence(k, n)
+        value = recurrence_value(n, k, scheme)
         assert value == expected[n, k] and type(value) is type(expected[n, k]), (n, k)
 
 
@@ -406,7 +412,7 @@ def test_a_scheme_without_a_declaration_refuses_the_recurrence():
     for scheme in (swapped, own):
         for k, n in ((2, 4), (5, 3)):
             with pytest.raises(ValueError, match="%s declares no" % re.escape(scheme.name)):
-                scheme.recurrence(k, n)
+                recurrence_value(n, k, scheme)
 
 
 def _clear_scheme_caches():
@@ -428,7 +434,7 @@ def test_egf_and_oracle_never_read_the_declaration(spec):
             assert scheme.value(k, n) == value
             assert oracle_sum(n, k, scheme) == value
         with pytest.raises(ValueError):
-            scheme.recurrence(1, 2)
+            recurrence_value(2, 1, scheme)
     finally:
         _clear_scheme_caches()  # no later read meets the garbage
 
@@ -482,7 +488,8 @@ def _negated(args, at):
 def test_each_scheme_refuses_a_negative_index(factory, args, naturals):
     scheme = factory(*args)
     for n, k in NEGATIVE_INDICES:
-        for read in (scheme.value, scheme.egf, scheme.recurrence):
+        for read in (scheme.value, lambda k, n: series.egf(scheme, k, n),
+                     lambda k, n: recurrence_value(n, k, scheme)):
             with pytest.raises(ValueError, match=INDICES):
                 read(k, n)
     for at in naturals:
@@ -539,6 +546,6 @@ def test_every_route_reads_the_empty_special_set_weight(factory, args):
     for n in range(8):
         for k in range(n + 2):
             expected = 2 * base.value(k, n)
-            assert doubled.recurrence(k, n) == expected, (n, k)
+            assert recurrence_value(n, k, doubled) == expected, (n, k)
             assert doubled.value(k, n) == expected, (n, k)
             assert oracle_sum(n, k, doubled) == expected, (n, k)

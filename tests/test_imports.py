@@ -148,19 +148,16 @@ assert not set(vars(partial)) & set(%r), sorted(vars(partial))
     assert all(hasattr(audit, name) for name in _PRINTED_ROUTES)
 
 
-def test_the_schemes_define_no_series_view_and_no_recurrence_body():
-    # the scheme keeps its declaration and its store; its series views and
-    # its recurrence are one-line forwards into the modules that hold them
-    from stirlingkit import schemes
+def test_only_the_scheme_reads_its_columns():
+    # the scheme keeps its declaration and its store, and value is the one
+    # reader of a column; the series views and the recurrence are functions
+    # of the modules that hold them, and series.egf reads values only
+    from stirlingkit import schemes, series
 
-    assert not {"_series", "_over"} & set(vars(schemes))
-    forwards = {"egf": ("series", "egf"), "block_series": ("series", "block_series"),
-                "special_series": ("series", "special_series"),
-                "recurrence": ("recurrence", "recurrence_value")}
-    for method, (module, function) in forwards.items():
-        code = getattr(schemes.WeightScheme, method).__code__
-        assert set(code.co_names) == {"_package", module, function}, method
-        assert callable(getattr(importlib.import_module("stirlingkit." + module), function))
+    assert not {"_series", "_over", "sys"} & set(vars(schemes))
+    assert not {"egf", "block_series", "special_series", "recurrence"} & set(
+        vars(schemes.WeightScheme))
+    assert not {"_column", "_lock", "_by_k", "scaling"} & set(series.egf.__code__.co_names)
 
 
 def test_the_patch_points_stay_live():
@@ -212,7 +209,7 @@ params = dict(alpha=Fraction(1, 2), beta=Fraction(-1, 3), gamma=Fraction(2, 5),
 for tag, family in f.FAMILIES.items():
     spec = f.FamilySpec(tag, **{name: params[name] for name in family.params})
     a1, p, b, degree, q = family.scheme(spec).ode
-    methods = ["recurrence"] + ["explicit"] * (degree == 0 and b != 0)
+    methods = ["recurrence"] + ["explicit"] * (degree == 0 and (b != 0 or q(0) == 0))
     for n in range(7):
         for k in range(n + 1):
             for method in methods:

@@ -29,7 +29,7 @@ from stirlingkit.schemes import (
     partial_degenerate_scheme,
     restricted_scheme,
 )
-from stirlingkit.series import egf_coeff
+from stirlingkit.series import block_series, egf, egf_coeff, special_series
 
 from conftest import brute_stirling2
 
@@ -180,8 +180,8 @@ def _dense_egf(scheme, k, order):
     """The exponential formula on whole truncated series, special *
     block^k / k!: the reference the lazy columns are held to."""
     return (
-        scheme.special_series(order)
-        * scheme.block_series(order) ** k
+        special_series(scheme, order)
+        * block_series(scheme, order) ** k
         * Fraction(1, math.factorial(k))
     )
 
@@ -241,18 +241,32 @@ def test_integer_columns_match_the_dense_formula(scheme):
     fresh = WeightScheme(scheme.name, scheme.special_weight, scheme.block_weight, scheme.ode,
                          scheme.denominator)
     _check_columns(scheme, fresh)
-    assert all(type(x) is int for column in fresh._by_k.values() for x in column[0])
+    assert all(type(x) is int for column in fresh._by_k.values() for x in column)
 
 
 @pytest.mark.parametrize("scheme", [scheme for scheme in COLUMN_SCHEMES if scheme.scaling],
                          ids=_label)
 def test_ordinary_columns_match_the_dense_formula(scheme):
     # the same reads from a new scheme that declares the scaling too, so it
-    # reads the ordinary integer column
+    # reads the ordinary integer column: one list of ints W_j per k
     fresh = WeightScheme(scheme.name, scheme.special_weight, scheme.block_weight, scheme.ode,
                          scheme.denominator, scheme.scaling)
     _check_columns(scheme, fresh)
-    assert all(len(column) == 2 for column in fresh._by_k.values())
+    assert all(type(w) is int for column in fresh._by_k.values() for w in column)
+
+
+@pytest.mark.parametrize("scheme", [scheme for scheme in COLUMN_SCHEMES
+                                    if scheme.scaling and scheme.block_weight(1)], ids=_label)
+def test_an_ordinary_read_fills_one_list(scheme):
+    # one read of value(k, n) fills column k with W_0..W_(n-vk) and nothing
+    # else: the special sum is formed for that one value, not kept per j
+    fresh = WeightScheme(scheme.name, scheme.special_weight, scheme.block_weight, scheme.ode,
+                         scheme.denominator, scheme.scaling)
+    k, n = 3, 12
+    fresh.value(k, n)
+    column = fresh._by_k[k]
+    assert type(column) is list and len(column) == n - fresh._v * k + 1
+    assert all(type(w) is int for w in column)
 
 
 def _check_columns(scheme, fresh):
@@ -265,7 +279,7 @@ def _check_columns(scheme, fresh):
     for k, n in cells:
         assert fresh.value(k, n) == egf_coeff(dense[k], n)
     for k in ks:
-        assert fresh.egf(k, order) == dense[k]
+        assert egf(fresh, k, order) == dense[k]
     assert fresh._by_k is not scheme._by_k and fresh._values is not scheme._values
 
 
@@ -277,7 +291,7 @@ def test_factory_columns_hold_only_ints(scheme):
     for n in range(13):
         for k in range(n + 2):
             scheme.value(k, n)
-    kept = [x for column in scheme._by_k.values() for part in column for x in part]
+    kept = [x for column in scheme._by_k.values() for x in column]
     kept += [term for _, term in scheme._unit + scheme._special]
     assert all(type(x) is int for x in kept)
 
@@ -298,9 +312,9 @@ def test_bare_schemes_read_exact_fractions(v):
         for k in range(n + 2):
             assert scheme.value(k, n) == oracle_sum(n, k, scheme), (n, k)
     order, fresh = 14, _bare_scheme(v)
-    block, power = fresh.block_series(order), fresh.special_series(order)
+    block, power = block_series(fresh, order), special_series(fresh, order)
     for k in range(8):
-        assert fresh.egf(k, order) == power * Fraction(1, math.factorial(k)), k
+        assert egf(fresh, k, order) == power * Fraction(1, math.factorial(k)), k
         power = power * block
 
 
