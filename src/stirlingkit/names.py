@@ -9,7 +9,7 @@ METHODS = ("egf", "recurrence", "explicit", "oracle")
 
 # The largest n the enumeration oracle walks.  Bell-like growth with an
 # extra class: n = 11 is 4.2M pairs over all k, which the integer-key
-# profile counter walks in 1.0 to 1.5 s (Python 3.11, 2 shared vCPUs).
+# profile counter walks in 0.4 to 0.6 s (Python 3.11, 2 shared vCPUs).
 ENUMERATION_CAP = 11
 
 # every family parameter and its kind; FamilySpec has these fields, in order

@@ -98,6 +98,27 @@ def test_profile_counts_match_enumeration(monkeypatch):
         monkeypatch.undo()
 
 
+def test_profile_counts_give_each_pair_one_increment(monkeypatch):
+    # the walk counts pairs, it does not multiply counts: the items its
+    # Counter receives, one per pair, number S(n + 1, k + 1) at every split
+    received, default = [], oracle.TAIL
+
+    class Tally(Counter):
+        def update(self, iterable=None, /, **kwds):
+            items = list(iterable or ())
+            received.append(len(items))
+            super().update(items, **kwds)
+
+    monkeypatch.setattr(oracle, "Counter", Tally)
+    for n in range(0, 10):
+        for tail in range(1, n + 2) if n <= 8 else (default,):
+            monkeypatch.setattr(oracle, "TAIL", tail)
+            for k in range(0, n + 2):
+                received.clear()
+                _profile_counts.__wrapped__(n, k)
+                assert sum(received) == stirling2(n + 1, k + 1), (n, k, tail)
+
+
 def test_profile_counts_total_the_pairs():
     # placing a new element n + 1 in its own class turns the special set into
     # a block: sum_i C(n, i) S(n - i, k) = S(n + 1, k + 1)
